@@ -2,6 +2,10 @@
 bound a1 = 2^kappa sup_s I^s_g, the interval-estimation bound a2 (a
 kappa-dependent sup/inf of I^s_g weighted by a power-mean factor), their
 coincidence analysis, and the closed-form values per edge regime.
+
+One golden-section maximizer, ``_argmax``, behind one scan-and-refine
+optimizer, ``_optimize``, serves both bounds here and the testing exponents
+in ``rates``; a minimum is found by negating the objective.
 """
 
 import math
@@ -54,13 +58,19 @@ def _scan_points(s_grid, include_probes):
     return np.unique(np.clip(pts, 1e-9, 1.0 - 1e-9))
 
 
-def _golden_scan(fn, lo, hi, maximize, iters=80):
+def _argmax(fn, lo, hi):
+    """Golden-section maximum of a unimodal fn on [lo, hi]: (value, x).
+
+    At most 80 steps, stopping once the bracket is narrower than
+    1e-12 max(1, hi); the value is fn at the final midpoint.
+    """
+    tol = 1e-12 * max(1.0, hi)
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if (fc > fd) == maximize:
+    for _ in range(80):
+        if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
             fc = fn(c)
@@ -68,28 +78,28 @@ def _golden_scan(fn, lo, hi, maximize, iters=80):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = fn(d)
-        if b - a < 1e-12:
+        if b - a < tol:
             break
-    s = 0.5 * (a + b)
-    return s, fn(s)
+    x = 0.5 * (a + b)
+    return fn(x), x
 
 
-def _optimize(fn, s_grid, maximize, include_probes=True):
-    """Grid scan plus golden refinement; returns (value, s, at_boundary)."""
-    scan = _scan_points(s_grid, include_probes)
-    vals = np.array([fn(s) for s in scan])
+def _optimize(fn, scan, maximize):
+    """Scan fn over the sorted points ``scan``, refine around the best point
+    by golden section, and keep the scan point if it is still better.
+    Returns (value, s) with s unclamped."""
+    sign = 1.0 if maximize else -1.0
+    vals = np.array([sign * fn(s) for s in scan])
     if np.ptp(vals) < 1e-12 * max(1.0, np.max(np.abs(vals))):
         # constant objective: deterministic tie rule
-        return float(vals[len(vals) // 2]), 0.5, False
-    i = int(np.argmax(vals) if maximize else np.argmin(vals))
+        return float(sign * vals[len(vals) // 2]), 0.5
+    i = int(np.argmax(vals))
     lo = scan[max(i - 1, 0)]
     hi = scan[min(i + 1, len(scan) - 1)]
-    s, v = _golden_scan(fn, lo, hi, maximize)
-    grid_better = vals[i] > v if maximize else vals[i] < v
-    if grid_better:
-        s, v = float(scan[i]), float(vals[i])
-    at_boundary = s < DELTA or s > 1.0 - DELTA
-    return float(v), float(min(max(s, DELTA), 1.0 - DELTA)), at_boundary
+    v, s = _argmax(lambda x: sign * fn(x), lo, hi)
+    if vals[i] > v:
+        v, s = vals[i], scan[i]
+    return float(sign * v), float(s)
 
 
 def _optimize_profile(profile, transform, maximize):
@@ -107,19 +117,17 @@ def _optimize_profile(profile, transform, maximize):
     """
     if profile.source != "ladder":
         return _optimize(lambda s: transform(profile.isg_fn(s), s),
-                         profile.s_grid, maximize, include_probes=True)
+                         _scan_points(profile.s_grid, include_probes=True), maximize)
+    scan = _scan_points(profile.s_grid, include_probes=False)
     if profile.g_tag != "sq_log":
-        return _optimize(lambda s: transform(profile.isg_fn(s), s),
-                         profile.s_grid, maximize, include_probes=False)
+        return _optimize(lambda s: transform(profile.isg_fn(s), s), scan, maximize)
     opts = []
-    s_last, bd_last = 0.5, False
     for i in range(len(profile.eps_ladder)):
-        v, s_last, bd_last = _optimize(
-            lambda s: transform(profile.rung_fn(i, s), s),
-            profile.s_grid, maximize, include_probes=False)
+        v, s_last = _optimize(lambda s: transform(profile.rung_fn(i, s), s),
+                              scan, maximize)
         opts.append(v)
     value, _ = _extrapolate(opts, profile.eps_ladder, profile.g_tag)
-    return float(value), s_last, bd_last
+    return float(value), s_last
 
 
 def alpha1_bar(profile: ScalingProfile):
@@ -127,8 +135,8 @@ def alpha1_bar(profile: ScalingProfile):
     if profile.s_grid.size < 17:
         raise ValueError("profile grid too coarse (need >= 17 points)")
     scale = 2.0 ** profile.kappa
-    v, s, _ = _optimize_profile(profile, lambda r, s: scale * r, maximize=True)
-    return v, s
+    v, s = _optimize_profile(profile, lambda r, s: scale * r, maximize=True)
+    return v, min(max(s, DELTA), 1.0 - DELTA)
 
 
 def _power_mean_factor(s, kappa):
@@ -153,8 +161,8 @@ def alpha2_bar(profile: ScalingProfile):
     def transform(r, s):
         return r / (s * (1.0 - s)) * _power_mean_factor(s, k)
 
-    v, s, _ = _optimize_profile(profile, transform, maximize=(k < 1.0))
-    return v, s
+    v, s = _optimize_profile(profile, transform, maximize=(k < 1.0))
+    return v, min(max(s, DELTA), 1.0 - DELTA)
 
 
 def coincidence(profile: ScalingProfile, tol=None):
@@ -162,6 +170,11 @@ def coincidence(profile: ScalingProfile, tol=None):
     and eq_half tests 2^kappa I^(1/2)_g = a2; coincide tests a1 = a2."""
     a1, _ = alpha1_bar(profile)
     a2, _ = alpha2_bar(profile)
+    return _flags(profile, a1, a2, tol)
+
+
+def _flags(profile, a1, a2, tol):
+    """The coincidence flags of ``coincidence`` for bounds already computed."""
     half = 2.0 ** profile.kappa * float(profile.isg_fn(0.5))
     if tol is None:
         if profile.source == "ladder":
@@ -181,7 +194,7 @@ def bound_pair(profile: ScalingProfile, tol=None) -> BoundPair:
     """Assemble the bound pair with coincidence flags for a profile."""
     a1, s1 = alpha1_bar(profile)
     a2, s2 = alpha2_bar(profile)
-    coincide, eq163, _ = coincidence(profile, tol=tol)
+    coincide, eq163, _ = _flags(profile, a1, a2, tol)
     return BoundPair(
         alpha1_bar=a1, alpha2_bar=a2, s_star1=s1, s_star2=s2,
         kappa=profile.kappa, coincide=coincide, symmetric_at_half=eq163,
@@ -239,10 +252,8 @@ def closed_form_bounds(regime, A1, A2, kappa, fisher=None) -> BoundPair:
             a1v, s1 = alpha1_bar(profile)
             b1 = s1 <= DELTA or s1 >= 1.0 - DELTA
         a2v, s2 = alpha2_bar(profile)
-        tol = 1e-6 * max(1.0, a1v)
-        half = 2.0 ** k * float(profile.isg_fn(0.5))
-        return BoundPair(a1v, a2v, s1, s2, k,
-                         coincide=abs(a1v - a2v) <= tol,
-                         symmetric_at_half=abs(a1v - half) <= tol,
+        coincide, eq163, _ = _flags(profile, a1v, a2v, None)
+        return BoundPair(a1v, a2v, s1, s2, k, coincide=coincide,
+                         symmetric_at_half=eq163,
                          boundary1=b1, boundary2=(s2 <= DELTA or s2 >= 1.0 - DELTA))
     return bound_pair(profile)

@@ -18,9 +18,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import families as fam_mod
+from .bounds import _argmax, _optimize
 from .estimators import EstimatorSpec, estimate_many
 from .families import cdf
 from .quadrature import panel_nodes
+from .renyi import _pair_nodes, _renyi_from_nodes, default_ladder, g_value
 
 __all__ = [
     "InsufficientEventsError",
@@ -192,13 +194,11 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
 def _chernoff_objective(family, eps, side):
     """F(t) = -log int exp(-+ t score) f over the shifted window (concave)."""
     a, b = family.support
-    lo_t, hi_t = fam_mod._trimmed_support(family)
+    lo_w, hi_w = fam_mod._trimmed_support(family)
     if side == "plus":
-        lo_w = (a if math.isfinite(a) else lo_t) + eps
-        hi_w = b if math.isfinite(b) else hi_t
+        lo_w += eps
     else:
-        lo_w = a if math.isfinite(a) else lo_t
-        hi_w = (b if math.isfinite(b) else hi_t) - eps
+        hi_w -= eps
     if not hi_w > lo_w:
         raise WindowError(f"eps={eps} exceeds the support width")
     bps = [c + d for c in family.breakpoints for d in (0.0, eps if side == "plus" else -eps)]
@@ -229,7 +229,7 @@ def _chernoff_objective(family, eps, side):
     return F
 
 
-def mle_chernoff_rate(family, eps, side, t_tol=1e-10):
+def mle_chernoff_rate(family, eps, side):
     """Analytic half-side exponent of the MLE for a log-concave family:
     sup over t >= 0 of -log int exp(-+ t f'(x -+ eps)/f(x -+ eps)) f(x) dx."""
     if not family.log_concave:
@@ -245,21 +245,8 @@ def mle_chernoff_rate(family, eps, side, t_tol=1e-10):
         if F(t_hi) < F(t_hi / 2.0):
             break
         t_hi *= 2.0
-    lo, hi = 0.0, t_hi
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - gr * (hi - lo), lo + gr * (hi - lo)
-    fc, fd = F(c), F(d)
-    while hi - lo > t_tol * max(1.0, hi):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = F(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = F(d)
-    best = max(F(0.5 * (lo + hi)), F(0.0))
-    return float(best)
+    best, _ = _argmax(F, 0.0, t_hi)
+    return float(max(best, F(0.0)))
 
 
 def order_stat_rates(family, eps, lam=None):
@@ -272,8 +259,10 @@ def order_stat_rates(family, eps, lam=None):
     width = b - a
     if not 0.0 < eps < width:
         raise WindowError(f"eps={eps} outside (0, {width})")
-    min_plus = -math.log(float(cdf(family, b - eps)))
-    max_minus = -math.log(1.0 - float(cdf(family, a + eps)))
+    # min(x) - a overshoots by eps only when every draw sits above a + eps;
+    # max(x) - b undershoots only when every draw sits below b - eps
+    min_plus = -math.log(1.0 - float(cdf(family, a + eps)))
+    max_minus = -math.log(float(cdf(family, b - eps)))
     combo_plus = combo_minus = None
     if lam is not None:
         if not 0.0 < lam < 1.0:
@@ -281,8 +270,8 @@ def order_stat_rates(family, eps, lam=None):
         if eps / (1.0 - lam) >= width or eps / lam >= width:
             raise WindowError(
                 f"combo window exceeds support: eps={eps}, lambda={lam}, width={width}")
-        combo_plus = -math.log(float(cdf(family, b - eps / (1.0 - lam))))
-        combo_minus = -math.log(1.0 - float(cdf(family, a + eps / lam)))
+        combo_plus = -math.log(1.0 - float(cdf(family, a + eps / lam)))
+        combo_minus = -math.log(float(cdf(family, b - eps / (1.0 - lam))))
     return OrderStatRates(
         eps=float(eps), min_shift_plus=min_plus, min_shift_minus=math.inf,
         max_shift_plus=math.inf, max_shift_minus=max_minus,
@@ -293,58 +282,6 @@ def order_stat_rates(family, eps, lam=None):
 # ---------------------------------------------------------------------------
 # hypothesis-testing exponents
 
-def _pair_nodes_2fam(p_point, q_point):
-    """Shared quadrature data for two (family, theta) hypothesis points."""
-    fam_p, tp = p_point
-    fam_q, tq = q_point
-    ends = []
-    for fam, t in ((fam_p, tp), (fam_q, tq)):
-        a, b = fam.support
-        lo_t, hi_t = fam_mod._trimmed_support(fam)
-        ends.append(((a if math.isfinite(a) else lo_t) + t,
-                     (b if math.isfinite(b) else hi_t) + t))
-    lo = max(e[0] for e in ends)
-    hi = min(e[1] for e in ends)
-    if not hi > lo:
-        return None
-    bps = [c + t for fam, t in ((fam_p, tp), (fam_q, tq)) for c in fam.breakpoints]
-    nodes = panel_nodes(lo, hi, bps)
-
-    def logpdf_for(fam, t):
-        a, b = fam.support
-        u = nodes.x - t
-        dl = nodes.dl + (lo - (a + t)) if math.isfinite(a) else np.full_like(u, math.inf)
-        dr = nodes.dr + ((b + t) - hi) if math.isfinite(b) else np.full_like(u, math.inf)
-        return fam_mod._logpdf3(fam, u, dl, dr)
-
-    with np.errstate(divide="ignore"):
-        lw = np.log(nodes.w)
-    return logpdf_for(fam_p, tp), logpdf_for(fam_q, tq), lw
-
-
-def _renyi_pair(pair, s):
-    lp, lq, lw = pair
-    return max(0.0, -float(logsumexp(s * lp + (1.0 - s) * lq + lw)))
-
-
-def _golden_max_s(fn, lo=1e-7, hi=1.0 - 1e-7):
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(80):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = fn(d)
-    s = 0.5 * (a + b)
-    return fn(s), s
-
-
 def chernoff_test_rate(p_point, q_point):
     """Best exponent of the summed testing errors: sup_s I^s(p||q); +inf
     when the supports are disjoint."""
@@ -352,10 +289,10 @@ def chernoff_test_rate(p_point, q_point):
     fam_q, tq = q_point
     if fam_p is fam_q and tp == tq:
         return 0.0
-    pair = _pair_nodes_2fam(p_point, q_point)
+    pair = _pair_nodes(p_point, q_point)
     if pair is None:
         return math.inf
-    value, _ = _golden_max_s(lambda s: _renyi_pair(pair, s))
+    value, _ = _argmax(lambda s: _renyi_from_nodes(pair, s)[0], 1e-7, 1.0 - 1e-7)
     return float(value)
 
 
@@ -364,26 +301,20 @@ def hoeffding_rate(p_point, q_point, r):
     sup_s (-s r + I^s(p||q)) / (1 - s), floored at zero."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    pair = _pair_nodes_2fam(p_point, q_point)
+    pair = _pair_nodes(p_point, q_point)
     if pair is None:
         return HoeffdingRate(value=math.inf, s_star=0.5, at_boundary=False,
                              clamped=False)
 
     def objective(s):
-        return (-s * r + _renyi_pair(pair, s)) / (1.0 - s)
+        return (-s * r + _renyi_from_nodes(pair, s)[0]) / (1.0 - s)
 
     # scan catches suprema in the interior; the s -> 1 probe the boundary case
     grid = np.concatenate([np.linspace(0.01, 0.99, 50), [1.0 - 1e-6]])
-    vals = np.array([objective(s) for s in grid])
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    value, s_star = _golden_max_s(objective, lo, hi)
-    if vals[i] > value:
-        value, s_star = float(vals[i]), float(grid[i])
+    value, s_star = _optimize(objective, grid, maximize=True)
     at_boundary = s_star > 1.0 - 1e-4
     clamped = value < 0.0
-    return HoeffdingRate(value=max(value, 0.0), s_star=float(s_star),
+    return HoeffdingRate(value=max(value, 0.0), s_star=s_star,
                          at_boundary=at_boundary, clamped=clamped)
 
 
@@ -452,8 +383,6 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     rung and reported as ``window_spread``.  Estimators parameterized by a
     shrinking shift (lr, shifted_min) track the rung eps.
     """
-    from .renyi import default_ladder, g_value  # local import: avoid cycle
-
     if eps_ladder is None:
         eps_ladder = tuple(e for e in default_ladder("abs", family))
     eps_ladder = tuple(float(e) for e in eps_ladder)

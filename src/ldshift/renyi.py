@@ -161,40 +161,33 @@ def kappa_of_g(g_tag):
 # ---------------------------------------------------------------------------
 # divergence quadrature
 
-def _pair_nodes(family, theta_p, theta_q):
-    """Quadrature data for the pair (f_{theta_p}, f_{theta_q}).
+def _pair_nodes(p_point, q_point):
+    """Quadrature data for two (family, theta) points p and q.
 
-    Returns None when supports are disjoint, else (lp, lq, logw) at shared
-    nodes over the support intersection, with edge distances kept exact for
-    whichever density is singular at each end.
+    The families may differ.  Returns None when the supports are disjoint,
+    else (lp, lq, logw) at shared nodes over the support intersection, with
+    edge distances kept exact for whichever density is singular at each end.
     """
-    a, b = family.support
-    tlo, thi = fam_mod._trimmed_support(family)
-    lo_p = (a if math.isfinite(a) else tlo) + theta_p
-    lo_q = (a if math.isfinite(a) else tlo) + theta_q
-    hi_p = (b if math.isfinite(b) else thi) + theta_p
-    hi_q = (b if math.isfinite(b) else thi) + theta_q
-    lo, hi = max(lo_p, lo_q), min(hi_p, hi_q)
+    (fam_p, tp), (fam_q, tq) = p_point, q_point
+    lo_p, hi_p = fam_mod._trimmed_support(fam_p)
+    lo_q, hi_q = (lo_p, hi_p) if fam_q is fam_p else fam_mod._trimmed_support(fam_q)
+    lo, hi = max(lo_p + tp, lo_q + tq), min(hi_p + tp, hi_q + tq)
     if not hi > lo:
         return None
-    bps = [c + t for c in family.breakpoints for t in (theta_p, theta_q)]
+    bps = [c + t for fam, t in (p_point, q_point) for c in fam.breakpoints]
     nodes = panel_nodes(lo, hi, bps)
 
-    def logpdf_for(theta):
+    def logpdf_for(fam, theta):
+        a, b = fam.support
         u = nodes.x - theta
-        if math.isfinite(a):
-            dl = nodes.dl + (lo - (a + theta))   # exact when this side is ours
-        else:
-            dl = np.full_like(nodes.x, math.inf)
-        if math.isfinite(b):
-            dr = nodes.dr + ((b + theta) - hi)
-        else:
-            dr = np.full_like(nodes.x, math.inf)
-        return fam_mod._logpdf3(family, u, dl, dr)
+        # edge distances are exact on the side whose edge bounds the overlap
+        dl = nodes.dl + (lo - (a + theta)) if math.isfinite(a) else np.full_like(u, math.inf)
+        dr = nodes.dr + ((b + theta) - hi) if math.isfinite(b) else np.full_like(u, math.inf)
+        return fam_mod._logpdf3(fam, u, dl, dr)
 
     with np.errstate(divide="ignore"):
         logw = np.log(nodes.w)
-    return logpdf_for(theta_p), logpdf_for(theta_q), logw
+    return logpdf_for(fam_p, tp), logpdf_for(fam_q, tq), logw
 
 
 def _renyi_from_nodes(pair, s):
@@ -214,7 +207,7 @@ def renyi_divergence(family, theta_p, theta_q, s):
         raise ValueError(f"order s must lie in (0, 1), got {s}")
     if theta_p == theta_q:
         return 0.0
-    pair = _pair_nodes(family, float(theta_p), float(theta_q))
+    pair = _pair_nodes((family, float(theta_p)), (family, float(theta_q)))
     if pair is None:
         return math.inf
     return float(_renyi_from_nodes(pair, s)[0])
@@ -229,7 +222,7 @@ def renyi_curve(family, theta, eps, s_grid):
         raise ValueError("s grid must be strictly increasing inside (0, 1)")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    pair = _pair_nodes(family, theta - eps / 2.0, theta + eps / 2.0)
+    pair = _pair_nodes((family, theta - eps / 2.0), (family, theta + eps / 2.0))
     if pair is None:
         return RenyiCurve(s_grid=s_grid, values=np.full(s_grid.shape, math.inf))
     return RenyiCurve(s_grid=s_grid, values=_renyi_from_nodes(pair, s_grid))
@@ -282,6 +275,18 @@ def default_ladder(g_tag, family=None):
     return tuple(e * scale for e in base)
 
 
+def _rungs(family, theta, eps_ladder, g_tag):
+    """Centered pair node data and g(eps) for each rung of a shift ladder."""
+    pairs, gvals = [], []
+    for eps in eps_ladder:
+        pair = _pair_nodes((family, theta - eps / 2.0), (family, theta + eps / 2.0))
+        if pair is None:
+            raise ValueError(f"shift eps={eps} exceeds the support overlap")
+        pairs.append(pair)
+        gvals.append(g_value(g_tag, eps))
+    return pairs, gvals
+
+
 def scaled_limit(family, theta, s, g_tag, eps_ladder=None):
     """Extrapolated limit of I^s(f_{theta-eps/2}||f_{theta+eps/2}) / g(eps).
 
@@ -292,12 +297,8 @@ def scaled_limit(family, theta, s, g_tag, eps_ladder=None):
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if len(eps_ladder) < 4 or np.any(np.diff(eps_ladder) >= 0) or eps_ladder[-1] <= 0:
         raise ValueError("eps ladder must be >= 4 strictly decreasing positive rungs")
-    rungs = []
-    for eps in eps_ladder:
-        pair = _pair_nodes(family, theta - eps / 2.0, theta + eps / 2.0)
-        if pair is None:
-            raise ValueError(f"shift eps={eps} exceeds the support overlap")
-        rungs.append(_renyi_from_nodes(pair, s)[0] / g_value(g_tag, eps))
+    pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
+    rungs = [_renyi_from_nodes(p, s)[0] / g for p, g in zip(pairs, gvals)]
     value, unc = _extrapolate(rungs, eps_ladder, g_tag)
     return ExtrapolatedLimit(value=value, uncertainty=unc,
                              rung_values=np.asarray(rungs))
@@ -429,13 +430,7 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
         s_grid = _default_s_grid()
     s_grid = np.asarray(s_grid, dtype=float)
 
-    pairs, gvals = [], []
-    for eps in eps_ladder:
-        pair = _pair_nodes(family, theta - eps / 2.0, theta + eps / 2.0)
-        if pair is None:
-            raise ValueError(f"shift eps={eps} exceeds the support overlap")
-        pairs.append(pair)
-        gvals.append(g_value(g_tag, eps))
+    pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
 
     def limit_at(s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
+from scipy.special import betainc
 
 from ldshift.estimators import EstimatorSpec
 from ldshift.families import make_family
@@ -34,6 +36,13 @@ def test_order_stat_rates_beta():
     # -log integral_{0.1}^{1} 6x(1-x) dx = -log(1 - F(0.1))
     want = -math.log(1.0 - (3 * 0.01 - 2 * 0.001))
     assert r.max_shift_minus == pytest.approx(want, rel=1e-12)
+    # asymmetric: the min overshoots past a + eps, the max undershoots b - eps
+    F = lambda x: betainc(2, 3, x)
+    r = order_stat_rates(make_family("beta", (2, 3)), 0.1, lam=0.3)
+    assert r.min_shift_plus == pytest.approx(-math.log(1.0 - F(0.1)), rel=1e-10)
+    assert r.max_shift_minus == pytest.approx(-math.log(F(0.9)), rel=1e-10)
+    assert r.combo_plus == pytest.approx(-math.log(1.0 - F(0.1 / 0.3)), rel=1e-10)
+    assert r.combo_minus == pytest.approx(-math.log(F(1.0 - 0.1 / 0.7)), rel=1e-10)
 
 
 def test_order_stat_rates_windows():
@@ -160,6 +169,19 @@ def test_hoeffding_dominates_chernoff():
         d = float(rng.uniform(0.05, 0.5))
         pq = ((fam, 0.0), (fam, d))
         assert hoeffding_rate(*pq, 0.0).value >= chernoff_test_rate(*pq) - 1e-9
+
+
+def test_testing_rates_two_families():
+    p = (make_family("gamma", (2,)), 0.0)
+    q = (make_family("weibull", (2,)), 0.1)
+    c = chernoff_test_rate(p, q)
+    assert c == pytest.approx(chernoff_test_rate(q, p), rel=1e-9)
+    # sup_s I^s is at least I^(1/2) = -log int sqrt(pq)
+    bc, _ = integrate.quad(
+        lambda x: math.sqrt(stats.gamma(2).pdf(x) * stats.weibull_min(2).pdf(x - 0.1)),
+        0.1, np.inf, epsabs=1e-13, epsrel=1e-12)
+    assert c >= -math.log(bc) - 1e-12
+    assert hoeffding_rate(p, q, 0.0).value >= c - 1e-9
 
 
 def test_ht_simulate_uniform():
