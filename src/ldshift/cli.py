@@ -19,8 +19,8 @@ from .bounds import bound_pair, closed_form_bounds
 from .estimators import EstimatorSpec
 from .families import make_family
 from .rates import alpha2_estimate, mc_tail_rate, mle_chernoff_rate, order_stat_rates
-from .renyi import (classify_regime, closed_form_isg, g_value, profile_from_family,
-                    renyi_curve)
+from .renyi import (_ladder, classify_regime, closed_form_isg, g_value,
+                    profile_from_family, renyi_curve)
 from .verify import run_checks
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_bounds",
@@ -73,6 +73,8 @@ def load_config(path):
         raise ConfigError(
             f"config {path} is not valid JSON (line {exc.lineno}, col {exc.colno}): "
             f"{exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"field 'version': expected {CONFIG_VERSION}, "
                           f"got {raw.get('version')!r}")
@@ -89,7 +91,10 @@ def _build_family(cfg):
         fam = make_family(fam_cfg["kind"], tuple(fam_cfg.get("params", ())))
     except ValueError as exc:
         raise ConfigError(f"field 'family': {exc}") from exc
-    theta = float(fam_cfg.get("theta", 0.0))
+    try:
+        theta = float(fam_cfg.get("theta", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'family.theta': {exc}") from exc
     return fam, theta
 
 
@@ -111,6 +116,8 @@ def _g_tag(cfg, fam):
     if tag == "auto":
         return classify_regime(fam).g_tag
     if isinstance(tag, (list, tuple)) and len(tag) == 2 and tag[0] == "power":
+        if not isinstance(tag[1], (int, float)) or not tag[1] > 0:
+            raise ConfigError(f"field 'g_tag': power scaling needs kappa > 0, got {tag[1]!r}")
         return ("power", float(tag[1]))
     if tag in ("square", "abs", "sq_log"):
         return tag
@@ -126,15 +133,23 @@ def _s_grid(cfg):
     return [float(s) for s in grid]
 
 
+def _profile(cfg, fam, theta, g_tag):
+    s_grid = _s_grid(cfg)
+    try:
+        ladder = _ladder(cfg.get("eps_ladder"), g_tag, fam)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'eps_ladder': {exc}") from exc
+    return profile_from_family(fam, theta=theta, g_tag=g_tag, s_grid=s_grid,
+                               eps_ladder=ladder)
+
+
 def cmd_bounds(cfg, out=None, fmt="csv"):
     """Regime, kappa, amplitudes, and both bounds computed both ways."""
     fam, theta = _build_family(cfg)
     info = classify_regime(fam)
     cf = closed_form_bounds(info.regime, info.A1, info.A2, info.kappa,
                             fisher=info.fisher)
-    prof = profile_from_family(fam, theta=theta, g_tag=_g_tag(cfg, fam),
-                               s_grid=_s_grid(cfg),
-                               eps_ladder=cfg.get("eps_ladder"))
+    prof = _profile(cfg, fam, theta, _g_tag(cfg, fam))
     num = bound_pair(prof)
     columns = ["family", "regime", "kappa", "A1", "A2",
                "alpha1_bar_closed", "alpha1_bar_numeric",
@@ -154,14 +169,10 @@ def cmd_renyi_curve(cfg, out=None, fmt="csv"):
     fam, theta = _build_family(cfg)
     g_tag = _g_tag(cfg, fam)
     info = classify_regime(fam)
-    prof = profile_from_family(fam, theta=theta, g_tag=g_tag,
-                               s_grid=_s_grid(cfg),
-                               eps_ladder=cfg.get("eps_ladder"))
-    from .renyi import default_ladder
-    ladder = tuple(cfg.get("eps_ladder") or default_ladder(g_tag, fam))
+    prof = _profile(cfg, fam, theta, g_tag)
     columns = ["s"]
     curves = []
-    for eps in ladder:
+    for eps in prof.eps_ladder:
         columns += [f"renyi_eps_{eps:g}", f"scaled_eps_{eps:g}"]
         curves.append((eps, renyi_curve(fam, theta, eps, prof.s_grid)))
     columns += ["isg_extrapolated", "isg_uncertainty", "isg_closed_form"]

@@ -92,39 +92,54 @@ def _need_finite(edge, kind, side):
 
 def _score_sum(family, X, theta):
     """Row score sums S(theta) = sum_i f'(x_i - theta)/f(x_i - theta)."""
-    a, b = family.support
     U = X - theta[:, None]
-    dl = U - a if math.isfinite(a) else np.full_like(U, math.inf)
-    dr = b - U if math.isfinite(b) else np.full_like(U, math.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = fam_mod._score3(family, U, dl, dr)
+        s = fam_mod._score3(family, U, *fam_mod._dists(family, U))
     return np.sum(s, axis=1)
 
 
-def _brackets(family, X):
-    """Admissible theta interval per row, expanded to a sign change of the
-    score sum on unbounded sides (the score sum is nondecreasing in theta
-    for log-concave f)."""
+def _interval(fn, family, X, inset, pad, short_of):
+    """Per-row bracket [lo, hi] for a root of fn(X, z), nondecreasing in z.
+
+    A finite support edge fixes its side at the end of the admissible
+    shifts, moved inward by ``inset``.  An unbounded side starts
+    range + 1 + pad beyond the other end (beyond the sample when both sides
+    are unbounded) and moves out while short_of(side * fn) holds there.
+    """
     a, b = family.support
-    spread = X.max(axis=1) - X.min(axis=1) + 1.0
-    lo = X.max(axis=1) - b if math.isfinite(b) else X.min(axis=1) - spread
-    hi = X.min(axis=1) - a if math.isfinite(a) else X.max(axis=1) + spread
+    x_min, x_max = X.min(axis=1), X.max(axis=1)
+    spread = x_max - x_min + 1.0 + pad
+    lo = x_max - b + inset
+    hi = x_min - a - inset
     if not math.isfinite(b):
-        for _ in range(80):
-            bad = _score_sum(family, X, lo) > 0
-            if not bad.any():
-                break
-            lo[bad] -= spread[bad]
-            spread[bad] *= 2.0
+        lo = _expand(fn, X, (hi if math.isfinite(a) else x_min) - spread, spread, -1.0, short_of)
     if not math.isfinite(a):
-        spread = X.max(axis=1) - X.min(axis=1) + 1.0
-        for _ in range(80):
-            bad = _score_sum(family, X, hi) < 0
-            if not bad.any():
-                break
-            hi[bad] += spread[bad]
-            spread[bad] *= 2.0
+        hi = _expand(fn, X, (lo if math.isfinite(b) else x_max) + spread, spread, 1.0, short_of)
     return lo, hi
+
+
+def _expand(fn, X, z, spread, side, short_of):
+    """Step z outward (side -1 left, +1 right) by a doubling spread while
+    short_of(side * fn(X, z)) holds on some row, for at most 80 steps."""
+    spread = spread.copy()
+    for _ in range(80):
+        bad = short_of(side * fn(X, z))
+        if not bad.any():
+            break
+        z[bad] += side * spread[bad]
+        spread[bad] *= 2.0
+    return z
+
+
+def _bisect(fn, X, lo, hi, left_of, steps):
+    """Midpoint of the final bracket after ``steps`` halvings, keeping the
+    half whose left end satisfies left_of(fn(X, mid)) per row."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        left = left_of(fn(X, mid))
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _mle_rows(family, X):
@@ -132,11 +147,12 @@ def _mle_rows(family, X):
     if family.kind == "gaussian":
         # score sum is linear in theta with root at the mean
         return X.mean(axis=1)
-    lo, hi = _brackets(family, X)
+    score = lambda Xr, theta: _score_sum(family, Xr, theta)
+    lo, hi = _interval(score, family, X, 0.0, 0.0, lambda v: v < 0)
     eta = 1e-12 * (hi - lo)
     zero_tol = 1e-9 * n
-    s_lo = _score_sum(family, X, lo + eta)
-    s_hi = _score_sum(family, X, hi - eta)
+    s_lo = score(X, lo + eta)
+    s_hi = score(X, hi - eta)
     # the log-likelihood derivative is -S; S is nondecreasing in theta
     flat = (np.abs(s_lo) <= zero_tol) & (np.abs(s_hi) <= zero_tol)
     all_neg = (s_hi <= zero_tol) & ~flat      # likelihood increasing: right end
@@ -147,14 +163,8 @@ def _mle_rows(family, X):
     out[all_pos] = lo[all_pos]
     rest = ~(flat | all_neg | all_pos)
     if rest.any():
-        rlo, rhi = lo[rest].copy(), hi[rest].copy()
-        Xr = X[rest]
-        for _ in range(70):
-            mid = 0.5 * (rlo + rhi)
-            pos = _score_sum(family, Xr, mid) > 0.0
-            rhi = np.where(pos, mid, rhi)
-            rlo = np.where(pos, rlo, mid)
-        out[rest] = 0.5 * (rlo + rhi)
+        out[rest] = _bisect(score, X[rest], lo[rest], hi[rest],
+                            lambda s: s <= 0.0, 70)
     return out
 
 
@@ -169,81 +179,47 @@ def _k_rows(family, X, z, eps):
 def _lr_rows(family, X, eps):
     m, n = X.shape
     a, b = family.support
-    spread = X.max(axis=1) - X.min(axis=1) + 1.0 + 4.0 * eps
-    if math.isfinite(a) and math.isfinite(b):
-        t_lower = X.min(axis=1) - a
-        t_upper = X.max(axis=1) - b
-        narrow = t_lower - t_upper <= 2.0 * eps
-        z_lo = t_upper + eps
-        z_hi = t_lower - eps
-    elif math.isfinite(a):
-        t_lower = X.min(axis=1) - a
-        narrow = np.zeros(m, dtype=bool)
-        z_hi = t_lower - eps
-        z_lo = z_hi - spread
-        for _ in range(80):
-            bad = _k_rows(family, X, z_lo, eps) >= 0
-            if not bad.any():
-                break
-            z_lo[bad] -= spread[bad]
-            spread[bad] *= 2.0
-    else:
-        narrow = np.zeros(m, dtype=bool)
-        z_lo = X.min(axis=1) - spread
-        z_hi = X.max(axis=1) + spread
-        for _ in range(80):
-            bad_lo = _k_rows(family, X, z_lo, eps) >= 0
-            bad_hi = _k_rows(family, X, z_hi, eps) <= 0
-            if not (bad_lo.any() or bad_hi.any()):
-                break
-            z_lo[bad_lo] -= spread[bad_lo]
-            z_hi[bad_hi] += spread[bad_hi]
-            spread[bad_lo | bad_hi] *= 2.0
-
+    # admissible shifts [max x - b, min x - a] no wider than 2 eps
+    t_lower = X.min(axis=1) - a
+    t_upper = X.max(axis=1) - b
+    narrow = t_lower - t_upper <= 2.0 * eps
     out = np.empty(m)
-    if narrow.any():
-        out[narrow] = 0.5 * (t_lower[narrow] + t_upper[narrow])
+    out[narrow] = 0.5 * (t_lower[narrow] + t_upper[narrow])
     wide = ~narrow
     if not wide.any():
         return out
     Xw = X[wide]
-    lo, hi = z_lo[wide].copy(), z_hi[wide].copy()
+    k = lambda Xr, z: _k_rows(family, Xr, z, eps)
+    # the ends lie strictly off a zero stretch of k, whose midpoint is the estimate
+    lo, hi = _interval(k, family, Xw, eps, 4.0 * eps, lambda v: v <= 0)
     eta = 1e-13 * np.maximum(np.abs(lo), np.abs(hi)) + 1e-13
     zero_tol = 1e-12 * n
-    k_lo = _k_rows(family, Xw, lo + eta, eps)
-    k_hi = _k_rows(family, Xw, hi - eta, eps)
+    k_lo = k(Xw, lo + eta)
+    k_hi = k(Xw, hi - eta)
     # sup{z : k < 0}: boundary between k < 0 and k >= 0
-    z_minus = _k_bisect(family, Xw, lo, hi, eps, k_lo, k_hi,
-                        left_pred=lambda k: k < -zero_tol)
+    z_minus = _k_bisect(k, Xw, lo, hi, k_lo, k_hi,
+                        left_of=lambda v: v < -zero_tol)
     # inf{z : k > 0} differs only across a flat zero stretch of k
     z_plus = z_minus.copy()
     probe = np.clip(z_minus, lo + eta, hi - eta)
-    flat = np.abs(_k_rows(family, Xw, probe, eps)) <= zero_tol
+    flat = np.abs(k(Xw, probe)) <= zero_tol
     flat &= z_minus < hi - 2.0 * eta
     if flat.any():
         z_plus[flat] = _k_bisect(
-            family, Xw[flat], z_minus[flat], hi[flat], eps,
+            k, Xw[flat], z_minus[flat], hi[flat],
             np.zeros(int(flat.sum())), k_hi[flat],
-            left_pred=lambda k: k <= zero_tol)
+            left_of=lambda v: v <= zero_tol)
     out[wide] = 0.5 * (z_minus + z_plus)
     return out
 
 
-def _k_bisect(family, X, lo, hi, eps, k_lo, k_hi, left_pred):
-    """Boundary z between {left_pred(k(z))} and its complement, clamped to
+def _k_bisect(k, X, lo, hi, k_lo, k_hi, left_of):
+    """Boundary z between {left_of(k(z))} and its complement, clamped to
     [lo, hi] when k has constant predicate value on the whole interval."""
-    blo, bhi = lo.copy(), hi.copy()
-    always_right = ~left_pred(k_lo)   # predicate false already at lo
-    always_left = left_pred(k_hi)     # predicate true up to hi
+    always_right = ~left_of(k_lo)   # predicate false already at lo
+    always_left = left_of(k_hi)     # predicate true up to hi
     out = np.where(always_right, lo, np.where(always_left, hi, np.nan))
     rest = ~(always_right | always_left)
     if rest.any():
-        rlo, rhi = blo[rest], bhi[rest]
-        Xr = X[rest]
-        for _ in range(60):
-            mid = 0.5 * (rlo + rhi)
-            left = left_pred(_k_rows(family, Xr, mid, eps))
-            rlo = np.where(left, mid, rlo)
-            rhi = np.where(left, rhi, mid)
-        out[rest] = 0.5 * (rlo + rhi)
+        out[rest] = _bisect(k, X[rest], lo[rest], hi[rest], left_of, 60)
     return out

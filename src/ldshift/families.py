@@ -217,12 +217,18 @@ def _scale(fam):
     return (b - a) if math.isfinite(b - a) else 1.0
 
 
-def _logpdf_plain(fam, u):
-    u = np.asarray(u, dtype=float)
+def _dists(fam, u):
+    """Distances of u to the left and right support edges; inf on an
+    unbounded side."""
     a, b = fam.support
     dl = u - a if math.isfinite(a) else np.full_like(u, math.inf)
     dr = b - u if math.isfinite(b) else np.full_like(u, math.inf)
-    return _logpdf3(fam, u, dl, dr)
+    return dl, dr
+
+
+def _logpdf_plain(fam, u):
+    u = np.asarray(u, dtype=float)
+    return _logpdf3(fam, u, *_dists(fam, u))
 
 
 def _logpdf3(fam, u, dl, dr):
@@ -331,9 +337,7 @@ def score(family, theta, x):
     """f'(x - theta)/f(x - theta) inside the open shifted support."""
     x = np.asarray(x, dtype=float)
     u = x - theta
-    a, b = family.support
-    dl = u - a if math.isfinite(a) else np.full_like(u, math.inf)
-    dr = b - u if math.isfinite(b) else np.full_like(u, math.inf)
+    dl, dr = _dists(family, u)
     if np.any(dl <= 0) or np.any(dr <= 0):
         raise ValueError("score requested at or outside a support endpoint")
     out = _score3(family, u, dl, dr)
@@ -376,14 +380,17 @@ def cdf(family, u):
 
 
 def _custom_cdf_scalar(fam, u):
-    a, _ = fam.support
-    if u <= a:
-        return 0.0
+    """Quadrature of f over [lo, u] of the trimmed support, with the node
+    distances measured to the family's own edges."""
     lo, hi = _trimmed_support(fam)
+    if u <= lo:
+        return 0.0
     if u >= hi:
         return 1.0
-    nodes = panel_nodes(a, u, fam.breakpoints)
-    return float(np.sum(np.exp(_logpdf3(fam, nodes.x, nodes.dl, nodes.dr)) * nodes.w))
+    a, b = fam.support
+    nodes = panel_nodes(lo, u, fam.breakpoints)
+    dl, dr = nodes.dl + (lo - a), nodes.dr + (b - u)
+    return float(np.sum(np.exp(_logpdf3(fam, nodes.x, dl, dr)) * nodes.w))
 
 
 def sample(family, theta, n, seed):

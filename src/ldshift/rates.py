@@ -384,7 +384,7 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     shrinking shift (lr, shifted_min) track the rung eps.
     """
     if eps_ladder is None:
-        eps_ladder = tuple(e for e in default_ladder("abs", family))
+        eps_ladder = default_ladder("abs", family)
     eps_ladder = tuple(float(e) for e in eps_ladder)
     seeds = _child_seeds(seed, 2 * len(eps_ladder) + 2)
     rungs = []

@@ -275,6 +275,17 @@ def default_ladder(g_tag, family=None):
     return tuple(e * scale for e in base)
 
 
+def _ladder(eps_ladder, g_tag, family):
+    """The shift ladder as a float tuple (the default one when None); it must
+    be strictly decreasing with at least four positive rungs."""
+    if eps_ladder is None:
+        eps_ladder = default_ladder(g_tag, family)
+    eps_ladder = tuple(float(e) for e in eps_ladder)
+    if len(eps_ladder) < 4 or np.any(np.diff(eps_ladder) >= 0) or eps_ladder[-1] <= 0:
+        raise ValueError("eps ladder must be >= 4 strictly decreasing positive rungs")
+    return eps_ladder
+
+
 def _rungs(family, theta, eps_ladder, g_tag):
     """Centered pair node data and g(eps) for each rung of a shift ladder."""
     pairs, gvals = [], []
@@ -292,11 +303,7 @@ def scaled_limit(family, theta, s, g_tag, eps_ladder=None):
 
     The ladder must be strictly decreasing with at least four rungs.
     """
-    if eps_ladder is None:
-        eps_ladder = default_ladder(g_tag, family)
-    eps_ladder = tuple(float(e) for e in eps_ladder)
-    if len(eps_ladder) < 4 or np.any(np.diff(eps_ladder) >= 0) or eps_ladder[-1] <= 0:
-        raise ValueError("eps ladder must be >= 4 strictly decreasing positive rungs")
+    eps_ladder = _ladder(eps_ladder, g_tag, family)
     pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
     rungs = [_renyi_from_nodes(p, s)[0] / g for p, g in zip(pairs, gvals)]
     value, unc = _extrapolate(rungs, eps_ladder, g_tag)
@@ -423,9 +430,7 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     if g_tag is None:
         g_tag = info.g_tag
     kappa = kappa_of_g(g_tag)
-    if eps_ladder is None:
-        eps_ladder = default_ladder(g_tag, family)
-    eps_ladder = tuple(float(e) for e in eps_ladder)
+    eps_ladder = _ladder(eps_ladder, g_tag, family)
     if s_grid is None:
         s_grid = _default_s_grid()
     s_grid = np.asarray(s_grid, dtype=float)

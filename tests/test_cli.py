@@ -1,5 +1,5 @@
-"""The command-line front end: golden `bounds` tables, byte-identical reruns
-and config errors."""
+"""The command-line front end: golden `bounds` tables, byte-identical reruns,
+config errors and the lemma suite behind `verify`."""
 
 import csv
 import io
@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+from ldshift import cli
 from ldshift.cli import main
+from ldshift.verify import LemmaCheck, run_checks
 
 # recorded before the Renyi kernel and the s-optimizers were merged
 GOLDEN = {
@@ -64,3 +66,38 @@ def test_bounds_config_without_seed(tmp_path, capsys):
     code = main(["bounds", "--config", str(path)])
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ([1, 2], "JSON object"),
+    ({"version": 1, "seed": 0, "family": {"kind": "uniform", "theta": "abc"}},
+     "family.theta"),
+    ({"version": 1, "seed": 0, "family": {"kind": "uniform"}, "eps_ladder": [0.1, 0.2]},
+     "eps_ladder"),
+    ({"version": 1, "seed": 0, "family": {"kind": "beta", "params": [2, 3]},
+      "eps_ladder": [0.01, 0.02]}, "eps_ladder"),
+    ({"version": 1, "seed": 0, "family": {"kind": "uniform"},
+      "eps_ladder": [0.2, "x", 0.05, 0.01]}, "eps_ladder"),
+    ({"version": 1, "seed": 0, "family": {"kind": "uniform"}, "g_tag": ["power", -1]},
+     "g_tag"),
+], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
+        "ladder-not-numbers", "power-not-positive"])
+def test_config_errors_exit_2(cfg, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["bounds", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
+def test_quick_lemma_suite_passes():
+    failed = [c for c in run_checks("quick") if not c.passed]
+    assert not failed, failed
+
+
+def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
+    checks = [LemmaCheck("ok", True, 0.0, "fine"), LemmaCheck("broken", False, 1.0, "off")]
+    monkeypatch.setattr(cli, "run_checks", lambda level: checks)
+    assert main(["verify"]) == 1
+    assert "FAIL broken" in capsys.readouterr().out

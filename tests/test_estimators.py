@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from ldshift.estimators import EstimatorSpec, estimate, estimate_many
 from ldshift.families import log_density, make_family, sample
@@ -163,6 +164,40 @@ def test_vectorized_matches_scalar():
         vec = estimate_many(spec, fam, X)
         for i in range(8):
             assert vec[i] == pytest.approx(estimate(spec, fam, X[i]), abs=1e-12)
+
+
+def test_mirrored_support_negates_estimates():
+    # gamma(3) reflected onto (-inf, 0): a right-bounded, left-unbounded
+    # support.  The estimates on -X are the negatives of those on X up to
+    # the solvers' stopping rules: |k| <= 1e-12 n is decided from opposite
+    # sides of the band, and the custom score is a central difference.
+    g = make_family("gamma", (3,))
+    m = make_family("custom", logpdf=lambda u: 2.0 * np.log(-u) - (-u) - sp.gammaln(3.0),
+                    support=(-math.inf, 0.0), edge=(math.inf, 0.0, 3.0, 0.5),
+                    log_concave=True)
+    for n in (1, 2, 5, 20):
+        X = np.vstack([sample(g, 0.0, n, seed=s).values for s in range(100)])
+        for spec, tol in ((EstimatorSpec("lr", eps=0.3), 1e-9), (EstimatorSpec("mle"), 1e-8)):
+            got = estimate_many(spec, m, -X)
+            want = -estimate_many(spec, g, X)
+            assert np.max(np.abs(got - want)) < tol, (n, spec.kind)
+
+
+def test_lr_midpoint_of_flat_stretch():
+    # density 1/11 on (0, 10] with an exponential tail: at n = 1 the
+    # log-ratio k(z) is exactly 0 for z in [x - 10 + eps, x - eps] and the
+    # LR estimate is the midpoint x - 5.  The bracket must reach past that
+    # stretch: ending on it made the estimate depend on the first guess
+    # (x - 1.4 instead of x - 5).
+    fam = make_family("custom", logpdf=lambda u: -math.log(11.0) - np.maximum(u - 10.0, 0.0),
+                      support=(0.0, math.inf), edge=(1.0, 1.0 / 11.0, math.inf, 0.0),
+                      log_concave=True, breakpoints=(10.0,))
+    x = np.linspace(0.05, 20.0, 400)
+    d = estimate_many(EstimatorSpec("lr", eps=0.3), fam, x[:, None]) - x
+    assert np.all(d <= -5.0 + 1e-9)
+    # the stretch is found only when k at its left end falls inside the
+    # +-1e-12 n zero band, a coin flip; a miss returns that left end
+    assert np.all((np.abs(d + 5.0) < 1e-9) | (np.abs(d + 9.7) < 1e-9))
 
 
 def test_empty_batch():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainc, gammaln
 
 from ldshift.families import (cdf, fisher_information, log_density,
                               make_family, sample, score)
@@ -191,6 +192,21 @@ def test_custom_family_roundtrip():
     vals = sample(fam, 0.0, 50_000, seed=77).values
     # mean of f = k x^(k-1) is k/(k+1)
     assert abs(vals.mean() - k / (k + 1.0)) < 0.01
+
+
+def test_custom_cdf_by_quadrature():
+    # no cdf argument: F is integrated from the trimmed lower end, with the
+    # edge expansion applied only near the family's own edges
+    mirrored = make_family(
+        "custom", logpdf=lambda u: 2.0 * np.log(-u) - (-u) - gammaln(3.0),
+        support=(-math.inf, 0.0), edge=(math.inf, 0.0, 3.0, 0.5), log_concave=True)
+    for u in (-40.0, -3.0, -1.0, -0.01):
+        assert cdf(mirrored, u) == pytest.approx(1.0 - gammainc(3.0, -u), abs=1e-14)
+    k = 0.5
+    root = make_family("custom", logpdf=lambda u: math.log(k) + (k - 1.0) * np.log(u),
+                       support=(0.0, 1.0), edge=(k, k, 1.0, k), log_concave=False)
+    for u in (0.01, 0.3, 0.999):
+        assert cdf(root, u) == pytest.approx(u ** k, abs=1e-14)
 
 
 def test_custom_family_bad_metadata():
