@@ -3,7 +3,9 @@ the monotone score sum), the eps-spaced likelihood-ratio estimator, the
 order-statistic shifts min(x) - a and max(x) - b, and their variants.
 
 Everything is vectorized across batches (rows) for the Monte Carlo driver;
-the scalar ``estimate`` is the single-batch view of the same code path.
+the scalar ``estimate`` is the single-batch view of the same code path, and
+``tail_events`` gives the driver the side of two thresholds each row's
+estimate falls on, by one sign test of the estimating function where it can.
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 from . import families as fam_mod
 from .families import DensityFamily, SampleBatch
 
-__all__ = ["EstimatorSpec", "estimate", "estimate_many"]
+__all__ = ["EstimatorSpec", "estimate", "estimate_many", "tail_events"]
 
 _KINDS = ("mle", "lr", "min_shift", "max_shift", "shifted_min", "convex_combo")
 
@@ -51,11 +53,16 @@ def estimate(spec, family, batch):
     return float(estimate_many(spec, family, x[None, :])[0])
 
 
-def estimate_many(spec, family, X):
-    """Row-wise estimates for a (batches, n) matrix of samples."""
+def _matrix(X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError("X must be a (batches, n) matrix with n >= 1")
+    return X
+
+
+def estimate_many(spec, family, X):
+    """Row-wise estimates for a (batches, n) matrix of samples."""
+    X = _matrix(X)
     a, b = family.support
     kind = spec.kind
     if kind == "min_shift":
@@ -74,20 +81,80 @@ def estimate_many(spec, family, X):
         upper = X.max(axis=1) - b
         return spec.lam * lower + (1.0 - spec.lam) * upper
     if kind == "mle":
-        if not family.log_concave:
-            raise ValueError(f"mle needs a log-concave family, got {family.kind}")
-        return _mle_rows(family, X)
+        return _mle_rows(family, X, *_root_fn(spec, family))
     if kind == "lr":
-        if not family.log_concave:
-            raise ValueError(
-                f"lr needs monotone likelihood ratios (log-concave suffices), got {family.kind}")
-        return _lr_rows(family, X, spec.eps)
+        return _lr_rows(family, X, spec.eps, *_root_fn(spec, family))
     raise ValueError(f"unknown estimator kind {kind!r}")  # pragma: no cover
+
+
+def tail_events(spec, family, X, up, dn):
+    """Row indicators (T > up, T < dn) of T = estimate_many(spec, family, X).
+
+    The MLE (except the gaussian one, a row mean) and the LR estimate are
+    roots of a nondecreasing estimating function of the shift: the score
+    sum S and the log-ratio k.  Its value at a threshold below -band puts
+    the root right of the threshold, above +band left of it, with the zero
+    bands of the full solve (1e-9 n for S, 1e-12 n for k).  A threshold
+    outside the bracket of admissible shifts, and an LR row in the narrow
+    case, need no evaluation.  Rows inside the band, or within rounding of
+    a finite bracket end, get the full solve, so every indicator is that
+    of the full estimate.  Other kinds compare the full estimate.
+    """
+    X = _matrix(X)
+    if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
+        t = estimate_many(spec, family, X)
+        return t > up, t < dn
+    fn, inset, band = _root_fn(spec, family)
+    m, n = X.shape
+    a, b = family.support
+    x_min, x_max = X.min(axis=1), X.max(axis=1)
+    lo, hi = x_max - b + inset, x_min - a - inset     # infinite on an open side
+    # the full solve moves a bracket end inward by at most 1e-12 of the
+    # bracket (MLE) or 1e-13 of its larger end (LR): thresholds that close
+    # to a finite end are left to it, with room for the other end to lie
+    # up to 2^10 sample spreads away when it is grown from the sample
+    ends = np.where(np.isfinite(lo), np.abs(lo), 0.0) + np.where(np.isfinite(hi), np.abs(hi), 0.0)
+    slack = 1e-9 * (1.0 + ends + x_max - x_min)
+    if spec.kind == "lr":
+        narrow, t_narrow = _lr_narrow(family, X, spec.eps)
+    sides, rest = [], np.zeros(m, dtype=bool)
+    for thr in (float(up), float(dn)):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = fn(X, np.full(m, thr))
+        right, left = thr < lo, thr > hi
+        sign = ~(right | left) & (np.minimum(thr - lo, hi - thr) > slack)
+        right |= sign & (v < -band * n)
+        left |= sign & (v > band * n)
+        if spec.kind == "lr":
+            right[narrow] = t_narrow[narrow] > thr
+            left[narrow] = t_narrow[narrow] < thr
+        sides.append((right, left))
+        rest |= ~(right | left)
+    (above, _), (_, below) = sides
+    if rest.any():
+        t = estimate_many(spec, family, X[rest])
+        above[rest] = t > up
+        below[rest] = t < dn
+    return above, below
 
 
 def _need_finite(edge, kind, side):
     if not math.isfinite(edge):
         raise ValueError(f"{kind} undefined: {side} support edge is infinite")
+
+
+def _root_fn(spec, family):
+    """The MLE's score sum or the LR estimator's log-ratio k as fn(X, z),
+    nondecreasing in z, with the inset of its bracket ends and its zero
+    band per sample value."""
+    if not family.log_concave:
+        if spec.kind == "mle":
+            raise ValueError(f"mle needs a log-concave family, got {family.kind}")
+        raise ValueError(
+            f"lr needs monotone likelihood ratios (log-concave suffices), got {family.kind}")
+    if spec.kind == "mle":
+        return (lambda Xr, theta: _score_sum(family, Xr, theta)), 0.0, 1e-9
+    return (lambda Xr, z: _k_rows(family, Xr, z, spec.eps)), spec.eps, 1e-12
 
 
 def _score_sum(family, X, theta):
@@ -142,15 +209,14 @@ def _bisect(fn, X, lo, hi, left_of, steps):
     return 0.5 * (lo + hi)
 
 
-def _mle_rows(family, X):
+def _mle_rows(family, X, score, inset, band):
     m, n = X.shape
     if family.kind == "gaussian":
         # score sum is linear in theta with root at the mean
         return X.mean(axis=1)
-    score = lambda Xr, theta: _score_sum(family, Xr, theta)
-    lo, hi = _interval(score, family, X, 0.0, 0.0, lambda v: v < 0)
+    lo, hi = _interval(score, family, X, inset, 0.0, lambda v: v < 0)
     eta = 1e-12 * (hi - lo)
-    zero_tol = 1e-9 * n
+    zero_tol = band * n
     s_lo = score(X, lo + eta)
     s_hi = score(X, hi - eta)
     # the log-likelihood derivative is -S; S is nondecreasing in theta
@@ -176,39 +242,36 @@ def _k_rows(family, X, z, eps):
     return np.mean(lp - lq, axis=1)
 
 
-def _lr_rows(family, X, eps):
-    m, n = X.shape
+def _lr_narrow(family, X, eps):
+    """Rows whose admissible shifts [max x - b, min x - a] are no wider
+    than 2 eps, and the midpoint of those shifts, the LR estimate there."""
     a, b = family.support
-    # admissible shifts [max x - b, min x - a] no wider than 2 eps
     t_lower = X.min(axis=1) - a
     t_upper = X.max(axis=1) - b
-    narrow = t_lower - t_upper <= 2.0 * eps
-    out = np.empty(m)
-    out[narrow] = 0.5 * (t_lower[narrow] + t_upper[narrow])
+    with np.errstate(invalid="ignore"):
+        return t_lower - t_upper <= 2.0 * eps, 0.5 * (t_lower + t_upper)
+
+
+def _lr_rows(family, X, eps, k, inset, band):
+    m, n = X.shape
+    narrow, t_narrow = _lr_narrow(family, X, eps)
+    out = np.where(narrow, t_narrow, np.nan)
     wide = ~narrow
     if not wide.any():
         return out
     Xw = X[wide]
-    k = lambda Xr, z: _k_rows(family, Xr, z, eps)
     # the ends lie strictly off a zero stretch of k, whose midpoint is the estimate
-    lo, hi = _interval(k, family, Xw, eps, 4.0 * eps, lambda v: v <= 0)
+    lo, hi = _interval(k, family, Xw, inset, 4.0 * eps, lambda v: v <= 0)
     eta = 1e-13 * np.maximum(np.abs(lo), np.abs(hi)) + 1e-13
-    zero_tol = 1e-12 * n
+    zero_tol = band * n
     k_lo = k(Xw, lo + eta)
     k_hi = k(Xw, hi - eta)
     # sup{z : k < 0}: boundary between k < 0 and k >= 0
     z_minus = _k_bisect(k, Xw, lo, hi, k_lo, k_hi,
                         left_of=lambda v: v < -zero_tol)
-    # inf{z : k > 0} differs only across a flat zero stretch of k
-    z_plus = z_minus.copy()
-    probe = np.clip(z_minus, lo + eta, hi - eta)
-    flat = np.abs(k(Xw, probe)) <= zero_tol
-    flat &= z_minus < hi - 2.0 * eta
-    if flat.any():
-        z_plus[flat] = _k_bisect(
-            k, Xw[flat], z_minus[flat], hi[flat],
-            np.zeros(int(flat.sum())), k_hi[flat],
-            left_of=lambda v: v <= zero_tol)
+    # inf{z : k > 0}: the right end of a zero stretch of k, else z_minus
+    z_plus = _k_bisect(k, Xw, z_minus, hi, np.zeros(len(hi)), k_hi,
+                       left_of=lambda v: v <= zero_tol)
     out[wide] = 0.5 * (z_minus + z_plus)
     return out
 

@@ -4,7 +4,12 @@ the likelihood-ratio estimator identity, and the hypothesis-testing
 exponents (Chernoff sum-of-errors, Hoeffding trade-off).
 
 Monte Carlo conventions: per-(n) generator seeded from (root seed, n), so
-results are bit-identical regardless of chunking; the tail regression fits
+results are bit-identical regardless of chunking; the tail events
+{T > theta + eps} and {T < theta - eps} come from ``tail_events``, which
+for the MLE and LR estimators reads the side from the sign of the monotone
+estimating function at the threshold and solves in full only the rows
+inside its zero band or at a bracket end, so the counts are those of the
+full estimates; the tail regression fits
 -log p_hat = beta n + gamma log n + c by event-count-weighted least squares
 (the log n nuisance absorbs the sqrt(n) prefactor of mean-type statistics,
 which otherwise biases the slope well beyond the target tolerances).
@@ -19,7 +24,7 @@ from scipy.special import logsumexp
 
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
-from .estimators import EstimatorSpec, estimate_many
+from .estimators import EstimatorSpec, tail_events
 from .families import cdf
 from .quadrature import panel_nodes
 from .renyi import _pair_nodes, _renyi_from_nodes, default_ladder, g_value
@@ -44,7 +49,10 @@ __all__ = [
 
 _DEFAULT_N_GRID = (8, 16, 32, 64, 128, 256, 384)
 _MIN_EVENTS = 10
-_CHUNK_VALUES = 4_000_000  # matrix entries per simulation chunk
+# matrix entries per simulation chunk: 8 MB of float64, small enough that
+# whether the allocator reuses a freed chunk or maps a fresh one moves the
+# process's peak memory by little
+_CHUNK_VALUES = 1_000_000
 
 
 class InsufficientEventsError(RuntimeError):
@@ -101,6 +109,7 @@ class HtSimResult:
 @dataclass(frozen=True)
 class Alpha2Estimate:
     value: float
+    stderr: float                # the last rung's slope_stderr / g(eps)
     rung_values: np.ndarray
     eps_ladder: tuple
     window_spread: float
@@ -169,10 +178,12 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
         done = 0
         while done < trials:
             m = min(chunk, trials - done)
-            X = fam_mod._draw(family, rng, m * n).reshape(m, n) + theta
-            t_hat = estimate_many(spec, family, X)
-            counts_p[i] += np.count_nonzero(t_hat > up)
-            counts_m[i] += np.count_nonzero(t_hat < dn)
+            X = fam_mod._draw(family, rng, m * n).reshape(m, n)
+            X += theta
+            above, below = tail_events(spec, family, X, up, dn)
+            del X  # one chunk live at a time
+            counts_p[i] += np.count_nonzero(above)
+            counts_m[i] += np.count_nonzero(below)
             done += m
     if counts_p.sum() == 0 and counts_m.sum() == 0:
         raise InsufficientEventsError(
@@ -336,10 +347,15 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
         e1 = e2 = 0
         while done < trials:
             m = min(chunk, trials - done)
-            Xp = fam_mod._draw(fam_p, rng_p, m * n).reshape(m, n) + tp
-            Xq = fam_mod._draw(fam_q, rng_q, m * n).reshape(m, n) + tq
+            # one chunk live at a time
+            Xp = fam_mod._draw(fam_p, rng_p, m * n).reshape(m, n)
+            Xp += tp
             e1 += np.count_nonzero(_llr_rows(p_point, q_point, Xp) < 0)
+            del Xp
+            Xq = fam_mod._draw(fam_q, rng_q, m * n).reshape(m, n)
+            Xq += tq
             e2 += np.count_nonzero(_llr_rows(p_point, q_point, Xq) >= 0)
+            del Xq
             done += m
         sums[i] = e1 + e2
     if sums.sum() == 0:
@@ -375,8 +391,8 @@ def lr_rate_identity(family, theta, eps, n_grid=None, trials=20_000, seed=0):
 def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
                     trials=100_000, seed=0):
     """Empirical stand-in for the interval-estimation rate: beta(spec, eps)
-    divided by g(eps) along a shrinking ladder; the reported value is the
-    final rung.
+    divided by g(eps) along a shrinking ladder; the reported value and its
+    standard error are the final rung's.
 
     The infimum over the eps-window of shift centers collapses for location
     families; agreement of the window endpoints is measured on the first
@@ -393,7 +409,9 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
         spec_eff = replace(spec, eps=eps) if spec.kind in ("lr", "shifted_min") else spec
         est = mc_tail_rate(family, spec_eff, theta, eps, n_grid=n_grid,
                            trials=trials, seed=seeds[idx])
-        rungs.append(est.beta / float(g_value(g_tag, eps)))
+        g = float(g_value(g_tag, eps))
+        rungs.append(est.beta / g)
+        stderr = est.slope_stderr / g
         if idx == 0:
             lo = mc_tail_rate(family, spec_eff, theta - eps, eps, n_grid=n_grid,
                               trials=trials, seed=seeds[-1])
@@ -401,5 +419,6 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
                               trials=trials, seed=seeds[-2])
             finite = [v for v in (lo.beta, hi.beta, est.beta) if math.isfinite(v)]
             window_spread = (max(finite) - min(finite)) / max(max(finite), 1e-12)
-    return Alpha2Estimate(value=float(rungs[-1]), rung_values=np.asarray(rungs),
+    return Alpha2Estimate(value=float(rungs[-1]), stderr=float(stderr),
+                          rung_values=np.asarray(rungs),
                           eps_ladder=eps_ladder, window_spread=float(window_spread))

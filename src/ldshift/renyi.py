@@ -277,12 +277,17 @@ def default_ladder(g_tag, family=None):
 
 def _ladder(eps_ladder, g_tag, family):
     """The shift ladder as a float tuple (the default one when None); it must
-    be strictly decreasing with at least four positive rungs."""
+    be strictly decreasing with at least four positive rungs, the first
+    narrower than the support."""
     if eps_ladder is None:
         eps_ladder = default_ladder(g_tag, family)
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if len(eps_ladder) < 4 or np.any(np.diff(eps_ladder) >= 0) or eps_ladder[-1] <= 0:
         raise ValueError("eps ladder must be >= 4 strictly decreasing positive rungs")
+    a, b = family.support
+    if not eps_ladder[0] < b - a:
+        raise ValueError(f"first rung eps={eps_ladder[0]} is not narrower than the "
+                         f"support width {b - a}")
     return eps_ladder
 
 

@@ -6,7 +6,6 @@ exponent law.  The full level adds the Monte Carlo rate identities.
 """
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +98,7 @@ def check_l11(delta=0.5):
 
 def check_l12():
     """t0 value, residual endpoint signs, strict monotonicity on (0, 1/2)."""
-    t_start = time.perf_counter()
     t0 = solve_t0()
-    elapsed = time.perf_counter() - t_start
     grid = np.linspace(1e-4, 0.5 - 1e-4, 100)
     res = t0_residual(grid)
     monotone = bool(np.all(np.diff(res) > 0))
@@ -109,7 +106,7 @@ def check_l12():
     err = abs(t0 - 0.432646)
     ok = monotone and sign_ok and err <= 1e-5
     return LemmaCheck("threshold_root", ok, err,
-                      f"t0={t0:.6f} in {elapsed * 1e3:.3f} ms, monotone={monotone}")
+                      f"t0={t0:.6f}, monotone={monotone}")
 
 
 def check_l13():

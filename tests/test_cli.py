@@ -9,7 +9,7 @@ import pytest
 
 from ldshift import cli
 from ldshift.cli import main
-from ldshift.verify import LemmaCheck, run_checks
+from ldshift.verify import LemmaCheck
 
 # recorded before the Renyi kernel and the s-optimizers were merged
 GOLDEN = {
@@ -68,32 +68,37 @@ def test_bounds_config_without_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cfg, field", [
-    ([1, 2], "JSON object"),
-    ({"version": 1, "seed": 0, "family": {"kind": "uniform", "theta": "abc"}},
+UNIFORM_CFG = {"version": 1, "seed": 0, "family": {"kind": "uniform"}}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("bounds", [1, 2], "JSON object"),
+    ("bounds", {"version": 1, "seed": 0, "family": {"kind": "uniform", "theta": "abc"}},
      "family.theta"),
-    ({"version": 1, "seed": 0, "family": {"kind": "uniform"}, "eps_ladder": [0.1, 0.2]},
-     "eps_ladder"),
-    ({"version": 1, "seed": 0, "family": {"kind": "beta", "params": [2, 3]},
-      "eps_ladder": [0.01, 0.02]}, "eps_ladder"),
-    ({"version": 1, "seed": 0, "family": {"kind": "uniform"},
-      "eps_ladder": [0.2, "x", 0.05, 0.01]}, "eps_ladder"),
-    ({"version": 1, "seed": 0, "family": {"kind": "uniform"}, "g_tag": ["power", -1]},
-     "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "eps_ladder": [0.1, 0.2]}, "eps_ladder"),
+    ("bounds", {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [2, 3]},
+                "eps_ladder": [0.01, 0.02]}, "eps_ladder"),
+    ("bounds", {**UNIFORM_CFG, "eps_ladder": [0.2, "x", 0.05, 0.01]}, "eps_ladder"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", -1]}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "s_grid": ["a"]}, "s_grid"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": "x"}, "trials"),
+    ("bounds", {**UNIFORM_CFG, "eps_ladder": [5, 4, 3, 2]}, "eps_ladder"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
-        "ladder-not-numbers", "power-not-positive"])
-def test_config_errors_exit_2(cfg, field, tmp_path, capsys):
+        "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
+        "trials-not-a-number", "rung-as-wide-as-support"])
+def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    assert main(["bounds", "--config", str(path)]) == 2
+    assert main([command, "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
 
 
-def test_quick_lemma_suite_passes():
-    failed = [c for c in run_checks("quick") if not c.passed]
-    assert not failed, failed
+def test_quick_lemma_suite_passes(capsys):
+    code, text = _run(["verify", "--level", "quick"], capsys)
+    assert code == 0, text
+    assert _run(["verify", "--level", "quick"], capsys) == (0, text)  # byte-identical
 
 
 def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from ldshift.estimators import EstimatorSpec, estimate, estimate_many
+from ldshift.estimators import EstimatorSpec, estimate, estimate_many, tail_events
 from ldshift.families import log_density, make_family, sample
 
 
@@ -183,21 +183,54 @@ def test_mirrored_support_negates_estimates():
             assert np.max(np.abs(got - want)) < tol, (n, spec.kind)
 
 
+# density 1/11 on (0, 10] with an exponential tail: at n = 1 the LR log-ratio
+# k(z) is exactly 0 for z in [x - 10 + eps, x - eps]
+FLAT = make_family(
+    "custom", logpdf=lambda u: -math.log(11.0) - np.maximum(u - 10.0, 0.0),
+    support=(0.0, math.inf), edge=(1.0, 1.0 / 11.0, math.inf, 0.0), log_concave=True,
+    breakpoints=(10.0,),
+    sampler=lambda rng, n: np.where(rng.uniform(0.0, 1.0, n) < 10.0 / 11.0,
+                                    rng.uniform(0.0, 10.0, n), 10.0 + rng.exponential(1.0, n)))
+
+
 def test_lr_midpoint_of_flat_stretch():
-    # density 1/11 on (0, 10] with an exponential tail: at n = 1 the
-    # log-ratio k(z) is exactly 0 for z in [x - 10 + eps, x - eps] and the
-    # LR estimate is the midpoint x - 5.  The bracket must reach past that
-    # stretch: ending on it made the estimate depend on the first guess
-    # (x - 1.4 instead of x - 5).
-    fam = make_family("custom", logpdf=lambda u: -math.log(11.0) - np.maximum(u - 10.0, 0.0),
-                      support=(0.0, math.inf), edge=(1.0, 1.0 / 11.0, math.inf, 0.0),
-                      log_concave=True, breakpoints=(10.0,))
+    # the LR estimate is the stretch's midpoint x - 5.  The bracket must
+    # reach past the stretch: ending on it made the estimate depend on the
+    # first guess (x - 1.4).  k rises continuously into the zero band at the
+    # stretch's left end, so a probe there missed it (x - 9.7 on 133 rows).
     x = np.linspace(0.05, 20.0, 400)
-    d = estimate_many(EstimatorSpec("lr", eps=0.3), fam, x[:, None]) - x
-    assert np.all(d <= -5.0 + 1e-9)
-    # the stretch is found only when k at its left end falls inside the
-    # +-1e-12 n zero band, a coin flip; a miss returns that left end
-    assert np.all((np.abs(d + 5.0) < 1e-9) | (np.abs(d + 9.7) < 1e-9))
+    d = estimate_many(EstimatorSpec("lr", eps=0.3), FLAT, x[:, None]) - x
+    assert np.all(np.abs(d + 5.0) < 1e-9)
+
+
+@pytest.mark.parametrize("kind, eps, fam", [
+    ("lr", 0.5, make_family("gaussian")),
+    ("lr", 0.6, make_family("gamma", (3,))),
+    ("lr", 0.1, make_family("beta", (2, 2))),
+    ("lr", 0.3, make_family("beta", (2, 2))),      # narrow rows from n = 3 on
+    ("lr", 0.3, FLAT),
+    ("mle", None, make_family("gamma", (3,))),
+    ("mle", None, make_family("beta", (1.5, 1.5))),
+    ("mle", None, make_family("weibull", (2,))),
+], ids=["lr-gaussian", "lr-gamma-3", "lr-beta-2-2", "lr-beta-2-2-narrow", "lr-flat",
+        "mle-gamma-3", "mle-beta-1.5-1.5", "mle-weibull-2"])
+def test_tail_events_match_full_estimator(kind, eps, fam):
+    spec = EstimatorSpec(kind, eps=eps)
+    a, b = fam.support
+    inset = eps if kind == "lr" else 0.0
+    half = eps if kind == "lr" else 0.2
+    for n in (1, 3, 8):
+        X = sample(fam, 0.1, 1000 * n, seed=n).values.reshape(1000, n)
+        t = estimate_many(spec, fam, X)
+        # inside the bracket, beyond every bracket, and on the finite bracket
+        # ends of the first two rows
+        thresholds = [(0.1 + half, 0.1 - half), (0.1 + half / 3, 0.1 - half / 5), (50.0, -50.0)]
+        ends = [X[0].max() - b + inset, X[1].min() - a - inset]
+        thresholds += [(e, e) for e in ends if math.isfinite(e)]
+        for up, dn in thresholds:
+            above, below = tail_events(spec, fam, X, up, dn)
+            assert np.array_equal(above, t > up), (n, up)
+            assert np.array_equal(below, t < dn), (n, dn)
 
 
 def test_empty_batch():

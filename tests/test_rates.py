@@ -11,7 +11,7 @@ from scipy.special import betainc
 from ldshift.estimators import EstimatorSpec
 from ldshift.families import make_family
 from ldshift.quadrature import panel_nodes
-from ldshift.rates import (InsufficientEventsError, WindowError,
+from ldshift.rates import (InsufficientEventsError, WindowError, _child_seeds,
                            alpha2_estimate, chernoff_test_rate, hoeffding_rate,
                            ht_simulate, lr_rate_identity, mc_tail_rate,
                            mle_chernoff_rate, order_stat_rates)
@@ -248,7 +248,12 @@ def test_alpha2_estimate_shifted_min():
 
 
 def test_alpha2_estimate_gaussian_mle():
+    n_grid = (8, 16, 24, 32, 48, 64)
     est = alpha2_estimate(GAUSS, EstimatorSpec("mle"), 0.0, "square",
                           eps_ladder=(0.5, 0.4, 0.3),
-                          n_grid=(8, 16, 24, 32, 48, 64), trials=30_000, seed=15)
+                          n_grid=n_grid, trials=30_000, seed=15)
     assert est.value == pytest.approx(0.5, rel=0.15)
+    # value and stderr are the last rung's, both divided by g(0.3) = 0.09
+    last = mc_tail_rate(GAUSS, EstimatorSpec("mle"), 0.0, 0.3, n_grid=n_grid,
+                        trials=30_000, seed=_child_seeds(15, 8)[2])
+    assert (est.value, est.stderr) == (last.beta / 0.09, last.slope_stderr / 0.09)
