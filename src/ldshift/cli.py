@@ -13,7 +13,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 
 from .bounds import bound_pair, closed_form_bounds
 from .estimators import EstimatorSpec
@@ -98,12 +97,16 @@ def _build_family(cfg):
     return fam, theta
 
 
-def _build_estimators(cfg):
+def _build_estimators(cfg, eps0):
+    """Estimator specs of the config; lr and shifted_min without an eps
+    take eps0, the first rung (0.1 without a ladder)."""
     specs = []
     for i, e in enumerate(cfg.get("estimators", ())):
         try:
-            specs.append(EstimatorSpec(kind=e["kind"], eps=e.get("eps"),
-                                       lam=e.get("lambda")))
+            kind, eps = e["kind"], e.get("eps")
+            if eps is None and kind in ("lr", "shifted_min"):
+                eps = eps0
+            specs.append(EstimatorSpec(kind=kind, eps=eps, lam=e.get("lambda")))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"field 'estimators[{i}]': {exc}") from exc
     if not specs:
@@ -222,7 +225,13 @@ def _analytic_sides(fam, spec, eps):
 def cmd_rates(cfg, out=None, fmt="csv"):
     """Empirical vs analytic rates per estimator, against the bounds."""
     fam, theta = _build_family(cfg)
-    specs = _build_estimators(cfg)
+    ladder = cfg.get("eps_ladder")
+    try:
+        ladder = None if ladder is None else [float(e) for e in ladder]
+        eps0 = (ladder or [0.1])[0]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'eps_ladder': {exc}") from exc
+    specs = _build_estimators(cfg, eps0)
     g_tag = _g_tag(cfg, fam)
     info = classify_regime(fam)
     cf = closed_form_bounds(info.regime, info.A1, info.A2, info.kappa,
@@ -233,8 +242,6 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'trials': {exc}") from exc
     n_grid = cfg.get("n_grid")
-    ladder = cfg.get("eps_ladder")
-    eps0 = float((ladder or [0.1])[0])
     columns = ["estimator", "eps_param", "lambda", "tail_eps",
                "beta_plus_mc", "beta_minus_mc", "beta_mc", "slope_stderr",
                "beta_plus_analytic", "beta_minus_analytic",
@@ -242,18 +249,16 @@ def cmd_rates(cfg, out=None, fmt="csv"):
                "bound_respected"]
     rows = []
     for k, spec in enumerate(specs):
-        spec_run = replace(spec, eps=eps0) if spec.kind in ("lr", "shifted_min") \
-            and spec.eps is None else spec
-        est = mc_tail_rate(fam, spec_run, theta, eps0, n_grid=n_grid,
+        est = mc_tail_rate(fam, spec, theta, eps0, n_grid=n_grid,
                            trials=trials, seed=seed + k)
-        ana_p, ana_m = _analytic_sides(fam, spec_run, eps0)
-        a2 = alpha2_estimate(fam, spec_run, theta, g_tag, eps_ladder=ladder,
+        ana_p, ana_m = _analytic_sides(fam, spec, eps0)
+        a2 = alpha2_estimate(fam, spec, theta, g_tag, eps_ladder=ladder,
                              n_grid=n_grid, trials=trials, seed=seed + 1000 + k)
         # a single fit point has no stderr and gives no slack
         slack = 3.0 * a2.stderr if math.isfinite(a2.stderr) else 0.0
         respected = a2.value <= cf.alpha2_bar * 1.10 + slack
         rows.append([spec.kind,
-                     spec_run.eps if spec_run.eps is not None else float("nan"),
+                     spec.eps if spec.eps is not None else float("nan"),
                      spec.lam if spec.lam is not None else float("nan"),
                      eps0, est.beta_plus, est.beta_minus, est.beta,
                      est.slope_stderr, ana_p, ana_m, a2.value,

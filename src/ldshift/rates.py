@@ -20,14 +20,13 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
 from .estimators import EstimatorSpec, tail_events
 from .families import cdf
 from .quadrature import panel_nodes
-from .renyi import _pair_nodes, _renyi_from_nodes, default_ladder, g_value
+from .renyi import _lse, _pair_nodes, _renyi_from_nodes, default_ladder, g_value
 
 __all__ = [
     "InsufficientEventsError",
@@ -235,7 +234,10 @@ def _chernoff_objective(family, eps, side):
         lw = np.log(nodes.w)
 
     def F(t):
-        return -float(logsumexp(sign * t * sc + lf + lw))
+        v = sign * t * sc
+        v += lf
+        v += lw
+        return -_lse(v)
 
     return F
 

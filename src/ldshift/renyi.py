@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betaln, logsumexp
+from scipy.special import betaln
 
 from . import families as fam_mod
 from .families import DensityFamily, fisher_information
@@ -190,12 +190,35 @@ def _pair_nodes(p_point, q_point):
     return logpdf_for(fam_p, tp), logpdf_for(fam_q, tq), logw
 
 
+def _lse(v):
+    """log(sum(exp(v))) of a 1-d float array, overwriting v.
+
+    The arithmetic of scipy 1.17's log-sum-exp without its dispatch and
+    copies, so results are bit-identical to it: shift by the maximum m, count
+    its cnt occurrences apart and return log1p(rest / cnt) + log(cnt) + m.
+    """
+    m = v.max()
+    if not math.isfinite(m):
+        # all -inf, an inf or a nan: scipy falls back to the plain sum
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return float(np.log(np.exp(v).sum()))
+    top = v == m
+    cnt = np.count_nonzero(top)
+    v[top] = -np.inf
+    v -= m
+    np.exp(v, out=v)
+    return float(np.log1p(v.sum() / cnt) + np.log(cnt) + m)
+
+
 def _renyi_from_nodes(pair, s):
     lp, lq, logw = pair
     s = np.atleast_1d(np.asarray(s, dtype=float))
     vals = np.empty(s.shape)
     for i, si in enumerate(s):
-        vals[i] = -logsumexp(si * lp + (1.0 - si) * lq + logw)
+        v = si * lp
+        v += (1.0 - si) * lq
+        v += logw
+        vals[i] = -_lse(v)
     return np.maximum(vals, 0.0)
 
 
@@ -429,7 +452,11 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     """Scaling profile tabulated from quadrature ladders of the family.
 
     Rung node data is computed once and reused, so the returned ``isg_fn``
-    evaluates cheaply at arbitrary s (extrapolating the same ladder).
+    evaluates cheaply at arbitrary s (extrapolating the same ladder).  The
+    rung values I^s(eps_i)/g(eps_i) are memoized per (rung i, s) for the
+    life of the profile: the s_grid tabulation fills the memo, and
+    ``isg_fn`` and ``rung_fn`` sweep the quadrature nodes only for orders
+    s not seen before.
     """
     info = classify_regime(family)
     if g_tag is None:
@@ -441,10 +468,19 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     s_grid = np.asarray(s_grid, dtype=float)
 
     pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
+    memo = {}
+
+    def rung_values(i, s_arr):
+        keys = [float(s) for s in s_arr]
+        new = [s for s in keys if (i, s) not in memo]
+        if new:
+            vals = _renyi_from_nodes(pairs[i], new) / gvals[i]
+            memo.update(((i, s), v) for s, v in zip(new, vals))
+        return np.array([memo[i, s] for s in keys])
 
     def limit_at(s):
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        rungs = np.stack([_renyi_from_nodes(p, s_arr) / g for p, g in zip(pairs, gvals)])
+        rungs = np.stack([rung_values(i, s_arr) for i in range(len(pairs))])
         vals = np.empty(s_arr.shape)
         uncs = np.empty(s_arr.shape)
         for j in range(s_arr.size):
@@ -459,7 +495,7 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
 
     def rung_fn(i, s):
         s_arr = np.atleast_1d(np.clip(np.asarray(s, dtype=float), 1e-9, 1.0 - 1e-9))
-        vals = _renyi_from_nodes(pairs[i], s_arr) / gvals[i]
+        vals = rung_values(i, s_arr)
         return float(vals[0]) if np.ndim(s) == 0 else vals
 
     return ScalingProfile(

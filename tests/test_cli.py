@@ -83,9 +83,11 @@ UNIFORM_CFG = {"version": 1, "seed": 0, "family": {"kind": "uniform"}}
     ("bounds", {**UNIFORM_CFG, "s_grid": ["a"]}, "s_grid"),
     ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": "x"}, "trials"),
     ("bounds", {**UNIFORM_CFG, "eps_ladder": [5, 4, 3, 2]}, "eps_ladder"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
+               "eps_ladder": [0.2, "x", 0.05, 0.025]}, "eps_ladder"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
-        "trials-not-a-number", "rung-as-wide-as-support"])
+        "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -106,3 +108,16 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda level: checks)
     assert main(["verify"]) == 1
     assert "FAIL broken" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["lr", "shifted_min"])
+def test_rates_eps_defaults_to_first_rung(kind, tmp_path, capsys):
+    cfg = {**UNIFORM_CFG, "estimators": [{"kind": kind}], "trials": 200,
+           "n_grid": [2, 4, 8], "eps_ladder": [0.2, 0.1, 0.05, 0.025]}
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(cfg))
+    code, text = _run(["rates", "--config", str(path)], capsys)
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(text)))
+    assert row["estimator"] == kind
+    assert float(row["eps_param"]) == 0.2

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 from scipy.special import betainc
 
 from ldshift.estimators import EstimatorSpec
@@ -125,9 +125,19 @@ def test_mle_chernoff_trapezoid_cross_check():
         y = np.exp(-t * sc) * f
         return np.trapezoid(y, x) if hasattr(np, "trapezoid") else np.trapz(y, x)
 
-    ts = np.linspace(0.0, 0.2, 2001)
-    vals = np.array([-math.log(integral(t)) for t in ts])
-    assert got == pytest.approx(float(vals.max()), abs=1e-6)
+    # the objective is concave in t: a coarse scan brackets its maximum on
+    # [0, 0.2] and a bounded Brent search refines it inside that bracket
+    def objective(t):
+        return -math.log(integral(t))
+
+    ts = np.linspace(0.0, 0.2, 41)
+    vals = np.array([objective(t) for t in ts])
+    i = int(np.argmax(vals))
+    res = optimize.minimize_scalar(lambda t: -objective(t), method="bounded",
+                                   bounds=(ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]),
+                                   options={"xatol": 1e-9})
+    best = max(float(vals[i]), -float(res.fun))
+    assert got == pytest.approx(best, abs=1e-6)
 
 
 def test_mle_chernoff_requires_log_concave():

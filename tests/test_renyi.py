@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+from ldshift import renyi
+from ldshift.bounds import bound_pair
 from ldshift.families import make_family
 from ldshift.quadrature import integrate
 from ldshift.renyi import (DivergenceError, classify_regime, closed_form_isg,
@@ -279,3 +282,52 @@ def test_profile_sources():
     assert lad.source == "ladder"
     assert lad.eps_ladder is not None
     assert abs(lad.rung_fn(0, 0.5) - (-math.log(0.8) / 0.2)) < 1e-10
+
+
+def _lse_inputs():
+    rng = np.random.default_rng(11)
+    # accurate variants of the formula differ from it only now and then
+    for n in (1, 7, 19_248):
+        for scale in (30.0, 3.0, 0.01):
+            for _ in range(20):
+                yield rng.normal(scale=scale, size=n)
+    for repeats in (2, 3):
+        v = rng.normal(size=50)
+        v[rng.choice(50, size=repeats, replace=False)] = v.max() + 1.0
+        yield v
+    v = rng.normal(size=40)
+    v[[0, 5, 39]] = -np.inf
+    yield v
+    yield np.full(4, -np.inf)
+
+
+def test_lse_matches_scipy_bit_for_bit():
+    for v in _lse_inputs():
+        assert np.array_equal(renyi._lse(v.copy()), logsumexp(v))
+
+
+def test_sweep_matches_scipy_logsumexp():
+    fam = make_family("beta", (1.5, 1.5))
+    eps = 0.003125
+    pair = renyi._pair_nodes((fam, -eps / 2.0), (fam, eps / 2.0))
+    lp, lq, logw = pair
+    s_vals = np.random.default_rng(3).uniform(0.0, 1.0, 20)
+    want = [-logsumexp(s * lp + (1.0 - s) * lq + logw) for s in s_vals]
+    assert np.array_equal(renyi._renyi_from_nodes(pair, s_vals), np.maximum(want, 0.0))
+
+
+def test_profile_memo_saves_sweeps(monkeypatch):
+    # the bound scans reuse the rung values the profile tabulated
+    prof = profile_from_family(make_family("beta", (1.5, 1.5)))
+    sweep = renyi._renyi_from_nodes
+    count = [0]
+
+    def counted(pair, s):
+        count[0] += np.atleast_1d(s).size
+        return sweep(pair, s)
+
+    monkeypatch.setattr(renyi, "_renyi_from_nodes", counted)
+    bp = bound_pair(prof)
+    assert count[0] <= 707  # 1,435 without the memo
+    assert bp.alpha1_bar == 6.292306516499547
+    assert bp.alpha2_bar == 6.2923065162850955
