@@ -8,6 +8,7 @@ power behavior f(x) ~ A1 (x-a)^(kappa1-1) near a and A2 (b-x)^(kappa2-1)
 near b, which determines the scaling regime of the divergence asymptotics.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special as _sp
 
-from .quadrature import panel_nodes
+from .quadrature import edge_depth, panel_nodes
 from .special import beta_fn, log_gamma
 
 __all__ = [
@@ -184,12 +185,26 @@ def _validate_custom(fam):
 
 def _quad_mass(fam):
     lo, hi = _trimmed_support(fam)
-    nodes = panel_nodes(lo, hi, fam.breakpoints)
+    nodes = panel_nodes(lo, hi, fam.breakpoints, _edge_depths(fam))
     return float(np.sum(np.exp(_logpdf3(fam, nodes.x, nodes.dl, nodes.dr)) * nodes.w))
 
 
+def _edge_depths(fam, drop=0.0):
+    """Quadrature depths (left, right) toward the ends of the trimmed support
+    for an integrand whose mass exponent at a power edge is kappa - drop
+    (kappa for f itself).  A trimmed infinite tail, a regular family and an
+    edge with A = 0 have nothing singular there."""
+    def depth(end, kappa, amp):
+        singular = math.isfinite(end) and not fam.regular and amp > 0
+        return edge_depth(kappa - drop if singular else None)
+
+    return depth(fam.a, fam.kappa1, fam.A1), depth(fam.b, fam.kappa2, fam.A2)
+
+
+@functools.lru_cache(maxsize=256)
 def _trimmed_support(fam, tiny=1e-16):
-    """Finite integration window: infinite tails cut where f < tiny * peak."""
+    """Finite integration window: infinite tails cut where f < tiny * peak.
+    Memoized per family (families are frozen and hashable)."""
     a, b = fam.support
     lo = a if math.isfinite(a) else None
     hi = b if math.isfinite(b) else None
@@ -388,7 +403,7 @@ def _custom_cdf_scalar(fam, u):
     if u >= hi:
         return 1.0
     a, b = fam.support
-    nodes = panel_nodes(lo, u, fam.breakpoints)
+    nodes = panel_nodes(lo, u, fam.breakpoints, _edge_depths(fam))
     dl, dr = nodes.dl + (lo - a), nodes.dr + (b - u)
     return float(np.sum(np.exp(_logpdf3(fam, nodes.x, dl, dr)) * nodes.w))
 
@@ -438,7 +453,8 @@ def fisher_information(family):
 
     A power edge with kappa <= 2 makes the integrand ~ d^(kappa-3)
     non-integrable (logarithmically at kappa = 2), so those families report
-    the infinite marker without quadrature.
+    the infinite marker without quadrature; above it the integrand's mass
+    exponent is kappa - 2, which sets the edge depth.
     """
     if not family.regular:
         if family.A1 > 0 and family.kappa1 <= 2.0:
@@ -446,7 +462,7 @@ def fisher_information(family):
         if family.A2 > 0 and family.kappa2 <= 2.0:
             return math.inf
     lo, hi = _trimmed_support(family)
-    nodes = panel_nodes(lo, hi, family.breakpoints)
+    nodes = panel_nodes(lo, hi, family.breakpoints, _edge_depths(family, drop=2.0))
     f = np.exp(_logpdf3(family, nodes.x, nodes.dl, nodes.dr))
     sc = _score3(family, nodes.x, nodes.dl, nodes.dr)
     return float(np.sum(sc * sc * f * nodes.w))

@@ -1,25 +1,51 @@
 """Panel Gauss-Legendre quadrature with geometric refinement toward interval
 endpoints, for integrands with integrable power singularities at the ends.
 
+Each outer end of a node set is graded by halving cells toward it, to a
+depth chosen from the integrand's mass exponent alpha at that end (the mass
+within distance d of the end grows like d^alpha): ``edge_depth(alpha)`` =
+min(ceil(64/alpha) + 8, 400) levels.  The innermost cell, whose whole mass
+bounds its quadrature error, then holds under 2^-64 of the mass near the end
+(2^-60 where the cap binds, for alpha >= 0.15); the graded cells away from it
+are smooth enough for the 24-point rule (geometric grading of a composite
+Gauss rule, Davis & Rabinowitz 1984).  An end where nothing is singular and
+every interior breakpoint (a kink) get the shallow ladder
+``edge_depth(None)`` = 40 levels.  The cap means no end is graded deeper
+than the fixed 400 levels an integrand of unknown exponent gets.
+
 Nodes carry exact distances to both endpoints (``dl``, ``dr``) built in
 distance space, so a density with an edge at an endpoint can be evaluated
 without catastrophic cancellation even at distances near 2^-400.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["PanelNodes", "panel_nodes", "integrate"]
+__all__ = ["PanelNodes", "edge_depth", "panel_nodes", "integrate"]
 
 _GAUSS_ORDER = 24
 _XG, _WG = leggauss(_GAUSS_ORDER)
 
-# 2^-400 leaves singular-tail truncation below 2^-60 for edge exponents
-# kappa >= 0.15 while keeping exp() of the log-integrand inside double range.
+# the deepest ladder: 2^-400 keeps exp() of the log-integrand inside double
+# range, and 2^-(alpha 400) < 2^-60 for every mass exponent alpha >= 0.15;
+# an integrand of unknown exponent (``integrate``) gets it at both ends
 _EDGE_LEVELS = 400
 _KINK_LEVELS = 40
+
+
+def edge_depth(alpha):
+    """Dyadic levels toward an end where the integrand's mass within d of
+    the end grows like d^alpha: ceil(64/alpha) + 8, at most 400 (also for
+    an exponent that is not positive).  ``None`` marks an end where nothing
+    is singular (a kink or a trimmed tail)."""
+    if alpha is None:
+        return _KINK_LEVELS
+    if not alpha > 0:
+        return _EDGE_LEVELS
+    return min(math.ceil(64.0 / alpha) + 8, _EDGE_LEVELS)
 
 
 @dataclass(frozen=True)
@@ -40,25 +66,21 @@ def _ladder_cells(width, levels):
     return np.concatenate([[0.0], width * 0.5 * 2.0 ** (-js)])
 
 
-def _segment_nodes(lo, hi, levels):
-    """Nodes on one smooth segment, refined toward both ends."""
+def _expand(edges):
+    """Gauss nodes and weights on the cells between consecutive edges."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    d = (mid[:, None] + half[:, None] * _XG).ravel()
+    wq = (half[:, None] * _WG).ravel()
+    return d, wq
+
+
+def _segment_nodes(lo, hi, levels_lo, levels_hi):
+    """Nodes on one smooth segment, refined toward lo by ``levels_lo``
+    halvings and toward hi by ``levels_hi``, meeting at the midpoint."""
     width = hi - lo
-    left_edges = _ladder_cells(width, levels)          # distances from lo
-    right_edges = _ladder_cells(width, levels)         # distances from hi
-    # cells in distance-from-lo space up to the midpoint, then mirrored
-    dl_cells = np.stack([left_edges[:-1], left_edges[1:]], axis=1)
-    dr_cells = np.stack([right_edges[:-1], right_edges[1:]], axis=1)
-
-    def expand(cells):
-        a, b = cells[:, 0], cells[:, 1]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        d = (mid[:, None] + half[:, None] * _XG).ravel()
-        wq = (half[:, None] * _WG).ravel()
-        return d, wq
-
-    dl_left, w_left = expand(dl_cells)
-    dr_right, w_right = expand(dr_cells)
+    dl_left, w_left = _expand(_ladder_cells(width, levels_lo))     # from lo
+    dr_right, w_right = _expand(_ladder_cells(width, levels_hi))   # from hi
     dl = np.concatenate([dl_left, width - dr_right[::-1]])
     dr = np.concatenate([width - dl_left, dr_right[::-1]])
     w = np.concatenate([w_left, w_right[::-1]])
@@ -66,27 +88,29 @@ def _segment_nodes(lo, hi, levels):
     return x, w, dl, dr
 
 
-def panel_nodes(lo, hi, breakpoints=(), edge_levels=_EDGE_LEVELS):
+def panel_nodes(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):
     """Build nodes on [lo, hi], split at interior breakpoints.
 
-    The outermost endpoints get deep geometric refinement (integrable
-    singularities); interior breakpoints get a shallow ladder (kinks only).
+    ``edge_levels`` = (depth at lo, depth at hi) grades the two outermost
+    ends (see ``edge_depth``); both sides of every interior breakpoint get
+    the shallow kink ladder.
     """
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     pts = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
+    last = len(pts) - 2
     xs, ws, dls, drs = [], [], [], []
-    for i in range(len(pts) - 1):
+    for i in range(last + 1):
         a, b = pts[i], pts[i + 1]
-        lev_l = edge_levels if i == 0 else _KINK_LEVELS
-        lev_r = edge_levels if i == len(pts) - 2 else _KINK_LEVELS
-        x, w, dl, dr = _segment_nodes(a, b, max(lev_l, lev_r))
+        lev_l = edge_levels[0] if i == 0 else _KINK_LEVELS
+        lev_r = edge_levels[1] if i == last else _KINK_LEVELS
+        x, w, dl, dr = _segment_nodes(a, b, lev_l, lev_r)
         xs.append(x)
         ws.append(w)
         # distances re-expressed relative to the full interval; only exact
         # at the outermost segments, which is where singularities live
         dls.append(dl + (a - lo) if i > 0 else dl)
-        drs.append(dr + (hi - b) if i < len(pts) - 2 else dr)
+        drs.append(dr + (hi - b) if i < last else dr)
     return PanelNodes(
         lo=lo,
         hi=hi,
@@ -97,7 +121,8 @@ def panel_nodes(lo, hi, breakpoints=(), edge_levels=_EDGE_LEVELS):
     )
 
 
-def integrate(fn, lo, hi, breakpoints=(), edge_levels=_EDGE_LEVELS):
-    """Integrate ``fn`` (vectorized) over [lo, hi]."""
+def integrate(fn, lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):
+    """Integrate ``fn`` (vectorized) over [lo, hi]; an integrand of unknown
+    edge behavior gets the deepest ladder at both ends."""
     nodes = panel_nodes(lo, hi, breakpoints, edge_levels)
     return float(np.sum(fn(nodes.x) * nodes.w))

@@ -111,7 +111,6 @@ class Alpha2Estimate:
     stderr: float                # the last rung's slope_stderr / g(eps)
     rung_values: np.ndarray
     eps_ladder: tuple
-    window_spread: float
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +211,7 @@ def _chernoff_objective(family, eps, side):
     if not hi_w > lo_w:
         raise WindowError(f"eps={eps} exceeds the support width")
     bps = [c + d for c in family.breakpoints for d in (0.0, eps if side == "plus" else -eps)]
-    nodes = panel_nodes(lo_w, hi_w, bps)
+    nodes = panel_nodes(lo_w, hi_w, bps, fam_mod._edge_depths(family))
     # density at x; score at x -+ eps (its singular edge sits at distance eps
     # outside the window on the side where exp(-+ t score) would blow up)
     if side == "plus":
@@ -397,16 +396,16 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     standard error are the final rung's.
 
     The infimum over the eps-window of shift centers collapses for location
-    families; agreement of the window endpoints is measured on the first
-    rung and reported as ``window_spread``.  Estimators parameterized by a
-    shrinking shift (lr, shifted_min) track the rung eps.
+    families (the law of T - theta does not depend on theta), so one center
+    per rung suffices.  Estimators parameterized by a shrinking shift (lr,
+    shifted_min) track the rung eps.
     """
     if eps_ladder is None:
         eps_ladder = default_ladder("abs", family)
     eps_ladder = tuple(float(e) for e in eps_ladder)
+    # the seed count is part of the output: it fixes every rung's seed
     seeds = _child_seeds(seed, 2 * len(eps_ladder) + 2)
     rungs = []
-    window_spread = 0.0
     for idx, eps in enumerate(eps_ladder):
         spec_eff = replace(spec, eps=eps) if spec.kind in ("lr", "shifted_min") else spec
         est = mc_tail_rate(family, spec_eff, theta, eps, n_grid=n_grid,
@@ -414,13 +413,5 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
         g = float(g_value(g_tag, eps))
         rungs.append(est.beta / g)
         stderr = est.slope_stderr / g
-        if idx == 0:
-            lo = mc_tail_rate(family, spec_eff, theta - eps, eps, n_grid=n_grid,
-                              trials=trials, seed=seeds[-1])
-            hi = mc_tail_rate(family, spec_eff, theta + eps, eps, n_grid=n_grid,
-                              trials=trials, seed=seeds[-2])
-            finite = [v for v in (lo.beta, hi.beta, est.beta) if math.isfinite(v)]
-            window_spread = (max(finite) - min(finite)) / max(max(finite), 1e-12)
     return Alpha2Estimate(value=float(rungs[-1]), stderr=float(stderr),
-                          rung_values=np.asarray(rungs),
-                          eps_ladder=eps_ladder, window_spread=float(window_spread))
+                          rung_values=np.asarray(rungs), eps_ladder=eps_ladder)

@@ -175,7 +175,9 @@ def _pair_nodes(p_point, q_point):
     if not hi > lo:
         return None
     bps = [c + t for fam, t in (p_point, q_point) for c in fam.breakpoints]
-    nodes = panel_nodes(lo, hi, bps)
+    # each end is graded for the sharper of the two densities' edges there
+    dep_p, dep_q = fam_mod._edge_depths(fam_p), fam_mod._edge_depths(fam_q)
+    nodes = panel_nodes(lo, hi, bps, (max(dep_p[0], dep_q[0]), max(dep_p[1], dep_q[1])))
 
     def logpdf_for(fam, theta):
         a, b = fam.support

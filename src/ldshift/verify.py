@@ -15,7 +15,8 @@ from .estimators import EstimatorSpec
 from .families import make_family
 from .quadrature import integrate
 from .rates import chernoff_test_rate, lr_rate_identity, mc_tail_rate, order_stat_rates
-from .renyi import profile_from_closed_form, renyi_curve, renyi_divergence, kappa_of_g
+from .renyi import (_pair_nodes, _renyi_from_nodes, kappa_of_g, profile_from_closed_form,
+                    renyi_curve)
 from .special import beta_fn, digamma, l8_derivative, solve_t0, t0_residual
 
 __all__ = ["LemmaCheck", "run_checks", "QUICK_CHECKS", "FULL_CHECKS"]
@@ -44,8 +45,9 @@ def check_sandwich(seed=0, cases=200):
         fam = families[rng.integers(len(families))]
         eps = float(rng.uniform(0.05, 0.4))
         s = float(rng.uniform(0.01, 0.99))
-        half = renyi_divergence(fam, 0.0, eps, 0.5)
-        val = renyi_divergence(fam, 0.0, eps, s)
+        # one pair build serves both orders
+        pair = _pair_nodes((fam, 0.0), (fam, eps))
+        half, val = _renyi_from_nodes(pair, (0.5, s)).tolist()
         lo = 2.0 * min(s, 1.0 - s) * half
         hi = 2.0 * max(s, 1.0 - s) * half
         worst = max(worst, lo - val, val - hi)

@@ -11,21 +11,21 @@ from ldshift import cli
 from ldshift.cli import main
 from ldshift.verify import LemmaCheck
 
-# recorded before the Renyi kernel and the s-optimizers were merged
+# recorded with the per-end edge depths of the quadrature
 GOLDEN = {
     "uniform": {
         "family": "uniform", "regime": "kappa_one", "kappa": 1.0, "A1": 1.0, "A2": 1.0,
-        "alpha1_bar_closed": 2.0, "alpha1_bar_numeric": 2.0000000092146704,
-        "alpha2_bar_closed": 2.0, "alpha2_bar_numeric": 2.0000000092146704,
+        "alpha1_bar_closed": 2.0, "alpha1_bar_numeric": 2.0000000092118384,
+        "alpha2_bar_closed": 2.0, "alpha2_bar_numeric": 2.0000000092118384,
         "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "beta": {
         "family": "beta", "regime": "power_mid", "kappa": 1.5,
         "A1": 2.546479089470326, "A2": 2.546479089470326,
-        "alpha1_bar_closed": 6.295149861419181, "alpha1_bar_numeric": 6.292306516499547,
+        "alpha1_bar_closed": 6.295149861419181, "alpha1_bar_numeric": 6.2923065162850955,
         "alpha2_bar_closed": 6.295149861419181, "alpha2_bar_numeric": 6.2923065162850955,
-        "s_star1": 0.4999956297593924, "s_star2": 0.5, "coincide_closed": "true",
+        "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
 }

@@ -175,6 +175,14 @@ def test_fisher_information():
     # smooth-edged beta has finite information
     j = fisher_information(make_family("beta", (4.0, 4.0)))
     assert math.isfinite(j) and j > 0
+    # (f')^2/f ~ d^(kappa-3) at a power edge: its mass exponent kappa - 2,
+    # not kappa, sets the edge depth (a kappa depth gives gamma(2.2) 4.9853)
+    for k in (2.2, 2.5, 3.0):
+        assert fisher_information(make_family("gamma", (k,))) == pytest.approx(
+            1.0 / (k - 2.0), rel=1e-12, abs=0.0)
+    # beta(p, q): (p+q-1)(p+q-2) ((p-1)/(p-2) + (q-1)/(q-2) - 2)
+    assert fisher_information(make_family("beta", (2.5, 2.5))) == pytest.approx(
+        48.0, rel=1e-12, abs=0.0)
 
 
 def test_custom_family_roundtrip():

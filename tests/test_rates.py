@@ -246,8 +246,6 @@ def test_alpha2_estimate_uniform_combo():
                           "abs", eps_ladder=(0.1, 0.05, 0.025),
                           n_grid=(16, 32, 64, 128, 256), trials=30_000, seed=13)
     assert 1.8 <= est.value <= 2.2          # A1 + A2 = 2
-    # window-center infimum collapses up to Monte Carlo noise
-    assert est.window_spread < 0.35
 
 
 def test_alpha2_estimate_shifted_min():

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 from ldshift import renyi
 from ldshift.bounds import bound_pair
 from ldshift.families import make_family
-from ldshift.quadrature import integrate
+from ldshift.quadrature import integrate, panel_nodes
 from ldshift.renyi import (DivergenceError, classify_regime, closed_form_isg,
                            g_value, kappa_of_g, profile_from_closed_form,
                            profile_from_family, renyi_curve, renyi_divergence,
@@ -329,5 +329,44 @@ def test_profile_memo_saves_sweeps(monkeypatch):
     monkeypatch.setattr(renyi, "_renyi_from_nodes", counted)
     bp = bound_pair(prof)
     assert count[0] <= 707  # 1,435 without the memo
-    assert bp.alpha1_bar == 6.292306516499547
+    assert bp.alpha1_bar == 6.2923065162850955
     assert bp.alpha2_bar == 6.2923065162850955
+
+
+# nodes per centered pair with each outer end graded for its own edge
+# exponent (19,248 for every family at a fixed 400 levels, 40,464 on the
+# triangular, whose breakpoints split the pair into three segments)
+PAIR_NODES = [
+    ("beta", (1.5, 1.5), 2496), ("uniform", (), 3504), ("gaussian", (), 1968),
+    ("gamma", (2.0,), 1968), ("weibull", (2.0,), 1968), ("beta", (2.0, 3.0), 1728),
+    ("gamma", (3.0,), 1728), ("beta", (0.3, 0.3), 10704), ("triangular", (0.3,), 5904),
+]
+
+
+@pytest.mark.parametrize("kind, params, nodes", PAIR_NODES)
+def test_pair_node_counts(kind, params, nodes):
+    fam = make_family(kind, params)
+    lp, lq, logw = renyi._pair_nodes((fam, -0.025), (fam, 0.025))
+    assert lp.size == lq.size == logw.size == nodes
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("beta", (1.5, 1.5)), ("beta", (0.3, 0.3)), ("beta", (2.0, 3.0)), ("uniform", ()),
+    ("gaussian", ()), ("gamma", (3.0,)), ("triangular", (0.3,)),
+])
+def test_edge_depths_match_full_depth(kind, params, monkeypatch):
+    # every rung of the default ladder on the default s grid, against the
+    # same pairs graded 400 levels deep at both outer ends
+    fam = make_family(kind, params)
+    g_tag = classify_regime(fam).g_tag
+    ladder = renyi.default_ladder(g_tag, fam)
+    s_grid = renyi._default_s_grid()
+    pairs, _ = renyi._rungs(fam, 0.0, ladder, g_tag)
+    monkeypatch.setattr(renyi, "panel_nodes",
+                        lambda lo, hi, bps, levels: panel_nodes(lo, hi, bps, (400, 400)))
+    oracles, _ = renyi._rungs(fam, 0.0, ladder, g_tag)
+    for pair, oracle in zip(pairs, oracles):
+        assert oracle[0].size >= 19248 > pair[0].size
+        got = renyi._renyi_from_nodes(pair, s_grid)
+        want = renyi._renyi_from_nodes(oracle, s_grid)
+        assert np.all(np.abs(got - want) <= 1e-14 + 1e-12 * want)
