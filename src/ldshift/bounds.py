@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .renyi import ScalingProfile, _extrapolate, closed_form_isg, profile_from_closed_form
+from .renyi import ScalingProfile, closed_form_isg, profile_from_closed_form
 from .special import beta_fn, solve_t0
 
 __all__ = [
@@ -90,7 +90,7 @@ def _optimize(fn, scan, maximize):
     Returns (value, s) with s unclamped."""
     sign = 1.0 if maximize else -1.0
     vals = np.array([sign * fn(s) for s in scan])
-    if np.ptp(vals) < 1e-12 * max(1.0, np.max(np.abs(vals))):
+    if np.ptp(vals) <= 1e-12 * np.max(np.abs(vals)):
         # constant objective: deterministic tie rule
         return float(sign * vals[len(vals) // 2]), 0.5
     i = int(np.argmax(vals))
@@ -102,32 +102,29 @@ def _optimize(fn, scan, maximize):
     return float(sign * v), float(s)
 
 
-def _optimize_profile(profile, transform, maximize):
-    """Optimize transform(I^s_g, s) over s.
+def _trusted(profile):
+    """Mask of the s_grid points whose relative extrapolation error
+    isg_unc/|isg| is at most 10 times the profile's median, so never fewer
+    than half of them: near s in {0, 1} the eps -> 0 and s limits do not
+    commute and the ladder's error there is an outlier."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = profile.isg_unc / np.abs(profile.isg)
+    return rel <= 10.0 * np.median(rel)
 
-    Closed-form profiles and power-scaling ladders are optimized on the
-    (extrapolated) limit curve directly; the power-basis extrapolation has
-    relative error control, so the objective stays accurate out to the
-    clamped grid edges (the deeper probes are reserved for closed forms,
-    since quadrature noise ~1e-15 absolute is amplified by 1/(s(1-s))).
-    The log-scaling ladder instead carries an absolute extrapolation noise
-    floor throughout, so there the objective is optimized rung by rung on
-    the exact pre-limit curves and the optima are extrapolated with the
-    same 1/log(eps) model.
+
+def _optimize_profile(profile, transform, maximize):
+    """Optimize transform(I^s_g, s) over s on the (extrapolated) limit curve.
+
+    Closed forms are scanned on their grid plus probes nearer the edges.
+    Ladder profiles are scanned on the trusted part of their grid only
+    (``_trusted``): quadrature noise ~1e-15 absolute is amplified by
+    1/(s(1-s)), and the extrapolation error grows near s in {0, 1}.
     """
-    if profile.source != "ladder":
-        return _optimize(lambda s: transform(profile.isg_fn(s), s),
-                         _scan_points(profile.s_grid, include_probes=True), maximize)
-    scan = _scan_points(profile.s_grid, include_probes=False)
-    if profile.g_tag != "sq_log":
-        return _optimize(lambda s: transform(profile.isg_fn(s), s), scan, maximize)
-    opts = []
-    for i in range(len(profile.eps_ladder)):
-        v, s_last = _optimize(lambda s: transform(profile.rung_fn(i, s), s),
-                              scan, maximize)
-        opts.append(v)
-    value, _ = _extrapolate(opts, profile.eps_ladder, profile.g_tag)
-    return float(value), s_last
+    if profile.source == "ladder":
+        scan = _scan_points(profile.s_grid[_trusted(profile)], include_probes=False)
+    else:
+        scan = _scan_points(profile.s_grid, include_probes=True)
+    return _optimize(lambda s: transform(profile.isg_fn(s), s), scan, maximize)
 
 
 def alpha1_bar(profile: ScalingProfile):
@@ -178,10 +175,11 @@ def _flags(profile, a1, a2, tol):
     half = 2.0 ** profile.kappa * float(profile.isg_fn(0.5))
     if tol is None:
         if profile.source == "ladder":
-            # combined numeric uncertainty: ladder spread plus the
-            # quadrature/optimization noise floor
-            tol = 3.0 * float(np.max(profile.isg_unc)) * 2.0 ** profile.kappa
-            tol = max(tol, 3e-5 * max(1.0, a1))
+            # the largest relative extrapolation error over the trusted s,
+            # with a floor for the quadrature/optimization noise
+            ok = _trusted(profile)
+            rel = float(np.max(profile.isg_unc[ok] / np.abs(profile.isg[ok])))
+            tol = max(3.0 * rel * abs(a1), 3e-5 * max(1.0, a1))
         else:
             tol = 1e-6 * max(1.0, a1)
     eq163 = abs(a1 - half) <= tol

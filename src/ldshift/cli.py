@@ -171,7 +171,8 @@ def cmd_bounds(cfg, out=None, fmt="csv"):
 
 
 def cmd_renyi_curve(cfg, out=None, fmt="csv"):
-    """Per-s divergences along the shift ladder plus extrapolated limits."""
+    """Per-s divergences along the shift ladder plus extrapolated limits and
+    their error: the larger move when the first or the last rung is dropped."""
     fam, theta = _build_family(cfg)
     g_tag = _g_tag(cfg, fam)
     info = classify_regime(fam)

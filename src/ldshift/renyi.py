@@ -8,6 +8,7 @@ structural condition of disjoint supports (integrals run in log space, so
 overflow cannot masquerade as the infinite marker).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -40,11 +41,12 @@ __all__ = [
 
 GTag = Union[str, tuple, Callable]
 
-# default shift ladders: plain power scalings converge like powers of eps
-# (removed by iterated extrapolation over a geometric ladder); the
-# -x^2 log x scaling has 1/log(eps) corrections and needs a deep ladder
+# default shift ladders (times the support width): plain power scalings
+# converge like powers of eps, removed by iterated extrapolation over a
+# halving ladder; the -x^2 log x scaling has 1/log(eps) and eps corrections,
+# fitted out in that basis over a deeper halving ladder
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125)
-DEFAULT_LOG_LADDER = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+DEFAULT_LOG_LADDER = tuple(1e-2 / 2.0 ** i for i in range(7))
 
 _REGIMES = ("regular", "semi_regular", "kappa_one", "kappa_two",
             "power_mid", "power_low")
@@ -85,11 +87,8 @@ class ScalingProfile:
 
     ``isg_fn`` evaluates the limit at arbitrary s in [0, 1] (used by the
     bound optimizers for refinement); ``isg_unc`` is zero on closed-form
-    profiles and the ladder spread on extrapolated ones.  Ladder-backed
-    profiles also expose ``rung_fn(i, s)`` = I^s(eps_i)/g(eps_i), the exact
-    pre-limit curve of rung i: the bound optimizers work rung by rung and
-    extrapolate the optima, which keeps them clear of the 0/0 noise of the
-    pointwise limit near s in {0, 1}.
+    profiles and, on extrapolated ones, the larger move of the limit when
+    the first or the last rung is dropped from the fit.
     """
 
     g_tag: GTag
@@ -102,7 +101,7 @@ class ScalingProfile:
     isg_fn: Callable = None
     source: str = "closed_form"
     eps_ladder: tuple = None
-    rung_fn: Callable = None
+    rung_fn: Callable = None  # never set; kept for code that still reads it
 
 
 # ---------------------------------------------------------------------------
@@ -256,38 +255,52 @@ def renyi_curve(family, theta, eps, s_grid):
 # ---------------------------------------------------------------------------
 # ladder extrapolation
 
-def _aitken_pass(r):
-    out = []
-    for j in range(len(r) - 2):
-        d1, d2 = r[j + 1] - r[j], r[j + 2] - r[j + 1]
-        if d1 * d2 > 0 and abs(d2) < abs(d1):
-            out.append(r[j + 2] + d2 * d2 / (d1 - d2))
-        else:
-            out.append(r[j + 2])
-    return out
+def _aitken(r):
+    """Iterated Aitken delta-squared over axis 0 (rungs) of r, column by
+    column: each pass peels off one geometric component of the corrections.
+    A step whose two differences do not shrink with one sign keeps the
+    later rung."""
+    while r.shape[0] >= 3:
+        d1, d2 = r[1:-1] - r[:-2], r[2:] - r[1:-1]
+        with np.errstate(all="ignore"):
+            step = r[2:] + d2 * d2 / (d1 - d2)
+        r = np.where((d1 * d2 > 0) & (np.abs(d2) < np.abs(d1)), step, r[2:])
+    return r[-1]
 
 
-def _extrapolate(ratios, eps_ladder, g_tag):
-    r = np.asarray(ratios, dtype=float)
-    growth = np.diff(r) > 0
-    if growth.all() and np.all(r[1:] > 1.1 * r[:-1]):
+@functools.lru_cache(maxsize=64)
+def _log_weights(eps_ladder):
+    """Rows mapping the rungs to the c0 of a least-squares fit of I^s/g on
+    {1, 1/L, eps, eps/L}, L = log(1/eps), over all rungs, all but the first
+    and all but the last (first min(4, rungs - 2) basis columns)."""
+    eps = np.asarray(eps_ladder, dtype=float)
+    inv_l = 1.0 / np.log(1.0 / eps)
+    basis = np.stack([np.ones_like(eps), inv_l, eps, eps * inv_l], axis=1)
+    basis = basis[:, :min(4, eps.size - 2)]
+    rows = np.zeros((3, eps.size))
+    for k, keep in enumerate((slice(None), slice(1, None), slice(None, -1))):
+        rows[k, keep] = np.linalg.pinv(basis[keep])[0]
+    return rows
+
+
+def _extrapolate(r, eps_ladder, g_tag):
+    """eps -> 0 limits of the rung ratios r (rungs along axis 0, orders s
+    along axis 1): (value, err) per column.
+
+    ``sq_log`` ladders are fitted in their asymptotic basis (see
+    ``_log_weights``), the others by iterated Aitken.  ``err`` is the larger
+    move of the two refits that drop the first or the last rung.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(np.all((r[1:] > r[:-1]) & (r[1:] > 1.1 * r[:-1]), axis=0)):
         raise DivergenceError(
             "scaled divergences grow along the ladder; "
-            f"check the scaling function (ratios {r})")
-    spread = abs(r[-1] - r[-2])
+            f"check the scaling function (ratios {r.T})")
     if g_tag == "sq_log":
-        # corrections are a series in u = 1/(-log eps); fit out the first terms
-        u = 1.0 / (-np.log(np.asarray(eps_ladder, dtype=float)))
-        deg = 2 if len(r) >= 4 else 1
-        cols = [np.ones_like(u)] + [u ** j for j in range(1, deg + 1)]
-        coef, *_ = np.linalg.lstsq(np.vstack(cols).T, r, rcond=None)
-        return float(coef[0]), spread
-    # power-series corrections: iterated Aitken over the geometric ladder
-    # peels off one geometric component per pass
-    seq = list(r)
-    while len(seq) >= 3:
-        seq = _aitken_pass(seq)
-    return float(seq[-1]), spread
+        value, first, last = _log_weights(eps_ladder) @ r
+    else:
+        value, first, last = _aitken(r), _aitken(r[1:]), _aitken(r[:-1])
+    return value, np.maximum(np.abs(first - value), np.abs(last - value))
 
 
 def default_ladder(g_tag, family=None):
@@ -335,10 +348,10 @@ def scaled_limit(family, theta, s, g_tag, eps_ladder=None):
     """
     eps_ladder = _ladder(eps_ladder, g_tag, family)
     pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
-    rungs = [_renyi_from_nodes(p, s)[0] / g for p, g in zip(pairs, gvals)]
+    rungs = np.array([_renyi_from_nodes(p, s) / g for p, g in zip(pairs, gvals)])
     value, unc = _extrapolate(rungs, eps_ladder, g_tag)
-    return ExtrapolatedLimit(value=value, uncertainty=unc,
-                             rung_values=np.asarray(rungs))
+    return ExtrapolatedLimit(value=float(value[0]), uncertainty=float(unc[0]),
+                             rung_values=rungs[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +468,9 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
 
     Rung node data is computed once and reused, so the returned ``isg_fn``
     evaluates cheaply at arbitrary s (extrapolating the same ladder).  The
-    rung values I^s(eps_i)/g(eps_i) are memoized per (rung i, s) for the
-    life of the profile: the s_grid tabulation fills the memo, and
-    ``isg_fn`` and ``rung_fn`` sweep the quadrature nodes only for orders
-    s not seen before.
+    limit and its error are memoized per s for the life of the profile: the
+    s_grid tabulation fills the memo, and ``isg_fn`` sweeps the quadrature
+    nodes and extrapolates only for orders s not seen before.
     """
     info = classify_regime(family)
     if g_tag is None:
@@ -472,36 +484,23 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
     memo = {}
 
-    def rung_values(i, s_arr):
+    def limit_at(s_arr):
         keys = [float(s) for s in s_arr]
-        new = [s for s in keys if (i, s) not in memo]
+        new = list(dict.fromkeys(s for s in keys if s not in memo))
         if new:
-            vals = _renyi_from_nodes(pairs[i], new) / gvals[i]
-            memo.update(((i, s), v) for s, v in zip(new, vals))
-        return np.array([memo[i, s] for s in keys])
-
-    def limit_at(s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        rungs = np.stack([rung_values(i, s_arr) for i in range(len(pairs))])
-        vals = np.empty(s_arr.shape)
-        uncs = np.empty(s_arr.shape)
-        for j in range(s_arr.size):
-            vals[j], uncs[j] = _extrapolate(rungs[:, j], eps_ladder, g_tag)
-        return np.maximum(vals, 0.0), uncs
+            rungs = np.array([_renyi_from_nodes(p, new) / g for p, g in zip(pairs, gvals)])
+            vals, errs = _extrapolate(rungs, eps_ladder, g_tag)
+            memo.update(zip(new, zip(np.maximum(vals, 0.0), errs)))
+        return np.array([memo[s] for s in keys]).T
 
     isg, unc = limit_at(s_grid)
 
     def fn(s):
-        vals, _ = limit_at(np.clip(s, 1e-9, 1.0 - 1e-9))
-        return float(vals[0]) if np.ndim(s) == 0 else vals
-
-    def rung_fn(i, s):
-        s_arr = np.atleast_1d(np.clip(np.asarray(s, dtype=float), 1e-9, 1.0 - 1e-9))
-        vals = rung_values(i, s_arr)
+        vals = limit_at(np.atleast_1d(np.clip(s, 1e-9, 1.0 - 1e-9)))[0]
         return float(vals[0]) if np.ndim(s) == 0 else vals
 
     return ScalingProfile(
         g_tag=g_tag, kappa=float(kappa), theta=float(theta), regime=info.regime,
         s_grid=s_grid, isg=isg, isg_unc=unc, isg_fn=fn, source="ladder",
-        eps_ladder=eps_ladder, rung_fn=rung_fn,
+        eps_ladder=eps_ladder,
     )

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from ldshift.bounds import (BoundPair, alpha1_bar, alpha2_bar, bound_pair,
+from ldshift.bounds import (BoundPair, _optimize, alpha1_bar, alpha2_bar, bound_pair,
                             closed_form_bounds, coincidence)
 from ldshift.families import fisher_information, make_family
-from ldshift.renyi import profile_from_closed_form, profile_from_family
+from ldshift.renyi import classify_regime, profile_from_closed_form, profile_from_family
 from ldshift.special import beta_fn, solve_t0
 
 EQ_385_K15 = 2.47209956973516     # symmetric mid-regime value at kappa=1.5, A=1 (mpmath)
@@ -209,6 +209,32 @@ def test_ladder_profiles_match_closed_bounds():
     assert bp.alpha1_bar == pytest.approx(0.5, rel=2e-2)
     assert bp.alpha2_bar == pytest.approx(0.5, rel=2e-2)
     assert bp.coincide
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("gamma", (2.0,)), ("weibull", (2.0,)), ("beta", (2.0, 3.0)), ("triangular", (0.3,)),
+    ("gamma", (3.0,)),
+])
+def test_kappa_two_and_semi_regular_ladders_match_closed_bounds(kind, params):
+    # the sq_log basis fit and the square-scaled Aitken ladder, each optimized
+    # on the extrapolated curve over its trusted s
+    fam = make_family(kind, params)
+    info = classify_regime(fam)
+    cf = closed_form_bounds(info.regime, info.A1, info.A2, info.kappa, fisher=info.fisher)
+    bp = bound_pair(profile_from_family(fam))
+    assert bp.alpha1_bar == pytest.approx(cf.alpha1_bar, rel=5e-3)
+    assert bp.alpha2_bar == pytest.approx(cf.alpha2_bar, rel=5e-3)
+    assert bp.alpha1_bar >= bp.alpha2_bar
+    assert bp.coincide == cf.coincide
+
+
+def test_optimize_tiny_objective_is_not_constant():
+    # the constant-objective rule is relative to the objective's size
+    v, s = _optimize(lambda s: 1e-14 * s, np.linspace(0.1, 0.9, 9), maximize=True)
+    assert s == 0.9
+    assert v == pytest.approx(9e-15, rel=1e-12)
+    v, s = _optimize(lambda s: 2.0 + 1e-13 * s, np.linspace(0.1, 0.9, 9), maximize=True)
+    assert (v, s) == (pytest.approx(2.0, rel=1e-12), 0.5)
 
 
 def test_profile_grid_requirement():

@@ -11,7 +11,8 @@ from ldshift import cli
 from ldshift.cli import main
 from ldshift.verify import LemmaCheck
 
-# recorded with the per-end edge depths of the quadrature
+# recorded with the per-end edge depths of the quadrature; gamma(2) with the
+# sq_log ladder's basis fit
 GOLDEN = {
     "uniform": {
         "family": "uniform", "regime": "kappa_one", "kappa": 1.0, "A1": 1.0, "A2": 1.0,
@@ -28,8 +29,15 @@ GOLDEN = {
         "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
+    "gamma": {
+        "family": "gamma", "regime": "kappa_two", "kappa": 2.0, "A1": 1.0, "A2": 0.0,
+        "alpha1_bar_closed": 0.5, "alpha1_bar_numeric": 0.499994261523296,
+        "alpha2_bar_closed": 0.5, "alpha2_bar_numeric": 0.49995286317039794,
+        "s_star1": 0.5, "s_star2": 0.95, "coincide_closed": "true",
+        "coincide_numeric": "true", "symmetric_at_half": "true",
+    },
 }
-PARAMS = {"uniform": [], "beta": [1.5, 1.5]}
+PARAMS = {"uniform": [], "beta": [1.5, 1.5], "gamma": [2]}
 
 
 def _config(tmp_path, kind, **fields):
@@ -58,6 +66,20 @@ def test_bounds_golden(kind, tmp_path, capsys):
         else:
             assert row[col] == want, col
     assert _run(argv, capsys) == (0, text)
+
+
+def test_renyi_curve_gamma2_matches_closed_form(tmp_path, capsys):
+    # the sq_log basis fit holds to 5e-3 out to s = 0.999
+    s_grid = [0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95,
+              0.99, 0.999]
+    code, text = _run(["renyi-curve", "--config", _config(tmp_path, "gamma", s_grid=s_grid)],
+                      capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert [float(r["s"]) for r in rows] == s_grid
+    for r in rows:
+        assert float(r["isg_extrapolated"]) == pytest.approx(float(r["isg_closed_form"]),
+                                                             rel=5e-3), r["s"]
 
 
 def test_bounds_config_without_seed(tmp_path, capsys):

@@ -182,6 +182,14 @@ def test_hoeffding_dominates_chernoff():
         assert hoeffding_rate(*pq, 0.0).value >= chernoff_test_rate(*pq) - 1e-9
 
 
+def test_hoeffding_tiny_divergence_keeps_the_sup():
+    # two unit gaussians 1e-6 apart (KL 5e-13): a scan that spreads by less
+    # than 1e-12 is still not a constant objective
+    h = hoeffding_rate((GAUSS, 0.0), (GAUSS, 1e-6), 0.0)
+    assert 3.5e-13 < h.value < 5.5e-13
+    assert h.s_star != 0.5
+
+
 def test_testing_rates_two_families():
     p = (make_family("gamma", (2,)), 0.0)
     q = (make_family("weibull", (2,)), 0.1)

@@ -241,8 +241,37 @@ def test_regime_agreement():
             assert abs(lim.value - want) <= tol * want, (fam.kind, s)
 
 
+def _aitken_scalar(r):
+    # reference: iterated Aitken delta-squared, one rung sequence at a time
+    seq = list(r)
+    while len(seq) >= 3:
+        out = []
+        for j in range(len(seq) - 2):
+            d1, d2 = seq[j + 1] - seq[j], seq[j + 2] - seq[j + 1]
+            if d1 * d2 > 0 and abs(d2) < abs(d1):
+                out.append(seq[j + 2] + d2 * d2 / (d1 - d2))
+            else:
+                out.append(seq[j + 2])
+        seq = out
+    return seq[-1]
+
+
+def test_aitken_matches_scalar_recurrence():
+    # bit for bit on random ladders: smooth power corrections, noisy ones
+    # and pure noise, so both branches of each step are taken
+    rng = np.random.default_rng(17)
+    for n in range(1, 10):
+        eps = 0.5 ** np.arange(n)[:, None]
+        c = rng.normal(size=(4, 60))
+        noise = 10.0 ** rng.uniform(-16, 0, size=60)
+        r = (c[0] + c[1] * eps ** 0.5 + c[2] * eps ** 1.5
+             + noise * c[3] * rng.normal(size=(n, 60)))
+        want = np.array([_aitken_scalar(r[:, j]) for j in range(60)])
+        assert np.array_equal(renyi._aitken(r), want), n
+
+
 def test_uniformity_diagnostic():
-    # rung-to-rung changes are bounded uniformly across the s grid
+    # the extrapolation error is bounded uniformly across the s grid
     prof = profile_from_family(make_family("weibull", (1.2,)))
     assert float(np.max(prof.isg_unc)) < 0.05
 
@@ -281,7 +310,8 @@ def test_profile_sources():
     lad = profile_from_family(make_family("uniform"))
     assert lad.source == "ladder"
     assert lad.eps_ladder is not None
-    assert abs(lad.rung_fn(0, 0.5) - (-math.log(0.8) / 0.2)) < 1e-10
+    rung0 = scaled_limit(make_family("uniform"), 0.0, 0.5, lad.g_tag).rung_values[0]
+    assert abs(rung0 - (-math.log(0.8) / 0.2)) < 1e-10
 
 
 def _lse_inputs():
