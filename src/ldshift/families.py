@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special as _sp
 
 from .quadrature import edge_depth, panel_nodes
-from .special import beta_fn, log_gamma
+from .special import beta_fn, log_beta, log_gamma
 
 __all__ = [
     "DensityFamily",
@@ -266,10 +265,10 @@ def _logpdf3(fam, u, dl, dr):
             val = np.zeros_like(ui)
         elif kind == "beta":
             p, q = fam.params
-            val = (p - 1.0) * np.log(li) + (q - 1.0) * np.log(ri) - _sp.betaln(p, q)
+            val = (p - 1.0) * np.log(li) + (q - 1.0) * np.log(ri) - log_beta(p, q)
         elif kind == "gamma":
             k, = fam.params
-            val = (k - 1.0) * np.log(li) - li - _sp.gammaln(k)
+            val = (k - 1.0) * np.log(li) - li - log_gamma(k)
         elif kind == "weibull":
             k, = fam.params
             val = math.log(k) + (k - 1.0) * np.log(li) - li ** k
@@ -360,24 +359,35 @@ def score(family, theta, x):
 
 
 def cdf(family, u):
-    """Standardized CDF F(u) of the unshifted density."""
+    """Standardized CDF F(u) of the unshifted density.
+
+    The beta, gamma and gaussian branches need the regularized incomplete
+    beta and gamma integrals and the normal CDF; they are the only users of
+    scipy in ldshift, which is imported on their first call.
+    """
     u = np.asarray(u, dtype=float)
     a, b = family.support
     kind = family.kind
     if kind == "uniform":
         out = np.clip(u, 0.0, 1.0)
     elif kind == "beta":
+        from scipy.special import betainc
+
         p, q = family.params
-        out = _sp.betainc(p, q, np.clip(u, 0.0, 1.0))
+        out = betainc(p, q, np.clip(u, 0.0, 1.0))
     elif kind == "gamma":
+        from scipy.special import gammainc
+
         k, = family.params
-        out = _sp.gammainc(k, np.maximum(u, 0.0))
+        out = gammainc(k, np.maximum(u, 0.0))
     elif kind == "weibull":
         k, = family.params
         out = -np.expm1(-np.maximum(u, 0.0) ** k)
     elif kind == "gaussian":
+        from scipy.special import ndtr
+
         s, = family.params
-        out = _sp.ndtr(u / s)
+        out = ndtr(u / s)
     elif kind == "triangular":
         c, = family.params
         uc = np.clip(u, 0.0, 1.0)

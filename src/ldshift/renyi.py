@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betaln
 
 from . import families as fam_mod
 from .families import DensityFamily, fisher_information
 from .quadrature import panel_nodes
+from .special import _beta
 
 __all__ = [
     "DivergenceError",
@@ -357,8 +357,11 @@ def scaled_limit(family, theta, s, g_tag, eps_ladder=None):
 # ---------------------------------------------------------------------------
 # closed forms per regime
 
+_beta_ufunc = np.frompyfunc(_beta, 2, 1)
+
+
 def _betafn_vec(x, y):
-    return np.exp(betaln(x, y))
+    return np.asarray(_beta_ufunc(x, y), dtype=float)
 
 
 def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
@@ -369,7 +372,7 @@ def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
     Values extend continuously to s in {0, 1}.
     """
     s = np.asarray(s, dtype=float)
-    if np.any(s < 0) or np.any(s > 1):
+    if (s < 0).any() or (s > 1).any():
         raise ValueError("s must lie in [0, 1]")
     k = float(kappa)
     if regime in ("regular", "semi_regular"):

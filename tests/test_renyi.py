@@ -2,6 +2,7 @@
 ladder limits, and the per-regime closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ldshift.renyi import (DivergenceError, classify_regime, closed_form_isg,
                            g_value, kappa_of_g, profile_from_closed_form,
                            profile_from_family, renyi_curve, renyi_divergence,
                            scaled_limit)
+from ldshift.special import beta_fn
 
 S_GRID = np.linspace(0.05, 0.95, 19)
 
@@ -207,6 +209,27 @@ def test_closed_form_isg_validation():
         closed_form_isg("weird", 1.0, 1.0, 1.0, 0.5)
 
 
+def test_betafn_vec_matches_scalar_beta():
+    x = np.linspace(0.05, 3.0, 24).reshape(4, 6)
+    y = np.linspace(2.5, 0.01, 24).reshape(4, 6)
+    got = renyi._betafn_vec(x, y)
+    assert got.dtype == float and got.shape == x.shape
+    assert np.array_equal(got, [[beta_fn(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(x, y)])
+    assert renyi._betafn_vec(np.float64(1.25), 0.5) == beta_fn(1.25, 0.5)
+
+
+def test_closed_form_isg_nan_s_gives_nan():
+    # nan in, nan out, without a floating-point warning; repeated, because the
+    # interpreter specializes float comparisons only once they run hot
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(10):
+            for regime, k in (("kappa_one", 1.0), ("power_mid", 1.5), ("power_low", 0.5)):
+                assert math.isnan(closed_form_isg(regime, 1.0, 1.0, k, math.nan))
+            out = closed_form_isg("power_low", 1.0, 1.0, 0.5, [0.2, math.nan])
+            assert math.isfinite(out[0]) and math.isnan(out[1])
+
+
 def test_classify_regimes():
     assert classify_regime(make_family("uniform")).regime == "kappa_one"
     assert classify_regime(make_family("beta", (2, 2))).regime == "kappa_two"
@@ -359,8 +382,8 @@ def test_profile_memo_saves_sweeps(monkeypatch):
     monkeypatch.setattr(renyi, "_renyi_from_nodes", counted)
     bp = bound_pair(prof)
     assert count[0] <= 707  # 1,435 without the memo
-    assert bp.alpha1_bar == 6.2923065162850955
-    assert bp.alpha2_bar == 6.2923065162850955
+    assert bp.alpha1_bar == 6.292306516396741
+    assert bp.alpha2_bar == 6.292306516396741
 
 
 # nodes per centered pair with each outer end graded for its own edge

@@ -8,8 +8,9 @@ import time
 import numpy as np
 import pytest
 
+from ldshift.families import make_family
 from ldshift.special import (EULER_GAMMA, beta_fn, digamma, l8_derivative,
-                             log_gamma, solve_t0, t0_residual)
+                             log_beta, log_gamma, solve_t0, t0_residual)
 
 # frozen mpmath (dps=30) oracle values
 LOG_GAMMA_ORACLE = {
@@ -92,6 +93,7 @@ def test_digamma_reflection():
 
 
 def test_t0_value_and_speed():
+    solve_t0.cache_clear()  # time a real solve, not a memo hit
     start = time.perf_counter()
     t0 = solve_t0()
     elapsed = time.perf_counter() - start
@@ -128,6 +130,58 @@ def test_l8_derivative_values():
     assert abs(l8_derivative(1.5, "mid") - want_mid) < 1e-13
     want_low = 0.25 * math.pi / math.tan(math.pi / 4.0) * beta_fn(0.75, 0.5)
     assert abs(l8_derivative(0.5, "low") - want_low) < 1e-13
+
+
+def test_digamma_and_residual_match_scipy_psi():
+    from scipy.special import psi
+
+    x = np.concatenate([np.geomspace(1e-3, 50.0, 2001), np.linspace(1e-3, 50.0, 2001)])
+    want = psi(x)
+    got = np.array([digamma(v) for v in x])
+    assert np.all(np.abs(got - want) <= 3e-15 * np.maximum(1.0, np.abs(want)))
+    # the array path of the residual, on the grid the lemma check uses and a
+    # finer one: the scalar path elementwise, and scipy's psi to rounding
+    for t in (np.linspace(1e-4, 0.5 - 1e-4, 100), np.linspace(0.0, 0.5, 5001)):
+        res = t0_residual(t)
+        assert np.array_equal(res, [t0_residual(float(v)) for v in t])
+        res_want = 2.0 * t + t * (1.0 - t) * (psi(1.0 + t) - psi(1.0)) - 1.0
+        assert np.all(np.abs(res - res_want) <= 2e-15)
+
+
+# the shapes of every beta, gamma and closed-form power task of the benchmark
+# configs: beta (p, q), gamma k, and the B((1+k)/2, 2-k) and B((1+k)/2, 1-k)
+# of the power_mid and power_low closed forms
+BETA_SHAPES = [(0.3, 0.3), (0.5, 3.0), (1.5, 1.5), (2.0, 3.0)]
+GAMMA_SHAPES = [1.5, 2.0, 3.0]
+CLOSED_FORM_SHAPES = ([((1.0 + k) / 2.0, 2.0 - k) for k in (1.3, 1.5, 1.8)]
+                      + [((1.0 + k) / 2.0, 1.0 - k) for k in (0.3, 0.5)])
+
+
+def test_log_gamma_and_log_beta_match_mpmath():
+    import mpmath as mp
+
+    pairs = BETA_SHAPES + CLOSED_FORM_SHAPES
+    xs = set(GAMMA_SHAPES).union(*({x, y, x + y} for x, y in pairs))
+    with mp.workdps(40):
+        for x in sorted(xs):
+            want = mp.loggamma(mp.mpf(x))
+            assert abs(log_gamma(x) - want) <= 4e-16 * max(1.0, abs(want)), x
+        for x, y in pairs:
+            want = mp.log(mp.beta(mp.mpf(x), mp.mpf(y)))
+            assert abs(log_beta(x, y) - want) <= 4e-16 * max(1.0, abs(want)), (x, y)
+
+
+def test_exact_on_integers():
+    assert beta_fn(2, 3) == 1.0 / 12.0
+    assert log_gamma(3) == math.log(2.0)
+    assert make_family("beta", (2, 3)).A1 == 12.0
+
+
+def test_log_beta_domain():
+    with pytest.raises(ValueError):
+        log_beta(0.0, 1.0)
+    with pytest.raises(ValueError):
+        log_beta(1.0, float("nan"))
 
 
 def test_l8_derivative_vs_central_difference():
