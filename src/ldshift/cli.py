@@ -18,8 +18,7 @@ from .bounds import bound_pair, closed_form_bounds
 from .estimators import EstimatorSpec
 from .families import make_family
 from .rates import alpha2_estimate, mc_tail_rate, mle_chernoff_rate, order_stat_rates
-from .renyi import (_ladder, classify_regime, closed_form_isg, g_value,
-                    profile_from_family, renyi_curve)
+from .renyi import _ladder, classify_regime, closed_form_isg, g_value, profile_from_family
 from .verify import run_checks
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_bounds",
@@ -127,20 +126,25 @@ def _g_tag(cfg, fam):
     raise ConfigError(f"field 'g_tag': unknown tag {tag!r}")
 
 
-def _s_grid(cfg):
+def _s_grid(cfg, min_points):
+    """The config's orders s (None for the default grid): at least
+    ``min_points`` of them, strictly increasing inside (0, 1)."""
     grid = cfg.get("s_grid")
     if grid is None:
         return None
-    if not grid:
-        raise ConfigError("field 's_grid': must be nonempty when given")
     try:
-        return [float(s) for s in grid]
+        grid = [float(s) for s in grid]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 's_grid': {exc}") from exc
+    if (len(grid) < min_points or not all(0.0 < s < 1.0 for s in grid)
+            or any(s >= t for s, t in zip(grid, grid[1:]))):
+        raise ConfigError(f"field 's_grid': need at least {min_points} strictly "
+                          f"increasing orders inside (0, 1), got {grid}")
+    return grid
 
 
-def _profile(cfg, fam, theta, g_tag):
-    s_grid = _s_grid(cfg)
+def _profile(cfg, fam, theta, g_tag, min_points):
+    s_grid = _s_grid(cfg, min_points)
     try:
         ladder = _ladder(cfg.get("eps_ladder"), g_tag, fam)
     except (TypeError, ValueError) as exc:
@@ -155,7 +159,7 @@ def cmd_bounds(cfg, out=None, fmt="csv"):
     info = classify_regime(fam)
     cf = closed_form_bounds(info.regime, info.A1, info.A2, info.kappa,
                             fisher=info.fisher)
-    prof = _profile(cfg, fam, theta, _g_tag(cfg, fam))
+    prof = _profile(cfg, fam, theta, _g_tag(cfg, fam), min_points=17)
     num = bound_pair(prof)
     columns = ["family", "regime", "kappa", "A1", "A2",
                "alpha1_bar_closed", "alpha1_bar_numeric",
@@ -176,19 +180,16 @@ def cmd_renyi_curve(cfg, out=None, fmt="csv"):
     fam, theta = _build_family(cfg)
     g_tag = _g_tag(cfg, fam)
     info = classify_regime(fam)
-    prof = _profile(cfg, fam, theta, g_tag)
+    prof = _profile(cfg, fam, theta, g_tag, min_points=1)
     columns = ["s"]
-    curves = []
     for eps in prof.eps_ladder:
         columns += [f"renyi_eps_{eps:g}", f"scaled_eps_{eps:g}"]
-        curves.append((eps, renyi_curve(fam, theta, eps, prof.s_grid)))
     columns += ["isg_extrapolated", "isg_uncertainty", "isg_closed_form"]
     rows = []
     for j, s in enumerate(prof.s_grid):
         row = [float(s)]
-        for eps, curve in curves:
-            row += [float(curve.values[j]),
-                    float(curve.values[j] / g_value(g_tag, eps))]
+        for eps, renyi in zip(prof.eps_ladder, prof.rung_renyi[:, j]):
+            row += [float(renyi), float(renyi / g_value(g_tag, eps))]
         closed = closed_form_isg(info.regime, info.A1, info.A2, info.kappa,
                                  float(s), fisher=info.fisher)
         row += [float(prof.isg[j]), float(prof.isg_unc[j]), float(closed)]

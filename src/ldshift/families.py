@@ -177,15 +177,25 @@ def _validate_custom(fam):
                 f"custom edge metadata mismatch on {side} edge: "
                 f"f/(A d^(kappa-1)) = {ratio:.4f} at distance {dist:g}"
             )
-    total = _quad_mass(fam)
+    total = _mass(fam, *_trimmed_support(fam))
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"custom density integrates to {total:.8f}, not 1")
 
 
-def _quad_mass(fam):
-    lo, hi = _trimmed_support(fam)
+def _mass(fam, lo, hi):
+    """Quadrature mass of f over [lo, hi] inside its trimmed support."""
     nodes = panel_nodes(lo, hi, fam.breakpoints, _edge_depths(fam))
-    return float(np.sum(np.exp(_logpdf3(fam, nodes.x, nodes.dl, nodes.dr)) * nodes.w))
+    return float(np.sum(np.exp(_logpdf3(fam, *_at_nodes(fam, 0.0, nodes))) * nodes.w))
+
+
+def _at_nodes(fam, theta, nodes):
+    """(u, dl, dr) of f(x - theta) at quadrature nodes: distances to the
+    shifted edges, exact where an edge bounds the nodes; inf if unbounded."""
+    a, b = fam.support
+    u = nodes.x - theta
+    dl = nodes.dl + (nodes.lo - (a + theta)) if math.isfinite(a) else np.full_like(u, math.inf)
+    dr = nodes.dr + ((b + theta) - nodes.hi) if math.isfinite(b) else np.full_like(u, math.inf)
+    return u, dl, dr
 
 
 def _edge_depths(fam, drop=0.0):
@@ -361,9 +371,11 @@ def score(family, theta, x):
 def cdf(family, u):
     """Standardized CDF F(u) of the unshifted density.
 
-    The beta, gamma and gaussian branches need the regularized incomplete
-    beta and gamma integrals and the normal CDF; they are the only users of
-    scipy in ldshift, which is imported on their first call.
+    The beta, gamma and gaussian branches take the regularized incomplete
+    beta and gamma integrals and the normal CDF from scipy, imported on
+    their first call.  This public function is the only scipy user in
+    ldshift: the package's own integrals of f (order-statistic strip masses,
+    the CDF of a custom family without one) are its quadrature, ``_mass``.
     """
     u = np.asarray(u, dtype=float)
     a, b = family.support
@@ -396,26 +408,13 @@ def cdf(family, u):
         if family.cdf_fn is not None:
             out = np.asarray(family.cdf_fn(u), dtype=float)
         else:
-            out = np.array([_custom_cdf_scalar(family, float(v)) for v in np.atleast_1d(u)])
-            out = out.reshape(np.shape(u))
+            lo, hi = _trimmed_support(family)
+            out = np.array([0.0 if v <= lo else 1.0 if v >= hi else _mass(family, lo, v)
+                            for v in np.atleast_1d(u).tolist()]).reshape(np.shape(u))
     else:  # pragma: no cover
         raise ValueError(f"unknown family kind {kind!r}")
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-def _custom_cdf_scalar(fam, u):
-    """Quadrature of f over [lo, u] of the trimmed support, with the node
-    distances measured to the family's own edges."""
-    lo, hi = _trimmed_support(fam)
-    if u <= lo:
-        return 0.0
-    if u >= hi:
-        return 1.0
-    a, b = fam.support
-    nodes = panel_nodes(lo, u, fam.breakpoints, _edge_depths(fam))
-    dl, dr = nodes.dl + (lo - a), nodes.dr + (b - u)
-    return float(np.sum(np.exp(_logpdf3(fam, nodes.x, dl, dr)) * nodes.w))
 
 
 def sample(family, theta, n, seed):
@@ -473,6 +472,7 @@ def fisher_information(family):
             return math.inf
     lo, hi = _trimmed_support(family)
     nodes = panel_nodes(lo, hi, family.breakpoints, _edge_depths(family, drop=2.0))
-    f = np.exp(_logpdf3(family, nodes.x, nodes.dl, nodes.dr))
-    sc = _score3(family, nodes.x, nodes.dl, nodes.dr)
+    at = _at_nodes(family, 0.0, nodes)
+    f = np.exp(_logpdf3(family, *at))
+    sc = _score3(family, *at)
     return float(np.sum(sc * sc * f * nodes.w))

@@ -13,6 +13,9 @@ full estimates; the tail regression fits
 -log p_hat = beta n + gamma log n + c by event-count-weighted least squares
 (the log n nuisance absorbs the sqrt(n) prefactor of mean-type statistics,
 which otherwise biases the slope well beyond the target tolerances).
+
+The analytic rates integrate on the package's own quadrature (the overlap
+nodes of a shifted pair, the family's mass over an edge strip), never scipy.
 """
 
 import math
@@ -24,9 +27,8 @@ import numpy as np
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
 from .estimators import EstimatorSpec, tail_events
-from .families import cdf
-from .quadrature import panel_nodes
-from .renyi import _lse, _pair_nodes, _renyi_from_nodes, default_ladder, g_value
+from .renyi import (_lse, _overlap_nodes, _pair_nodes, _renyi_from_nodes, default_ladder,
+                    g_value)
 
 __all__ = [
     "InsufficientEventsError",
@@ -201,33 +203,15 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
 # analytic rates
 
 def _chernoff_objective(family, eps, side):
-    """F(t) = -log int exp(-+ t score) f over the shifted window (concave)."""
-    a, b = family.support
-    lo_w, hi_w = fam_mod._trimmed_support(family)
-    if side == "plus":
-        lo_w += eps
-    else:
-        hi_w -= eps
-    if not hi_w > lo_w:
+    """F(t) = -log int exp(-+ t score) f over the overlap of f and f(. -+ eps)
+    (concave): the density is the first point's, the score the second's, whose
+    singular edge sits outside the window where exp(-+ t score) would blow up."""
+    shifted = (family, eps if side == "plus" else -eps)
+    nodes = _overlap_nodes((family, 0.0), shifted)
+    if nodes is None:
         raise WindowError(f"eps={eps} exceeds the support width")
-    bps = [c + d for c in family.breakpoints for d in (0.0, eps if side == "plus" else -eps)]
-    nodes = panel_nodes(lo_w, hi_w, bps, fam_mod._edge_depths(family))
-    # density at x; score at x -+ eps (its singular edge sits at distance eps
-    # outside the window on the side where exp(-+ t score) would blow up)
-    if side == "plus":
-        dl_f, dr_f = nodes.dl + eps, nodes.dr
-        dl_s, dr_s = nodes.dl, nodes.dr + eps
-        u_s = nodes.x - eps
-    else:
-        dl_f, dr_f = nodes.dl, nodes.dr + eps
-        dl_s, dr_s = nodes.dl + eps, nodes.dr
-        u_s = nodes.x + eps
-    if not math.isfinite(a):
-        dl_f = dl_s = np.full_like(nodes.x, math.inf)
-    if not math.isfinite(b):
-        dr_f = dr_s = np.full_like(nodes.x, math.inf)
-    lf = fam_mod._logpdf3(family, nodes.x, dl_f, dr_f)
-    sc = fam_mod._score3(family, u_s, dl_s, dr_s)
+    lf = fam_mod._logpdf3(family, *fam_mod._at_nodes(family, 0.0, nodes))
+    sc = fam_mod._score3(family, *fam_mod._at_nodes(*shifted, nodes))
     sign = -1.0 if side == "plus" else 1.0
     with np.errstate(divide="ignore"):
         lw = np.log(nodes.w)
@@ -263,18 +247,19 @@ def mle_chernoff_rate(family, eps, side):
 
 def order_stat_rates(family, eps, lam=None):
     """Closed-form half-side rates of min(x)-a, max(x)-b, and their convex
-    combination on a bounded support: -log of the density mass left in the
-    shrunk window."""
+    combination on a bounded support: -log1p(-m), m the mass of the edge strip
+    cut off, by the family's own quadrature (exact to ulps even for tiny m)."""
     a, b = family.support
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("order-statistic rates need a bounded support")
     width = b - a
     if not 0.0 < eps < width:
         raise WindowError(f"eps={eps} outside (0, {width})")
+    strip = lambda lo, hi: -math.log1p(-fam_mod._mass(family, lo, hi))
     # min(x) - a overshoots by eps only when every draw sits above a + eps;
     # max(x) - b undershoots only when every draw sits below b - eps
-    min_plus = -math.log(1.0 - float(cdf(family, a + eps)))
-    max_minus = -math.log(float(cdf(family, b - eps)))
+    min_plus = strip(a, a + eps)
+    max_minus = strip(b - eps, b)
     combo_plus = combo_minus = None
     if lam is not None:
         if not 0.0 < lam < 1.0:
@@ -282,8 +267,8 @@ def order_stat_rates(family, eps, lam=None):
         if eps / (1.0 - lam) >= width or eps / lam >= width:
             raise WindowError(
                 f"combo window exceeds support: eps={eps}, lambda={lam}, width={width}")
-        combo_plus = -math.log(1.0 - float(cdf(family, a + eps / lam)))
-        combo_minus = -math.log(float(cdf(family, b - eps / (1.0 - lam))))
+        combo_plus = strip(a, a + eps / lam)
+        combo_minus = strip(b - eps / (1.0 - lam), b)
     return OrderStatRates(
         eps=float(eps), min_shift_plus=min_plus, min_shift_minus=math.inf,
         max_shift_plus=math.inf, max_shift_minus=max_minus,

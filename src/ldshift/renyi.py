@@ -88,7 +88,9 @@ class ScalingProfile:
     ``isg_fn`` evaluates the limit at arbitrary s in [0, 1] (used by the
     bound optimizers for refinement); ``isg_unc`` is zero on closed-form
     profiles and, on extrapolated ones, the larger move of the limit when
-    the first or the last rung is dropped from the fit.
+    the first or the last rung is dropped from the fit.  ``rung_renyi`` holds
+    an extrapolated profile's rung divergences I^s(eps_i) on s_grid, one row
+    per rung (None on closed forms).
     """
 
     g_tag: GTag
@@ -102,6 +104,7 @@ class ScalingProfile:
     source: str = "closed_form"
     eps_ladder: tuple = None
     rung_fn: Callable = None  # never set; kept for code that still reads it
+    rung_renyi: np.ndarray = None
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,10 @@ def kappa_of_g(g_tag):
 # ---------------------------------------------------------------------------
 # divergence quadrature
 
-def _pair_nodes(p_point, q_point):
-    """Quadrature data for two (family, theta) points p and q.
-
-    The families may differ.  Returns None when the supports are disjoint,
-    else (lp, lq, logw) at shared nodes over the support intersection, with
-    edge distances kept exact for whichever density is singular at each end.
-    """
+def _overlap_nodes(p_point, q_point):
+    """Nodes over the overlap of the trimmed supports of two (family, theta)
+    points (the families may differ), split at both densities' breakpoints,
+    each end graded for the sharper of their edges there; None if disjoint."""
     (fam_p, tp), (fam_q, tq) = p_point, q_point
     lo_p, hi_p = fam_mod._trimmed_support(fam_p)
     lo_q, hi_q = (lo_p, hi_p) if fam_q is fam_p else fam_mod._trimmed_support(fam_q)
@@ -174,21 +174,20 @@ def _pair_nodes(p_point, q_point):
     if not hi > lo:
         return None
     bps = [c + t for fam, t in (p_point, q_point) for c in fam.breakpoints]
-    # each end is graded for the sharper of the two densities' edges there
     dep_p, dep_q = fam_mod._edge_depths(fam_p), fam_mod._edge_depths(fam_q)
-    nodes = panel_nodes(lo, hi, bps, (max(dep_p[0], dep_q[0]), max(dep_p[1], dep_q[1])))
+    return panel_nodes(lo, hi, bps, (max(dep_p[0], dep_q[0]), max(dep_p[1], dep_q[1])))
 
-    def logpdf_for(fam, theta):
-        a, b = fam.support
-        u = nodes.x - theta
-        # edge distances are exact on the side whose edge bounds the overlap
-        dl = nodes.dl + (lo - (a + theta)) if math.isfinite(a) else np.full_like(u, math.inf)
-        dr = nodes.dr + ((b + theta) - hi) if math.isfinite(b) else np.full_like(u, math.inf)
-        return fam_mod._logpdf3(fam, u, dl, dr)
 
+def _pair_nodes(p_point, q_point):
+    """(lp, lq, logw) at the overlap nodes of p and q; None when disjoint."""
+    nodes = _overlap_nodes(p_point, q_point)
+    if nodes is None:
+        return None
+    lp, lq = (fam_mod._logpdf3(fam, *fam_mod._at_nodes(fam, t, nodes))
+              for fam, t in (p_point, q_point))
     with np.errstate(divide="ignore"):
         logw = np.log(nodes.w)
-    return logpdf_for(fam_p, tp), logpdf_for(fam_q, tq), logw
+    return lp, lq, logw
 
 
 def _lse(v):
@@ -472,8 +471,8 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     Rung node data is computed once and reused, so the returned ``isg_fn``
     evaluates cheaply at arbitrary s (extrapolating the same ladder).  The
     limit and its error are memoized per s for the life of the profile: the
-    s_grid tabulation fills the memo, and ``isg_fn`` sweeps the quadrature
-    nodes and extrapolates only for orders s not seen before.
+    s_grid tabulation (``rung_renyi``) fills the memo, and ``isg_fn`` sweeps
+    the quadrature nodes and extrapolates only for orders s not seen before.
     """
     info = classify_regime(family)
     if g_tag is None:
@@ -485,17 +484,24 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     s_grid = np.asarray(s_grid, dtype=float)
 
     pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
+    gvals = np.array(gvals)[:, None]
     memo = {}
+
+    def sweep(s_list):
+        """Rung divergences at the orders s_list; memoizes their limits."""
+        renyi = np.array([_renyi_from_nodes(p, s_list) for p in pairs])
+        vals, errs = _extrapolate(renyi / gvals, eps_ladder, g_tag)
+        memo.update(zip(s_list, zip(np.maximum(vals, 0.0), errs)))
+        return renyi
 
     def limit_at(s_arr):
         keys = [float(s) for s in s_arr]
         new = list(dict.fromkeys(s for s in keys if s not in memo))
         if new:
-            rungs = np.array([_renyi_from_nodes(p, new) / g for p, g in zip(pairs, gvals)])
-            vals, errs = _extrapolate(rungs, eps_ladder, g_tag)
-            memo.update(zip(new, zip(np.maximum(vals, 0.0), errs)))
+            sweep(new)
         return np.array([memo[s] for s in keys]).T
 
+    rung_renyi = sweep(s_grid.tolist())
     isg, unc = limit_at(s_grid)
 
     def fn(s):
@@ -505,5 +511,5 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     return ScalingProfile(
         g_tag=g_tag, kappa=float(kappa), theta=float(theta), regime=info.regime,
         s_grid=s_grid, isg=isg, isg_unc=unc, isg_fn=fn, source="ladder",
-        eps_ladder=eps_ladder,
+        eps_ladder=eps_ladder, rung_renyi=rung_renyi,
     )

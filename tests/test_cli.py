@@ -9,6 +9,8 @@ import pytest
 
 from ldshift import cli
 from ldshift.cli import main
+from ldshift.families import make_family
+from ldshift.renyi import classify_regime, default_ladder, g_value, renyi_curve
 from ldshift.verify import LemmaCheck
 
 # recorded with the per-end edge depths of the quadrature; gamma(2) with the
@@ -83,6 +85,23 @@ def test_renyi_curve_gamma2_matches_closed_form(tmp_path, capsys):
                                                              rel=5e-3), r["s"]
 
 
+@pytest.mark.parametrize("kind", ["gamma", "beta"])
+def test_renyi_curve_columns_are_the_rung_curves(kind, tmp_path, capsys):
+    # the profile's own rung sweeps, bit for bit those of renyi_curve
+    s_grid = [0.01, 0.3, 0.5, 0.9, 0.999]
+    code, text = _run(["renyi-curve", "--config", _config(tmp_path, kind, s_grid=s_grid)],
+                      capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    fam = make_family(kind, PARAMS[kind])
+    g_tag = classify_regime(fam).g_tag
+    for eps in default_ladder(g_tag, fam):
+        values = renyi_curve(fam, 0.0, eps, s_grid).values
+        assert [float(r[f"renyi_eps_{eps:g}"]) for r in rows] == values.tolist()
+        assert [float(r[f"scaled_eps_{eps:g}"]) for r in rows] == \
+            [float(v / g_value(g_tag, eps)) for v in values]
+
+
 def test_bounds_config_without_seed(tmp_path, capsys):
     path = tmp_path / "noseed.json"
     path.write_text(json.dumps({"version": 1, "family": {"kind": "uniform"}}))
@@ -92,6 +111,7 @@ def test_bounds_config_without_seed(tmp_path, capsys):
 
 
 UNIFORM_CFG = {"version": 1, "seed": 0, "family": {"kind": "uniform"}}
+GRID_17 = [0.05 * i for i in range(1, 18)]
 
 
 @pytest.mark.parametrize("command, cfg, field", [
@@ -108,9 +128,18 @@ UNIFORM_CFG = {"version": 1, "seed": 0, "family": {"kind": "uniform"}}
     ("bounds", {**UNIFORM_CFG, "eps_ladder": [5, 4, 3, 2]}, "eps_ladder"),
     ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
                "eps_ladder": [0.2, "x", 0.05, 0.025]}, "eps_ladder"),
+    ("renyi-curve", {**UNIFORM_CFG, "s_grid": [0.5, 0.2]}, "s_grid"),
+    ("renyi-curve", {**UNIFORM_CFG, "s_grid": [0.2, 0.5, 1.5]}, "s_grid"),
+    ("renyi-curve", {**UNIFORM_CFG, "s_grid": [0.0, 0.5]}, "s_grid"),
+    ("renyi-curve", {**UNIFORM_CFG, "s_grid": [0.2, 0.5, 0.5, 0.7]}, "s_grid"),
+    ("bounds", {**UNIFORM_CFG, "s_grid": GRID_17[:16]}, "s_grid"),
+    ("bounds", {**UNIFORM_CFG, "s_grid": GRID_17[1:] + [1.5]}, "s_grid"),
+    ("bounds", {**UNIFORM_CFG, "s_grid": [-0.1] + GRID_17[1:]}, "s_grid"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
-        "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers"])
+        "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
+        "s-grid-falling", "s-grid-above-one", "s-grid-at-zero", "s-grid-repeated",
+        "bounds-s-grid-16-points", "bounds-s-grid-above-one", "bounds-s-grid-negative"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))

@@ -83,8 +83,8 @@ def test_shift_covariance():
 def test_normalization():
     for kind, params in ALL_BUILTINS:
         f = _fam(kind, params)
-        from ldshift.families import _quad_mass
-        assert abs(_quad_mass(f) - 1.0) < 1e-8, (kind, params)
+        from ldshift.families import _mass, _trimmed_support
+        assert abs(_mass(f, *_trimmed_support(f)) - 1.0) < 1e-8, (kind, params)
 
 
 def test_edge_ratio():

@@ -61,6 +61,43 @@ def test_order_stat_monotone_in_eps():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def _strip_mass_mp(kind, params, lo, hi):
+    """Exact mass of the family over [lo, hi] (float ends), in mpmath."""
+    import mpmath as mp
+
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    if kind == "uniform":
+        return hi - lo
+    if kind == "beta":
+        return mp.betainc(*params, lo, hi, regularized=True)
+    c = mp.mpf(params[0])
+    F = lambda u: u * u / c if u <= c else 1 - (1 - u) ** 2 / (1 - c)
+    return F(hi) - F(lo)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("beta", (0.5, 3.0)), ("beta", (2.0, 3.0)), ("triangular", (0.3,)), ("uniform", ()),
+])
+def test_order_stat_rates_match_mpmath(kind, params):
+    # all four sides against 40-digit strip masses over the same float
+    # windows; where the cut-off mass m is tiny, -log F(b - eps) with F ~ 1
+    # keeps only F's absolute precision (4.3e-9 relative on beta(0.5, 3))
+    import mpmath as mp
+
+    fam = make_family(kind, params)
+    lam = 0.3
+    with mp.workdps(40):
+        for eps in (0.003125, 0.01, 0.1):
+            r = order_stat_rates(fam, eps, lam=lam)
+            windows = {"min_shift_plus": (0.0, eps), "max_shift_minus": (1.0 - eps, 1.0),
+                       "combo_plus": (0.0, eps / lam),
+                       "combo_minus": (1.0 - eps / (1.0 - lam), 1.0)}
+            for side, (lo, hi) in windows.items():
+                want = -mp.log1p(-_strip_mass_mp(kind, params, lo, hi))
+                got = getattr(r, side)
+                assert abs(got - want) <= 1e-13 * want, (side, eps, got, float(want))
+
+
 def test_mc_min_shift_uniform():
     est = mc_tail_rate(UNIFORM, EstimatorSpec("min_shift"), 0.0, 0.1,
                        n_grid=(8, 16, 24, 32, 48, 64), trials=40_000, seed=1)
