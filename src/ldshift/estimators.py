@@ -6,6 +6,8 @@ Everything is vectorized across batches (rows) for the Monte Carlo driver;
 the scalar ``estimate`` is the single-batch view of the same code path, and
 ``tail_events`` gives the driver the side of two thresholds each row's
 estimate falls on, by one sign test of the estimating function where it can.
+The order-statistic estimators read a sample only through its extremes:
+``extreme_events`` decides their sides from the masses beyond the extremes.
 """
 
 import math
@@ -17,9 +19,11 @@ import numpy as np
 from . import families as fam_mod
 from .families import DensityFamily, SampleBatch
 
-__all__ = ["EstimatorSpec", "estimate", "estimate_many", "tail_events"]
+__all__ = ["EstimatorSpec", "ORDER_STAT_KINDS", "check_family", "estimate",
+           "estimate_many", "tail_events", "extreme_events"]
 
-_KINDS = ("mle", "lr", "min_shift", "max_shift", "shifted_min", "convex_combo")
+ORDER_STAT_KINDS = ("min_shift", "max_shift", "shifted_min", "convex_combo")
+_KINDS = ("mle", "lr") + ORDER_STAT_KINDS
 
 
 @dataclass(frozen=True)
@@ -60,23 +64,36 @@ def _matrix(X):
     return X
 
 
+def check_family(spec, family):
+    """Raise ValueError where the estimator is undefined on the family: an
+    order-statistic kind on an open support edge it reads, the MLE or LR on
+    a family that is not log-concave."""
+    kind = spec.kind
+    a, b = family.support
+    if kind in ("min_shift", "shifted_min", "convex_combo"):
+        _need_finite(a, kind, "left")
+    if kind in ("max_shift", "convex_combo"):
+        _need_finite(b, kind, "right")
+    if kind == "mle" and not family.log_concave:
+        raise ValueError(f"mle needs a log-concave family, got {family.kind}")
+    if kind == "lr" and not family.log_concave:
+        raise ValueError(
+            f"lr needs monotone likelihood ratios (log-concave suffices), got {family.kind}")
+
+
 def estimate_many(spec, family, X):
     """Row-wise estimates for a (batches, n) matrix of samples."""
     X = _matrix(X)
+    check_family(spec, family)
     a, b = family.support
     kind = spec.kind
     if kind == "min_shift":
-        _need_finite(a, "min_shift", "left")
         return X.min(axis=1) - a
     if kind == "max_shift":
-        _need_finite(b, "max_shift", "right")
         return X.max(axis=1) - b
     if kind == "shifted_min":
-        _need_finite(a, "shifted_min", "left")
         return X.min(axis=1) - a - spec.eps
     if kind == "convex_combo":
-        _need_finite(a, "convex_combo", "left")
-        _need_finite(b, "convex_combo", "right")
         lower = X.min(axis=1) - a
         upper = X.max(axis=1) - b
         return spec.lam * lower + (1.0 - spec.lam) * upper
@@ -104,6 +121,7 @@ def tail_events(spec, family, X, up, dn):
     if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
         t = estimate_many(spec, family, X)
         return t > up, t < dn
+    check_family(spec, family)
     fn, inset, band = _root_fn(spec, family)
     m, n = X.shape
     a, b = family.support
@@ -138,6 +156,53 @@ def tail_events(spec, family, X, up, dn):
     return above, below
 
 
+def extreme_events(spec, family, f_min, s_max, c_up, c_dn):
+    """Row indicators (T > theta + c_up, T < theta + c_dn) of an
+    order-statistic estimate T, for rows given by f_min, the mass of f below
+    their minimum, and s_max, the mass above their maximum.
+
+    The min kinds compare f_min with the mass below a + c (a + eps + c for
+    shifted_min), max_shift compares s_max with the mass above b + c: F is
+    nondecreasing, so these are the events themselves.  The convex
+    combination T = lam (min - a) + (1 - lam) (max - b) exceeds c_up only
+    where min - a > c_up / lam and falls below c_dn only where
+    max - b < c_dn / (1 - lam); other rows are decided with no work.  The
+    remaining rows bracket min and max between points of the family's mass
+    table, and only rows whose bracket of T straddles a threshold get the
+    exact quantiles.
+    """
+    check_family(spec, family)
+    a, b = family.support
+    kind = spec.kind
+    below_mass = lambda x: fam_mod._tail_mass(family, x)
+    above_mass = lambda x: fam_mod._tail_mass(family, x, upper=True)
+    if kind == "max_shift":
+        return s_max < above_mass(b + c_up), s_max > above_mass(b + c_dn)
+    if kind != "convex_combo":
+        a_eff = a + spec.eps if kind == "shifted_min" else a
+        return f_min > below_mass(a_eff + c_up), f_min < below_mass(a_eff + c_dn)
+    lam = spec.lam
+    above = f_min > below_mass(a + c_up / lam)
+    below = s_max > above_mass(b + c_dn / (1.0 - lam))
+    rows = np.flatnonzero(above | below)
+    cand_up, cand_dn = above[rows], below[rows]
+    # the distances min - a and b - max, bracketed
+    dl_lo, dl_hi = fam_mod._bracket(family, f_min[rows])
+    dr_lo, dr_hi = fam_mod._bracket(family, s_max[rows], upper=True)
+    t_lo = lam * dl_lo - (1.0 - lam) * dr_hi
+    t_hi = lam * dl_hi - (1.0 - lam) * dr_lo
+    exact = ((cand_up & (t_lo <= c_up) & (t_hi > c_up))
+             | (cand_dn & (t_lo < c_dn) & (t_hi >= c_dn)))
+    if exact.any():
+        r = rows[exact]
+        t_lo[exact] = t_hi[exact] = (
+            lam * fam_mod._quantile(family, f_min[r])[1]
+            - (1.0 - lam) * fam_mod._quantile(family, s_max[r], upper=True)[2])
+    above[rows] = cand_up & (t_lo > c_up)
+    below[rows] = cand_dn & (t_hi < c_dn)
+    return above, below
+
+
 def _need_finite(edge, kind, side):
     if not math.isfinite(edge):
         raise ValueError(f"{kind} undefined: {side} support edge is infinite")
@@ -145,13 +210,8 @@ def _need_finite(edge, kind, side):
 
 def _root_fn(spec, family):
     """The MLE's score sum or the LR estimator's log-ratio k as fn(X, z),
-    nondecreasing in z, with the inset of its bracket ends and its zero
-    band per sample value."""
-    if not family.log_concave:
-        if spec.kind == "mle":
-            raise ValueError(f"mle needs a log-concave family, got {family.kind}")
-        raise ValueError(
-            f"lr needs monotone likelihood ratios (log-concave suffices), got {family.kind}")
+    nondecreasing in z (the family is log-concave), with the inset of its
+    bracket ends and its zero band per sample value."""
     if spec.kind == "mle":
         return (lambda Xr, theta: _score_sum(family, Xr, theta)), 0.0, 1e-9
     return (lambda Xr, z: _k_rows(family, Xr, z, spec.eps)), spec.eps, 1e-12

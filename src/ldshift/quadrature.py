@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["PanelNodes", "edge_depth", "panel_nodes", "integrate"]
+__all__ = ["PanelNodes", "edge_depth", "panel_nodes", "panel_edges", "integrate"]
 
 _GAUSS_ORDER = 24
 _XG, _WG = leggauss(_GAUSS_ORDER)
@@ -88,6 +88,17 @@ def _segment_nodes(lo, hi, levels_lo, levels_hi):
     return x, w, dl, dr
 
 
+def _segments(lo, hi, breakpoints, edge_levels):
+    """The smooth segments (a, b, depth at a, depth at b) of [lo, hi]
+    between interior breakpoints."""
+    if not hi > lo:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    pts = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
+    last = len(pts) - 2
+    return [(pts[i], pts[i + 1], edge_levels[0] if i == 0 else _KINK_LEVELS,
+             edge_levels[1] if i == last else _KINK_LEVELS) for i in range(last + 1)]
+
+
 def panel_nodes(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):
     """Build nodes on [lo, hi], split at interior breakpoints.
 
@@ -95,15 +106,10 @@ def panel_nodes(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)
     ends (see ``edge_depth``); both sides of every interior breakpoint get
     the shallow kink ladder.
     """
-    if not hi > lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    pts = [lo] + sorted(p for p in breakpoints if lo < p < hi) + [hi]
-    last = len(pts) - 2
+    segments = _segments(lo, hi, breakpoints, edge_levels)
+    last = len(segments) - 1
     xs, ws, dls, drs = [], [], [], []
-    for i in range(last + 1):
-        a, b = pts[i], pts[i + 1]
-        lev_l = edge_levels[0] if i == 0 else _KINK_LEVELS
-        lev_r = edge_levels[1] if i == last else _KINK_LEVELS
+    for i, (a, b, lev_l, lev_r) in enumerate(segments):
         x, w, dl, dr = _segment_nodes(a, b, lev_l, lev_r)
         xs.append(x)
         ws.append(w)
@@ -119,6 +125,25 @@ def panel_nodes(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)
         dl=np.concatenate(dls),
         dr=np.concatenate(drs),
     )
+
+
+def panel_edges(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):
+    """Edges of the cells of ``panel_nodes`` with the same arguments, as
+    distances (from lo, from hi), exact where its node distances are: cell k
+    holds its nodes k * _GAUSS_ORDER up to (k + 1) * _GAUSS_ORDER."""
+    segments = _segments(lo, hi, breakpoints, edge_levels)
+    last = len(segments) - 1
+    dls, drs = [], []
+    for i, (a, b, lev_l, lev_r) in enumerate(segments):
+        width = b - a
+        cells_lo = _ladder_cells(width, lev_l)
+        cells_hi = _ladder_cells(width, lev_r)[-2::-1]   # the midpoint ends both
+        # a breakpoint ends one segment and starts the next
+        dl = np.concatenate([cells_lo, width - cells_hi])[1 if i > 0 else 0:]
+        dr = np.concatenate([width - cells_lo, cells_hi])[1 if i > 0 else 0:]
+        dls.append(dl + (a - lo) if i > 0 else dl)
+        drs.append(dr + (hi - b) if i < last else dr)
+    return np.concatenate(dls), np.concatenate(drs)
 
 
 def integrate(fn, lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):

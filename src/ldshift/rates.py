@@ -4,12 +4,20 @@ the likelihood-ratio estimator identity, and the hypothesis-testing
 exponents (Chernoff sum-of-errors, Hoeffding trade-off).
 
 Monte Carlo conventions: per-(n) generator seeded from (root seed, n), so
-results are bit-identical regardless of chunking; the tail events
-{T > theta + eps} and {T < theta - eps} come from ``tail_events``, which
-for the MLE and LR estimators reads the side from the sign of the monotone
-estimating function at the threshold and solves in full only the rows
-inside its zero band or at a bracket end, so the counts are those of the
-full estimates; the tail regression fits
+results are bit-identical regardless of chunking.  The order-statistic
+estimators (min_shift, max_shift, shifted_min, convex_combo) read a sample
+only through its extremes, so each of their rows draws two uniforms
+(U1, U2), in shape (rows, 2), and takes the extremes exactly from their
+joint law in probability space (David & Nagaraja, *Order Statistics*,
+2003): the mass above the maximum is S_max = 1 - U1^(1/n), and given it the
+mass below the minimum is F_min = (1 - S_max)(1 - U2^(1/(n-1))), or
+1 - S_max when n = 1; ``extreme_events`` decides their tail events.  The
+other estimators draw all n values of a row from the family and take
+their tail events {T > theta + eps} and {T < theta - eps} from
+``tail_events``, which for the MLE and LR estimators reads the side from
+the sign of the monotone estimating function at the threshold and solves
+in full only the rows inside its zero band or at a bracket end, so the
+counts are those of the full estimates.  The tail regression fits
 -log p_hat = beta n + gamma log n + c by event-count-weighted least squares
 (the log n nuisance absorbs the sqrt(n) prefactor of mean-type statistics,
 which otherwise biases the slope well beyond the target tolerances).
@@ -26,7 +34,7 @@ import numpy as np
 
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
-from .estimators import EstimatorSpec, tail_events
+from .estimators import ORDER_STAT_KINDS, EstimatorSpec, extreme_events, tail_events
 from .renyi import (_lse, _overlap_nodes, _pair_nodes, _renyi_from_nodes, default_ladder,
                     g_value)
 
@@ -54,6 +62,9 @@ _MIN_EVENTS = 10
 # whether the allocator reuses a freed chunk or maps a fresh one moves the
 # process's peak memory by little
 _CHUNK_VALUES = 1_000_000
+# float64 temporaries per order-statistic row: its two uniforms, the two
+# masses and what deciding its events takes
+_EXTREME_ROW_VALUES = 8
 
 
 class InsufficientEventsError(RuntimeError):
@@ -154,14 +165,31 @@ def _child_seeds(seed, count):
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(count)]
 
 
+def _extreme_masses(rng, m, n):
+    """(F_min, S_max) of m samples of size n: the masses of f below their
+    minimum and above their maximum, drawn exactly from the joint law of the
+    extremes (module docstring)."""
+    u = rng.random((m, 2))
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    s_max = -np.expm1(u[:, 0] / n)
+    f_min = 1.0 - s_max
+    if n > 1:
+        f_min *= -np.expm1(u[:, 1] / (n - 1))
+    return f_min, s_max
+
+
 def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
                  seed=0):
     """Empirical tail exponents of an estimator.
 
     For each n, simulates ``trials`` batches and counts {T > theta + eps}
     and {T < theta - eps}; the per-side slopes of -log p_hat come from the
-    weighted regression above.  A side with zero events everywhere reports
-    the +inf marker; both sides empty raises InsufficientEventsError.
+    weighted regression above.  An order-statistic estimator's batch is its
+    two extremes, drawn exactly in probability space: the family needs no
+    sampler, and a row costs the same at every n.  Other estimators draw
+    all n values.  A side with zero events everywhere reports the +inf
+    marker; both sides empty raises InsufficientEventsError.
     """
     if n_grid is None:
         n_grid = _DEFAULT_N_GRID
@@ -170,18 +198,23 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
         raise ValueError("n_grid must be strictly increasing")
     trials = int(trials)
     up, dn = theta + eps, theta - eps
+    extremes = spec.kind in ORDER_STAT_KINDS
     counts_p = np.zeros(len(n_grid))
     counts_m = np.zeros(len(n_grid))
     for i, n in enumerate(n_grid):
         rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-        chunk = max(1, _CHUNK_VALUES // n)
+        chunk = max(1, _CHUNK_VALUES // (_EXTREME_ROW_VALUES if extremes else n))
         done = 0
         while done < trials:
             m = min(chunk, trials - done)
-            X = fam_mod._draw(family, rng, m * n).reshape(m, n)
-            X += theta
-            above, below = tail_events(spec, family, X, up, dn)
-            del X  # one chunk live at a time
+            if extremes:
+                above, below = extreme_events(spec, family, *_extreme_masses(rng, m, n),
+                                              eps, -eps)
+            else:
+                X = fam_mod._draw(family, rng, m * n).reshape(m, n)
+                X += theta
+                above, below = tail_events(spec, family, X, up, dn)
+                del X  # one chunk live at a time
             counts_p[i] += np.count_nonzero(above)
             counts_m[i] += np.count_nonzero(below)
             done += m

@@ -4,12 +4,13 @@ config errors and the lemma suite behind `verify`."""
 import csv
 import io
 import json
+import math
 
 import pytest
 
 from ldshift import cli
 from ldshift.cli import main
-from ldshift.families import make_family
+from ldshift.families import _mass, make_family
 from ldshift.renyi import classify_regime, default_ladder, g_value, renyi_curve
 from ldshift.verify import LemmaCheck
 
@@ -135,11 +136,22 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("bounds", {**UNIFORM_CFG, "s_grid": GRID_17[:16]}, "s_grid"),
     ("bounds", {**UNIFORM_CFG, "s_grid": GRID_17[1:] + [1.5]}, "s_grid"),
     ("bounds", {**UNIFORM_CFG, "s_grid": [-0.1] + GRID_17[1:]}, "s_grid"),
+    ("rates", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [0.5, 3]},
+               "estimators": [{"kind": "lr"}], "trials": 100}, "estimators"),
+    ("rates", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [0.5, 3]},
+               "estimators": [{"kind": "mle"}], "trials": 100}, "estimators"),
+    ("rates", {**UNIFORM_CFG, "family": {"kind": "gamma", "params": [2]},
+               "estimators": [{"kind": "max_shift"}], "trials": 100}, "estimators"),
+    ("rates", {**UNIFORM_CFG, "family": {"kind": "gaussian"},
+               "estimators": [{"kind": "convex_combo", "lambda": 0.5}], "trials": 100},
+     "estimators"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
         "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
         "s-grid-falling", "s-grid-above-one", "s-grid-at-zero", "s-grid-repeated",
-        "bounds-s-grid-16-points", "bounds-s-grid-above-one", "bounds-s-grid-negative"])
+        "bounds-s-grid-16-points", "bounds-s-grid-above-one", "bounds-s-grid-negative",
+        "lr-not-log-concave", "mle-not-log-concave", "max-shift-open-edge",
+        "combo-open-edges"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -173,3 +185,24 @@ def test_rates_eps_defaults_to_first_rung(kind, tmp_path, capsys):
     (row,) = list(csv.DictReader(io.StringIO(text)))
     assert row["estimator"] == kind
     assert float(row["eps_param"]) == 0.2
+
+
+def test_rates_without_tail_events_is_a_nan_row(tmp_path, capsys):
+    # shifted_min at eps 0.2 needs a sample above 0.4, which beta(0.5, 3)
+    # puts out of reach of 2,000 trials at n >= 8: no event at any rung
+    cfg = {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [0.5, 3]},
+           "estimators": [{"kind": "shifted_min"}], "trials": 2000,
+           "n_grid": [8, 16, 32, 64, 128], "eps_ladder": [0.2, 0.1, 0.05, 0.025]}
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(cfg))
+    code, text = _run(["rates", "--config", str(path), "--format", "json"], capsys)
+    assert code == 0
+    (row,) = json.loads(text)
+    for col in ("beta_plus_mc", "beta_minus_mc", "beta_mc", "slope_stderr",
+                "alpha2_estimate", "bound_respected"):
+        assert row[col] is None, col
+    fam = make_family("beta", (0.5, 3))
+    assert row["beta_plus_analytic"] == -math.log1p(-_mass(fam, 0.0, 0.4))
+    assert row["beta_minus_analytic"] == math.inf
+    assert row["alpha1_bar"] == pytest.approx(2.6516504294495533, rel=1e-12)
+    assert row["alpha2_bar"] == pytest.approx(1.875, rel=1e-12)

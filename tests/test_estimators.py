@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from ldshift.estimators import EstimatorSpec, estimate, estimate_many, tail_events
+from ldshift.estimators import (EstimatorSpec, estimate, estimate_many, extreme_events,
+                                tail_events)
 from ldshift.families import log_density, make_family, sample
 
 
@@ -231,6 +232,24 @@ def test_tail_events_match_full_estimator(kind, eps, fam):
             above, below = tail_events(spec, fam, X, up, dn)
             assert np.array_equal(above, t > up), (n, up)
             assert np.array_equal(below, t < dn), (n, dn)
+
+
+@pytest.mark.parametrize("spec", [
+    EstimatorSpec("min_shift"), EstimatorSpec("max_shift"), EstimatorSpec("shifted_min", eps=0.05),
+    EstimatorSpec("convex_combo", lam=0.5), EstimatorSpec("convex_combo", lam=0.3),
+], ids=["min_shift", "max_shift", "shifted_min", "combo-0.5", "combo-0.3"])
+def test_extreme_events_match_full_estimator(spec):
+    # the events of the extremes' masses are those of the estimate itself
+    fam = make_family("beta", (1.5, 1.5))
+    X = sample(fam, 0.0, 20_000 * 4, seed=3).values.reshape(20_000, 4)
+    t = estimate_many(spec, fam, X)
+    # the family is symmetric: the mass above x is F(1 - x)
+    f_min = sp.betainc(1.5, 1.5, X.min(axis=1))
+    s_max = sp.betainc(1.5, 1.5, 1.0 - X.max(axis=1))
+    for eps in (0.02, 0.05, 0.1):
+        above, below = extreme_events(spec, fam, f_min, s_max, eps, -eps)
+        assert np.array_equal(above, t > eps), eps
+        assert np.array_equal(below, t < -eps), eps
 
 
 def test_empty_batch():

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammainc, gammaln
+from scipy.special import betaincinv, gammainc, gammaln
 
-from ldshift.families import (cdf, fisher_information, log_density,
+from ldshift.families import (_quantile, cdf, fisher_information, log_density,
                               make_family, sample, score)
 from ldshift.quadrature import integrate
 
@@ -235,3 +235,57 @@ def test_triangular_cdf_and_density():
     dens = np.exp(log_density(f, 0.0, x))
     val = np.trapezoid(dens, x) if hasattr(np, "trapezoid") else np.trapz(dens, x)
     assert abs(val - (cdf(f, 0.99) - cdf(f, 0.01))) < 1e-3
+
+
+# tail masses on both sides, then uniform masses
+QUANTILE_MASSES = np.concatenate([[1e-9, 1e-6, 1e-3, 0.1, 0.5],
+                                  np.random.default_rng(5).random(10_000)])
+
+
+def _check_nearer_edge(fam, left_dist, right_dist):
+    """_quantile's distance to the nearer support edge against an oracle:
+    left_dist(m) (right_dist(m)) is the distance from the left (right) edge
+    of the point with mass m below (above) it, called only with m <= 1/2,
+    where 1 - m is exact."""
+    for upper in (False, True):
+        u, dl, dr = _quantile(fam, QUANTILE_MASSES, upper)
+        # the mass between the point and each edge, the smaller one exact
+        m_near = np.minimum(QUANTILE_MASSES, 1.0 - QUANTILE_MASSES)
+        from_left = (QUANTILE_MASSES <= 0.5) != upper
+        d_near = np.where(from_left, left_dist(m_near), right_dist(m_near))
+        want = np.minimum(d_near, 1.0 - d_near)
+        got = np.minimum(dl, dr)
+        rel = np.abs(got - want) / want
+        assert rel.max() <= 1e-11, (upper, QUANTILE_MASSES[np.argmax(rel)], rel.max())
+        assert np.allclose(u, dl, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("params", [(0.5, 3.0), (1.5, 1.5), (2.0, 3.0)])
+def test_quantile_matches_scipy_inverse(params):
+    p, q = params
+    fam = make_family("beta", params)
+    # the mirror of beta(p, q) is beta(q, p)
+    _check_nearer_edge(fam, lambda m: betaincinv(p, q, m), lambda m: betaincinv(q, p, m))
+
+
+def test_quantile_closed_forms():
+    _check_nearer_edge(make_family("uniform"), lambda m: m, lambda m: m)
+    c = 0.3
+    tri = make_family("triangular", (c,))
+    # F(x) = x^2 / c up to the mode, 1 - (1 - x)^2 / (1 - c) after it
+    left = lambda m: np.where(m <= c, np.sqrt(m * c), 1.0 - np.sqrt((1.0 - m) * (1.0 - c)))
+    right = lambda m: np.where(m <= 1.0 - c, np.sqrt(m * (1.0 - c)), 1.0 - np.sqrt((1.0 - m) * c))
+    _check_nearer_edge(tri, left, right)
+
+
+def test_quantile_power_law_in_innermost_cell():
+    # masses this small lie in the innermost cell of every edge here, where
+    # the power law A d^kappa / kappa is inverted: relative error O(d), d
+    # below 2^-31
+    masses = np.array([1e-40, 1e-30])
+    for p, q in [(0.5, 3.0), (1.5, 1.5), (2.0, 3.0)]:
+        fam = make_family("beta", (p, q))
+        assert np.allclose(_quantile(fam, masses)[1], betaincinv(p, q, masses),
+                           rtol=1e-9, atol=0.0)
+        assert np.allclose(_quantile(fam, masses, upper=True)[2], betaincinv(q, p, masses),
+                           rtol=1e-9, atol=0.0)

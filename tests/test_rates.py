@@ -8,8 +8,9 @@ import pytest
 from scipy import integrate, optimize, stats
 from scipy.special import betainc
 
-from ldshift.estimators import EstimatorSpec
-from ldshift.families import make_family
+from ldshift import rates
+from ldshift.estimators import EstimatorSpec, estimate_many
+from ldshift.families import _draw, make_family
 from ldshift.quadrature import panel_nodes
 from ldshift.rates import (InsufficientEventsError, WindowError, _child_seeds,
                            alpha2_estimate, chernoff_test_rate, hoeffding_rate,
@@ -137,6 +138,64 @@ def test_mc_determinism():
                      n_grid=(8, 16, 32), trials=5_000, seed=11)
     assert np.array_equal(a.p_plus, b.p_plus)
     assert a.beta == b.beta
+
+
+@pytest.mark.parametrize("spec, fam, eps, n_grid", [
+    (EstimatorSpec("min_shift"), make_family("gamma", (2,)), 0.3, (1, 4, 16, 64)),
+    (EstimatorSpec("shifted_min", eps=0.1), make_family("gamma", (2,)), 0.1, (1, 4, 16, 64)),
+    (EstimatorSpec("min_shift"), make_family("beta", (0.5, 3)), 0.001, (1, 4, 16, 64)),
+    (EstimatorSpec("shifted_min", eps=0.0005), make_family("beta", (0.5, 3)), 0.0005,
+     (1, 4, 16, 64)),
+    (EstimatorSpec("max_shift"), make_family("beta", (2, 3)), 0.3, (1, 4, 16, 64)),
+    (EstimatorSpec("convex_combo", lam=0.3), make_family("beta", (1.5, 1.5)), 0.05,
+     (2, 4, 8, 16)),
+    (EstimatorSpec("convex_combo", lam=0.3), make_family("triangular", (0.3,)), 0.05,
+     (2, 4, 8, 16)),
+], ids=["min-shift-gamma-2", "shifted-min-gamma-2", "min-shift-beta-0.5-3",
+        "shifted-min-beta-0.5-3", "max-shift-beta-2-3", "combo-beta-1.5-1.5",
+        "combo-triangular-0.3"])
+def test_extreme_draws_match_direct_draws(spec, fam, eps, n_grid):
+    # the exact (min, max) draws against n draws per row through the full
+    # estimator, at every n and on both sides
+    trials = 20_000
+    est = mc_tail_rate(fam, spec, 0.0, eps, n_grid=n_grid, trials=trials, seed=5)
+    rng = np.random.default_rng(99)
+    for i, n in enumerate(n_grid):
+        t = estimate_many(spec, fam, _draw(fam, rng, trials * n).reshape(trials, n))
+        for p, hits in ((est.p_plus[i], t > eps), (est.p_minus[i], t < -eps)):
+            q = hits.mean()
+            stderr = math.sqrt((p * (1 - p) + q * (1 - q)) / trials)
+            assert abs(p - q) <= 4.0 * stderr, (n, p, q)
+
+
+@pytest.mark.parametrize("spec", [EstimatorSpec("min_shift"),
+                                  EstimatorSpec("convex_combo", lam=0.5)],
+                         ids=["min_shift", "convex_combo"])
+def test_extreme_draws_do_not_depend_on_chunking(spec, monkeypatch):
+    fam = make_family("beta", (1.5, 1.5))
+    args = (fam, spec, 0.0, 0.1)
+    kw = dict(n_grid=(8, 32), trials=5_000, seed=17)
+    a = mc_tail_rate(*args, **kw)
+    monkeypatch.setattr(rates, "_CHUNK_VALUES", 1_000)
+    b = mc_tail_rate(*args, **kw)
+    assert np.array_equal(a.p_plus, b.p_plus)
+    assert np.array_equal(a.p_minus, b.p_minus)
+
+
+@pytest.mark.parametrize("spec", [EstimatorSpec("min_shift"), EstimatorSpec("max_shift"),
+                                  EstimatorSpec("shifted_min", eps=0.05),
+                                  EstimatorSpec("convex_combo", lam=0.5)],
+                         ids=["min_shift", "max_shift", "shifted_min", "convex_combo"])
+def test_order_stat_mc_needs_no_sampler(spec):
+    # beta(2, 2) as a custom family without a sampler: the same draws and
+    # events as the built-in family
+    custom = make_family("custom", logpdf=lambda u: np.log(6.0 * u * (1.0 - u)),
+                         support=(0.0, 1.0), edge=(2.0, 6.0, 2.0, 6.0), log_concave=True)
+    kw = dict(n_grid=(8, 16, 32), trials=20_000, seed=21)
+    got = mc_tail_rate(custom, spec, 0.0, 0.1, **kw)
+    want = mc_tail_rate(BETA22, spec, 0.0, 0.1, **kw)
+    assert np.array_equal(got.p_plus, want.p_plus)
+    assert np.array_equal(got.p_minus, want.p_minus)
 
 
 def test_mle_chernoff_gaussian():
