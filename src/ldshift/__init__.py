@@ -16,10 +16,10 @@ from .rates import (Alpha2Estimate, HoeffdingRate, HtSimResult,
                     WindowError, alpha2_estimate, chernoff_test_rate,
                     hoeffding_rate, ht_simulate, lr_rate_identity,
                     mc_tail_rate, mle_chernoff_rate, order_stat_rates)
-from .renyi import (DivergenceError, ExtrapolatedLimit, RegimeInfo, RenyiCurve,
+from .renyi import (DivergenceError, RegimeInfo, RenyiCurve,
                     ScalingProfile, classify_regime, closed_form_isg, g_value,
                     kappa_of_g, profile_from_closed_form, profile_from_family,
-                    renyi_curve, renyi_divergence, scaled_limit)
+                    renyi_curve, renyi_divergence)
 from .special import beta_fn, digamma, l8_derivative, log_gamma, solve_t0
 from .verify import LemmaCheck, run_checks
 
@@ -36,10 +36,10 @@ __all__ = [
     "WindowError", "alpha2_estimate", "chernoff_test_rate", "hoeffding_rate",
     "ht_simulate", "lr_rate_identity", "mc_tail_rate", "mle_chernoff_rate",
     "order_stat_rates",
-    "DivergenceError", "ExtrapolatedLimit", "RegimeInfo", "RenyiCurve",
+    "DivergenceError", "RegimeInfo", "RenyiCurve",
     "ScalingProfile", "classify_regime", "closed_form_isg", "g_value",
     "kappa_of_g", "profile_from_closed_form", "profile_from_family",
-    "renyi_curve", "renyi_divergence", "scaled_limit",
+    "renyi_curve", "renyi_divergence",
     "beta_fn", "digamma", "l8_derivative", "log_gamma", "solve_t0",
     "LemmaCheck", "run_checks",
     "__version__",

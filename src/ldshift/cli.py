@@ -42,6 +42,12 @@ def _fmt(v):
     return str(v)
 
 
+def _json_value(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return None if math.isnan(v) else _fmt(v)
+    return v
+
+
 def _write_table(columns, rows, path, fmt):
     if fmt == "csv":
         buf = io.StringIO()
@@ -51,10 +57,9 @@ def _write_table(columns, rows, path, fmt):
             w.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
     else:
-        payload = [dict(zip(columns, [None if (isinstance(v, float) and math.isnan(v))
-                                      else v for v in row])) for row in rows]
-        text = json.dumps(payload, sort_keys=True, indent=2,
-                          default=_fmt) + "\n"
+        # strict JSON: nan is null and an infinity the CSV's "inf"/"-inf"
+        payload = [dict(zip(columns, [_json_value(v) for v in row])) for row in rows]
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:

@@ -174,8 +174,8 @@ def extreme_events(spec, family, f_min, s_max, c_up, c_dn):
     check_family(spec, family)
     a, b = family.support
     kind = spec.kind
-    below_mass = lambda x: fam_mod._tail_mass(family, x)
-    above_mass = lambda x: fam_mod._tail_mass(family, x, upper=True)
+    below_mass = lambda x: fam_mod._mass_within(family, x - a)
+    above_mass = lambda x: fam_mod._mass_within(family, b - x, upper=True)
     if kind == "max_shift":
         return s_max < above_mass(b + c_up), s_max > above_mass(b + c_dn)
     if kind != "convex_combo":

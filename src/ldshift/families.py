@@ -1,11 +1,17 @@
 """Location-shift families f(x - theta): construction with analytic edge
-metadata (kappa_i, A_i), density/score evaluation, seeded sampling, and
-Fisher information.
+metadata (kappa_i, A_i), density/score evaluation, seeded sampling, the
+masses of f, and Fisher information.
 
 Families are standardized (scale 1, left support edge at 0 where finite);
 the shift theta is applied at evaluation time.  Edge metadata describes the
 power behavior f(x) ~ A1 (x-a)^(kappa1-1) near a and A2 (b-x)^(kappa2-1)
 near b, which determines the scaling regime of the divergence asymptotics.
+
+Every mass of f (``cdf``, the tail masses of the order-statistic Monte
+Carlo, the edge strips of the order-statistic rates, a custom family's
+normalisation) is read from one table per family and end, ``_mass_table``,
+built once on the family's quadrature cells; ``_mass_within`` reads it
+forward and ``_quantile`` inverts it.  No kind has a CDF of its own.
 """
 
 import functools
@@ -52,7 +58,6 @@ class DensityFamily:
     log_concave: bool = False
     breakpoints: tuple = ()
     logpdf_fn: Optional[Callable] = field(default=None, repr=False)
-    cdf_fn: Optional[Callable] = field(default=None, repr=False)
     sampler_fn: Optional[Callable] = field(default=None, repr=False)
 
     @property
@@ -79,8 +84,11 @@ def make_family(kind, params=(), **custom):
     kinds: uniform | beta(p, q) | gamma(k) | weibull(k) | gaussian(sigma=1)
     | triangular(c) | custom.  Custom families pass keyword arguments:
     logpdf (vectorized, standardized coordinates), support, edge
-    (kappa1, A1, kappa2, A2), log_concave, and optionally sampler(rng, n)
-    and cdf(u); the stated edge metadata is validated at build time.
+    (kappa1, A1, kappa2, A2), log_concave, and optionally breakpoints and
+    sampler(rng, n); any other keyword is a ValueError.  The stated edge
+    metadata and the total mass are validated at build time.  A family's
+    masses, its CDF included, come from its quadrature (``_mass_table``),
+    whatever its kind.
     """
     params = tuple(float(p) for p in params)
     if kind == "uniform":
@@ -140,7 +148,14 @@ def make_family(kind, params=(), **custom):
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+_CUSTOM_KEYS = frozenset({"logpdf", "support", "edge", "log_concave", "breakpoints",
+                          "sampler"})
+
+
 def _make_custom(custom):
+    unknown = sorted(set(custom) - _CUSTOM_KEYS)
+    if unknown:
+        raise ValueError(f"custom family got unknown argument(s) {', '.join(unknown)}")
     try:
         logpdf = custom["logpdf"]
         support = tuple(float(v) for v in custom["support"])
@@ -152,8 +167,7 @@ def _make_custom(custom):
         kind="custom", params=(), support=support,
         kappa1=k1, A1=a1, kappa2=k2, A2=a2, log_concave=log_concave,
         breakpoints=tuple(custom.get("breakpoints", ())),
-        logpdf_fn=logpdf, cdf_fn=custom.get("cdf"),
-        sampler_fn=custom.get("sampler"),
+        logpdf_fn=logpdf, sampler_fn=custom.get("sampler"),
     )
     _validate_custom(fam)
     return fam
@@ -177,15 +191,9 @@ def _validate_custom(fam):
                 f"custom edge metadata mismatch on {side} edge: "
                 f"f/(A d^(kappa-1)) = {ratio:.4f} at distance {dist:g}"
             )
-    total = _mass(fam, *_trimmed_support(fam))
+    total = _mass_table(fam, False).mass[-1]
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"custom density integrates to {total:.8f}, not 1")
-
-
-def _mass(fam, lo, hi):
-    """Quadrature mass of f over [lo, hi] inside its trimmed support."""
-    nodes = panel_nodes(lo, hi, fam.breakpoints, _edge_depths(fam))
-    return float(np.sum(np.exp(_logpdf3(fam, *_at_nodes(fam, 0.0, nodes))) * nodes.w))
 
 
 def _at_nodes(fam, theta, nodes):
@@ -376,51 +384,18 @@ def score(family, theta, x):
 
 
 def cdf(family, u):
-    """Standardized CDF F(u) of the unshifted density.
-
-    The beta, gamma and gaussian branches take the regularized incomplete
-    beta and gamma integrals and the normal CDF from scipy, imported on
-    their first call.  This public function is the only scipy user in
-    ldshift: the package's own integrals of f (order-statistic strip masses,
-    the CDF of a custom family without one) are its quadrature, ``_mass``.
+    """Standardized CDF F(u) of the unshifted density, one rule for every
+    kind: the mass within u - lo of the lower end of the trimmed support
+    [lo, hi] where that is at most 1/2, else 1 minus the mass within hi - u
+    of the upper end, both read from the family's mass table
+    (``_mass_within``), so F and 1 - F keep their relative precision in both
+    tails.  F is 0 below lo and 1 above hi (an infinite tail is trimmed
+    where f falls below 1e-16 of its peak).
     """
     u = np.asarray(u, dtype=float)
-    a, b = family.support
-    kind = family.kind
-    if kind == "uniform":
-        out = np.clip(u, 0.0, 1.0)
-    elif kind == "beta":
-        from scipy.special import betainc
-
-        p, q = family.params
-        out = betainc(p, q, np.clip(u, 0.0, 1.0))
-    elif kind == "gamma":
-        from scipy.special import gammainc
-
-        k, = family.params
-        out = gammainc(k, np.maximum(u, 0.0))
-    elif kind == "weibull":
-        k, = family.params
-        out = -np.expm1(-np.maximum(u, 0.0) ** k)
-    elif kind == "gaussian":
-        from scipy.special import ndtr
-
-        s, = family.params
-        out = ndtr(u / s)
-    elif kind == "triangular":
-        c, = family.params
-        uc = np.clip(u, 0.0, 1.0)
-        out = np.where(uc <= c, uc ** 2 / c, 1.0 - (1.0 - uc) ** 2 / (1.0 - c))
-    elif kind == "custom":
-        if family.cdf_fn is not None:
-            out = np.asarray(family.cdf_fn(u), dtype=float)
-        else:
-            lo, hi = _trimmed_support(family)
-            out = np.array([0.0 if v <= lo else 1.0 if v >= hi else _mass(family, lo, v)
-                            for v in np.atleast_1d(u).tolist()]).reshape(np.shape(u))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family kind {kind!r}")
-    out = np.asarray(out, dtype=float)
+    lo, hi = _trimmed_support(family)
+    below = _mass_within(family, u - lo)
+    out = np.where(below <= 0.5, below, 1.0 - _mass_within(family, hi - u, upper=True))
     return float(out) if out.ndim == 0 else out
 
 
@@ -462,17 +437,6 @@ def _draw(family, rng, n):
             raise ValueError("custom family has no sampler")
         return np.asarray(family.sampler_fn(rng, n), dtype=float)
     raise ValueError(f"unknown family kind {kind!r}")  # pragma: no cover
-
-
-def _tail_mass(fam, x, upper=False):
-    """Mass of f below x (above x when ``upper``) inside its trimmed support,
-    by the family's quadrature."""
-    lo, hi = _trimmed_support(fam)
-    if upper:
-        lo = max(lo, x)
-    else:
-        hi = min(hi, x)
-    return _mass(fam, lo, hi) if hi > lo else 0.0
 
 
 def _from_end(fam, t, upper):
@@ -519,12 +483,12 @@ class _MassTable:
 @functools.lru_cache(maxsize=64)
 def _mass_table(fam, upper):
     """The mass table counted from the lower (upper) end: cell masses from
-    the nodes of ``_mass``, summed from that end (the mass above is never
-    1 - the mass below), and the mass from a cell's near edge to each of its
-    nodes by ``_gauss_mass``.  In the innermost cell of a power edge, where
-    the Gauss rule does not resolve d^(kappa - 1), both are the edge's power
-    law, exact to O(t[inner]) relative.  Built on first use and kept per
-    family."""
+    the family's quadrature nodes, summed from that end (the mass above is
+    never 1 - the mass below), and the mass from a cell's near edge to each
+    of its nodes by ``_gauss_mass``.  In the innermost cell of a power edge,
+    where the Gauss rule does not resolve d^(kappa - 1), both are the edge's
+    power law, exact to O(t[inner]) relative.  Built on first use and kept
+    per family."""
     lo, hi = _trimmed_support(fam)
     nodes = panel_nodes(lo, hi, fam.breakpoints, _edge_depths(fam))
     edge_dl, edge_dr = panel_edges(lo, hi, fam.breakpoints, _edge_depths(fam))
@@ -536,7 +500,9 @@ def _mass_table(fam, upper):
         cell_mass = cell_mass[::-1]
     else:
         edges, t_nodes = edge_dl, nodes.dl.reshape(cells, -1)
-    part = _gauss_mass(fam, upper, edges[:-1, None], t_nodes)
+    # one node column at a time: a (cells, nodes, nodes) array of density
+    # evaluations would set the peak memory of a whole command
+    part = np.stack([_gauss_mass(fam, upper, edges[:-1], col) for col in t_nodes.T], axis=1)
     kappa, amp = _power_edge(fam, upper) or (math.nan, math.nan)
     if math.isfinite(kappa):
         cell_mass[0] = amp / kappa * edges[1] ** kappa
@@ -551,6 +517,24 @@ def _mass_table(fam, upper):
 def _bracket_index(tab, p):
     """Index i per mass p with tab.mass[i - 1] < p <= tab.mass[i]."""
     return np.clip(np.searchsorted(tab.mass, p), 1, tab.t.size - 1)
+
+
+def _mass_within(fam, t, upper=False):
+    """Mass of f within distance t of the lower (upper) end of its trimmed
+    support, elementwise: 0 for t <= 0, the whole mass beyond the other end.
+    t is bracketed by ``searchsorted`` between consecutive points of the mass
+    table and the Gauss integral of f from the lower bracket point is added;
+    in the innermost cell of a power edge the table's power law is used, as
+    ``_solve_from_end`` does.  Exact to ulps of the mass on the half of the
+    support nearer that end; past it, near a singular far edge, the distance
+    to that edge is only known to ulps of t (``cdf`` switches ends at 1/2)."""
+    tab = _mass_table(fam, upper)
+    t = np.clip(np.asarray(t, dtype=float), 0.0, tab.t[-1])
+    i = np.clip(np.searchsorted(tab.t, t, side="right"), 1, tab.t.size - 1)
+    mass = tab.mass[i - 1] + _gauss_mass(fam, upper, tab.t[i - 1], t)
+    if math.isfinite(tab.kappa):
+        mass = np.where(i <= tab.inner, tab.amp / tab.kappa * t ** tab.kappa, mass)
+    return mass
 
 
 def _bracket(fam, p, upper=False):

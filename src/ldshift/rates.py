@@ -22,8 +22,10 @@ counts are those of the full estimates.  The tail regression fits
 (the log n nuisance absorbs the sqrt(n) prefactor of mean-type statistics,
 which otherwise biases the slope well beyond the target tolerances).
 
-The analytic rates integrate on the package's own quadrature (the overlap
-nodes of a shifted pair, the family's mass over an edge strip), never scipy.
+The analytic rates integrate on the package's own quadrature, never scipy:
+the overlap nodes of a shifted pair, and for an edge strip the family's
+mass table, from which every mass of f in the package is read (as are the
+Monte Carlo's tail masses).
 """
 
 import math
@@ -281,18 +283,20 @@ def mle_chernoff_rate(family, eps, side):
 def order_stat_rates(family, eps, lam=None):
     """Closed-form half-side rates of min(x)-a, max(x)-b, and their convex
     combination on a bounded support: -log1p(-m), m the mass of the edge strip
-    cut off, by the family's own quadrature (exact to ulps even for tiny m)."""
+    cut off, read from the family's mass table (``families._mass_within``,
+    exact to ulps even for tiny m)."""
     a, b = family.support
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("order-statistic rates need a bounded support")
     width = b - a
     if not 0.0 < eps < width:
         raise WindowError(f"eps={eps} outside (0, {width})")
-    strip = lambda lo, hi: -math.log1p(-fam_mod._mass(family, lo, hi))
+    # the strip [lo, hi] at an edge: its width t = hi - lo from that end
+    strip = lambda t, upper: -math.log1p(-float(fam_mod._mass_within(family, t, upper)))
     # min(x) - a overshoots by eps only when every draw sits above a + eps;
     # max(x) - b undershoots only when every draw sits below b - eps
-    min_plus = strip(a, a + eps)
-    max_minus = strip(b - eps, b)
+    min_plus = strip((a + eps) - a, False)
+    max_minus = strip(b - (b - eps), True)
     combo_plus = combo_minus = None
     if lam is not None:
         if not 0.0 < lam < 1.0:
@@ -300,8 +304,8 @@ def order_stat_rates(family, eps, lam=None):
         if eps / (1.0 - lam) >= width or eps / lam >= width:
             raise WindowError(
                 f"combo window exceeds support: eps={eps}, lambda={lam}, width={width}")
-        combo_plus = strip(a, a + eps / lam)
-        combo_minus = strip(b - eps / (1.0 - lam), b)
+        combo_plus = strip((a + eps / lam) - a, False)
+        combo_minus = strip(b - (b - eps / (1.0 - lam)), True)
     return OrderStatRates(
         eps=float(eps), min_shift_plus=min_plus, min_shift_minus=math.inf,
         max_shift_plus=math.inf, max_shift_minus=max_minus,

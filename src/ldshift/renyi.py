@@ -24,13 +24,11 @@ __all__ = [
     "DivergenceError",
     "RenyiCurve",
     "ScalingProfile",
-    "ExtrapolatedLimit",
     "RegimeInfo",
     "g_value",
     "kappa_of_g",
     "renyi_divergence",
     "renyi_curve",
-    "scaled_limit",
     "closed_form_isg",
     "classify_regime",
     "profile_from_family",
@@ -62,13 +60,6 @@ class RenyiCurve:
 
     s_grid: np.ndarray
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ExtrapolatedLimit:
-    value: float
-    uncertainty: float
-    rung_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -338,19 +329,6 @@ def _rungs(family, theta, eps_ladder, g_tag):
         pairs.append(pair)
         gvals.append(g_value(g_tag, eps))
     return pairs, gvals
-
-
-def scaled_limit(family, theta, s, g_tag, eps_ladder=None):
-    """Extrapolated limit of I^s(f_{theta-eps/2}||f_{theta+eps/2}) / g(eps).
-
-    The ladder must be strictly decreasing with at least four rungs.
-    """
-    eps_ladder = _ladder(eps_ladder, g_tag, family)
-    pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
-    rungs = np.array([_renyi_from_nodes(p, s) / g for p, g in zip(pairs, gvals)])
-    value, unc = _extrapolate(rungs, eps_ladder, g_tag)
-    return ExtrapolatedLimit(value=float(value[0]), uncertainty=float(unc[0]),
-                             rung_values=rungs[:, 0])
 
 
 # ---------------------------------------------------------------------------

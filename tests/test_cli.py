@@ -10,7 +10,7 @@ import pytest
 
 from ldshift import cli
 from ldshift.cli import main
-from ldshift.families import _mass, make_family
+from ldshift.families import _mass_within, make_family
 from ldshift.renyi import classify_regime, default_ladder, g_value, renyi_curve
 from ldshift.verify import LemmaCheck
 
@@ -197,12 +197,33 @@ def test_rates_without_tail_events_is_a_nan_row(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code, text = _run(["rates", "--config", str(path), "--format", "json"], capsys)
     assert code == 0
-    (row,) = json.loads(text)
+    (row,) = _strict_json(text)
     for col in ("beta_plus_mc", "beta_minus_mc", "beta_mc", "slope_stderr",
                 "alpha2_estimate", "bound_respected"):
         assert row[col] is None, col
     fam = make_family("beta", (0.5, 3))
-    assert row["beta_plus_analytic"] == -math.log1p(-_mass(fam, 0.0, 0.4))
-    assert row["beta_minus_analytic"] == math.inf
+    assert row["beta_plus_analytic"] == -math.log1p(-float(_mass_within(fam, 0.4)))
+    assert row["beta_minus_analytic"] == "inf"
     assert row["alpha1_bar"] == pytest.approx(2.6516504294495533, rel=1e-12)
     assert row["alpha2_bar"] == pytest.approx(1.875, rel=1e-12)
+
+
+def _strict_json(text):
+    """json.loads that rejects the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_rates_json_is_strict(tmp_path, capsys):
+    # min_shift's minus side has an infinite analytic rate on every row
+    cfg = {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [0.5, 3]},
+           "estimators": [{"kind": "min_shift"}], "trials": 500,
+           "n_grid": [2, 4, 8], "eps_ladder": [0.2, 0.1, 0.05, 0.025]}
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(cfg))
+    code, text = _run(["rates", "--config", str(path), "--format", "json"], capsys)
+    assert code == 0
+    (row,) = _strict_json(text)
+    assert row["beta_minus_analytic"] == "inf"
+    assert math.isfinite(row["beta_plus_analytic"])

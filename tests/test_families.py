@@ -8,8 +8,8 @@ import pytest
 from scipy import stats
 from scipy.special import betaincinv, gammainc, gammaln
 
-from ldshift.families import (_quantile, cdf, fisher_information, log_density,
-                              make_family, sample, score)
+from ldshift.families import (_mass_table, _mass_within, _quantile, _trimmed_support, cdf,
+                              fisher_information, log_density, make_family, sample, score)
 from ldshift.quadrature import integrate
 
 ALL_BUILTINS = [
@@ -83,8 +83,8 @@ def test_shift_covariance():
 def test_normalization():
     for kind, params in ALL_BUILTINS:
         f = _fam(kind, params)
-        from ldshift.families import _mass, _trimmed_support
-        assert abs(_mass(f, *_trimmed_support(f)) - 1.0) < 1e-8, (kind, params)
+        for upper in (False, True):
+            assert abs(_mass_table(f, upper).mass[-1] - 1.0) < 1e-8, (kind, params, upper)
 
 
 def test_edge_ratio():
@@ -194,7 +194,6 @@ def test_custom_family_roundtrip():
         edge=(k, k, 1.0, k),
         log_concave=False,
         sampler=lambda rng, n: rng.uniform(0.0, 1.0, n) ** (1.0 / k),
-        cdf=lambda u: np.clip(u, 0.0, 1.0) ** k,
     )
     assert fam.kappa1 == k and fam.A1 == k
     vals = sample(fam, 0.0, 50_000, seed=77).values
@@ -215,6 +214,17 @@ def test_custom_cdf_by_quadrature():
                        support=(0.0, 1.0), edge=(k, k, 1.0, k), log_concave=False)
     for u in (0.01, 0.3, 0.999):
         assert cdf(root, u) == pytest.approx(u ** k, abs=1e-14)
+
+
+def test_custom_family_unknown_argument():
+    # a misspelt or retired keyword is named, not silently dropped
+    k = 0.5
+    args = dict(logpdf=lambda u: math.log(k) + (k - 1.0) * np.log(u), support=(0.0, 1.0),
+                edge=(k, k, 1.0, k), log_concave=False)
+    with pytest.raises(ValueError, match="cdf"):
+        make_family("custom", cdf=lambda u: np.clip(u, 0.0, 1.0) ** k, **args)
+    with pytest.raises(ValueError, match="samplr"):
+        make_family("custom", samplr=lambda rng, n: rng.uniform(0.0, 1.0, n), **args)
 
 
 def test_custom_family_bad_metadata():
@@ -280,8 +290,8 @@ def test_quantile_closed_forms():
 
 def test_quantile_power_law_in_innermost_cell():
     # masses this small lie in the innermost cell of every edge here, where
-    # the power law A d^kappa / kappa is inverted: relative error O(d), d
-    # below 2^-31
+    # the power law A d^kappa / kappa is inverted (and read forward by
+    # _mass_within): relative error O(d), d below 2^-31
     masses = np.array([1e-40, 1e-30])
     for p, q in [(0.5, 3.0), (1.5, 1.5), (2.0, 3.0)]:
         fam = make_family("beta", (p, q))
@@ -289,3 +299,64 @@ def test_quantile_power_law_in_innermost_cell():
                            rtol=1e-9, atol=0.0)
         assert np.allclose(_quantile(fam, masses, upper=True)[2], betaincinv(q, p, masses),
                            rtol=1e-9, atol=0.0)
+        assert np.allclose(_mass_within(fam, betaincinv(p, q, masses)), masses,
+                           rtol=1e-9, atol=0.0)
+        assert np.allclose(_mass_within(fam, betaincinv(q, p, masses), upper=True), masses,
+                           rtol=1e-9, atol=0.0)
+
+
+# the 11 families of the benchmark's configs
+BENCH_FAMILIES = [
+    ("uniform", ()), ("beta", (0.3, 0.3)), ("beta", (0.5, 3.0)), ("beta", (1.5, 1.5)),
+    ("beta", (2.0, 3.0)), ("gamma", (1.5,)), ("gamma", (2.0,)), ("gamma", (3.0,)),
+    ("gaussian", (1.0,)), ("triangular", (0.3,)), ("weibull", (2.0,)),
+]
+
+
+def _scipy_law(kind, params):
+    if kind == "uniform":
+        return stats.uniform()
+    if kind == "triangular":
+        return stats.triang(*params)
+    if kind == "gaussian":
+        return stats.norm(0.0, *params)
+    return {"beta": stats.beta, "gamma": stats.gamma, "weibull": stats.weibull_min}[kind](*params)
+
+
+def _mirror_law(kind, params):
+    """scipy's law of the distance from the upper edge of a bounded family."""
+    if kind == "beta":
+        return stats.beta(params[1], params[0])
+    if kind == "triangular":
+        return stats.triang(1.0 - params[0])
+    return stats.uniform()
+
+
+@pytest.mark.parametrize("kind,params", BENCH_FAMILIES)
+def test_masses_match_scipy(kind, params):
+    fam = make_family(kind, params)
+    law = _scipy_law(kind, params)
+    lo, hi = _trimmed_support(fam)
+    # the body of the law, then points geometrically close to its edges (or
+    # deep in the gaussian tails)
+    a, b = (-9.0, 9.0) if kind == "gaussian" else (0.0, min(hi, 40.0))
+    near = np.geomspace(1e-12, 0.1, 400)
+    u = np.concatenate([np.linspace(a, b, 4001), a + near, b - near])
+    F, want = cdf(fam, u), law.cdf(u)
+    assert np.max(np.abs(F - want)) <= 5e-15
+    big = want >= 1e-12
+    assert np.max(np.abs(F[big] - want[big]) / want[big]) <= 1e-13
+    # the mass within t of the upper end (a function of t) where it is the
+    # nearer end's mass, the half of the support on which cdf reads it: on a
+    # bounded edge against the law of the distance from that edge, under a
+    # trimmed tail against the mass of [hi - t, hi], S(hi - t) - S(hi) (the
+    # table holds the trimmed support; the S(hi) beyond it is 1.7e-18 on
+    # gamma(3))
+    t = np.concatenate([hi - u, near])
+    if math.isfinite(fam.b):
+        S = _mirror_law(kind, params).cdf(t)
+    else:
+        S = law.sf(hi - t) - law.sf(hi)
+    got = _mass_within(fam, t, upper=True)
+    keep = (S >= 1e-6) & (S <= 0.5)
+    assert np.max(np.abs(got[keep] - S[keep]) / S[keep]) <= 1e-13

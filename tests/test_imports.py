@@ -1,6 +1,6 @@
-"""Import footprint: `import ldshift` and the `bounds`, `renyi-curve`, `rates`
-and `verify` commands run without scipy; only `cdf` on a beta, gamma or
-gaussian family loads it."""
+"""Import footprint: `import ldshift`, the `bounds`, `renyi-curve`, `rates`
+and `verify` commands and `cdf` never load scipy, and all of them run where
+scipy cannot be imported (scipy is a test dependency only)."""
 
 import json
 import os
@@ -28,7 +28,7 @@ for argv in runs:
     assert code == 0, (argv, code)
     assert "scipy" not in sys.modules, f"{argv} loaded scipy"
 ldshift.cdf(ldshift.make_family("beta", (2, 3)), 0.5)
-assert "scipy.special" in sys.modules, "cdf on a beta family did not load scipy"
+assert "scipy" not in sys.modules, "cdf on a beta family loaded scipy"
 print("ok", len(runs))
 """
 
@@ -46,6 +46,38 @@ for argv in runs:
     assert code == 0, (argv, code)
     assert "scipy.special" not in sys.modules, f"{argv} loaded scipy.special"
 print("ok", len(runs))
+"""
+
+# every import of scipy raises: the commands and `cdf` on every built-in
+# kind and on a custom family must run all the same
+BLOCKED_SCRIPT = r"""
+import sys
+sys.modules["scipy"] = None
+
+import contextlib, glob, io
+
+import numpy as np
+
+import ldshift
+import ldshift.cli
+
+runs = [["bounds", "--config", c]
+        for c in sorted(glob.glob("perfbench/configs/cli/bounds-*.json"))]
+runs += [["renyi-curve", "--config", "perfbench/configs/cli/renyi-curve-gamma-2.json"],
+         ["rates", "--config", sys.argv[1]], ["verify", "--level", "quick"]]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ldshift.cli.main(argv)
+    assert code == 0, (argv, code)
+fams = [ldshift.make_family(k, p) for k, p in [
+    ("uniform", ()), ("beta", (2, 3)), ("gamma", (3,)), ("weibull", (2,)),
+    ("gaussian", ()), ("triangular", (0.3,))]]
+fams.append(ldshift.make_family("custom", logpdf=lambda u: np.log(2.0 * u), support=(0, 1),
+                                edge=(2, 2, 1, 2), log_concave=True))
+for fam in fams:
+    F = ldshift.cdf(fam, np.linspace(-20.0, 80.0, 41))
+    assert F[0] == 0.0 and F[-1] == 1.0 and np.all(np.diff(F) >= 0), (fam.kind, F)
+print("ok", len(runs), len(fams))
 """
 
 RATES_CFG = {
@@ -75,3 +107,9 @@ def test_rates_and_verify_do_not_load_scipy(tmp_path):
     path = tmp_path / "rates.json"
     path.write_text(json.dumps(RATES_CFG))
     assert _run_fresh(RATES_VERIFY_SCRIPT, str(path)) == ["ok", "2"]
+
+
+def test_commands_and_cdf_run_with_scipy_blocked(tmp_path):
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(RATES_CFG))
+    assert _run_fresh(BLOCKED_SCRIPT, str(path)) == ["ok", "15", "7"]

@@ -14,8 +14,7 @@ from ldshift.families import make_family
 from ldshift.quadrature import integrate, panel_nodes
 from ldshift.renyi import (DivergenceError, classify_regime, closed_form_isg,
                            g_value, kappa_of_g, profile_from_closed_form,
-                           profile_from_family, renyi_curve, renyi_divergence,
-                           scaled_limit)
+                           profile_from_family, renyi_curve, renyi_divergence)
 from ldshift.special import beta_fn
 
 S_GRID = np.linspace(0.05, 0.95, 19)
@@ -154,37 +153,39 @@ def test_g_value():
     assert g_value(("power", 0.5), 0.04) == pytest.approx(0.2)
 
 
+def _limit(family, s, g_tag, eps_ladder=None):
+    """The profile of one order s: its extrapolated limit, error and rungs."""
+    return profile_from_family(family, 0.0, g_tag, s_grid=[s], eps_ladder=eps_ladder)
+
+
 def test_scaled_limit_uniform():
     u = make_family("uniform")
     for s in (0.2, 0.3, 0.5, 0.8):
-        lim = scaled_limit(u, 0.0, s, "abs")
-        assert abs(lim.value - 1.0) < 0.005
+        assert abs(_limit(u, s, "abs").isg[0] - 1.0) < 0.005
 
 
 def test_scaled_limit_gaussian():
     g = make_family("gaussian")
-    lim = scaled_limit(g, 0.0, 0.5, "square")
-    assert abs(lim.value - 0.125) < 1e-9
+    assert abs(_limit(g, 0.5, "square").isg[0] - 0.125) < 1e-9
 
 
 def test_scaled_limit_beta22_sqlog():
     b = make_family("beta", (2, 2))
-    lim = scaled_limit(b, 0.0, 0.5, "sq_log")
-    assert abs(lim.value - 1.5) < 0.015     # (A1+A2) s(1-s)/2 = 1.5
+    assert abs(_limit(b, 0.5, "sq_log").isg[0] - 1.5) < 0.015   # (A1+A2) s(1-s)/2 = 1.5
 
 
 def test_scaled_limit_divergence_error():
     u = make_family("uniform")
     with pytest.raises(DivergenceError):
-        scaled_limit(u, 0.0, 0.5, "square")  # wrong scaling: ratios grow
+        _limit(u, 0.5, "square")  # wrong scaling: ratios grow
 
 
 def test_scaled_limit_ladder_validation():
     u = make_family("uniform")
     with pytest.raises(ValueError):
-        scaled_limit(u, 0.0, 0.5, "abs", eps_ladder=(0.2, 0.1, 0.05))
+        _limit(u, 0.5, "abs", eps_ladder=(0.2, 0.1, 0.05))
     with pytest.raises(ValueError):
-        scaled_limit(u, 0.0, 0.5, "abs", eps_ladder=(0.05, 0.1, 0.2, 0.4))
+        _limit(u, 0.5, "abs", eps_ladder=(0.05, 0.1, 0.2, 0.4))
 
 
 def test_closed_form_isg_examples():
@@ -257,11 +258,11 @@ def test_regime_agreement():
     for fam, _ in cases:
         info = classify_regime(fam)
         for s in (0.2, 0.5, 0.8):
-            lim = scaled_limit(fam, 0.0, s, info.g_tag)
+            lim = _limit(fam, s, info.g_tag)
             want = closed_form_isg(info.regime, info.A1, info.A2, info.kappa,
                                    s, fisher=info.fisher)
-            tol = max(0.01, lim.uncertainty / max(want, 1e-12))
-            assert abs(lim.value - want) <= tol * want, (fam.kind, s)
+            tol = max(0.01, lim.isg_unc[0] / max(want, 1e-12))
+            assert abs(lim.isg[0] - want) <= tol * want, (fam.kind, s)
 
 
 def _aitken_scalar(r):
@@ -333,7 +334,8 @@ def test_profile_sources():
     lad = profile_from_family(make_family("uniform"))
     assert lad.source == "ladder"
     assert lad.eps_ladder is not None
-    rung0 = scaled_limit(make_family("uniform"), 0.0, 0.5, lad.g_tag).rung_values[0]
+    one = _limit(make_family("uniform"), 0.5, lad.g_tag)
+    rung0 = one.rung_renyi[0, 0] / g_value(lad.g_tag, one.eps_ladder[0])
     assert abs(rung0 - (-math.log(0.8) / 0.2)) < 1e-10
 
 
