@@ -5,7 +5,9 @@ coincidence analysis, and the closed-form values per edge regime.
 
 One golden-section maximizer, ``_argmax``, behind one scan-and-refine
 optimizer, ``_optimize``, serves both bounds here and the testing exponents
-in ``rates``; a minimum is found by negating the objective.
+in ``rates``; a minimum is found by negating the objective.  Objectives map
+a float s to a float and an array of s to an array: the scan is one call on
+the whole scan array, and the golden refine calls the objective on floats.
 """
 
 import math
@@ -85,17 +87,17 @@ def _argmax(fn, lo, hi):
 
 
 def _optimize(fn, scan, maximize):
-    """Scan fn over the sorted points ``scan``, refine around the best point
-    by golden section, and keep the scan point if it is still better.
-    Returns (value, s) with s unclamped."""
+    """Scan fn over the sorted points ``scan`` in one call on the array,
+    refine around the best point by golden section on floats, and keep the
+    scan point if it is still better.  Returns (value, s) with s unclamped."""
     sign = 1.0 if maximize else -1.0
-    vals = np.array([sign * fn(s) for s in scan])
+    vals = sign * np.asarray(fn(scan), dtype=float)
     if np.ptp(vals) <= 1e-12 * np.max(np.abs(vals)):
         # constant objective: deterministic tie rule
         return float(sign * vals[len(vals) // 2]), 0.5
     i = int(np.argmax(vals))
-    lo = scan[max(i - 1, 0)]
-    hi = scan[min(i + 1, len(scan) - 1)]
+    lo = float(scan[max(i - 1, 0)])
+    hi = float(scan[min(i + 1, len(scan) - 1)])
     v, s = _argmax(lambda x: sign * fn(x), lo, hi)
     if vals[i] > v:
         v, s = vals[i], scan[i]
@@ -137,7 +139,10 @@ def alpha1_bar(profile: ScalingProfile):
 
 
 def _power_mean_factor(s, kappa):
-    # (s^(1/(k-1)) + (1-s)^(1/(k-1)))^(k-1), stable for all kappa != 1
+    # (s^(1/(k-1)) + (1-s)^(1/(k-1)))^(k-1), stable for all kappa != 1;
+    # elementwise on an array, through the same math body
+    if isinstance(s, np.ndarray):
+        return np.array([_power_mean_factor(float(x), kappa) for x in s])
     e = 1.0 / (kappa - 1.0)
     ls, l1s = math.log(s), math.log1p(-s)
     m = max(e * ls, e * l1s)

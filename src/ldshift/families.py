@@ -526,8 +526,10 @@ def _mass_within(fam, t, upper=False):
     table and the Gauss integral of f from the lower bracket point is added;
     in the innermost cell of a power edge the table's power law is used, as
     ``_solve_from_end`` does.  Exact to ulps of the mass on the half of the
-    support nearer that end; past it, near a singular far edge, the distance
-    to that edge is only known to ulps of t (``cdf`` switches ends at 1/2)."""
+    support nearer that end, and only there: past it, near a singular far
+    edge, the distance to that edge is only known to ulps of t, which leaves
+    the upper-end mass of beta(0.3, 0.3) 6.5e-10 relative off at
+    t = 1 - 1.16e-12.  ``cdf`` switches ends at 1/2 for that reason."""
     tab = _mass_table(fam, upper)
     t = np.clip(np.asarray(t, dtype=float), 0.0, tab.t[-1])
     i = np.clip(np.searchsorted(tab.t, t, side="right"), 1, tab.t.size - 1)

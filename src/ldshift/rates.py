@@ -341,7 +341,8 @@ def hoeffding_rate(p_point, q_point, r):
                              clamped=False)
 
     def objective(s):
-        return (-s * r + _renyi_from_nodes(pair, s)[0]) / (1.0 - s)
+        v = (-s * r + _renyi_from_nodes(pair, s)) / (1.0 - s)
+        return v if np.ndim(s) else float(v[0])
 
     # scan catches suprema in the interior; the s -> 1 probe the boundary case
     grid = np.concatenate([np.linspace(0.01, 0.99, 50), [1.0 - 1e-6]])

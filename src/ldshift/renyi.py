@@ -338,6 +338,8 @@ _beta_ufunc = np.frompyfunc(_beta, 2, 1)
 
 
 def _betafn_vec(x, y):
+    if isinstance(x, float) and isinstance(y, float):
+        return _beta(x, y)
     return np.asarray(_beta_ufunc(x, y), dtype=float)
 
 
@@ -346,10 +348,17 @@ def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
 
     Regimes: regular / semi_regular (needs ``fisher``), kappa_one,
     kappa_two, power_mid (1 < kappa < 2), power_low (0 < kappa < 1).
-    Values extend continuously to s in {0, 1}.
+    Values extend continuously to s in {0, 1}.  A float s gives a float,
+    computed in Python floats with ``special._beta``; an array gives an
+    array of the same values.
     """
-    s = np.asarray(s, dtype=float)
-    if (s < 0).any() or (s > 1).any():
+    if isinstance(s, float):
+        s = float(s)
+        outside = s < 0 or s > 1  # nan passes, and comes out as nan
+    else:
+        s = np.asarray(s, dtype=float)
+        outside = (s < 0).any() or (s > 1).any()
+    if outside:
         raise ValueError("s must lie in [0, 1]")
     k = float(kappa)
     if regime in ("regular", "semi_regular"):
@@ -379,6 +388,8 @@ def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
                            + A2 * (1.0 - s) * _betafn_vec(1.0 - s + k * s, 1.0 - k)) / k
     else:
         raise ValueError(f"unknown regime {regime!r}; expected one of {_REGIMES}")
+    if isinstance(s, float):
+        return float(out)
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
 

@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from ldshift import rates
 from ldshift.bounds import (BoundPair, _optimize, alpha1_bar, alpha2_bar, bound_pair,
                             closed_form_bounds, coincidence)
 from ldshift.families import fisher_information, make_family
-from ldshift.renyi import classify_regime, profile_from_closed_form, profile_from_family
+from ldshift.renyi import (classify_regime, closed_form_isg, profile_from_closed_form,
+                           profile_from_family)
 from ldshift.special import beta_fn, solve_t0
 
 EQ_385_K15 = 2.47209956973516     # symmetric mid-regime value at kappa=1.5, A=1 (mpmath)
@@ -242,3 +244,60 @@ def test_profile_grid_requirement():
                                     s_grid=np.linspace(0.1, 0.9, 9))
     with pytest.raises(ValueError):
         alpha1_bar(prof)
+
+
+# the array contract: an objective maps an array of s to the array of its
+# float values, bit for bit, so one scan call equals a loop of float calls
+S_ARRAY = np.concatenate([[0.0, 1e-9, 1e-4], np.linspace(0.013, 0.987, 23),
+                          [1.0 - 1e-4, 1.0]])
+
+
+def test_optimize_scans_in_one_array_call():
+    calls = []
+
+    def fn(s):
+        calls.append(s)
+        return s * (1.0 - s) * (1.3 - s)
+
+    scan = np.linspace(0.05, 0.95, 19)
+    v, s = _optimize(fn, scan, maximize=True)
+    assert isinstance(calls[0], np.ndarray) and np.array_equal(calls[0], scan)
+    assert all(type(x) is float for x in calls[1:])
+    assert s == pytest.approx((4.6 - math.sqrt(4.6 ** 2 - 15.6)) / 6.0, abs=1e-7)  # f'(s) = 0
+
+
+@pytest.mark.parametrize("regime,kappa,fisher", [
+    ("regular", 2.0, 1.7), ("kappa_one", 1.0, None), ("kappa_two", 2.0, None),
+    ("power_mid", 1.37, None), ("power_low", 0.42, None)])
+@pytest.mark.parametrize("A1,A2", [(1.3, 0.0), (0.0, 0.8), (1.3, 0.8)])
+def test_closed_form_isg_array_equals_float_loop(regime, kappa, fisher, A1, A2):
+    got = closed_form_isg(regime, A1, A2, kappa, S_ARRAY, fisher=fisher)
+    loop = [closed_form_isg(regime, A1, A2, kappa, float(s), fisher=fisher) for s in S_ARRAY]
+    assert all(type(v) is float for v in loop)
+    assert got.dtype == float and got.tolist() == loop
+
+
+def test_ladder_isg_fn_array_equals_float_loop():
+    fam = make_family("uniform")
+    s = np.linspace(0.031, 0.969, 11)  # off the default grid: fresh sweeps
+    by_array = profile_from_family(fam).isg_fn(s)
+    prof = profile_from_family(fam)
+    loop = [prof.isg_fn(float(x)) for x in s]
+    assert all(type(v) is float for v in loop)
+    assert by_array.tolist() == loop
+
+
+def test_hoeffding_objective_array_equals_float_loop(monkeypatch):
+    seen = []
+
+    def spy(fn, scan, maximize):
+        seen.append((fn, scan))
+        return _optimize(fn, scan, maximize)
+
+    monkeypatch.setattr(rates, "_optimize", spy)
+    fam = make_family("gamma", (3,))
+    rates.hoeffding_rate((fam, 0.0), (fam, 0.3), 0.01)
+    (fn, scan), = seen
+    loop = [fn(float(s)) for s in scan]
+    assert all(type(v) is float for v in loop)
+    assert fn(scan).tolist() == loop

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,8 @@ def test_quick_lemma_suite_passes(capsys):
     code, text = _run(["verify", "--level", "quick"], capsys)
     assert code == 0, text
     assert _run(["verify", "--level", "quick"], capsys) == (0, text)  # byte-identical
+    # and identical to a recorded run, so a moved slack shows
+    assert text == (Path(__file__).parent / "data" / "verify_quick.txt").read_text()
 
 
 def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
