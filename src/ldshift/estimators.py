@@ -8,6 +8,10 @@ the scalar ``estimate`` is the single-batch view of the same code path, and
 estimate falls on, by one sign test of the estimating function where it can.
 The order-statistic estimators read a sample only through its extremes:
 ``extreme_events`` decides their sides from the masses beyond the extremes.
+The gaussian MLE reads it only through its mean, which the Monte Carlo
+draws from its exact law (``rates.mc_tail_rate``).  The other estimators,
+the MLE on any other family and the LR estimator on every family (the
+gaussian one included), read all n values of a sample.
 """
 
 import math

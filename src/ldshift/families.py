@@ -198,11 +198,12 @@ def _validate_custom(fam):
 
 def _at_nodes(fam, theta, nodes):
     """(u, dl, dr) of f(x - theta) at quadrature nodes: distances to the
-    shifted edges, exact where an edge bounds the nodes; inf if unbounded."""
+    shifted edges, exact where an edge bounds the nodes; the scalar inf on
+    an unbounded side (``_dists``)."""
     a, b = fam.support
     u = nodes.x - theta
-    dl = nodes.dl + (nodes.lo - (a + theta)) if math.isfinite(a) else np.full_like(u, math.inf)
-    dr = nodes.dr + ((b + theta) - nodes.hi) if math.isfinite(b) else np.full_like(u, math.inf)
+    dl = nodes.dl + (nodes.lo - (a + theta)) if math.isfinite(a) else math.inf
+    dr = nodes.dr + ((b + theta) - nodes.hi) if math.isfinite(b) else math.inf
     return u, dl, dr
 
 
@@ -257,12 +258,12 @@ def _scale(fam):
 
 
 def _dists(fam, u):
-    """Distances of u to the left and right support edges; inf on an
-    unbounded side."""
+    """Distances of u to the left and right support edges.  An unbounded
+    side's distance is the scalar ``math.inf``, not an array of it: the
+    density kernels (``_logpdf3``, ``_score3``) broadcast it."""
     a, b = fam.support
-    dl = u - a if math.isfinite(a) else np.full_like(u, math.inf)
-    dr = b - u if math.isfinite(b) else np.full_like(u, math.inf)
-    return dl, dr
+    return (u - a if math.isfinite(a) else math.inf,
+            b - u if math.isfinite(b) else math.inf)
 
 
 def _logpdf_plain(fam, u):
@@ -271,56 +272,72 @@ def _logpdf_plain(fam, u):
 
 
 def _logpdf3(fam, u, dl, dr):
-    """log f(u) from (u, dist-to-left-edge, dist-to-right-edge).
+    """log f(u) from (u, dist-to-left-edge, dist-to-right-edge); -inf
+    outside the open support, where an edge distance is not > 0.
 
     Edge behavior is computed from the distances, which callers (the
-    quadrature) keep exact; -inf outside the open support.
+    quadrature) keep exact; an unbounded side's distance may be the scalar
+    inf.  A built-in kind is evaluated on the whole array with
+    floating-point warnings off, then -inf is written at the points
+    outside, so its values at the inside points are those of an evaluation
+    on them alone.  A custom ``logpdf_fn`` is called on the inside points
+    only.
     """
     u = np.asarray(u, dtype=float)
-    dl = np.asarray(dl, dtype=float)
-    dr = np.asarray(dr, dtype=float)
-    inside = (dl > 0) & (dr > 0)
+    inside = np.logical_and(np.greater(dl, 0), np.greater(dr, 0))
+    kind = fam.kind
+    if kind == "custom":
+        return _logpdf_custom(fam, u, dl, dr, inside)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kind == "uniform":
+            val = np.zeros(u.shape)
+        elif kind == "beta":
+            p, q = fam.params
+            val = (p - 1.0) * np.log(dl) + (q - 1.0) * np.log(dr) - log_beta(p, q)
+        elif kind == "gamma":
+            k, = fam.params
+            val = (k - 1.0) * np.log(dl) - dl - log_gamma(k)
+        elif kind == "weibull":
+            k, = fam.params
+            val = math.log(k) + (k - 1.0) * np.log(dl) - dl ** k
+        elif kind == "gaussian":
+            s, = fam.params
+            val = -0.5 * (u / s) ** 2 - math.log(s * _SQRT_2PI)
+        elif kind == "triangular":
+            c, = fam.params
+            val = np.where(u <= c,
+                           np.log(2.0 * dl / c),
+                           np.log(2.0 * dr / (1.0 - c)))
+        else:  # pragma: no cover
+            raise ValueError(f"unknown family kind {kind!r}")
+    val = np.asarray(val)          # a 0-d input gives a numpy scalar
+    np.copyto(val, -math.inf, where=~inside)
+    return val
+
+
+def _logpdf_custom(fam, u, dl, dr, inside):
+    """``_logpdf3`` of a custom family: its ``logpdf_fn`` at the inside
+    points, gathered, and -inf elsewhere."""
+    inside = np.broadcast_to(inside, u.shape)
     out = np.full(u.shape, -math.inf)
     if not np.any(inside):
         return out
-    ui, li, ri = u[inside], dl[inside], dr[inside]
-    kind = fam.kind
+    li = np.broadcast_to(dl, u.shape)[inside]
+    ri = np.broadcast_to(dr, u.shape)[inside]
     with np.errstate(divide="ignore", over="ignore"):
-        if kind == "uniform":
-            val = np.zeros_like(ui)
-        elif kind == "beta":
-            p, q = fam.params
-            val = (p - 1.0) * np.log(li) + (q - 1.0) * np.log(ri) - log_beta(p, q)
-        elif kind == "gamma":
-            k, = fam.params
-            val = (k - 1.0) * np.log(li) - li - log_gamma(k)
-        elif kind == "weibull":
-            k, = fam.params
-            val = math.log(k) + (k - 1.0) * np.log(li) - li ** k
-        elif kind == "gaussian":
-            s, = fam.params
-            val = -0.5 * (ui / s) ** 2 - math.log(s * _SQRT_2PI)
-        elif kind == "triangular":
-            c, = fam.params
-            val = np.where(ui <= c,
-                           np.log(2.0 * li / c),
-                           np.log(2.0 * ri / (1.0 - c)))
-        elif kind == "custom":
-            val = np.asarray(fam.logpdf_fn(ui), dtype=float)
-            # inside the last ~1e-9 of the support the reconstructed u has
-            # lost the edge distance to rounding; the declared power
-            # expansion is exact there to o(1) and keeps the tails finite
-            cut = 1e-9 * _scale(fam)
-            if fam.A1 > 0:
-                close_l = li < cut
-                if np.any(close_l):
-                    val = np.where(close_l, math.log(fam.A1) + (fam.kappa1 - 1.0) * np.log(li), val)
-            if fam.A2 > 0:
-                close_r = ri < cut
-                if np.any(close_r):
-                    val = np.where(close_r, math.log(fam.A2) + (fam.kappa2 - 1.0) * np.log(ri), val)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown family kind {kind!r}")
+        val = np.asarray(fam.logpdf_fn(u[inside]), dtype=float)
+        # inside the last ~1e-9 of the support the reconstructed u has
+        # lost the edge distance to rounding; the declared power
+        # expansion is exact there to o(1) and keeps the tails finite
+        cut = 1e-9 * _scale(fam)
+        if fam.A1 > 0:
+            close_l = li < cut
+            if np.any(close_l):
+                val = np.where(close_l, math.log(fam.A1) + (fam.kappa1 - 1.0) * np.log(li), val)
+        if fam.A2 > 0:
+            close_r = ri < cut
+            if np.any(close_r):
+                val = np.where(close_r, math.log(fam.A2) + (fam.kappa2 - 1.0) * np.log(ri), val)
     out[inside] = val
     return out
 
@@ -441,16 +458,13 @@ def _draw(family, rng, n):
 
 def _from_end(fam, t, upper):
     """(u, dl, dr) at distances t from the lower (upper) end of the trimmed
-    support; dl, dr are the distances to the support edges, inf if unbounded."""
+    support; dl, dr are the distances to the support edges, the scalar inf
+    if unbounded (``_dists``)."""
     lo, hi = _trimmed_support(fam)
     rest = (hi - lo) - t
     u, dl, dr = (hi - t, rest, t) if upper else (lo + t, t, rest)
     a, b = fam.support
-    if not math.isfinite(a):
-        dl = np.full_like(u, math.inf)
-    if not math.isfinite(b):
-        dr = np.full_like(u, math.inf)
-    return u, dl, dr
+    return u, dl if math.isfinite(a) else math.inf, dr if math.isfinite(b) else math.inf
 
 
 def _gauss_mass(fam, upper, t0, t1):

@@ -12,15 +12,19 @@ joint law in probability space (David & Nagaraja, *Order Statistics*,
 2003): the mass above the maximum is S_max = 1 - U1^(1/n), and given it the
 mass below the minimum is F_min = (1 - S_max)(1 - U2^(1/(n-1))), or
 1 - S_max when n = 1; ``extreme_events`` decides their tail events.  The
-other estimators draw all n values of a row from the family and take
+gaussian MLE is the row mean, so each of its rows draws one standard
+normal Z and takes the mean exactly from its law, theta + sigma Z / sqrt(n).
+The other estimators draw all n values of a row from the family and take
 their tail events {T > theta + eps} and {T < theta - eps} from
 ``tail_events``, which for the MLE and LR estimators reads the side from
 the sign of the monotone estimating function at the threshold and solves
 in full only the rows inside its zero band or at a bracket end, so the
-counts are those of the full estimates.  The tail regression fits
--log p_hat = beta n + gamma log n + c by event-count-weighted least squares
-(the log n nuisance absorbs the sqrt(n) prefactor of mean-type statistics,
-which otherwise biases the slope well beyond the target tolerances).
+counts are those of the full estimates.  (The gaussian LR estimate is the
+mean too, but keeps its n-value rows: they exercise the LR root solver.)
+The tail regression fits -log p_hat = beta n + gamma log n + c by
+event-count-weighted least squares (the log n nuisance absorbs the sqrt(n)
+prefactor of mean-type statistics, which otherwise biases the slope well
+beyond the target tolerances).
 
 The analytic rates integrate on the package's own quadrature, never scipy:
 the overlap nodes of a shifted pair, and for an edge strip the family's
@@ -64,9 +68,10 @@ _MIN_EVENTS = 10
 # whether the allocator reuses a freed chunk or maps a fresh one moves the
 # process's peak memory by little
 _CHUNK_VALUES = 1_000_000
-# float64 temporaries per order-statistic row: its two uniforms, the two
-# masses and what deciding its events takes
-_EXTREME_ROW_VALUES = 8
+# float64 temporaries per row drawn as a summary of its sample (the two
+# extremes, or the gaussian mean): its draws, the summary and what deciding
+# its events takes
+_SUMMARY_ROW_VALUES = 8
 
 
 class InsufficientEventsError(RuntimeError):
@@ -181,17 +186,30 @@ def _extreme_masses(rng, m, n):
     return f_min, s_max
 
 
+def _gaussian_means(family, rng, m, n):
+    """Means of m gaussian samples of size n about 0, drawn exactly from
+    their law sigma Z / sqrt(n), one standard normal per row."""
+    s, = family.params
+    z = rng.standard_normal(m)
+    z *= s / math.sqrt(n)
+    return z
+
+
 def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
                  seed=0):
     """Empirical tail exponents of an estimator.
 
     For each n, simulates ``trials`` batches and counts {T > theta + eps}
     and {T < theta - eps}; the per-side slopes of -log p_hat come from the
-    weighted regression above.  An order-statistic estimator's batch is its
-    two extremes, drawn exactly in probability space: the family needs no
-    sampler, and a row costs the same at every n.  Other estimators draw
-    all n values.  A side with zero events everywhere reports the +inf
-    marker; both sides empty raises InsufficientEventsError.
+    weighted regression above.  A row is one of three kinds (module
+    docstring), each drawn from its own per-n stream:
+    - an order-statistic estimator's two extremes, drawn exactly in
+      probability space: the family needs no sampler;
+    - the gaussian MLE's mean, one standard normal per row;
+    - all n values, for every other estimator.
+    The first two cost the same at every n.  A side with zero events
+    everywhere reports the +inf marker; both sides empty raises
+    InsufficientEventsError.
     """
     if n_grid is None:
         n_grid = _DEFAULT_N_GRID
@@ -201,17 +219,21 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
     trials = int(trials)
     up, dn = theta + eps, theta - eps
     extremes = spec.kind in ORDER_STAT_KINDS
+    means = spec.kind == "mle" and family.kind == "gaussian"
     counts_p = np.zeros(len(n_grid))
     counts_m = np.zeros(len(n_grid))
     for i, n in enumerate(n_grid):
         rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-        chunk = max(1, _CHUNK_VALUES // (_EXTREME_ROW_VALUES if extremes else n))
+        chunk = max(1, _CHUNK_VALUES // (_SUMMARY_ROW_VALUES if extremes or means else n))
         done = 0
         while done < trials:
             m = min(chunk, trials - done)
             if extremes:
                 above, below = extreme_events(spec, family, *_extreme_masses(rng, m, n),
                                               eps, -eps)
+            elif means:
+                t = _gaussian_means(family, rng, m, n)
+                above, below = t > eps, t < -eps
             else:
                 X = fam_mod._draw(family, rng, m * n).reshape(m, n)
                 X += theta

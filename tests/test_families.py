@@ -2,15 +2,18 @@
 information."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import betaincinv, gammainc, gammaln
 
+from ldshift.estimators import _k_rows
 from ldshift.families import (_mass_table, _mass_within, _quantile, _trimmed_support, cdf,
                               fisher_information, log_density, make_family, sample, score)
 from ldshift.quadrature import integrate
+from ldshift.special import log_beta, log_gamma
 
 ALL_BUILTINS = [
     ("uniform", ()),
@@ -70,6 +73,87 @@ def test_log_density_examples():
     assert log_density(u, 0.0, 1.5) == -math.inf
     g = make_family("gaussian")
     assert abs(log_density(g, 0.0, 0.0) - (-0.91893853320467274)) < 1e-14
+
+
+def _gathered_logpdf(fam, u):
+    """Reference log f: the inside points gathered from u, each kind's
+    formula evaluated on them alone, -inf scattered elsewhere."""
+    a, b = fam.support
+    dl = u - a if math.isfinite(a) else np.full_like(u, math.inf)
+    dr = b - u if math.isfinite(b) else np.full_like(u, math.inf)
+    inside = (dl > 0) & (dr > 0)
+    ui, li, ri = u[inside], dl[inside], dr[inside]
+    kind, params = fam.kind, fam.params
+    with np.errstate(divide="ignore", over="ignore"):
+        if kind == "uniform":
+            val = np.zeros_like(ui)
+        elif kind == "beta":
+            p, q = params
+            val = (p - 1.0) * np.log(li) + (q - 1.0) * np.log(ri) - log_beta(p, q)
+        elif kind == "gamma":
+            k, = params
+            val = (k - 1.0) * np.log(li) - li - log_gamma(k)
+        elif kind == "weibull":
+            k, = params
+            val = math.log(k) + (k - 1.0) * np.log(li) - li ** k
+        elif kind == "gaussian":
+            s, = params
+            val = -0.5 * (ui / s) ** 2 - math.log(s * math.sqrt(2.0 * math.pi))
+        else:
+            c, = params
+            val = np.where(ui <= c, np.log(2.0 * li / c), np.log(2.0 * ri / (1.0 - c)))
+    out = np.full(u.shape, -math.inf)
+    out[inside] = val
+    return inside, out
+
+
+@pytest.mark.parametrize("kind, params", ALL_BUILTINS + [("gaussian", (0.3,))],
+                         ids=lambda v: str(v))
+def test_log_density_one_path(kind, params):
+    # the whole sample matrix is evaluated at once: values at inside points
+    # are bit-identical to an evaluation on them alone, -inf outside, and no
+    # floating-point warning escapes from the points outside or at an edge
+    f = _fam(kind, params)
+    a, b = _trimmed_support(f)
+    rng = np.random.default_rng(12)
+    pts = np.concatenate([
+        a + (b - a) * rng.uniform(0.0, 1.0, 60),                 # inside
+        [a, b, np.nextafter(a, b), np.nextafter(b, a)],          # at and next to the edges
+        [a - 1.0, a - 1e-300, b + 1e-12, b + 3.0, -1e200, 1e200, 1.0, 0.3],
+        rng.beta(1.5, 1.5, 36) + 0.2,                            # the alternative of a test
+    ]).reshape(4, 27)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_density(f, 0.0, pts)
+    inside, want = _gathered_logpdf(f, pts)
+    assert got.shape == pts.shape
+    assert np.array_equal(got[inside], want[inside])
+    assert np.all(got[~inside] == -math.inf)
+    if math.isfinite(f.a):
+        assert not inside.all()
+
+
+def _strict_beta22(u):
+    u = np.asarray(u)
+    if np.any((u <= 0.0) | (u >= 1.0)):
+        raise AssertionError("custom logpdf called outside its support")
+    return np.log(6.0 * u * (1.0 - u))
+
+
+def test_custom_logpdf_sees_inside_points_only():
+    strict = make_family("custom", logpdf=_strict_beta22, support=(0.0, 1.0),
+                         edge=(2.0, 6.0, 2.0, 6.0), log_concave=True)
+    beta22 = make_family("beta", (2, 2))
+    x = np.array([[-0.5, 0.0, 0.3, 1.0], [1.5, 0.7, 0.999, 1e-3]])
+    got = log_density(strict, 0.0, x)
+    assert np.all(got[x <= 0.0] == -math.inf) and np.all(got[x >= 1.0] == -math.inf)
+    np.testing.assert_allclose(got, log_density(beta22, 0.0, x), rtol=1e-13)
+    # the LR estimator's log-ratio shifts rows by z -+ eps past the edges
+    X = np.random.default_rng(5).beta(2, 2, (6, 8))
+    z = np.linspace(-0.3, 0.3, 6)
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_allclose(_k_rows(strict, X, z, 0.1), _k_rows(beta22, X, z, 0.1),
+                                   rtol=1e-12)
 
 
 def test_shift_covariance():

@@ -182,6 +182,46 @@ def test_extreme_draws_do_not_depend_on_chunking(spec, monkeypatch):
     assert np.array_equal(a.p_minus, b.p_minus)
 
 
+def test_gaussian_mle_mean_rows_match_exact_tail():
+    # each row draws the sample mean from its law theta + sigma Z / sqrt(n):
+    # the tail is 0.5 erfc(eps sqrt(n) / (sigma sqrt 2)) on both sides
+    sigma, eps, trials = 1.5, 0.3, 40_000
+    n_grid = (2, 8, 32, 128)
+    est = mc_tail_rate(make_family("gaussian", (sigma,)), EstimatorSpec("mle"), 2.0, eps,
+                       n_grid=n_grid, trials=trials, seed=41)
+    for i, n in enumerate(n_grid):
+        p = 0.5 * math.erfc(eps * math.sqrt(n) / (sigma * math.sqrt(2.0)))
+        stderr = math.sqrt(p * (1.0 - p) / trials)
+        assert abs(est.p_plus[i] - p) <= 4.0 * stderr, (n, est.p_plus[i], p)
+        assert abs(est.p_minus[i] - p) <= 4.0 * stderr, (n, est.p_minus[i], p)
+
+
+def test_gaussian_mle_mean_rows_do_not_depend_on_chunking(monkeypatch):
+    args = (GAUSS, EstimatorSpec("mle"), 0.0, 0.2)
+    kw = dict(n_grid=(8, 64), trials=5_000, seed=43)
+    a = mc_tail_rate(*args, **kw)
+    monkeypatch.setattr(rates, "_CHUNK_VALUES", 1_000)    # 125 rows a chunk
+    b = mc_tail_rate(*args, **kw)
+    assert np.array_equal(a.p_plus, b.p_plus)
+    assert np.array_equal(a.p_minus, b.p_minus)
+
+
+def test_n_value_streams_are_pinned():
+    # the rows that draw all n values keep their streams: counts recorded
+    # at these seeds for the LR and MLE estimators and the likelihood test
+    gamma3, beta15 = make_family("gamma", (3,)), make_family("beta", (1.5, 1.5))
+    lr = mc_tail_rate(gamma3, EstimatorSpec("lr", eps=0.6), 0.0, 0.6, n_grid=(4, 8, 16),
+                      trials=2_000, seed=31)
+    assert np.array_equal(lr.p_plus, np.array([490, 198, 46]) / 2_000)
+    assert np.array_equal(lr.p_minus, np.array([179, 85, 17]) / 2_000)
+    mle = mc_tail_rate(beta15, EstimatorSpec("mle"), 0.0, 0.1, n_grid=(8, 16, 32),
+                       trials=1_000, seed=32)
+    assert np.array_equal(mle.p_plus, np.array([94, 25, 1]) / 1_000)
+    assert np.array_equal(mle.p_minus, np.array([98, 15, 2]) / 1_000)
+    ht = ht_simulate((beta15, 0.0), (beta15, 0.2), n_grid=(8, 16, 24), trials=1_000, seed=33)
+    assert np.array_equal(ht.error_sums, [157.0, 38.0, 8.0])
+
+
 @pytest.mark.parametrize("spec", [EstimatorSpec("min_shift"), EstimatorSpec("max_shift"),
                                   EstimatorSpec("shifted_min", eps=0.05),
                                   EstimatorSpec("convex_combo", lam=0.5)],
