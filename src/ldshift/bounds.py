@@ -8,6 +8,11 @@ optimizer, ``_optimize``, serves both bounds here and the testing exponents
 in ``rates``; a minimum is found by negating the objective.  Objectives map
 a float s to a float and an array of s to an array: the scan is one call on
 the whole scan array, and the golden refine calls the objective on floats.
+The refine stops once its bracket is narrower than 1.5e-8 (times
+max(1, hi)), about the square root of the float epsilon: a float objective
+changes by less than its own rounding when s moves that little from a
+smooth optimum, so a narrower bracket only ranks noise, and each step costs
+one sweep of every ladder rung.
 """
 
 import math
@@ -64,9 +69,13 @@ def _argmax(fn, lo, hi):
     """Golden-section maximum of a unimodal fn on [lo, hi]: (value, x).
 
     At most 80 steps, stopping once the bracket is narrower than
-    1e-12 max(1, hi); the value is fn at the final midpoint.
+    1.5e-8 max(1, hi), about the square root of the float epsilon: near a
+    smooth maximum fn(x) moves by a relative fn''/fn (x - x*)^2 / 2, which
+    drops below the float resolution once |x - x*| is about sqrt(eps), so
+    further steps compare rounding noise (Brent 1973, ch. 5).  The value is
+    fn at the final midpoint.
     """
-    tol = 1e-12 * max(1.0, hi)
+    tol = 1.5e-8 * max(1.0, hi)
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

@@ -366,19 +366,34 @@ def _score3(fam, u, dl, dr):
         c, = fam.params
         return np.where(u <= c, 1.0 / dl, -1.0 / dr)
     if kind == "custom":
-        # central difference at a scale-aware step; declared edge expansion
-        # where the step would leave the support
-        h = np.minimum(1e-6 * _scale(fam), 0.5 * np.minimum(dl, dr))
-        lp = fam.logpdf_fn
-        out = (np.asarray(lp(u + h), dtype=float)
-               - np.asarray(lp(u - h), dtype=float)) / (2.0 * h)
-        cut = 1e-9 * _scale(fam)
-        if fam.A1 > 0:
-            out = np.where(dl < cut, (fam.kappa1 - 1.0) / dl, out)
-        if fam.A2 > 0:
-            out = np.where(dr < cut, -(fam.kappa2 - 1.0) / dr, out)
-        return out
+        return _score_custom(fam, u, dl, dr)
     raise ValueError(f"unknown family kind {kind!r}")  # pragma: no cover
+
+
+def _score_custom(fam, u, dl, dr):
+    """``_score3`` of a custom family: a central difference of its
+    ``logpdf_fn`` at a scale-aware step, taken at the inside points only,
+    gathered as in ``_logpdf_custom``, and nan elsewhere; the declared edge
+    expansion where the step would leave the support."""
+    shape = np.broadcast_shapes(u.shape, dl.shape, dr.shape)
+    inside = np.broadcast_to((dl > 0) & (dr > 0), shape)
+    out = np.full(shape, math.nan)
+    if not np.any(inside):
+        return out
+    ui = np.broadcast_to(u, shape)[inside]
+    li = np.broadcast_to(dl, shape)[inside]
+    ri = np.broadcast_to(dr, shape)[inside]
+    h = np.minimum(1e-6 * _scale(fam), 0.5 * np.minimum(li, ri))
+    lp = fam.logpdf_fn
+    val = (np.asarray(lp(ui + h), dtype=float)
+           - np.asarray(lp(ui - h), dtype=float)) / (2.0 * h)
+    cut = 1e-9 * _scale(fam)
+    if fam.A1 > 0:
+        val = np.where(li < cut, (fam.kappa1 - 1.0) / li, val)
+    if fam.A2 > 0:
+        val = np.where(ri < cut, -(fam.kappa2 - 1.0) / ri, val)
+    out[inside] = val
+    return out
 
 
 def log_density(family, theta, x):

@@ -246,16 +246,23 @@ def renyi_curve(family, theta, eps, s_grid):
 # ladder extrapolation
 
 def _aitken(r):
-    """Iterated Aitken delta-squared over axis 0 (rungs) of r, column by
-    column: each pass peels off one geometric component of the corrections.
-    A step whose two differences do not shrink with one sign keeps the
-    later rung."""
-    while r.shape[0] >= 3:
-        d1, d2 = r[1:-1] - r[:-2], r[2:] - r[1:-1]
-        with np.errstate(all="ignore"):
-            step = r[2:] + d2 * d2 / (d1 - d2)
-        r = np.where((d1 * d2 > 0) & (np.abs(d2) < np.abs(d1)), step, r[2:])
-    return r[-1]
+    """Iterated Aitken delta-squared over axis 0 (rungs) of r, one column
+    (order s) at a time in Python floats: each pass peels off one geometric
+    component of the corrections.  A step whose two differences do not
+    shrink with one sign keeps the later rung.  The arithmetic is that of
+    the same recurrence on numpy rows, bit for bit, without numpy's
+    per-pass cost on the one-order sweeps of the optimizer refine."""
+    return np.array([_aitken_column(col) for col in np.asarray(r).T.tolist()])
+
+
+def _aitken_column(seq):
+    while len(seq) >= 3:
+        nxt = []
+        for a, b, c in zip(seq, seq[1:], seq[2:]):
+            d1, d2 = b - a, c - b
+            nxt.append(c + d2 * d2 / (d1 - d2) if d1 * d2 > 0 and abs(d2) < abs(d1) else c)
+        seq = nxt
+    return seq[-1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -287,7 +294,10 @@ def _extrapolate(r, eps_ladder, g_tag):
             "scaled divergences grow along the ladder; "
             f"check the scaling function (ratios {r.T})")
     if g_tag == "sq_log":
-        value, first, last = _log_weights(eps_ladder) @ r
+        # elementwise, rung by rung: a matrix product's bits for one order
+        # would depend on how many orders are swept with it
+        w = _log_weights(eps_ladder)
+        value, first, last = sum(w[:, i, None] * r[i] for i in range(r.shape[0]))
     else:
         value, first, last = _aitken(r), _aitken(r[1:]), _aitken(r[:-1])
     return value, np.maximum(np.abs(first - value), np.abs(last - value))

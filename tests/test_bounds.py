@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ldshift import rates
-from ldshift.bounds import (BoundPair, _optimize, alpha1_bar, alpha2_bar, bound_pair,
-                            closed_form_bounds, coincidence)
+from ldshift.bounds import (BoundPair, _argmax, _optimize, alpha1_bar, alpha2_bar,
+                            bound_pair, closed_form_bounds, coincidence)
 from ldshift.families import fisher_information, make_family
 from ldshift.renyi import (classify_regime, closed_form_isg, profile_from_closed_form,
                            profile_from_family)
@@ -239,6 +239,21 @@ def test_optimize_tiny_objective_is_not_constant():
     assert (v, s) == (pytest.approx(2.0, rel=1e-12), 0.5)
 
 
+def test_argmax_stops_at_sqrt_eps():
+    # a float objective cannot place its maximizer closer than about
+    # sqrt(eps) ~ 1.5e-8, so the refine stops there (55 calls to reach 1e-12)
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return -(x - 0.3) ** 2
+
+    v, x = _argmax(fn, 0.275, 0.325)
+    assert abs(x - 0.3) <= 1.5e-8
+    assert v == -(x - 0.3) ** 2
+    assert calls[0] <= 35
+
+
 def test_profile_grid_requirement():
     prof = profile_from_closed_form("kappa_one", 1.0, 1.0, 1.0,
                                     s_grid=np.linspace(0.1, 0.9, 9))
@@ -278,13 +293,16 @@ def test_closed_form_isg_array_equals_float_loop(regime, kappa, fisher, A1, A2):
 
 
 def test_ladder_isg_fn_array_equals_float_loop():
-    fam = make_family("uniform")
+    # the Aitken ladder and the sq_log basis fit of the kappa = 2 families
     s = np.linspace(0.031, 0.969, 11)  # off the default grid: fresh sweeps
-    by_array = profile_from_family(fam).isg_fn(s)
-    prof = profile_from_family(fam)
-    loop = [prof.isg_fn(float(x)) for x in s]
-    assert all(type(v) is float for v in loop)
-    assert by_array.tolist() == loop
+    for kind, params in (("uniform", ()), ("gamma", (2.0,)), ("beta", (2.0, 2.0)),
+                         ("weibull", (2.0,)), ("beta", (2.0, 3.0))):
+        fam = make_family(kind, params)
+        by_array = profile_from_family(fam).isg_fn(s)
+        prof = profile_from_family(fam)
+        loop = [prof.isg_fn(float(x)) for x in s]
+        assert all(type(v) is float for v in loop)
+        assert by_array.tolist() == loop, (kind, params)
 
 
 def test_hoeffding_objective_array_equals_float_loop(monkeypatch):

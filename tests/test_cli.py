@@ -17,7 +17,9 @@ from ldshift.verify import LemmaCheck
 
 # recorded with the per-end edge depths of the quadrature; gamma(2) with the
 # sq_log ladder's basis fit; beta with log B(p, q) from ldshift.special (the
-# ladder alphas move by about 2e-11 relative per ulp of the log-normaliser)
+# ladder alphas move by about 2e-11 relative per ulp of the log-normaliser);
+# every optimum refined to a bracket of 1.5e-8 max(1, hi) in s.  One row per
+# regime, so a change to the optimizers or the sweep shows in each
 GOLDEN = {
     "uniform": {
         "family": "uniform", "regime": "kappa_one", "kappa": 1.0, "A1": 1.0, "A2": 1.0,
@@ -29,9 +31,9 @@ GOLDEN = {
     "beta": {
         "family": "beta", "regime": "power_mid", "kappa": 1.5,
         "A1": 2.546479089470325, "A2": 2.546479089470325,
-        "alpha1_bar_closed": 6.29514986141918, "alpha1_bar_numeric": 6.292306516396741,
+        "alpha1_bar_closed": 6.29514986141918, "alpha1_bar_numeric": 6.292306516421071,
         "alpha2_bar_closed": 6.29514986141918, "alpha2_bar_numeric": 6.292306516396741,
-        "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
+        "s_star1": 0.5000030630145383, "s_star2": 0.5, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "gamma": {
@@ -41,14 +43,40 @@ GOLDEN = {
         "s_star1": 0.5, "s_star2": 0.95, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
+    "beta-0.3-0.3": {
+        "family": "beta", "regime": "power_low", "kappa": 0.3,
+        "A1": 0.16639977020643656, "A2": 0.16639977020643656,
+        "alpha1_bar_closed": 0.9641968680934432, "alpha1_bar_numeric": 0.9635475901086609,
+        "alpha2_bar_closed": 0.9641968680934432, "alpha2_bar_numeric": 0.9635475901086609,
+        "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
+        "coincide_numeric": "true", "symmetric_at_half": "true",
+    },
+    "gamma-3": {
+        "family": "gamma", "regime": "semi_regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
+        "alpha1_bar_closed": 0.5000000000000001, "alpha1_bar_numeric": 0.5000000008120653,
+        "alpha2_bar_closed": 0.5000000000000001, "alpha2_bar_numeric": 0.49996866133473356,
+        "s_star1": 0.5, "s_star2": 0.686625461469906, "coincide_closed": "true",
+        "coincide_numeric": "true", "symmetric_at_half": "true",
+    },
+    "gaussian": {
+        "family": "gaussian", "regime": "regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
+        "alpha1_bar_closed": 0.4999999999999996, "alpha1_bar_numeric": 0.4999999991923686,
+        "alpha2_bar_closed": 0.4999999999999996, "alpha2_bar_numeric": 0.4999999901673823,
+        "s_star1": 0.5, "s_star2": 0.975, "coincide_closed": "true",
+        "coincide_numeric": "true", "symmetric_at_half": "true",
+    },
 }
-PARAMS = {"uniform": [], "beta": [1.5, 1.5], "gamma": [2]}
+# config name -> (family kind, params)
+FAMILIES = {"uniform": ("uniform", []), "beta": ("beta", [1.5, 1.5]), "gamma": ("gamma", [2]),
+            "beta-0.3-0.3": ("beta", [0.3, 0.3]), "gamma-3": ("gamma", [3]),
+            "gaussian": ("gaussian", [])}
 
 
-def _config(tmp_path, kind, **fields):
-    cfg = {"version": 1, "seed": 0, "family": {"kind": kind, "params": PARAMS[kind]}}
+def _config(tmp_path, name, **fields):
+    kind, params = FAMILIES[name]
+    cfg = {"version": 1, "seed": 0, "family": {"kind": kind, "params": params}}
     cfg.update(fields)
-    path = tmp_path / f"{kind}.json"
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -58,14 +86,14 @@ def _run(argv, capsys):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_bounds_golden(kind, tmp_path, capsys):
-    argv = ["bounds", "--config", _config(tmp_path, kind)]
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bounds_golden(name, tmp_path, capsys):
+    argv = ["bounds", "--config", _config(tmp_path, name)]
     code, text = _run(argv, capsys)
     assert code == 0
     (row,) = list(csv.DictReader(io.StringIO(text)))
-    assert list(row) == list(GOLDEN[kind])
-    for col, want in GOLDEN[kind].items():
+    assert list(row) == list(GOLDEN[name])
+    for col, want in GOLDEN[name].items():
         if isinstance(want, float):
             assert float(row[col]) == pytest.approx(want, rel=1e-12, abs=0.0), col
         else:
@@ -95,7 +123,7 @@ def test_renyi_curve_columns_are_the_rung_curves(kind, tmp_path, capsys):
                       capsys)
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(text)))
-    fam = make_family(kind, PARAMS[kind])
+    fam = make_family(*FAMILIES[kind])
     g_tag = classify_regime(fam).g_tag
     for eps in default_ladder(g_tag, fam):
         values = renyi_curve(fam, 0.0, eps, s_grid).values

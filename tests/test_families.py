@@ -9,9 +9,10 @@ import pytest
 from scipy import stats
 from scipy.special import betaincinv, gammainc, gammaln
 
-from ldshift.estimators import _k_rows
-from ldshift.families import (_mass_table, _mass_within, _quantile, _trimmed_support, cdf,
-                              fisher_information, log_density, make_family, sample, score)
+from ldshift.estimators import EstimatorSpec, _k_rows, estimate_many, tail_events
+from ldshift.families import (_dists, _mass_table, _mass_within, _quantile, _score3,
+                              _trimmed_support, cdf, fisher_information, log_density,
+                              make_family, sample, score)
 from ldshift.quadrature import integrate
 from ldshift.special import log_beta, log_gamma
 
@@ -154,6 +155,30 @@ def test_custom_logpdf_sees_inside_points_only():
     with np.errstate(invalid="ignore"):
         np.testing.assert_allclose(_k_rows(strict, X, z, 0.1), _k_rows(beta22, X, z, 0.1),
                                    rtol=1e-12)
+
+
+def test_custom_score_sees_inside_points_only():
+    strict = make_family("custom", logpdf=_strict_beta22, support=(0.0, 1.0),
+                         edge=(2.0, 6.0, 2.0, 6.0), log_concave=True)
+    # inside: the central difference on the whole array, bit for bit
+    u = np.array([[-0.5, 0.0, 0.3, 1.0], [1.5, 0.7, 0.999, 1e-12]])
+    got = _score3(strict, u, *_dists(strict, u))
+    inside = (u > 0.0) & (u < 1.0)
+    ui = u[inside]
+    h = np.minimum(1e-6, 0.5 * np.minimum(ui, 1.0 - ui))
+    want = (_strict_beta22(ui + h) - _strict_beta22(ui - h)) / (2.0 * h)
+    want = np.where(ui < 1e-9, 1.0 / ui, want)
+    assert np.array_equal(got[inside], want)
+    assert np.all(np.isnan(got[~inside]))
+    assert score(strict, 0.0, 0.3) == float(want[0])
+    # the MLE sign test evaluates the score sum at thresholds whose shifted
+    # rows leave the support
+    X = np.random.default_rng(9).beta(2, 2, (2000, 8))
+    spec = EstimatorSpec("mle")
+    up, dn = tail_events(spec, strict, X, 0.1, -0.1)
+    t = estimate_many(spec, strict, X)
+    assert np.array_equal(up, t > 0.1) and np.array_equal(dn, t < -0.1)
+    assert up.any() and dn.any()
 
 
 def test_shift_covariance():

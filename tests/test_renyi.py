@@ -383,8 +383,8 @@ def test_profile_memo_saves_sweeps(monkeypatch):
 
     monkeypatch.setattr(renyi, "_renyi_from_nodes", counted)
     bp = bound_pair(prof)
-    assert count[0] <= 707  # 1,435 without the memo
-    assert bp.alpha1_bar == 6.292306516396741
+    assert count[0] <= 392  # 1,435 without the memo
+    assert bp.alpha1_bar == 6.292306516421071
     assert bp.alpha2_bar == 6.292306516396741
 
 
