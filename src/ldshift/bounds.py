@@ -3,16 +3,21 @@ bound a1 = 2^kappa sup_s I^s_g, the interval-estimation bound a2 (a
 kappa-dependent sup/inf of I^s_g weighted by a power-mean factor), their
 coincidence analysis, and the closed-form values per edge regime.
 
-One golden-section maximizer, ``_argmax``, behind one scan-and-refine
-optimizer, ``_optimize``, serves both bounds here and the testing exponents
-in ``rates``; a minimum is found by negating the objective.  Objectives map
-a float s to a float and an array of s to an array: the scan is one call on
-the whole scan array, and the golden refine calls the objective on floats.
-The refine stops once its bracket is narrower than 1.5e-8 (times
-max(1, hi)), about the square root of the float epsilon: a float objective
-changes by less than its own rounding when s moves that little from a
-smooth optimum, so a narrower bracket only ranks noise, and each step costs
-one sweep of every ladder rung.
+One scan-interpolate-confirm optimizer, ``_optimize``, serves both bounds
+here and the testing exponents in ``rates``; a minimum is found by negating
+the objective.  Objectives map a float s to a float and an array of s to an
+array.  The scan is one call on the whole scan array.  The refine then
+interpolates: the polynomial through the (at most five) scan values around
+the best point costs no evaluation, and its optimum is located by the
+golden-section ``_argmax`` in the bracket of the best point's neighbours.
+One float call of the objective confirms it: the value is accepted when it
+matches the polynomial's prediction to the objective's own relative
+precision (the median extrapolation error of a ladder profile, 1e-12
+otherwise).  Else the refine falls back to golden section on the objective
+over the same bracket, one float call a step.  Either way the scan point
+wins if it is better, so every reported value is an evaluation of the
+objective, and on a ladder profile each float call costs one sweep of every
+rung.
 """
 
 import math
@@ -73,7 +78,8 @@ def _argmax(fn, lo, hi):
     smooth maximum fn(x) moves by a relative fn''/fn (x - x*)^2 / 2, which
     drops below the float resolution once |x - x*| is about sqrt(eps), so
     further steps compare rounding noise (Brent 1973, ch. 5).  The value is
-    fn at the final midpoint.
+    fn at the final midpoint.  ``_optimize`` runs it on its interpolant
+    first and on the objective itself only when that is not confirmed.
     """
     tol = 1.5e-8 * max(1.0, hi)
     a, b = lo, hi
@@ -95,10 +101,34 @@ def _argmax(fn, lo, hi):
     return fn(x), x
 
 
-def _optimize(fn, scan, maximize):
-    """Scan fn over the sorted points ``scan`` in one call on the array,
-    refine around the best point by golden section on floats, and keep the
-    scan point if it is still better.  Returns (value, s) with s unclamped."""
+def _interpolant(xs, ys):
+    """The polynomial through the points (xs, ys), in Newton divided
+    differences on floats: a function of a float x."""
+    coef = list(ys)
+    for k in range(1, len(xs)):
+        for j in range(len(xs) - 1, k - 1, -1):
+            coef[j] = (coef[j] - coef[j - 1]) / (xs[j] - xs[j - k])
+
+    def poly(x):
+        v = coef[-1]
+        for j in range(len(xs) - 2, -1, -1):
+            v = v * (x - xs[j]) + coef[j]
+        return v
+
+    return poly
+
+
+def _optimize(fn, scan, maximize, rel_tol=1e-12):
+    """Optimize fn over [scan[0], scan[-1]]: (value, s) with s unclamped.
+
+    Scan fn over the sorted points ``scan`` in one call on the array, then
+    refine in the bracket of the best point's neighbours: locate the
+    optimum of the polynomial through the scan values at most two points
+    either side, and evaluate fn once there.  That value stands when it
+    matches the polynomial's to ``rel_tol`` relative, the objective's own
+    precision; otherwise golden section on fn over the same bracket gives
+    the refined point.  The scan point is kept if it is still better.
+    """
     sign = 1.0 if maximize else -1.0
     vals = sign * np.asarray(fn(scan), dtype=float)
     if np.ptp(vals) <= 1e-12 * np.max(np.abs(vals)):
@@ -107,10 +137,22 @@ def _optimize(fn, scan, maximize):
     i = int(np.argmax(vals))
     lo = float(scan[max(i - 1, 0)])
     hi = float(scan[min(i + 1, len(scan) - 1)])
-    v, s = _argmax(lambda x: sign * fn(x), lo, hi)
+    near = range(max(i - 2, 0), min(i + 3, len(scan)))
+    predicted, s = _argmax(_interpolant([float(scan[j]) for j in near],
+                                        [float(vals[j]) for j in near]), lo, hi)
+    v = sign * fn(s)
+    if not abs(v - predicted) <= rel_tol * abs(v):
+        v, s = _argmax(lambda x: sign * fn(x), lo, hi)
     if vals[i] > v:
         v, s = vals[i], scan[i]
     return float(sign * v), float(s)
+
+
+def _rel_err(profile):
+    """A ladder profile's relative extrapolation error isg_unc/|isg| per
+    s_grid point (inf or nan where isg is 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return profile.isg_unc / np.abs(profile.isg)
 
 
 def _trusted(profile):
@@ -118,8 +160,7 @@ def _trusted(profile):
     isg_unc/|isg| is at most 10 times the profile's median, so never fewer
     than half of them: near s in {0, 1} the eps -> 0 and s limits do not
     commute and the ladder's error there is an outlier."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = profile.isg_unc / np.abs(profile.isg)
+    rel = _rel_err(profile)
     return rel <= 10.0 * np.median(rel)
 
 
@@ -129,13 +170,18 @@ def _optimize_profile(profile, transform, maximize):
     Closed forms are scanned on their grid plus probes nearer the edges.
     Ladder profiles are scanned on the trusted part of their grid only
     (``_trusted``): quadrature noise ~1e-15 absolute is amplified by
-    1/(s(1-s)), and the extrapolation error grows near s in {0, 1}.
+    1/(s(1-s)), and the extrapolation error grows near s in {0, 1}.  Their
+    refine is confirmed to the median relative error over those points:
+    the ladder knows its objective no better.
     """
+    objective = lambda s: transform(profile.isg_fn(s), s)
     if profile.source == "ladder":
-        scan = _scan_points(profile.s_grid[_trusted(profile)], include_probes=False)
-    else:
-        scan = _scan_points(profile.s_grid, include_probes=True)
-    return _optimize(lambda s: transform(profile.isg_fn(s), s), scan, maximize)
+        ok = _trusted(profile)
+        scan = _scan_points(profile.s_grid[ok], include_probes=False)
+        return _optimize(objective, scan, maximize,
+                         rel_tol=float(np.median(_rel_err(profile)[ok])))
+    scan = _scan_points(profile.s_grid, include_probes=True)
+    return _optimize(objective, scan, maximize)
 
 
 def alpha1_bar(profile: ScalingProfile):
@@ -191,8 +237,7 @@ def _flags(profile, a1, a2, tol):
         if profile.source == "ladder":
             # the largest relative extrapolation error over the trusted s,
             # with a floor for the quadrature/optimization noise
-            ok = _trusted(profile)
-            rel = float(np.max(profile.isg_unc[ok] / np.abs(profile.isg[ok])))
+            rel = float(np.max(_rel_err(profile)[_trusted(profile)]))
             tol = max(3.0 * rel * abs(a1), 3e-5 * max(1.0, a1))
         else:
             tol = 1e-6 * max(1.0, a1)

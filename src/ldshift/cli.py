@@ -316,7 +316,8 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="override the config format (default csv)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     pv = sub.add_parser("verify")
@@ -331,8 +332,7 @@ def main(argv=None):
         if args.seed is not None:
             cfg["seed"] = args.seed
         out = args.out if args.out is not None else cfg.get("out")
-        fmt = args.format if args.format != "csv" or "format" not in cfg \
-            else cfg.get("format", "csv")
+        fmt = args.format if args.format is not None else cfg.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"field 'format': expected csv or json, got {fmt!r}")
         fn = {"bounds": cmd_bounds, "renyi-curve": cmd_renyi_curve,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ldshift import rates
+from ldshift import bounds, rates
 from ldshift.bounds import (BoundPair, _argmax, _optimize, alpha1_bar, alpha2_bar,
                             bound_pair, closed_form_bounds, coincidence)
 from ldshift.families import fisher_information, make_family
@@ -254,6 +254,107 @@ def test_argmax_stops_at_sqrt_eps():
     assert calls[0] <= 35
 
 
+def _golden_oracle(fn, scan, maximize):
+    """The refine without the interpolant: golden section on fn itself in the
+    bracket of the best scan point's neighbours; the scan point wins if better."""
+    sign = 1.0 if maximize else -1.0
+    vals = sign * np.asarray(fn(scan), dtype=float)
+    if np.ptp(vals) <= 1e-12 * np.max(np.abs(vals)):
+        return float(sign * vals[len(vals) // 2]), 0.5
+    i = int(np.argmax(vals))
+    lo, hi = float(scan[max(i - 1, 0)]), float(scan[min(i + 1, len(scan) - 1)])
+    v, s = _argmax(lambda x: sign * fn(x), lo, hi)
+    if vals[i] > v:
+        v, s = vals[i], scan[i]
+    return float(sign * v), float(s)
+
+
+def _spy_optimize(monkeypatch, module):
+    """Record (objective, scan, maximize, rel_tol, result, float calls) of
+    every ``_optimize`` call made through ``module``."""
+    seen = []
+
+    def spy(fn, scan, maximize, rel_tol=1e-12):
+        calls = [0]
+
+        def counted(s):
+            calls[0] += not isinstance(s, np.ndarray)
+            return fn(s)
+
+        got = _optimize(counted, scan, maximize, rel_tol)
+        seen.append((fn, scan, maximize, rel_tol, got, calls[0]))
+        return got
+
+    monkeypatch.setattr(module, "_optimize", spy)
+    return seen
+
+
+def test_closed_form_refine_matches_golden_oracle(monkeypatch):
+    # confirmed to 1e-12, a closed form or a testing exponent takes the golden
+    # fallback unless the interpolant is its objective to rounding, so every
+    # value is the golden refine's
+    seen = _spy_optimize(monkeypatch, bounds)
+    rng = np.random.default_rng(300)
+    regimes = ("kappa_one", "kappa_two", "power_mid", "power_low")
+    optimized = 0
+    for _ in range(100):
+        regime = regimes[rng.integers(4)]
+        kappa = {"kappa_one": 1.0, "kappa_two": 2.0,
+                 "power_mid": float(rng.uniform(1.05, 1.95)),
+                 "power_low": float(rng.uniform(0.15, 0.95))}[regime]
+        A1 = float(rng.uniform(0.2, 3.0))
+        A2 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.8 else 0.0
+        bound_pair(profile_from_closed_form(regime, A1, A2, kappa))
+        optimized += 1 if regime == "kappa_one" else 2  # kappa = 1: alpha2 is 2 I^(1/2)
+    fam = make_family("gamma", (3,))
+    hoeffding = _spy_optimize(monkeypatch, rates)
+    for r in (0.006, 0.01, 0.02, 0.06):
+        rates.hoeffding_rate((fam, 0.0), (fam, 0.3), r)
+    assert len(seen) == optimized and len(hoeffding) == 4
+    for fn, scan, maximize, rel_tol, (v, _), _ in seen + hoeffding:
+        assert rel_tol == 1e-12
+        want, _ = _golden_oracle(fn, scan, maximize)
+        assert v == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_one_sided_power_low_alpha2_takes_the_fallback(monkeypatch):
+    # the objective is sharp enough here that the interpolant misses its
+    # value by far more than 1e-12, so the golden refine decides
+    seen = _spy_optimize(monkeypatch, bounds)
+    for kappa in (0.2, 0.5, 0.9):
+        for A1, A2 in ((1.0, 0.0), (0.0, 1.3)):
+            seen.clear()
+            v, _ = alpha2_bar(profile_from_closed_form("power_low", A1, A2, kappa))
+            (fn, scan, maximize, _, got, calls), = seen
+            assert calls > 10, (kappa, A1, A2)
+            assert got == _golden_oracle(fn, scan, maximize)
+            vals = np.asarray(fn(scan))
+            i = int(np.argmax(vals))
+            near = range(max(i - 2, 0), min(i + 3, len(scan)))
+            poly = bounds._interpolant([float(scan[j]) for j in near],
+                                       [float(vals[j]) for j in near])
+            assert abs(poly(got[1]) - v) > 1e-9 * v
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("uniform", ()), ("beta", (1.5, 1.5)), ("gamma", (2.0,)), ("beta", (0.3, 0.3)),
+    ("gamma", (3.0,)), ("gaussian", ())])
+def test_ladder_refine_within_err_of_golden_oracle(kind, params, monkeypatch):
+    # a ladder bound is confirmed to the median relative error of its trusted
+    # orders, and lands that close to the golden refine's value
+    prof = profile_from_family(make_family(kind, params))
+    seen = _spy_optimize(monkeypatch, bounds)
+    bound_pair(prof)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = prof.isg_unc / np.abs(prof.isg)
+    med = float(np.median(rel[rel <= 10.0 * np.median(rel)]))
+    assert len(seen) == (1 if kind == "uniform" else 2)  # kappa = 1: alpha2 is 2 I^(1/2)
+    for fn, scan, maximize, rel_tol, (v, _), _ in seen:
+        assert rel_tol == med
+        want, _ = _golden_oracle(fn, scan, maximize)
+        assert abs(v - want) <= med * abs(want), (kind, params)
+
+
 def test_profile_grid_requirement():
     prof = profile_from_closed_form("kappa_one", 1.0, 1.0, 1.0,
                                     s_grid=np.linspace(0.1, 0.9, 9))
@@ -277,8 +378,12 @@ def test_optimize_scans_in_one_array_call():
     scan = np.linspace(0.05, 0.95, 19)
     v, s = _optimize(fn, scan, maximize=True)
     assert isinstance(calls[0], np.ndarray) and np.array_equal(calls[0], scan)
-    assert all(type(x) is float for x in calls[1:])
-    assert s == pytest.approx((4.6 - math.sqrt(4.6 ** 2 - 15.6)) / 6.0, abs=1e-7)  # f'(s) = 0
+    # the interpolant through five scan points is the cubic itself, so one
+    # float call at its optimum confirms it
+    assert len(calls) == 2 and type(calls[1]) is float and calls[1] == s
+    s_star = (4.6 - math.sqrt(4.6 ** 2 - 15.6)) / 6.0  # f'(s) = 0
+    assert s == pytest.approx(s_star, abs=1.5e-8)
+    assert v == fn(s) == pytest.approx(fn(s_star), rel=1e-15)
 
 
 @pytest.mark.parametrize("regime,kappa,fisher", [

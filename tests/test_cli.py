@@ -18,8 +18,9 @@ from ldshift.verify import LemmaCheck
 # recorded with the per-end edge depths of the quadrature; gamma(2) with the
 # sq_log ladder's basis fit; beta with log B(p, q) from ldshift.special (the
 # ladder alphas move by about 2e-11 relative per ulp of the log-normaliser);
-# every optimum refined to a bracket of 1.5e-8 max(1, hi) in s.  One row per
-# regime, so a change to the optimizers or the sweep shows in each
+# every optimum refined on the scan's interpolant and confirmed by one
+# evaluation to the profile's median relative error.  One row per regime, so
+# a change to the optimizers or the sweep shows in each
 GOLDEN = {
     "uniform": {
         "family": "uniform", "regime": "kappa_one", "kappa": 1.0, "A1": 1.0, "A2": 1.0,
@@ -31,16 +32,16 @@ GOLDEN = {
     "beta": {
         "family": "beta", "regime": "power_mid", "kappa": 1.5,
         "A1": 2.546479089470325, "A2": 2.546479089470325,
-        "alpha1_bar_closed": 6.29514986141918, "alpha1_bar_numeric": 6.292306516421071,
+        "alpha1_bar_closed": 6.29514986141918, "alpha1_bar_numeric": 6.292306516396741,
         "alpha2_bar_closed": 6.29514986141918, "alpha2_bar_numeric": 6.292306516396741,
-        "s_star1": 0.5000030630145383, "s_star2": 0.5, "coincide_closed": "true",
+        "s_star1": 0.5000000083046848, "s_star2": 0.5000000019604701, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "gamma": {
         "family": "gamma", "regime": "kappa_two", "kappa": 2.0, "A1": 1.0, "A2": 0.0,
         "alpha1_bar_closed": 0.5, "alpha1_bar_numeric": 0.499994261523296,
-        "alpha2_bar_closed": 0.5, "alpha2_bar_numeric": 0.49995286317039794,
-        "s_star1": 0.5, "s_star2": 0.95, "coincide_closed": "true",
+        "alpha2_bar_closed": 0.5, "alpha2_bar_numeric": 0.4999527987378094,
+        "s_star1": 0.5, "s_star2": 0.9499999932813687, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "beta-0.3-0.3": {
@@ -48,21 +49,21 @@ GOLDEN = {
         "A1": 0.16639977020643656, "A2": 0.16639977020643656,
         "alpha1_bar_closed": 0.9641968680934432, "alpha1_bar_numeric": 0.9635475901086609,
         "alpha2_bar_closed": 0.9641968680934432, "alpha2_bar_numeric": 0.9635475901086609,
-        "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
+        "s_star1": 0.5000000083046849, "s_star2": 0.5000000019604701, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "gamma-3": {
         "family": "gamma", "regime": "semi_regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
         "alpha1_bar_closed": 0.5000000000000001, "alpha1_bar_numeric": 0.5000000008120653,
-        "alpha2_bar_closed": 0.5000000000000001, "alpha2_bar_numeric": 0.49996866133473356,
-        "s_star1": 0.5, "s_star2": 0.686625461469906, "coincide_closed": "true",
+        "alpha2_bar_closed": 0.5000000000000001, "alpha2_bar_numeric": 0.4999718068649827,
+        "s_star1": 0.5, "s_star2": 0.6957302598555415, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "gaussian": {
         "family": "gaussian", "regime": "regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
         "alpha1_bar_closed": 0.4999999999999996, "alpha1_bar_numeric": 0.4999999991923686,
-        "alpha2_bar_closed": 0.4999999999999996, "alpha2_bar_numeric": 0.4999999901673823,
-        "s_star1": 0.5, "s_star2": 0.975, "coincide_closed": "true",
+        "alpha2_bar_closed": 0.4999999999999996, "alpha2_bar_numeric": 0.4999999898343225,
+        "s_star1": 0.5, "s_star2": 0.9749999932813687, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
 }
@@ -99,6 +100,44 @@ def test_bounds_golden(name, tmp_path, capsys):
         else:
             assert row[col] == want, col
     assert _run(argv, capsys) == (0, text)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bounds_csv_and_json_agree(name, tmp_path, capsys):
+    # one table, two renderings: every JSON value is the CSV cell it reads
+    path = _config(tmp_path, name)
+    code, text = _run(["bounds", "--config", path], capsys)
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(text)))
+    code, text = _run(["bounds", "--config", path, "--format", "json"], capsys)
+    assert code == 0
+    (obj,) = _strict_json(text)
+    assert sorted(obj) == sorted(row)
+    for col, cell in row.items():
+        want = obj[col]
+        if isinstance(want, bool):
+            assert cell == str(want).lower(), col
+        elif isinstance(want, float):
+            assert float(cell) == want, col
+        else:
+            assert cell == str(want), col
+
+
+@pytest.mark.parametrize("config_format, flag, want", [
+    ("json", None, "json"), ("json", "csv", "csv"), ("csv", "json", "json"),
+    (None, "json", "json"), (None, None, "csv")])
+def test_format_flag_overrides_config(config_format, flag, want, tmp_path, capsys):
+    fields = {} if config_format is None else {"format": config_format}
+    argv = ["bounds", "--config", _config(tmp_path, "uniform", **fields)]
+    if flag is not None:
+        argv += ["--format", flag]
+    code, text = _run(argv, capsys)
+    assert code == 0
+    if want == "json":
+        (obj,) = _strict_json(text)
+        assert obj["family"] == "uniform"
+    else:
+        assert text.startswith("family,regime,kappa,")
 
 
 def test_renyi_curve_gamma2_matches_closed_form(tmp_path, capsys):
