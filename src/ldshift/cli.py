@@ -17,8 +17,8 @@ import sys
 from .bounds import bound_pair, closed_form_bounds
 from .estimators import EstimatorSpec, check_family
 from .families import make_family
-from .rates import (InsufficientEventsError, alpha2_estimate, mc_tail_rate, mle_chernoff_rate,
-                    order_stat_rates)
+from .rates import (InsufficientEventsError, _check_n_grid, alpha2_estimate, mc_tail_rate,
+                    mle_chernoff_rate, order_stat_rates)
 from .renyi import _ladder, classify_regime, closed_form_isg, g_value, profile_from_family
 from .verify import run_checks
 
@@ -241,6 +241,8 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     ladder = cfg.get("eps_ladder")
     try:
         ladder = None if ladder is None else [float(e) for e in ladder]
+        if ladder == []:
+            raise ValueError("need at least one rung")
         eps0 = (ladder or [0.1])[0]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'eps_ladder': {exc}") from exc
@@ -252,9 +254,15 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     seed = int(cfg["seed"])
     try:
         trials = int(cfg.get("trials", 100_000))
+        if trials < 1:
+            raise ValueError(f"need at least 1 trial, got {trials}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'trials': {exc}") from exc
     n_grid = cfg.get("n_grid")
+    try:
+        n_grid = None if n_grid is None else _check_n_grid(n_grid)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field 'n_grid': {exc}") from exc
     columns = ["estimator", "eps_param", "lambda", "tail_eps",
                "beta_plus_mc", "beta_minus_mc", "beta_mc", "slope_stderr",
                "beta_plus_analytic", "beta_minus_analytic",

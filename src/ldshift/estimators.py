@@ -109,7 +109,8 @@ def estimate_many(spec, family, X):
 
 
 def tail_events(spec, family, X, up, dn):
-    """Row indicators (T > up, T < dn) of T = estimate_many(spec, family, X).
+    """Row indicators (T > up, T < dn) of T = estimate_many(spec, family, X);
+    a threshold of None is not tested and its indicator is all False.
 
     The MLE (except the gaussian one, a row mean) and the LR estimate are
     roots of a nondecreasing estimating function of the shift: the score
@@ -123,8 +124,7 @@ def tail_events(spec, family, X, up, dn):
     """
     X = _matrix(X)
     if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
-        t = estimate_many(spec, family, X)
-        return t > up, t < dn
+        return _compare(estimate_many(spec, family, X), up, dn)
     check_family(spec, family)
     fn, inset, band = _root_fn(spec, family)
     m, n = X.shape
@@ -140,7 +140,11 @@ def tail_events(spec, family, X, up, dn):
     if spec.kind == "lr":
         narrow, t_narrow = _lr_narrow(family, X, spec.eps)
     sides, rest = [], np.zeros(m, dtype=bool)
-    for thr in (float(up), float(dn)):
+    for thr in (up, dn):
+        if thr is None:
+            sides.append((np.zeros(m, dtype=bool),) * 2)
+            continue
+        thr = float(thr)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             v = fn(X, np.full(m, thr))
         right, left = thr < lo, thr > hi
@@ -154,10 +158,28 @@ def tail_events(spec, family, X, up, dn):
         rest |= ~(right | left)
     (above, _), (_, below) = sides
     if rest.any():
-        t = estimate_many(spec, family, X[rest])
-        above[rest] = t > up
-        below[rest] = t < dn
+        above[rest], below[rest] = _compare(estimate_many(spec, family, X[rest]), up, dn)
     return above, below
+
+
+def _compare(t, up, dn):
+    """(t > up, t < dn), all False for a threshold of None."""
+    off = np.zeros(t.shape, dtype=bool)
+    return (off if up is None else t > up), (off if dn is None else t < dn)
+
+
+def _strip_width(spec, family, eps):
+    """Width w of the edge strips that settle the tail events of the MLE
+    (not the gaussian one) or LR estimate T of a sample u_i + theta: T
+    exceeds theta + eps only if min u - a > w, and falls below theta - eps
+    only if b - max u > w.  T lies in the bracket of admissible shifts
+    [max x - b + inset, min x - a - inset] (inset 0 for the MLE, the LR
+    estimator's own eps), except on a narrow LR row (``_lr_narrow``),
+    whose estimate theta + (min u - a + max u - b) / 2 lies within
+    (min u - a) / 2 above and (b - max u) / 2 below theta: hence
+    w = eps + min(inset, eps)."""
+    inset = _root_fn(spec, family)[1]
+    return eps + min(inset, eps)
 
 
 def extreme_events(spec, family, f_min, s_max, c_up, c_dn):

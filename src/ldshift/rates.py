@@ -21,6 +21,27 @@ the sign of the monotone estimating function at the threshold and solves
 in full only the rows inside its zero band or at a bracket end, so the
 counts are those of the full estimates.  (The gaussian LR estimate is the
 mean too, but keeps its n-value rows: they exercise the LR root solver.)
+
+Strip-free rows.  At a finite support edge one value can settle a row.
+The MLE or LR estimate T of a sample u_i + theta exceeds theta + eps only
+if every u_i - a > w, and falls below theta - eps only if every
+b - u_i > w, w = eps + min(inset, eps) (``estimators._strip_width``); in
+the likelihood test a value where the other density is zero decides its
+row with no error.  Of ``trials`` samples of size n, the number with no
+value in strips of mass m is Binomial(trials, (1 - m)^n), m read from the
+mass table at each strip's own end.  A stream that uses this draws that
+count first, then only those samples, from f conditioned off the strips
+(rejection, acceptance 1 - m); accepted values left over carry from block
+to block, so the rows do not depend on the chunk size.  ``ht_simulate``
+does this for each hypothesis whose strips have m > 0.  ``mc_tail_rate``
+draws one strip-free sample per side, from stream (seed, n, side), on a
+rung where that draws fewer values than shared rows:
+(1 - m_lo)^(n - 1) + (1 - m_hi)^(n - 1) < 1.  An open edge has m = 0, so
+gamma, weibull and gaussian rungs never split: they and every other
+unsplit rung keep the stream (seed, n) of shared rows, while split rungs
+and the likelihood test between families with finite edges draw
+strip-free streams.
+
 The tail regression fits -log p_hat = beta n + gamma log n + c by
 event-count-weighted least squares (the log n nuisance absorbs the sqrt(n)
 prefactor of mean-type statistics, which otherwise biases the slope well
@@ -40,7 +61,8 @@ import numpy as np
 
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
-from .estimators import ORDER_STAT_KINDS, EstimatorSpec, extreme_events, tail_events
+from .estimators import (ORDER_STAT_KINDS, EstimatorSpec, _strip_width, check_family,
+                         extreme_events, tail_events)
 from .renyi import (_lse, _overlap_nodes, _pair_nodes, _renyi_from_nodes, default_ladder,
                     g_value)
 
@@ -195,53 +217,139 @@ def _gaussian_means(family, rng, m, n):
     return z
 
 
+def _check_n_grid(n_grid):
+    """The sample sizes as a tuple of ints; ValueError unless they are
+    positive and strictly increasing."""
+    n_grid = tuple(int(n) for n in n_grid)
+    if len(n_grid) < 1 or n_grid[0] < 1 or any(np.diff(n_grid) <= 0):
+        raise ValueError(f"n_grid must be positive and strictly increasing, got {list(n_grid)}")
+    return n_grid
+
+
+def _strip_mass(family, lo_w, hi_w):
+    """Mass of f in its edge strips {u - a <= lo_w} and {b - u <= hi_w}, each
+    read from the mass table at its own end (a width <= 0 is no strip); 1
+    when a strip spans the support."""
+    a, b = family.support
+    if max(lo_w, hi_w) >= b - a:
+        return 1.0
+    m = 0.0
+    if lo_w > 0:
+        m += float(fam_mod._mass_within(family, lo_w))
+    if hi_w > 0:
+        m += float(fam_mod._mass_within(family, hi_w, upper=True))
+    return m
+
+
+def _strip_free_count(rng, trials, n, m):
+    """How many of ``trials`` samples of size n draw no value in strips of
+    mass m: Binomial(trials, (1 - m)^n), all of them when m = 0."""
+    if m == 0.0:
+        return trials
+    return int(rng.binomial(trials, math.exp(n * math.log1p(-m)) if m < 1.0 else 0.0))
+
+
+def _strip_free(family, rng, rows, n, widths=(-math.inf, -math.inf), m=0.0):
+    """Yield ``rows`` samples of size n from f conditioned off its edge
+    strips {u - a <= widths[0]} and {b - u <= widths[1]} of mass m, as
+    (k, n) blocks of at most _CHUNK_VALUES values (at least one row).
+    Draws in a strip are rejected and each row takes the next n accepted
+    values, carrying those left over into the next block, so the rows do
+    not depend on the block size; with m = 0 they are consecutive draws."""
+    a, b = family.support
+    lo_w, hi_w = widths
+    carry = np.empty(0)
+    k_max = max(1, _CHUNK_VALUES // n)
+    for start in range(0, rows, k_max):
+        k = min(k_max, rows - start)
+        if m == 0.0:
+            X = fam_mod._draw(family, rng, k * n).reshape(k, n)
+        else:
+            X = np.empty((k, n))
+            flat = X.reshape(-1)
+            got = min(carry.size, flat.size)
+            flat[:got] = carry[:got]
+            carry = carry[got:]
+            while got < flat.size:
+                v = fam_mod._draw(family, rng,
+                                  min(_CHUNK_VALUES, math.ceil((flat.size - got) / (1.0 - m))))
+                v = v[(v - a > lo_w) & (b - v > hi_w)]
+                take = min(v.size, flat.size - got)
+                flat[got:got + take] = v[:take]
+                carry = v[take:].copy()
+                got += take
+                del v
+            del flat
+        yield X
+        del X  # one block live at a time
+
+
 def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
                  seed=0):
     """Empirical tail exponents of an estimator.
 
     For each n, simulates ``trials`` batches and counts {T > theta + eps}
     and {T < theta - eps}; the per-side slopes of -log p_hat come from the
-    weighted regression above.  A row is one of three kinds (module
+    weighted regression above.  A row is one of four kinds (module
     docstring), each drawn from its own per-n stream:
     - an order-statistic estimator's two extremes, drawn exactly in
       probability space: the family needs no sampler;
     - the gaussian MLE's mean, one standard normal per row;
-    - all n values, for every other estimator.
+    - strip-free rows of the MLE or LR estimator on a family with two
+      finite edges, one sample per side, where that draws fewer values
+      than shared rows: only the rows with no value in the edge strip that
+      settles the side are drawn, their number first;
+    - all n values, for every other estimator and rung.
     The first two cost the same at every n.  A side with zero events
     everywhere reports the +inf marker; both sides empty raises
     InsufficientEventsError.
     """
-    if n_grid is None:
-        n_grid = _DEFAULT_N_GRID
-    n_grid = tuple(int(n) for n in n_grid)
-    if len(n_grid) < 1 or any(np.diff(n_grid) <= 0):
-        raise ValueError("n_grid must be strictly increasing")
+    n_grid = _check_n_grid(_DEFAULT_N_GRID if n_grid is None else n_grid)
     trials = int(trials)
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
+    check_family(spec, family)
     up, dn = theta + eps, theta - eps
     extremes = spec.kind in ORDER_STAT_KINDS
     means = spec.kind == "mle" and family.kind == "gaussian"
-    counts_p = np.zeros(len(n_grid))
-    counts_m = np.zeros(len(n_grid))
+    if not (extremes or means):
+        w = _strip_width(spec, family, eps)
+        # per side: its strip's widths (lower, upper) and mass
+        strips = [((w, -math.inf), _strip_mass(family, w, -math.inf)),
+                  ((-math.inf, w), _strip_mass(family, -math.inf, w))]
+    counts = np.zeros((2, len(n_grid)))
     for i, n in enumerate(n_grid):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-        chunk = max(1, _CHUNK_VALUES // (_SUMMARY_ROW_VALUES if extremes or means else n))
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            if extremes:
-                above, below = extreme_events(spec, family, *_extreme_masses(rng, m, n),
-                                              eps, -eps)
-            elif means:
-                t = _gaussian_means(family, rng, m, n)
-                above, below = t > eps, t < -eps
-            else:
-                X = fam_mod._draw(family, rng, m * n).reshape(m, n)
+        stream = lambda *key: np.random.default_rng(np.random.SeedSequence((seed, n) + key))
+        if extremes or means:
+            rng = stream()
+            chunk = max(1, _CHUNK_VALUES // _SUMMARY_ROW_VALUES)
+            for done in range(0, trials, chunk):
+                m = min(chunk, trials - done)
+                if extremes:
+                    above, below = extreme_events(spec, family, *_extreme_masses(rng, m, n),
+                                                  eps, -eps)
+                else:
+                    t = _gaussian_means(family, rng, m, n)
+                    above, below = t > eps, t < -eps
+                counts[:, i] += np.count_nonzero(above), np.count_nonzero(below)
+        elif sum((1.0 - mass) ** (n - 1) for _, mass in strips) < 1.0:
+            # a side's events need a sample clear of its strip: draw those
+            # samples only, from a stream per side
+            for side, (widths, mass) in enumerate(strips):
+                rng = stream(side)
+                rows = _strip_free_count(rng, trials, n, mass)
+                for X in _strip_free(family, rng, rows, n, widths, mass):
+                    X += theta
+                    hits = tail_events(spec, family, X, *((up, None), (None, dn))[side])
+                    counts[side, i] += np.count_nonzero(hits[side])
+                    del X
+        else:
+            for X in _strip_free(family, stream(), trials, n):
                 X += theta
                 above, below = tail_events(spec, family, X, up, dn)
-                del X  # one chunk live at a time
-            counts_p[i] += np.count_nonzero(above)
-            counts_m[i] += np.count_nonzero(below)
-            done += m
+                counts[:, i] += np.count_nonzero(above), np.count_nonzero(below)
+                del X
+    counts_p, counts_m = counts
     if counts_p.sum() == 0 and counts_m.sum() == 0:
         raise InsufficientEventsError(
             f"no tail events for {spec.kind} at eps={eps} with n up to {n_grid[-1]}")
@@ -377,38 +485,48 @@ def hoeffding_rate(p_point, q_point, r):
 
 def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
     """Simulate the likelihood test {p^n >= q^n} (ties accept) and regress
-    -log(e1 + e2) on n."""
+    -log(e1 + e2) on n.
+
+    Each hypothesis draws from its own per-n stream.  A value where the
+    other density is zero decides its row with no error, so where such
+    values fill a strip at a finite edge of the hypothesis' support (mass
+    m > 0), the stream first draws how many rows have none,
+    Binomial(trials, (1 - m)^n), and then only those rows, conditioned off
+    the strips (module docstring)."""
     if n_grid is None:
         n_grid = (8, 16, 24, 32, 40, 48)
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = _check_n_grid(n_grid)
     trials = int(trials)
-    fam_p, tp = p_point
-    fam_q, tq = q_point
+    hypotheses = [(p_point, q_point), (q_point, p_point)]
+    strips = [_zero_strips(*h) for h in hypotheses]
     sums = np.zeros(len(n_grid))
     for i, n in enumerate(n_grid):
-        rng_p = np.random.default_rng(np.random.SeedSequence((seed, n, 0)))
-        rng_q = np.random.default_rng(np.random.SeedSequence((seed, n, 1)))
-        chunk = max(1, _CHUNK_VALUES // n)
-        done = 0
-        e1 = e2 = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            # one chunk live at a time
-            Xp = fam_mod._draw(fam_p, rng_p, m * n).reshape(m, n)
-            Xp += tp
-            e1 += np.count_nonzero(_llr_rows(p_point, q_point, Xp) < 0)
-            del Xp
-            Xq = fam_mod._draw(fam_q, rng_q, m * n).reshape(m, n)
-            Xq += tq
-            e2 += np.count_nonzero(_llr_rows(p_point, q_point, Xq) >= 0)
-            del Xq
-            done += m
-        sums[i] = e1 + e2
+        for h, ((fam_h, t_h), _) in enumerate(hypotheses):
+            widths, mass = strips[h]
+            rng = np.random.default_rng(np.random.SeedSequence((seed, n, h)))
+            rows = _strip_free_count(rng, trials, n, mass)
+            for X in _strip_free(fam_h, rng, rows, n, widths, mass):
+                X += t_h
+                llr = _llr_rows(p_point, q_point, X)
+                # errors: q preferred under p, p accepted under q
+                sums[i] += np.count_nonzero(llr < 0 if h == 0 else llr >= 0)
+                del X
     if sums.sum() == 0:
         raise InsufficientEventsError("no testing errors observed at any n")
     slope, err = _fit_rate(n_grid, sums, trials)
     return HtSimResult(slope=slope, stderr=err, n_grid=n_grid,
                        error_sums=sums, trials=trials, seed=int(seed))
+
+
+def _zero_strips(point, other):
+    """The strips at the finite edges of ``point``'s support where the
+    density of ``other`` is zero, as widths from those edges (-inf for
+    none), and their mass under ``point``."""
+    (fam, t), (fam_o, t_o) = point, other
+    a, b = fam.support
+    lo_w = (fam_o.a + t_o) - (a + t) if math.isfinite(a) else -math.inf
+    hi_w = (b + t) - (fam_o.b + t_o) if math.isfinite(b) else -math.inf
+    return (lo_w, hi_w), _strip_mass(fam, lo_w, hi_w)
 
 
 def _llr_rows(p_point, q_point, X):
@@ -448,6 +566,8 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     if eps_ladder is None:
         eps_ladder = default_ladder("abs", family)
     eps_ladder = tuple(float(e) for e in eps_ladder)
+    if not eps_ladder:
+        raise ValueError("eps_ladder needs at least one rung")
     # the seed count is part of the output: it fixes every rung's seed
     seeds = _child_seeds(seed, 2 * len(eps_ladder) + 2)
     rungs = []

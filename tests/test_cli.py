@@ -213,13 +213,18 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("rates", {**UNIFORM_CFG, "family": {"kind": "gaussian"},
                "estimators": [{"kind": "convex_combo", "lambda": 0.5}], "trials": 100},
      "estimators"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
+               "eps_ladder": []}, "eps_ladder"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
+               "n_grid": [8, 4, 16]}, "n_grid"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 0}, "trials"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
         "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
         "s-grid-falling", "s-grid-above-one", "s-grid-at-zero", "s-grid-repeated",
         "bounds-s-grid-16-points", "bounds-s-grid-above-one", "bounds-s-grid-negative",
         "lr-not-log-concave", "mle-not-log-concave", "max-shift-open-edge",
-        "combo-open-edges"])
+        "combo-open-edges", "rates-empty-ladder", "n-grid-falling", "no-trials"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -242,6 +247,23 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_checks", lambda level: checks)
     assert main(["verify"]) == 1
     assert "FAIL broken" in capsys.readouterr().out
+
+
+# beta(1.5, 1.5) draws strip-free samples per side at the larger rung
+# (both estimators) and the smaller one (lr at n >= 16)
+RATES_GOLDEN_CFG = {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [1.5, 1.5]},
+                    "estimators": [{"kind": "mle"}, {"kind": "lr"}], "trials": 2000,
+                    "n_grid": [8, 16, 32], "eps_ladder": [0.1, 0.05]}
+
+
+def test_rates_golden(tmp_path, capsys):
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps(RATES_GOLDEN_CFG))
+    code, text = _run(["rates", "--config", str(path)], capsys)
+    assert code == 0
+    assert _run(["rates", "--config", str(path)], capsys) == (0, text)  # byte-identical
+    # and identical to a recorded run, so a moved Monte Carlo stream shows
+    assert text == (Path(__file__).parent / "data" / "rates_beta_1.5_1.5.csv").read_text()
 
 
 @pytest.mark.parametrize("kind", ["lr", "shifted_min"])

@@ -80,11 +80,13 @@ for fam in fams:
 print("ok", len(runs), len(fams))
 """
 
+# at eps 0.2 the mle rungs at n >= 16 and the lr rungs at n >= 8 draw
+# strip-free samples per side, whose strip masses come from the mass table
 RATES_CFG = {
     "version": 1, "seed": 0, "family": {"kind": "beta", "params": [2, 3]},
     "estimators": [{"kind": "min_shift"}, {"kind": "convex_combo", "lambda": 0.3},
-                   {"kind": "mle"}],
-    "trials": 200, "n_grid": [2, 4, 8], "eps_ladder": [0.2, 0.1, 0.05, 0.025],
+                   {"kind": "mle"}, {"kind": "lr"}],
+    "trials": 200, "n_grid": [2, 4, 8, 16, 32], "eps_ladder": [0.2, 0.1, 0.05, 0.025],
 }
 
 

@@ -8,8 +8,9 @@ import pytest
 from scipy import integrate, optimize, stats
 from scipy.special import betainc
 
+from ldshift import families as fam_mod
 from ldshift import rates
-from ldshift.estimators import EstimatorSpec, estimate_many
+from ldshift.estimators import EstimatorSpec, _strip_width, estimate_many, tail_events
 from ldshift.families import _draw, make_family
 from ldshift.quadrature import panel_nodes
 from ldshift.rates import (InsufficientEventsError, WindowError, _child_seeds,
@@ -207,8 +208,10 @@ def test_gaussian_mle_mean_rows_do_not_depend_on_chunking(monkeypatch):
 
 
 def test_n_value_streams_are_pinned():
-    # the rows that draw all n values keep their streams: counts recorded
-    # at these seeds for the LR and MLE estimators and the likelihood test
+    # counts recorded at these seeds.  gamma(3) has an open upper edge, so
+    # its LR rungs draw all n values of shared rows, as does the beta MLE at
+    # n = 8, where strip-free samples per side would draw more values; the
+    # beta MLE at n = 16 and 32 and the likelihood test draw strip-free rows
     gamma3, beta15 = make_family("gamma", (3,)), make_family("beta", (1.5, 1.5))
     lr = mc_tail_rate(gamma3, EstimatorSpec("lr", eps=0.6), 0.0, 0.6, n_grid=(4, 8, 16),
                       trials=2_000, seed=31)
@@ -216,10 +219,122 @@ def test_n_value_streams_are_pinned():
     assert np.array_equal(lr.p_minus, np.array([179, 85, 17]) / 2_000)
     mle = mc_tail_rate(beta15, EstimatorSpec("mle"), 0.0, 0.1, n_grid=(8, 16, 32),
                        trials=1_000, seed=32)
-    assert np.array_equal(mle.p_plus, np.array([94, 25, 1]) / 1_000)
-    assert np.array_equal(mle.p_minus, np.array([98, 15, 2]) / 1_000)
+    assert np.array_equal(mle.p_plus, np.array([94, 16, 1]) / 1_000)
+    assert np.array_equal(mle.p_minus, np.array([98, 26, 0]) / 1_000)
     ht = ht_simulate((beta15, 0.0), (beta15, 0.2), n_grid=(8, 16, 24), trials=1_000, seed=33)
-    assert np.array_equal(ht.error_sums, [157.0, 38.0, 8.0])
+    assert np.array_equal(ht.error_sums, [173.0, 42.0, 10.0])
+
+
+def _splits(fam, spec, eps, n):
+    """Whether mc_tail_rate draws strip-free samples per side at n."""
+    w = _strip_width(spec, fam, eps)
+    masses = (rates._strip_mass(fam, w, -math.inf), rates._strip_mass(fam, -math.inf, w))
+    return sum((1.0 - m) ** (n - 1) for m in masses) < 1.0
+
+
+@pytest.mark.parametrize("fam, spec, eps, n_grid", [
+    (make_family("beta", (1.5, 1.5)), EstimatorSpec("mle"), 0.1, (16, 32)),
+    (make_family("beta", (1.5, 1.5)), EstimatorSpec("lr", eps=0.1), 0.1, (8, 16)),
+    (make_family("beta", (2, 3)), EstimatorSpec("mle"), 0.15, (18, 24)),
+    (make_family("beta", (2, 3)), EstimatorSpec("lr", eps=0.05), 0.1, (20, 32)),
+    (make_family("triangular", (0.3,)), EstimatorSpec("mle"), 0.2, (10, 16)),
+    (make_family("triangular", (0.3,)), EstimatorSpec("lr", eps=0.1), 0.1, (10, 16)),
+    (UNIFORM, EstimatorSpec("mle"), 0.05, (16, 24)),
+    (UNIFORM, EstimatorSpec("lr", eps=0.15), 0.05, (8, 12)),
+], ids=["mle-beta-1.5-1.5", "lr-beta-1.5-1.5", "mle-beta-2-3", "lr-beta-2-3-narrower",
+        "mle-triangular-0.3", "lr-triangular-0.3", "mle-uniform", "lr-uniform-wider"])
+def test_strip_free_rows_match_direct_draws(fam, spec, eps, n_grid):
+    # one strip-free sample per side against the tail events of n draws per
+    # row (tail_events gives those of the full estimates); the LR
+    # estimators' own eps differs from the tail's on two rows, so both arms
+    # of the strip width eps + min(inset, eps) are run
+    assert all(_splits(fam, spec, eps, n) for n in n_grid)
+    trials = 20_000
+    est = mc_tail_rate(fam, spec, 0.0, eps, n_grid=n_grid, trials=trials, seed=51)
+    rng = np.random.default_rng(98)
+    for i, n in enumerate(n_grid):
+        X = _draw(fam, rng, trials * n).reshape(trials, n)
+        for p, hits in zip((est.p_plus[i], est.p_minus[i]), tail_events(spec, fam, X, eps, -eps)):
+            q = hits.mean()
+            stderr = math.sqrt((p * (1 - p) + q * (1 - q)) / trials)
+            assert abs(p - q) <= 4.0 * stderr, (n, p, q)
+    assert est.p_plus[0] > 0     # the beta(2, 3) MLE is never seen below -eps here
+
+
+# uniform on (0, 2) with a sampler: a support around beta(2, 2)'s at 0.5
+WIDE = make_family("custom", logpdf=lambda u: np.full(np.shape(u), math.log(0.5)),
+                   support=(0.0, 2.0), edge=(1.0, 0.5, 1.0, 0.5), log_concave=True,
+                   sampler=lambda rng, n: rng.uniform(0.0, 2.0, n))
+
+
+def _direct_error_sum(p_point, q_point, n, trials, rng):
+    """e1 + e2 of the likelihood test from n full draws per row."""
+    errors = 0
+    for h, (fam, t) in enumerate((p_point, q_point)):
+        llr = rates._llr_rows(p_point, q_point, _draw(fam, rng, trials * n).reshape(trials, n) + t)
+        errors += np.count_nonzero(llr < 0 if h == 0 else llr >= 0)
+    return errors
+
+
+@pytest.mark.parametrize("p_point, q_point, n_grid", [
+    ((make_family("beta", (1.5, 1.5)), 0.0), (make_family("beta", (1.5, 1.5)), 0.2), (8, 16)),
+    ((make_family("beta", (2, 3)), 0.0), (make_family("beta", (2, 3)), -0.15), (8, 16)),
+    ((make_family("beta", (2, 3)), 0.0), (make_family("triangular", (0.3,)), 0.1), (4, 8)),
+    ((WIDE, 0.0), (BETA22, 0.5), (2, 3)),
+], ids=["shift-up", "shift-down", "beta-against-triangular", "strips-at-both-edges"])
+def test_ht_strip_free_rows_match_direct_draws(p_point, q_point, n_grid):
+    trials = 20_000
+    res = ht_simulate(p_point, q_point, n_grid=n_grid, trials=trials, seed=52)
+    rng = np.random.default_rng(97)
+    for n, got in zip(n_grid, res.error_sums):
+        want = _direct_error_sum(p_point, q_point, n, trials, rng)
+        # two independent sums of two binomial counts each
+        stderr = math.sqrt(2.0 * (got + want))
+        assert abs(got - want) <= 4.0 * stderr, (n, got, want)
+        assert got > 0
+
+
+def test_ht_uniform_error_sum_is_the_strip_free_count():
+    # under U(0, 1) every strip-free row ties and is accepted, no error; under
+    # U(0.3, 1.3) every strip-free row is an error: the sum is the binomial
+    # count that hypothesis' stream draws first, Binomial(trials, 0.7^n)
+    trials, seed, n_grid = 10_000, 53, (2, 4, 8, 16)
+    res = ht_simulate((UNIFORM, 0.0), (UNIFORM, 0.3), n_grid=n_grid, trials=trials, seed=seed)
+    for n, got in zip(n_grid, res.error_sums):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n, 1)))
+        assert got == rng.binomial(trials, 0.7 ** n), n
+
+
+def test_strip_free_rows_do_not_depend_on_chunking(monkeypatch):
+    beta15 = make_family("beta", (1.5, 1.5))
+    runs = [lambda: mc_tail_rate(beta15, EstimatorSpec("mle"), 0.0, 0.1, n_grid=(16, 32),
+                                 trials=5_000, seed=54),
+            lambda: mc_tail_rate(beta15, EstimatorSpec("lr", eps=0.1), 0.0, 0.1,
+                                 n_grid=(8, 16), trials=5_000, seed=55),
+            lambda: ht_simulate((beta15, 0.0), (beta15, 0.2), n_grid=(8, 16),
+                                trials=5_000, seed=56)]
+    before = [run() for run in runs]
+    monkeypatch.setattr(rates, "_CHUNK_VALUES", 1_000)
+    after = [run() for run in runs]
+    for a, b in zip(before[:2], after[:2]):
+        assert np.array_equal(a.p_plus, b.p_plus)
+        assert np.array_equal(a.p_minus, b.p_minus)
+    assert np.array_equal(before[2].error_sums, after[2].error_sums)
+
+
+def test_ht_draws_only_undecided_rows(monkeypatch):
+    # the benchmark's likelihood test: beta(1.5, 1.5) at shifts 0 and 0.2
+    drawn = []
+
+    def counting_draw(family, rng, n):
+        drawn.append(n)
+        return _draw(family, rng, n)
+
+    monkeypatch.setattr(fam_mod, "_draw", counting_draw)
+    beta15 = make_family("beta", (1.5, 1.5))
+    n_grid, trials = (8, 16, 24, 32, 40, 48), 4_000
+    ht_simulate((beta15, 0.0), (beta15, 0.2), n_grid=n_grid, trials=trials, seed=7)
+    assert 0 < sum(drawn) < trials * sum(n_grid) / 10
 
 
 @pytest.mark.parametrize("spec", [EstimatorSpec("min_shift"), EstimatorSpec("max_shift"),
@@ -383,6 +498,17 @@ def test_rate_shift_invariance():
     b = mc_tail_rate(UNIFORM, EstimatorSpec("min_shift"), 2.5, 0.1,
                      n_grid=(8, 16, 32), trials=20_000, seed=12)
     assert a.beta == pytest.approx(b.beta, rel=1e-12)  # same draws, shifted
+
+
+def test_empty_ladder_and_bad_grids_raise():
+    spec = EstimatorSpec("min_shift")
+    with pytest.raises(ValueError, match="eps_ladder"):
+        alpha2_estimate(UNIFORM, spec, 0.0, "abs", eps_ladder=())
+    for n_grid in ((), (8, 4), (0, 4)):
+        with pytest.raises(ValueError, match="n_grid"):
+            mc_tail_rate(UNIFORM, spec, 0.0, 0.1, n_grid=n_grid, trials=100)
+    with pytest.raises(ValueError, match="trial"):
+        mc_tail_rate(UNIFORM, spec, 0.0, 0.1, n_grid=(4,), trials=0)
 
 
 def test_alpha2_estimate_uniform_combo():
