@@ -497,6 +497,8 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
         n_grid = (8, 16, 24, 32, 40, 48)
     n_grid = _check_n_grid(n_grid)
     trials = int(trials)
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
     hypotheses = [(p_point, q_point), (q_point, p_point)]
     strips = [_zero_strips(*h) for h in hypotheses]
     sums = np.zeros(len(n_grid))

@@ -509,6 +509,10 @@ def test_empty_ladder_and_bad_grids_raise():
             mc_tail_rate(UNIFORM, spec, 0.0, 0.1, n_grid=n_grid, trials=100)
     with pytest.raises(ValueError, match="trial"):
         mc_tail_rate(UNIFORM, spec, 0.0, 0.1, n_grid=(4,), trials=0)
+    with pytest.raises(ValueError, match="trial"):
+        ht_simulate((UNIFORM, 0.0), (UNIFORM, 0.3), n_grid=(4,), trials=0)
+    with pytest.raises(ValueError, match="n_grid"):
+        ht_simulate((UNIFORM, 0.0), (UNIFORM, 0.3), n_grid=(4, 4), trials=10)
 
 
 def test_alpha2_estimate_uniform_combo():
