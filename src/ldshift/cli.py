@@ -243,6 +243,11 @@ def cmd_rates(cfg, out=None, fmt="csv"):
         ladder = None if ladder is None else [float(e) for e in ladder]
         if ladder == []:
             raise ValueError("need at least one rung")
+        width = fam.b - fam.a
+        for eps in ladder or ():
+            if not 0.0 < eps < width:
+                raise ValueError(f"rung eps={eps} is not positive and narrower than "
+                                 f"the support width {width}")
         eps0 = (ladder or [0.1])[0]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'eps_ladder': {exc}") from exc

@@ -14,6 +14,7 @@ built once on the family's quadrature cells; ``_mass_within`` reads it
 forward and ``_quantile`` inverts it.  No kind has a CDF of its own.
 """
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -88,9 +89,16 @@ def make_family(kind, params=(), **custom):
     sampler(rng, n); any other keyword is a ValueError.  The stated edge
     metadata and the total mass are validated at build time.  A family's
     masses, its CDF included, come from its quadrature (``_mass_table``),
-    whatever its kind.
+    whatever its kind.  A built-in kind gives one shared instance per
+    (kind, params), which the per-family caches find by identity.
     """
-    params = tuple(float(p) for p in params)
+    if kind == "custom":
+        return _make_custom(custom)
+    return _builtin_family(kind, tuple(float(p) for p in params))
+
+
+@functools.lru_cache(maxsize=256)
+def _builtin_family(kind, params):
     if kind == "uniform":
         if params not in ((), (0.0, 1.0)):
             raise ValueError("uniform is standardized on (0, 1); shift via theta")
@@ -143,8 +151,6 @@ def make_family(kind, params=(), **custom):
             kappa1=2.0, A1=2.0 / c, kappa2=2.0, A2=2.0 / (1.0 - c),
             log_concave=True, breakpoints=(c,),
         )
-    if kind == "custom":
-        return _make_custom(custom)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -271,6 +277,11 @@ def _logpdf_plain(fam, u):
     return _logpdf3(fam, u, *_dists(fam, u))
 
 
+# kinds whose log-density is finite and raises no floating-point warning at
+# any point inside their bounded support
+_BOUNDED_KINDS = frozenset({"uniform", "beta", "triangular"})
+
+
 def _logpdf3(fam, u, dl, dr):
     """log f(u) from (u, dist-to-left-edge, dist-to-right-edge); -inf
     outside the open support, where an edge distance is not > 0.
@@ -278,41 +289,45 @@ def _logpdf3(fam, u, dl, dr):
     Edge behavior is computed from the distances, which callers (the
     quadrature) keep exact; an unbounded side's distance may be the scalar
     inf.  A built-in kind is evaluated on the whole array with
-    floating-point warnings off, then -inf is written at the points
-    outside, so its values at the inside points are those of an evaluation
-    on them alone.  A custom ``logpdf_fn`` is called on the inside points
-    only.
+    floating-point warnings off (not needed, and skipped, for a kind on a
+    bounded support when every point lies inside), then -inf is written at
+    the points outside, so its values at the inside points are those of an
+    evaluation on them alone.  A custom ``logpdf_fn`` is called on the
+    inside points only.
     """
     u = np.asarray(u, dtype=float)
     inside = np.logical_and(np.greater(dl, 0), np.greater(dr, 0))
-    kind = fam.kind
-    if kind == "custom":
+    if fam.kind == "custom":
         return _logpdf_custom(fam, u, dl, dr, inside)
+    if fam.kind in _BOUNDED_KINDS and inside.all():
+        return np.asarray(_logpdf_kind(fam, u, dl, dr))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if kind == "uniform":
-            val = np.zeros(u.shape)
-        elif kind == "beta":
-            p, q = fam.params
-            val = (p - 1.0) * np.log(dl) + (q - 1.0) * np.log(dr) - log_beta(p, q)
-        elif kind == "gamma":
-            k, = fam.params
-            val = (k - 1.0) * np.log(dl) - dl - log_gamma(k)
-        elif kind == "weibull":
-            k, = fam.params
-            val = math.log(k) + (k - 1.0) * np.log(dl) - dl ** k
-        elif kind == "gaussian":
-            s, = fam.params
-            val = -0.5 * (u / s) ** 2 - math.log(s * _SQRT_2PI)
-        elif kind == "triangular":
-            c, = fam.params
-            val = np.where(u <= c,
-                           np.log(2.0 * dl / c),
-                           np.log(2.0 * dr / (1.0 - c)))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown family kind {kind!r}")
-    val = np.asarray(val)          # a 0-d input gives a numpy scalar
+        val = np.asarray(_logpdf_kind(fam, u, dl, dr))   # a 0-d input gives a numpy scalar
     np.copyto(val, -math.inf, where=~inside)
     return val
+
+
+def _logpdf_kind(fam, u, dl, dr):
+    """The closed form of log f of a built-in kind at (u, dl, dr)."""
+    kind = fam.kind
+    if kind == "uniform":
+        return np.zeros(u.shape)
+    if kind == "beta":
+        p, q = fam.params
+        return (p - 1.0) * np.log(dl) + (q - 1.0) * np.log(dr) - log_beta(p, q)
+    if kind == "gamma":
+        k, = fam.params
+        return (k - 1.0) * np.log(dl) - dl - log_gamma(k)
+    if kind == "weibull":
+        k, = fam.params
+        return math.log(k) + (k - 1.0) * np.log(dl) - dl ** k
+    if kind == "gaussian":
+        s, = fam.params
+        return -0.5 * (u / s) ** 2 - math.log(s * _SQRT_2PI)
+    if kind == "triangular":
+        c, = fam.params
+        return np.where(u <= c, np.log(2.0 * dl / c), np.log(2.0 * dr / (1.0 - c)))
+    raise ValueError(f"unknown family kind {kind!r}")  # pragma: no cover
 
 
 def _logpdf_custom(fam, u, dl, dr, inside):
@@ -558,8 +573,17 @@ def _mass_within(fam, t, upper=False):
     support nearer that end, and only there: past it, near a singular far
     edge, the distance to that edge is only known to ulps of t, which leaves
     the upper-end mass of beta(0.3, 0.3) 6.5e-10 relative off at
-    t = 1 - 1.16e-12.  ``cdf`` switches ends at 1/2 for that reason."""
+    t = 1 - 1.16e-12.  ``cdf`` switches ends at 1/2 for that reason.
+
+    A Python float t takes a lean path with the same arithmetic, which
+    evaluates only the branch it returns."""
     tab = _mass_table(fam, upper)
+    if isinstance(t, float):
+        t = min(max(t, 0.0), float(tab.t[-1]))
+        i = min(max(bisect.bisect_right(tab.t, t), 1), tab.t.size - 1)
+        if math.isfinite(tab.kappa) and i <= tab.inner:
+            return float(tab.amp / tab.kappa * np.float64(t) ** tab.kappa)
+        return float(tab.mass[i - 1] + _gauss_mass(fam, upper, tab.t[i - 1], np.float64(t)))
     t = np.clip(np.asarray(t, dtype=float), 0.0, tab.t[-1])
     i = np.clip(np.searchsorted(tab.t, t, side="right"), 1, tab.t.size - 1)
     mass = tab.mass[i - 1] + _gauss_mass(fam, upper, tab.t[i - 1], t)

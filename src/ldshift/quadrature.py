@@ -18,6 +18,7 @@ distance space, so a density with an edge at an endpoint can be evaluated
 without catastrophic cancellation even at distances near 2^-400.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,10 +61,17 @@ class PanelNodes:
     dr: np.ndarray  # exact distance from hi
 
 
+@functools.lru_cache(maxsize=None)
+def _powers(levels):
+    """[2^-L, ..., 2^0] for a ladder of L levels, read-only."""
+    out = 2.0 ** (-np.arange(levels, -1, -1, dtype=float))
+    out.flags.writeable = False
+    return out
+
+
 def _ladder_cells(width, levels):
     """Dyadic cell edges [0, w 2^-L, ..., w/2] in distance space."""
-    js = np.arange(levels, -1, -1, dtype=float)
-    return np.concatenate([[0.0], width * 0.5 * 2.0 ** (-js)])
+    return np.concatenate([[0.0], width * 0.5 * _powers(levels)])
 
 
 def _expand(edges):
@@ -80,7 +88,9 @@ def _segment_nodes(lo, hi, levels_lo, levels_hi):
     halvings and toward hi by ``levels_hi``, meeting at the midpoint."""
     width = hi - lo
     dl_left, w_left = _expand(_ladder_cells(width, levels_lo))     # from lo
-    dr_right, w_right = _expand(_ladder_cells(width, levels_hi))   # from hi
+    # from hi: the same ladder when both ends are graded alike
+    dr_right, w_right = ((dl_left, w_left) if levels_hi == levels_lo
+                         else _expand(_ladder_cells(width, levels_hi)))
     dl = np.concatenate([dl_left, width - dr_right[::-1]])
     dr = np.concatenate([width - dl_left, dr_right[::-1]])
     w = np.concatenate([w_left, w_right[::-1]])
@@ -117,14 +127,8 @@ def panel_nodes(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)
         # at the outermost segments, which is where singularities live
         dls.append(dl + (a - lo) if i > 0 else dl)
         drs.append(dr + (hi - b) if i < last else dr)
-    return PanelNodes(
-        lo=lo,
-        hi=hi,
-        x=np.concatenate(xs),
-        w=np.concatenate(ws),
-        dl=np.concatenate(dls),
-        dr=np.concatenate(drs),
-    )
+    join = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return PanelNodes(lo=lo, hi=hi, x=join(xs), w=join(ws), dl=join(dls), dr=join(drs))
 
 
 def panel_edges(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):

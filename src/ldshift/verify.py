@@ -112,17 +112,18 @@ def check_l12():
 
 
 def check_l13():
-    """The symmetric beta-product objective is minimized at s = 1/2."""
+    """The symmetric beta-product objective is minimized at s = 1/2.  The
+    grid is symmetric about 1/2, so the product at 1 - s is the mirrored
+    product at s."""
     worst = 0.0
+    grid = np.linspace(0.01, 0.99, 4001)
+    denom = grid * (1.0 - grid)
     for k in (1.2, 1.5, 1.8):
-        def obj(s):
-            return (_beta_product(s, k) / (s * (1.0 - s)) +
-                    _beta_product(1.0 - s, k) / (s * (1.0 - s)))
-        grid = np.linspace(0.01, 0.99, 4001)
-        vals = obj(grid)
+        prod = _beta_product(grid, k)
+        vals = prod / denom + prod[::-1] / denom
         s_min = grid[int(np.argmin(vals))]
         worst = max(worst, abs(s_min - 0.5))
-    return LemmaCheck("shared_minimizer_at_half", worst <= 1e-3, worst,
+    return LemmaCheck("shared_minimizer_at_half", worst <= 1e-3, float(worst),
                       "grid-scan minimizers for kappa in {1.2, 1.5, 1.8}")
 
 
@@ -137,8 +138,18 @@ def _random_concave_pwl(rng, pieces=6):
     return lines
 
 
-def _pwl_eval(lines, t):
-    return min(c + m * t for c, m in lines)
+def _pwl_eval(c, m, t):
+    """The min of the affine pieces c + m t at each t of an array."""
+    return np.min(c + m * t[:, None], axis=1)
+
+
+def _crossings(off, slope):
+    """Crossing points (off_j - off_i) / (slope_i - slope_j), i < j, of the
+    lines off + slope x whose slopes differ."""
+    i, j = np.triu_indices(off.size, 1)
+    keep = slope[i] != slope[j]
+    i, j = i[keep], j[keep]
+    return (off[j] - off[i]) / (slope[i] - slope[j])
 
 
 def check_concave_infsup(seed=0, cases=10):
@@ -153,32 +164,20 @@ def check_concave_infsup(seed=0, cases=10):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
-        lines = _random_concave_pwl(rng)
-        # breakpoints: pairwise crossings of the active pieces inside (0,1)
-        ts = {1e-9, 1.0 - 1e-9}
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                (c1, m1), (c2, m2) = lines[i], lines[j]
-                if m1 != m2:
-                    t = (c2 - c1) / (m1 - m2)
-                    if 0.0 < t < 1.0:
-                        ts.add(t)
-        ts = sorted(ts)
-        for s in rng.uniform(0.05, 0.95, 5):
-            # sup over t of (-t x + f(t))/(1-t) = max over breakpoints -> affine in x
-            slopes = np.array([-t / (1.0 - t) for t in ts])
-            offs = np.array([_pwl_eval(lines, t) / (1.0 - t) for t in ts])
-            # outer: inf over x >= 0 of s x + (1-s) max_j(slopes_j x + offs_j)
-            xs = {0.0}
-            for i in range(len(ts)):
-                for j in range(i + 1, len(ts)):
-                    if slopes[i] != slopes[j]:
-                        x = (offs[j] - offs[i]) / (slopes[i] - slopes[j])
-                        if x > 0.0:
-                            xs.add(x)
-            best = min(s * x + (1.0 - s) * float(np.max(slopes * x + offs))
-                       for x in xs)
-            worst = max(worst, abs(best - _pwl_eval(lines, s)))
+        c, m = np.asarray(_random_concave_pwl(rng)).T
+        # breakpoints: pairwise crossings of the pieces inside (0, 1)
+        ts = _crossings(c, m)
+        ts = np.unique(np.concatenate([[1e-9, 1.0 - 1e-9], ts[(0.0 < ts) & (ts < 1.0)]]))
+        # sup over t of (-t x + f(t))/(1-t) = max over breakpoints -> affine in x
+        slopes = -ts / (1.0 - ts)
+        offs = _pwl_eval(c, m, ts) / (1.0 - ts)
+        # outer: inf over x >= 0 of s x + (1-s) max_j(slopes_j x + offs_j)
+        xs = _crossings(offs, slopes)
+        xs = np.concatenate([[0.0], xs[xs > 0.0]])
+        outer = np.max(slopes * xs[:, None] + offs, axis=1)
+        s = rng.uniform(0.05, 0.95, 5)[:, None]
+        best = np.min(s * xs + (1.0 - s) * outer, axis=1)
+        worst = max(worst, float(np.max(np.abs(best - _pwl_eval(c, m, s[:, 0])))))
     return LemmaCheck("concave_infsup_identity", worst <= 1e-6, worst,
                       f"{cases} random piecewise-linear concave functions")
 

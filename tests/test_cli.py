@@ -16,54 +16,55 @@ from ldshift.renyi import classify_regime, default_ladder, g_value, renyi_curve
 from ldshift.verify import LemmaCheck
 
 # recorded with the per-end edge depths of the quadrature; gamma(2) with the
-# sq_log ladder's basis fit; beta with log B(p, q) from ldshift.special (the
-# ladder alphas move by about 2e-11 relative per ulp of the log-normaliser);
-# every optimum refined on the scan's interpolant and confirmed by one
-# evaluation to the profile's median relative error.  One row per regime, so
-# a change to the optimizers or the sweep shows in each
+# sq_log ladder's basis fit; every optimum refined on the scan's interpolant
+# and confirmed by one evaluation to the profile's median relative error;
+# every rung divergence from the cancellation-free sweep D (renyi module
+# docstring), under which an ulp of the log-normaliser moves the alphas by
+# ulps.  One row per regime, so a change to the optimizers or the sweep
+# shows in each
 GOLDEN = {
     "uniform": {
         "family": "uniform", "regime": "kappa_one", "kappa": 1.0, "A1": 1.0, "A2": 1.0,
-        "alpha1_bar_closed": 2.0, "alpha1_bar_numeric": 2.0000000092118384,
-        "alpha2_bar_closed": 2.0, "alpha2_bar_numeric": 2.0000000092118384,
+        "alpha1_bar_closed": 2.0, "alpha1_bar_numeric": 2.00000000921387,
+        "alpha2_bar_closed": 2.0, "alpha2_bar_numeric": 2.00000000921387,
         "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "beta": {
         "family": "beta", "regime": "power_mid", "kappa": 1.5,
         "A1": 2.546479089470325, "A2": 2.546479089470325,
-        "alpha1_bar_closed": 6.29514986141918, "alpha1_bar_numeric": 6.292306516396741,
-        "alpha2_bar_closed": 6.29514986141918, "alpha2_bar_numeric": 6.292306516396741,
+        "alpha1_bar_closed": 6.29514986141918, "alpha1_bar_numeric": 6.292306516218437,
+        "alpha2_bar_closed": 6.29514986141918, "alpha2_bar_numeric": 6.292306516218315,
         "s_star1": 0.5000000083046848, "s_star2": 0.5000000019604701, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "gamma": {
         "family": "gamma", "regime": "kappa_two", "kappa": 2.0, "A1": 1.0, "A2": 0.0,
-        "alpha1_bar_closed": 0.5, "alpha1_bar_numeric": 0.499994261523296,
-        "alpha2_bar_closed": 0.5, "alpha2_bar_numeric": 0.4999527987378094,
-        "s_star1": 0.5, "s_star2": 0.9499999932813687, "coincide_closed": "true",
+        "alpha1_bar_closed": 0.5, "alpha1_bar_numeric": 0.49999425692526245,
+        "alpha2_bar_closed": 0.5, "alpha2_bar_numeric": 0.49995279462394104,
+        "s_star1": 0.49999699073451154, "s_star2": 0.95, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "beta-0.3-0.3": {
         "family": "beta", "regime": "power_low", "kappa": 0.3,
         "A1": 0.16639977020643656, "A2": 0.16639977020643656,
-        "alpha1_bar_closed": 0.9641968680934432, "alpha1_bar_numeric": 0.9635475901086609,
-        "alpha2_bar_closed": 0.9641968680934432, "alpha2_bar_numeric": 0.9635475901086609,
-        "s_star1": 0.5000000083046849, "s_star2": 0.5000000019604701, "coincide_closed": "true",
+        "alpha1_bar_closed": 0.9641968680934432, "alpha1_bar_numeric": 0.963547590111774,
+        "alpha2_bar_closed": 0.9641968680934432, "alpha2_bar_numeric": 0.9635475901112763,
+        "s_star1": 0.5000000083046848, "s_star2": 0.5000000019604701, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "gamma-3": {
         "family": "gamma", "regime": "semi_regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
-        "alpha1_bar_closed": 0.5000000000000001, "alpha1_bar_numeric": 0.5000000008120653,
-        "alpha2_bar_closed": 0.5000000000000001, "alpha2_bar_numeric": 0.4999718068649827,
-        "s_star1": 0.5, "s_star2": 0.6957302598555415, "coincide_closed": "true",
+        "alpha1_bar_closed": 0.5000000000000001, "alpha1_bar_numeric": 0.5000000004630909,
+        "alpha2_bar_closed": 0.5000000000000001, "alpha2_bar_numeric": 0.49997180644706885,
+        "s_star1": 0.5, "s_star2": 0.6957284344575654, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
     "gaussian": {
         "family": "gaussian", "regime": "regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
-        "alpha1_bar_closed": 0.4999999999999996, "alpha1_bar_numeric": 0.4999999991923686,
-        "alpha2_bar_closed": 0.4999999999999996, "alpha2_bar_numeric": 0.4999999898343225,
-        "s_star1": 0.5, "s_star2": 0.9749999932813687, "coincide_closed": "true",
+        "alpha1_bar_closed": 0.4999999999999996, "alpha1_bar_numeric": 0.4999999999999331,
+        "alpha2_bar_closed": 0.4999999999999996, "alpha2_bar_numeric": 0.49999999999991396,
+        "s_star1": 0.5000000019604701, "s_star2": 0.5, "coincide_closed": "true",
         "coincide_numeric": "true", "symmetric_at_half": "true",
     },
 }
@@ -100,6 +101,24 @@ def test_bounds_golden(name, tmp_path, capsys):
         else:
             assert row[col] == want, col
     assert _run(argv, capsys) == (0, text)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_BOUNDS = sorted(PERFBENCH.glob("configs/cli/bounds-*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_BOUNDS, ids=lambda p: p.stem)
+def test_ladder_bounds_match_benchmark_refs(path, capsys):
+    # the benchmark's ladder-bounds configs, the deep 1e-4 .. 1e-12 beta(2, 3)
+    # ladder among them, against its mpmath references at its tolerance
+    # (perfbench BOUND_TOL); files are only read
+    refs = json.loads((PERFBENCH / "data" / "refs.json").read_text())
+    ref = refs[f"bounds/{path.stem[len('bounds-'):]}"]
+    code, text = _run(["bounds", "--config", str(path)], capsys)
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(text)))
+    for col, want in (("alpha1_bar_numeric", ref["alpha1"]), ("alpha2_bar_numeric", ref["alpha2"])):
+        assert abs(float(row[col]) - want) <= 5e-3 * abs(want) + 1e-12, (col, row[col], want)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -218,13 +237,18 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
                "n_grid": [8, 4, 16]}, "n_grid"),
     ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 0}, "trials"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
+               "eps_ladder": [0.1, -0.05]}, "eps_ladder"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
+               "eps_ladder": [1.5]}, "eps_ladder"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
         "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
         "s-grid-falling", "s-grid-above-one", "s-grid-at-zero", "s-grid-repeated",
         "bounds-s-grid-16-points", "bounds-s-grid-above-one", "bounds-s-grid-negative",
         "lr-not-log-concave", "mle-not-log-concave", "max-shift-open-edge",
-        "combo-open-edges", "rates-empty-ladder", "n-grid-falling", "no-trials"])
+        "combo-open-edges", "rates-empty-ladder", "n-grid-falling", "no-trials",
+        "rates-rung-negative", "rates-rung-wider-than-support"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))

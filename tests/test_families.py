@@ -294,6 +294,17 @@ def test_fisher_information():
         48.0, rel=1e-12, abs=0.0)
 
 
+def test_builtin_families_are_shared_instances():
+    # the per-family caches (trimmed support, mass tables) then find a
+    # family by identity; a custom family is never shared
+    assert make_family("beta", (2, 2)) is make_family("beta", (2.0, 2.0))
+    assert make_family("uniform") is make_family("uniform")
+    assert make_family("gamma", (2.0,)) is not make_family("gamma", (3.0,))
+    logpdf = lambda u: np.zeros(np.shape(u))
+    args = dict(logpdf=logpdf, support=(0.0, 1.0), edge=(1.0, 1.0, 1.0, 1.0), log_concave=True)
+    assert make_family("custom", **args) is not make_family("custom", **args)
+
+
 def test_custom_family_roundtrip():
     k = 0.5
     fam = make_family(

@@ -12,6 +12,7 @@ from ldshift import renyi
 from ldshift.bounds import bound_pair
 from ldshift.families import make_family
 from ldshift.quadrature import integrate, panel_nodes
+from ldshift.rates import chernoff_test_rate, hoeffding_rate
 from ldshift.renyi import (DivergenceError, classify_regime, closed_form_isg,
                            g_value, kappa_of_g, profile_from_closed_form,
                            profile_from_family, renyi_curve, renyi_divergence)
@@ -361,14 +362,101 @@ def test_lse_matches_scipy_bit_for_bit():
         assert np.array_equal(renyi._lse(v.copy()), logsumexp(v))
 
 
-def test_sweep_matches_scipy_logsumexp():
-    fam = make_family("beta", (1.5, 1.5))
-    eps = 0.003125
+@pytest.mark.parametrize("eps", [0.2, 0.05, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_uniform_pair_is_log1p_of_the_shift(eps):
+    # D is the strip mass eps on both sides, read from the mass tables; no
+    # quadrature sum enters, so the divergence is -log1p(-eps) to ulps
+    fam = make_family("uniform")
     pair = renyi._pair_nodes((fam, -eps / 2.0), (fam, eps / 2.0))
-    lp, lq, logw = pair
-    s_vals = np.random.default_rng(3).uniform(0.0, 1.0, 20)
-    want = [-logsumexp(s * lp + (1.0 - s) * lq + logw) for s in s_vals]
-    assert np.array_equal(renyi._renyi_from_nodes(pair, s_vals), np.maximum(want, 0.0))
+    got = renyi._renyi_from_nodes(pair, renyi._default_s_grid())
+    want = -math.log1p(-eps)
+    assert np.all(np.abs(got - want) <= 4.0 * math.ulp(want))
+
+
+@pytest.mark.parametrize("shift", [0.2, 1e-2, 1e-4, 1e-6])
+def test_gaussian_pair_keeps_relative_precision(shift):
+    # I^s = s (1 - s) shift^2 / 2 exactly; the -log(sum) form lost it all
+    # at shift 1e-6, where I^s is 1e-13
+    fam = make_family("gaussian")
+    s_grid = renyi._default_s_grid()
+    got = renyi._renyi_from_nodes(renyi._pair_nodes((fam, 0.0), (fam, shift)), s_grid)
+    want = s_grid * (1.0 - s_grid) * shift * shift / 2.0
+    assert np.all(np.abs(got / want - 1.0) <= 1e-11)
+
+
+def _mp_gaussian_renyi(shift, s):
+    """I^s between unit gaussians shift apart by 50-digit quadrature."""
+    import mpmath as mp
+    with mp.workdps(50):
+        s, shift = mp.mpf(s), mp.mpf(shift)
+        dens = lambda x, m: mp.exp(-(x - m) ** 2 / 2) / mp.sqrt(2 * mp.pi)
+        return -mp.log(mp.quad(lambda x: dens(x, 0) ** s * dens(x, shift) ** (1 - s),
+                               [-mp.inf, 0, shift, mp.inf]))
+
+
+@pytest.mark.parametrize("shift", [1e-4, 1e-6])
+def test_testing_exponents_of_close_gaussians_match_mpmath(shift):
+    # the sup over s of I^s sits at s = 1/2 by symmetry; at r = 0 the
+    # Hoeffding objective I^s / (1 - s) grows with s, so its sup on the
+    # scan's range sits at the top order 1 - 1e-6
+    fam = make_family("gaussian")
+    p, q = (fam, 0.0), (fam, shift)
+    want = float(_mp_gaussian_renyi(shift, 0.5))
+    assert abs(chernoff_test_rate(p, q) / want - 1.0) <= 1e-9
+    top = 1.0 - 1e-6
+    hr = hoeffding_rate(p, q, 0.0)
+    assert hr.s_star == top
+    assert abs(hr.value / float(_mp_gaussian_renyi(shift, top) / (1 - top)) - 1.0) <= 1e-9
+
+
+def _mp_beta_renyi(shape, shift, s):
+    """I^s between beta(shape, shape) densities shift apart, in mpmath."""
+    import mpmath as mp
+    with mp.workdps(30):
+        a, shift, s = mp.mpf(shape), mp.mpf(shift), mp.mpf(s)
+        log_f = lambda x: (a - 1) * (mp.log(x) + mp.log(1 - x)) - mp.log(mp.beta(a, a))
+        pts = [shift] + [mp.mpf(k) / 20 for k in range(5, 20)] + [1]
+        return -mp.log(mp.quad(lambda x: mp.exp(s * log_f(x) + (1 - s) * log_f(x - shift)), pts))
+
+
+@pytest.mark.parametrize("shape", [100.0, 300.0])
+def test_sweep_where_the_densities_part_beyond_exp_709(shape):
+    # near the ends of the overlap one density exceeds the other by more
+    # than e^709 (e^1123 at shape 100, e^3394 at 300), so expm1(delta) and
+    # exp(s delta) would overflow; s = 1/2 is summed directly (D > 1/2)
+    fam = make_family("beta", (shape, shape))
+    pair = renyi._pair_nodes((fam, 0.0), (fam, 0.2))
+    assert pair.amax > 2 * 709.0 if shape == 300.0 else pair.amax > 709.0
+    for s in (1e-4, 0.5, 0.9999):
+        want = float(_mp_beta_renyi(shape, 0.2, s))
+        assert abs(renyi._renyi_from_nodes(pair, s)[0] / want - 1.0) <= 1e-12
+
+
+def test_log_normaliser_ulps_barely_move_the_ladder_bounds(monkeypatch):
+    # a constant added to log p and log q scales every term of D alike, so
+    # 3 ulps of log B(1.5, 1.5) move the bounds by ulps, not by the 1.8e-11
+    # relative of the -log(sum) form
+    from ldshift import families
+
+    def bounds():
+        families._mass_table.cache_clear()
+        bp = bound_pair(profile_from_family(make_family("beta", (1.5, 1.5))))
+        return bp.alpha1_bar, bp.alpha2_bar
+
+    before = bounds()
+    exact = families.log_beta
+
+    def moved(p, q):
+        v = exact(p, q)
+        for _ in range(3):
+            v = math.nextafter(v, math.inf)
+        return v
+
+    monkeypatch.setattr(families, "log_beta", moved)
+    after = bounds()
+    families._mass_table.cache_clear()
+    for a, b in zip(before, after):
+        assert abs(b / a - 1.0) < 1e-13
 
 
 def test_profile_memo_saves_sweeps(monkeypatch):
@@ -385,8 +473,8 @@ def test_profile_memo_saves_sweeps(monkeypatch):
     bp = bound_pair(prof)
     # one confirming order per bound, one sweep of each of the 7 rungs
     assert count[0] <= 14  # 1,435 without the memo, 392 with golden refines
-    assert bp.alpha1_bar == 6.292306516396741
-    assert bp.alpha2_bar == 6.292306516396741
+    assert bp.alpha1_bar == 6.292306516218437
+    assert bp.alpha2_bar == 6.292306516218315
 
 
 # nodes per centered pair with each outer end graded for its own edge
@@ -402,8 +490,9 @@ PAIR_NODES = [
 @pytest.mark.parametrize("kind, params, nodes", PAIR_NODES)
 def test_pair_node_counts(kind, params, nodes):
     fam = make_family(kind, params)
-    lp, lq, logw = renyi._pair_nodes((fam, -0.025), (fam, 0.025))
-    assert lp.size == lq.size == logw.size == nodes
+    pair = renyi._pair_nodes((fam, -0.025), (fam, 0.025))
+    assert pair[0] is pair.delta      # one value per node, counted by perfbench's tracer
+    assert pair.delta.size == nodes
 
 
 @pytest.mark.parametrize("kind, params", [
