@@ -208,9 +208,17 @@ def _at_nodes(fam, theta, nodes):
     an unbounded side (``_dists``)."""
     a, b = fam.support
     u = nodes.x - theta
-    dl = nodes.dl + (nodes.lo - (a + theta)) if math.isfinite(a) else math.inf
-    dr = nodes.dr + ((b + theta) - nodes.hi) if math.isfinite(b) else math.inf
-    return u, dl, dr
+    return (u, _edge_dist(nodes.dl, nodes.lo - (a + theta), a),
+            _edge_dist(nodes.dr, (b + theta) - nodes.hi, b))
+
+
+def _edge_dist(dist, offset, edge):
+    """Node distances to a shifted edge: ``dist`` itself (not a copy; every
+    caller only reads it) where the edge bounds the nodes (offset 0), the
+    scalar inf for an unbounded edge."""
+    if not math.isfinite(edge):
+        return math.inf
+    return dist + offset if offset else dist
 
 
 def _power_edge(fam, upper):

@@ -70,8 +70,10 @@ def log_gamma(x):
     return _lgamma(x)
 
 
+@functools.lru_cache(maxsize=128)
 def log_beta(x, y):
-    """log B(x, y) = log Gamma(x) + log Gamma(y) - log Gamma(x+y) for x, y > 0."""
+    """log B(x, y) = log Gamma(x) + log Gamma(y) - log Gamma(x+y) for x, y > 0;
+    cached, as every beta log-density evaluation needs it."""
     x, y = float(x), float(y)
     if not (x > 0 and y > 0):
         raise ValueError(f"log_beta requires positive arguments, got ({x}, {y})")
