@@ -17,12 +17,12 @@ and I^s = -log1p(-D).  Every term of D is >= 0, so a divergence of 1e-25
 keeps its relative precision, where -log(int p^s q^(1-s)) = -log(1 - 1e-25)
 keeps none.
 - m_p and m_q are read from the mass tables (``families._mass_within``) at
-  the end of each strip that a finite support edge leaves outside O.  A
-  strip's width is the shift difference plus the gap of the two trimmed
-  ends, never a difference of rounded edge positions: fl(1 + eps/2) -
-  fl(1 - eps/2) is 1e-4 off eps at eps = 1e-12.  A trimmed infinite tail
-  leaves no strip: its mass beyond the cut counts as overlap for both
-  densities alike.
+  the end of each strip that a finite support edge of the other density
+  leaves outside O.  A strip's width is the shift difference plus the gap
+  of the two trimmed ends, never a difference of rounded edge positions:
+  fl(1 + eps/2) - fl(1 - eps/2) is 1e-4 off eps at eps = 1e-12.  A trimmed
+  infinite tail leaves no strip: its mass beyond the cut counts as overlap
+  for both densities alike.
 - A node with |delta| < 1e-3 enters through the moments M_k = sum q w
   delta^k (k = 2, 3, 4; M_0 and M_1 serve the direct sum below):
   s expm1(delta) - expm1(s delta) = s (1 - s) delta^2 / 2 (1 + (1 + s)
@@ -188,13 +188,22 @@ def kappa_of_g(g_tag):
 def _overlap_nodes(p_point, q_point):
     """Nodes over the overlap of the trimmed supports of two (family, theta)
     points (the families may differ), split at both densities' breakpoints,
-    each end graded for the sharper of their edges there; None if disjoint."""
+    each end graded for the sharper of their edges there; None if disjoint.
+    For two different families, an end where the inner density is only cut
+    (an infinite tail, which goes on) runs on to the outer density's end:
+    the other family's tail may carry real mass past the cut, where one
+    family shifted carries only its own negligible tail."""
     (fam_p, tp), (fam_q, tq) = p_point, q_point
     lo_p, hi_p = fam_mod._trimmed_support(fam_p)
     lo_q, hi_q = (lo_p, hi_p) if fam_q is fam_p else fam_mod._trimmed_support(fam_q)
     lo, hi = max(lo_p + tp, lo_q + tq), min(hi_p + tp, hi_q + tq)
     if not hi > lo:
         return None
+    if fam_q is not fam_p:
+        if not math.isfinite((fam_p if lo_p + tp >= lo_q + tq else fam_q).a):
+            lo = min(lo_p + tp, lo_q + tq)
+        if not math.isfinite((fam_p if hi_p + tp <= hi_q + tq else fam_q).b):
+            hi = max(hi_p + tp, hi_q + tq)
     bps = [c + t for fam, t in (p_point, q_point) for c in fam.breakpoints]
     dep_p = fam_mod._edge_depths(fam_p)
     dep_q = dep_p if fam_q is fam_p else fam_mod._edge_depths(fam_q)
@@ -226,9 +235,10 @@ class _Pair(NamedTuple):
 
 
 def _outside_masses(p_point, q_point):
-    """(m_p, m_q): the mass of p and of q in the strips that their finite
-    support edges leave outside the overlap, each read from the mass table
-    at its own end; each strip's width is the shift difference plus the gap
+    """(m_p, m_q): the mass of p and of q in the strips outside the overlap
+    where the other density's support ends at a finite edge (past a trimmed
+    tail both densities go on), each read from the owner's mass table at
+    its own end; each strip's width is the shift difference plus the gap
     between the two trimmed ends (exact for one family)."""
     (fam_p, tp), (fam_q, tq) = p_point, q_point
     shift = tq - tp
@@ -237,14 +247,15 @@ def _outside_masses(p_point, q_point):
         (lo_p, hi_p), (lo_q, hi_q) = map(fam_mod._trimmed_support, (fam_p, fam_q))
         below, above = (lo_q - lo_p) + shift, (hi_q - hi_p) + shift
     m_p = m_q = 0.0
-    # below > 0: p starts below q; above > 0: q ends above p
-    if below > 0.0 and math.isfinite(fam_p.a):
+    # below > 0: p starts below q, and its strip there counts where q's end
+    # is a finite edge; above > 0: q ends above p, likewise
+    if below > 0.0 and math.isfinite(fam_q.a):
         m_p += float(fam_mod._mass_within(fam_p, below))
-    elif below < 0.0 and math.isfinite(fam_q.a):
+    elif below < 0.0 and math.isfinite(fam_p.a):
         m_q += float(fam_mod._mass_within(fam_q, -below))
-    if above > 0.0 and math.isfinite(fam_q.b):
+    if above > 0.0 and math.isfinite(fam_p.b):
         m_q += float(fam_mod._mass_within(fam_q, above, upper=True))
-    elif above < 0.0 and math.isfinite(fam_p.b):
+    elif above < 0.0 and math.isfinite(fam_q.b):
         m_p += float(fam_mod._mass_within(fam_p, -above, upper=True))
     return m_p, m_q
 

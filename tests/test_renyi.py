@@ -432,6 +432,35 @@ def test_sweep_where_the_densities_part_beyond_exp_709(shape):
         assert abs(renyi._renyi_from_nodes(pair, s)[0] / want - 1.0) <= 1e-12
 
 
+def _mp_mixed_renyi(log_p, log_q, points, s):
+    """I^s = -log int p^s q^(1-s) over the intervals between points, in
+    mpmath."""
+    import mpmath as mp
+    with mp.workdps(30):
+        s = mp.mpf(s)
+        return -mp.log(mp.quad(lambda x: mp.exp(s * log_p(x) + (1 - s) * log_q(x)), points))
+
+
+def test_pairs_of_two_families_match_mpmath():
+    # a gaussian against beta(2, 3) on (0.2, 1.2): the gaussian's mass outside
+    # is a strip where the beta vanishes; against gamma(2) on (0, inf): the
+    # gamma's tail past the gaussian's cut, where the gaussian goes on, is
+    # integrated, not taken as overlap
+    import mpmath as mp
+    gauss = lambda m: (lambda x: -(x - m) ** 2 / 2 - mp.log(mp.sqrt(2 * mp.pi)))
+    beta23 = lambda x: mp.log(12) + mp.log(x - mp.mpf("0.2")) + 2 * mp.log(mp.mpf("1.2") - x)
+    gamma2 = lambda x: mp.log(x) - x
+    cases = [((make_family("gaussian"), 0.0), (make_family("beta", (2.0, 3.0)), 0.2),
+              gauss(0), beta23, [mp.mpf("0.2"), mp.mpf("1.2")]),
+             ((make_family("gaussian"), 0.3), (make_family("gamma", (2.0,)), 0.0),
+              gauss(mp.mpf("0.3")), gamma2, [0, 1, mp.inf])]
+    for p, q, log_p, log_q, points in cases:
+        pair = renyi._pair_nodes(p, q)
+        for s in (0.1, 0.5, 0.9):
+            want = float(_mp_mixed_renyi(log_p, log_q, points, s))
+            assert abs(renyi._renyi_from_nodes(pair, s)[0] / want - 1.0) <= 1e-12, (p, q, s)
+
+
 def test_log_normaliser_ulps_barely_move_the_ladder_bounds(monkeypatch):
     # a constant added to log p and log q scales every term of D alike, so
     # 3 ulps of log B(1.5, 1.5) move the bounds by ulps, not by the 1.8e-11
