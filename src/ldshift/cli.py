@@ -15,7 +15,7 @@ import math
 import sys
 
 from .bounds import bound_pair, closed_form_bounds
-from .estimators import EstimatorSpec, check_family
+from .estimators import EPS_KINDS, EstimatorSpec, check_family
 from .families import make_family
 from .rates import (InsufficientEventsError, _check_n_grid, alpha2_estimate, mc_tail_rate,
                     mle_chernoff_rate, order_stat_rates)
@@ -93,7 +93,7 @@ def _build_family(cfg):
         raise ConfigError("field 'family': need an object with a 'kind'")
     try:
         fam = make_family(fam_cfg["kind"], tuple(fam_cfg.get("params", ())))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'family': {exc}") from exc
     try:
         theta = float(fam_cfg.get("theta", 0.0))
@@ -110,7 +110,7 @@ def _build_estimators(cfg, eps0, fam):
     for i, e in enumerate(cfg.get("estimators", ())):
         try:
             kind, eps = e["kind"], e.get("eps")
-            if eps is None and kind in ("lr", "shifted_min"):
+            if eps is None and kind in EPS_KINDS:
                 eps = eps0
             spec = EstimatorSpec(kind=kind, eps=eps, lam=e.get("lambda"))
             check_family(spec, fam)

@@ -23,10 +23,12 @@ import numpy as np
 from . import families as fam_mod
 from .families import DensityFamily, SampleBatch
 
-__all__ = ["EstimatorSpec", "ORDER_STAT_KINDS", "check_family", "estimate",
+__all__ = ["EstimatorSpec", "ORDER_STAT_KINDS", "EPS_KINDS", "check_family", "estimate",
            "estimate_many", "tail_events", "extreme_events"]
 
 ORDER_STAT_KINDS = ("min_shift", "max_shift", "shifted_min", "convex_combo")
+# the estimators indexed by a shift eps > 0
+EPS_KINDS = ("lr", "shifted_min")
 _KINDS = ("mle", "lr") + ORDER_STAT_KINDS
 
 
@@ -39,7 +41,7 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind in ("lr", "shifted_min"):
+        if self.kind in EPS_KINDS:
             if self.eps is None or not self.eps > 0:
                 raise ValueError(f"{self.kind} requires eps > 0, got {self.eps}")
         if self.kind == "convex_combo":

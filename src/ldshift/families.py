@@ -7,6 +7,11 @@ the shift theta is applied at evaluation time.  Edge metadata describes the
 power behavior f(x) ~ A1 (x-a)^(kappa1-1) near a and A2 (b-x)^(kappa2-1)
 near b, which determines the scaling regime of the divergence asymptotics.
 
+A built-in kind is one entry of ``_KINDS``: its parameter check with edge
+metadata, log f, score and sampler, each written once.  The planned
+shift-exact log-ratio kernel, ``_log_ratio``, is to be its fifth field.
+The ``custom`` kind is the one branch beside that table in each dispatcher.
+
 Every mass of f (``cdf``, the tail masses of the order-statistic Monte
 Carlo, the edge strips of the order-statistic rates, a custom family's
 normalisation) is read from one table per family and end, ``_mass_table``,
@@ -18,7 +23,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -83,14 +88,18 @@ def make_family(kind, params=(), **custom):
     """Build a family with analytically filled edge metadata.
 
     kinds: uniform | beta(p, q) | gamma(k) | weibull(k) | gaussian(sigma=1)
-    | triangular(c) | custom.  Custom families pass keyword arguments:
-    logpdf (vectorized, standardized coordinates), support, edge
-    (kappa1, A1, kappa2, A2), log_concave, and optionally breakpoints and
-    sampler(rng, n); any other keyword is a ValueError.  The stated edge
-    metadata and the total mass are validated at build time.  A family's
-    masses, its CDF included, come from its quadrature (``_mass_table``),
-    whatever its kind.  A built-in kind gives one shared instance per
-    (kind, params), which the per-family caches find by identity.
+    | triangular(c=0.5) | custom.  A built-in kind is one ``_Kind`` entry
+    of ``_KINDS`` (the shift-exact ``_log_ratio`` is to be its fifth field);
+    its parameters must be exactly those listed (a defaulted one may be left
+    out), finite and in range, else a ValueError.  Custom
+    families pass keyword arguments: logpdf (vectorized, standardized
+    coordinates), support, edge (kappa1, A1, kappa2, A2), log_concave, and
+    optionally breakpoints and sampler(rng, n); any other keyword is a
+    ValueError.  The stated edge metadata and the total mass are validated
+    at build time.  A family's masses, its CDF included, come from its
+    quadrature (``_mass_table``), whatever its kind.  A built-in kind gives
+    one shared instance per (kind, params), which the per-family caches find
+    by identity.
     """
     if kind == "custom":
         return _make_custom(custom)
@@ -99,59 +108,117 @@ def make_family(kind, params=(), **custom):
 
 @functools.lru_cache(maxsize=256)
 def _builtin_family(kind, params):
-    if kind == "uniform":
-        if params not in ((), (0.0, 1.0)):
-            raise ValueError("uniform is standardized on (0, 1); shift via theta")
-        return DensityFamily(
-            kind="uniform", params=(), support=(0.0, 1.0),
-            kappa1=1.0, A1=1.0, kappa2=1.0, A2=1.0, log_concave=True,
-        )
-    if kind == "beta":
-        if len(params) != 2 or min(params) <= 0:
-            raise ValueError(f"beta requires shapes p, q > 0, got {params}")
-        p, q = params
-        inv_b = 1.0 / beta_fn(p, q)
-        return DensityFamily(
-            kind="beta", params=params, support=(0.0, 1.0),
-            kappa1=p, A1=inv_b, kappa2=q, A2=inv_b,
-            log_concave=(p >= 1.0 and q >= 1.0),
-        )
-    if kind == "gamma":
-        if len(params) != 1 or params[0] <= 0:
-            raise ValueError(f"gamma requires shape k > 0, got {params}")
-        k = params[0]
-        return DensityFamily(
-            kind="gamma", params=params, support=(0.0, math.inf),
-            kappa1=k, A1=math.exp(-log_gamma(k)), kappa2=math.inf, A2=0.0,
-            log_concave=(k >= 1.0),
-        )
-    if kind == "weibull":
-        if len(params) != 1 or params[0] <= 0:
-            raise ValueError(f"weibull requires shape k > 0, got {params}")
-        k = params[0]
-        return DensityFamily(
-            kind="weibull", params=params, support=(0.0, math.inf),
-            kappa1=k, A1=k, kappa2=math.inf, A2=0.0,
-            log_concave=(k >= 1.0),
-        )
-    if kind == "gaussian":
-        sigma = params[0] if params else 1.0
-        if sigma <= 0:
-            raise ValueError(f"gaussian requires sigma > 0, got {sigma}")
-        return DensityFamily(
-            kind="gaussian", params=(sigma,), support=(-math.inf, math.inf),
-            regular=True, log_concave=True,
-        )
-    if kind == "triangular":
-        c = params[0] if params else 0.5
-        if not 0.0 < c < 1.0:
-            raise ValueError(f"triangular mode must lie in (0, 1), got {c}")
-        return DensityFamily(
-            kind="triangular", params=(c,), support=(0.0, 1.0),
-            kappa1=2.0, A1=2.0 / c, kappa2=2.0, A2=2.0 / (1.0 - c),
-            log_concave=True, breakpoints=(c,),
-        )
-    raise ValueError(f"unknown family kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    return DensityFamily(kind=kind, **_KINDS[kind].fields(*params))
+
+
+class _Kind(NamedTuple):
+    """The closed forms of one built-in kind.
+
+    ``fields(*params)`` checks the parameters and returns the other
+    ``DensityFamily`` fields: the parameters with defaults filled in, the
+    support and the edge metadata.  ``logpdf`` and ``score`` take
+    (*params, u, dl, dr), ``draw`` takes (*params, rng, n).  On a finite
+    support ``logpdf`` must be finite, and raise no floating-point warning,
+    at every inside point: ``_logpdf3`` evaluates it there without
+    ``errstate``.  The planned shift-exact log-ratio kernel, ``_log_ratio``,
+    belongs here as a fifth field.
+    """
+
+    fields: Callable
+    logpdf: Callable
+    score: Callable
+    draw: Callable
+
+
+def _checked(kind, params, arity, in_range, need, default=()):
+    """The parameters of a built-in kind, ``default`` when none are given:
+    exactly ``arity`` finite values on which ``in_range`` holds, else a
+    ValueError saying what the kind needs."""
+    params = params or default
+    if len(params) != arity or not all(map(math.isfinite, params)) or not in_range(*params):
+        raise ValueError(f"{kind} requires {need}, got {params}")
+    return params
+
+
+def _uniform_fields(*params):
+    if params not in ((), (0.0, 1.0)):
+        raise ValueError("uniform is standardized on (0, 1); shift via theta")
+    return dict(params=(), support=(0.0, 1.0), kappa1=1.0, A1=1.0, kappa2=1.0, A2=1.0,
+                log_concave=True)
+
+
+def _beta_fields(*params):
+    p, q = _checked("beta", params, 2, lambda p, q: p > 0 and q > 0,
+                    "two finite shapes p, q > 0")
+    inv_b = 1.0 / beta_fn(p, q)
+    return dict(params=(p, q), support=(0.0, 1.0), kappa1=p, A1=inv_b, kappa2=q, A2=inv_b,
+                log_concave=(p >= 1.0 and q >= 1.0))
+
+
+def _gamma_fields(*params):
+    k, = _checked("gamma", params, 1, lambda k: k > 0, "one finite shape k > 0")
+    return dict(params=(k,), support=(0.0, math.inf), kappa1=k, A1=math.exp(-log_gamma(k)),
+                kappa2=math.inf, A2=0.0, log_concave=(k >= 1.0))
+
+
+def _weibull_fields(*params):
+    k, = _checked("weibull", params, 1, lambda k: k > 0, "one finite shape k > 0")
+    return dict(params=(k,), support=(0.0, math.inf), kappa1=k, A1=k, kappa2=math.inf,
+                A2=0.0, log_concave=(k >= 1.0))
+
+
+def _gaussian_fields(*params):
+    s, = _checked("gaussian", params, 1, lambda s: s > 0, "one finite sigma > 0 (default 1)",
+                  (1.0,))
+    return dict(params=(s,), support=(-math.inf, math.inf), regular=True, log_concave=True)
+
+
+def _triangular_fields(*params):
+    c, = _checked("triangular", params, 1, lambda c: 0.0 < c < 1.0,
+                  "one mode c in (0, 1) (default 0.5)", (0.5,))
+    return dict(params=(c,), support=(0.0, 1.0), kappa1=2.0, A1=2.0 / c, kappa2=2.0,
+                A2=2.0 / (1.0 - c), log_concave=True, breakpoints=(c,))
+
+
+def _triangular_draw(c, rng, n):
+    v = rng.uniform(0.0, 1.0, n)
+    return np.where(v <= c, np.sqrt(v * c), 1.0 - np.sqrt((1.0 - v) * (1.0 - c)))
+
+
+_KINDS = {
+    "uniform": _Kind(
+        _uniform_fields,
+        lambda u, dl, dr: np.zeros(u.shape),
+        lambda u, dl, dr: np.zeros_like(u),
+        lambda rng, n: rng.uniform(0.0, 1.0, n)),
+    "beta": _Kind(
+        _beta_fields,
+        lambda p, q, u, dl, dr: (p - 1.0) * np.log(dl) + (q - 1.0) * np.log(dr) - log_beta(p, q),
+        lambda p, q, u, dl, dr: (p - 1.0) / dl - (q - 1.0) / dr,
+        lambda p, q, rng, n: rng.beta(p, q, n)),
+    "gamma": _Kind(
+        _gamma_fields,
+        lambda k, u, dl, dr: (k - 1.0) * np.log(dl) - dl - log_gamma(k),
+        lambda k, u, dl, dr: (k - 1.0) / dl - 1.0,
+        lambda k, rng, n: rng.standard_gamma(k, n)),
+    "weibull": _Kind(
+        _weibull_fields,
+        lambda k, u, dl, dr: math.log(k) + (k - 1.0) * np.log(dl) - dl ** k,
+        lambda k, u, dl, dr: (k - 1.0) / dl - k * dl ** (k - 1.0),
+        lambda k, rng, n: (-np.log1p(-rng.uniform(0.0, 1.0, n))) ** (1.0 / k)),
+    "gaussian": _Kind(
+        _gaussian_fields,
+        lambda s, u, dl, dr: -0.5 * (u / s) ** 2 - math.log(s * _SQRT_2PI),
+        lambda s, u, dl, dr: -u / s ** 2,
+        lambda s, rng, n: s * rng.standard_normal(n)),
+    "triangular": _Kind(
+        _triangular_fields,
+        lambda c, u, dl, dr: np.where(u <= c, np.log(2.0 * dl / c), np.log(2.0 * dr / (1.0 - c))),
+        lambda c, u, dl, dr: np.where(u <= c, 1.0 / dl, -1.0 / dr),
+        _triangular_draw),
+}
 
 
 _CUSTOM_KEYS = frozenset({"logpdf", "support", "edge", "log_concave", "breakpoints",
@@ -181,8 +248,7 @@ def _make_custom(custom):
 
 def _validate_custom(fam):
     a, b = fam.support
-    scale = (b - a) if math.isfinite(b - a) else 1.0
-    h = 1e-4 * scale
+    h = 1e-4 * _scale(fam)
     # stated edge metadata must match the density's actual edge expansion
     for dist, kap, amp, side in ((h, fam.kappa1, fam.A1, "left"),
                                  (h, fam.kappa2, fam.A2, "right")):
@@ -285,11 +351,6 @@ def _logpdf_plain(fam, u):
     return _logpdf3(fam, u, *_dists(fam, u))
 
 
-# kinds whose log-density is finite and raises no floating-point warning at
-# any point inside their bounded support
-_BOUNDED_KINDS = frozenset({"uniform", "beta", "triangular"})
-
-
 def _logpdf3(fam, u, dl, dr):
     """log f(u) from (u, dist-to-left-edge, dist-to-right-edge); -inf
     outside the open support, where an edge distance is not > 0.
@@ -297,126 +358,68 @@ def _logpdf3(fam, u, dl, dr):
     Edge behavior is computed from the distances, which callers (the
     quadrature) keep exact; an unbounded side's distance may be the scalar
     inf.  A built-in kind is evaluated on the whole array with
-    floating-point warnings off (not needed, and skipped, for a kind on a
-    bounded support when every point lies inside), then -inf is written at
-    the points outside, so its values at the inside points are those of an
+    floating-point warnings off (not needed, and skipped, on a finite
+    support when every point lies inside), then -inf is written at the
+    points outside, so its values at the inside points are those of an
     evaluation on them alone.  A custom ``logpdf_fn`` is called on the
     inside points only.
     """
     u = np.asarray(u, dtype=float)
-    inside = np.logical_and(np.greater(dl, 0), np.greater(dr, 0))
     if fam.kind == "custom":
-        return _logpdf_custom(fam, u, dl, dr, inside)
-    if fam.kind in _BOUNDED_KINDS and inside.all():
-        return np.asarray(_logpdf_kind(fam, u, dl, dr))
+        return _custom_inside(fam, u, dl, dr, -math.inf,
+                              lambda ui, li, ri: np.asarray(fam.logpdf_fn(ui), dtype=float),
+                              lambda kappa, amp, d, sign: math.log(amp) + (kappa - 1.0) * np.log(d))
+    logpdf = _KINDS[fam.kind].logpdf
+    inside = np.logical_and(np.greater(dl, 0), np.greater(dr, 0))
+    if math.isfinite(fam.b - fam.a) and inside.all():
+        return np.asarray(logpdf(*fam.params, u, dl, dr))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        val = np.asarray(_logpdf_kind(fam, u, dl, dr))   # a 0-d input gives a numpy scalar
+        val = np.asarray(logpdf(*fam.params, u, dl, dr))   # a 0-d input gives a numpy scalar
     np.copyto(val, -math.inf, where=~inside)
     return val
 
 
-def _logpdf_kind(fam, u, dl, dr):
-    """The closed form of log f of a built-in kind at (u, dl, dr)."""
-    kind = fam.kind
-    if kind == "uniform":
-        return np.zeros(u.shape)
-    if kind == "beta":
-        p, q = fam.params
-        return (p - 1.0) * np.log(dl) + (q - 1.0) * np.log(dr) - log_beta(p, q)
-    if kind == "gamma":
-        k, = fam.params
-        return (k - 1.0) * np.log(dl) - dl - log_gamma(k)
-    if kind == "weibull":
-        k, = fam.params
-        return math.log(k) + (k - 1.0) * np.log(dl) - dl ** k
-    if kind == "gaussian":
-        s, = fam.params
-        return -0.5 * (u / s) ** 2 - math.log(s * _SQRT_2PI)
-    if kind == "triangular":
-        c, = fam.params
-        return np.where(u <= c, np.log(2.0 * dl / c), np.log(2.0 * dr / (1.0 - c)))
-    raise ValueError(f"unknown family kind {kind!r}")  # pragma: no cover
-
-
-def _logpdf_custom(fam, u, dl, dr, inside):
-    """``_logpdf3`` of a custom family: its ``logpdf_fn`` at the inside
-    points, gathered, and -inf elsewhere."""
-    inside = np.broadcast_to(inside, u.shape)
-    out = np.full(u.shape, -math.inf)
+def _custom_inside(fam, u, dl, dr, fill, body, edge_law):
+    """A custom family's ``_logpdf3`` or ``_score3``: ``body(ui, li, ri)`` on
+    the inside points, gathered, and ``fill`` elsewhere.  Inside the last
+    ~1e-9 of the support the reconstructed u has lost the edge distance to
+    rounding; there, at a power edge, ``edge_law(kappa, A, d, sign)`` (sign
+    +1 at the lower edge, -1 at the upper) takes over: the declared power
+    expansion is exact to o(1) and keeps the tails finite."""
+    shape = np.broadcast_shapes(np.shape(u), np.shape(dl), np.shape(dr))
+    inside = np.broadcast_to(np.logical_and(np.greater(dl, 0), np.greater(dr, 0)), shape)
+    out = np.full(shape, fill)
     if not np.any(inside):
         return out
-    li = np.broadcast_to(dl, u.shape)[inside]
-    ri = np.broadcast_to(dr, u.shape)[inside]
+    ui, li, ri = (np.broadcast_to(v, shape)[inside] for v in (u, dl, dr))
+    cut = 1e-9 * _scale(fam)
     with np.errstate(divide="ignore", over="ignore"):
-        val = np.asarray(fam.logpdf_fn(u[inside]), dtype=float)
-        # inside the last ~1e-9 of the support the reconstructed u has
-        # lost the edge distance to rounding; the declared power
-        # expansion is exact there to o(1) and keeps the tails finite
-        cut = 1e-9 * _scale(fam)
-        if fam.A1 > 0:
-            close_l = li < cut
-            if np.any(close_l):
-                val = np.where(close_l, math.log(fam.A1) + (fam.kappa1 - 1.0) * np.log(li), val)
-        if fam.A2 > 0:
-            close_r = ri < cut
-            if np.any(close_r):
-                val = np.where(close_r, math.log(fam.A2) + (fam.kappa2 - 1.0) * np.log(ri), val)
+        val = body(ui, li, ri)
+        for d, kappa, amp, sign in ((li, fam.kappa1, fam.A1, 1.0), (ri, fam.kappa2, fam.A2, -1.0)):
+            close = d < cut
+            if amp > 0 and np.any(close):
+                val = np.where(close, edge_law(kappa, amp, d, sign), val)
     out[inside] = val
     return out
 
 
 def _score3(fam, u, dl, dr):
-    """f'(u)/f(u) from (u, edge distances); closed forms per kind."""
+    """f'(u)/f(u) from (u, edge distances): the closed form of a built-in
+    kind; for a custom family a central difference of its ``logpdf_fn`` at a
+    scale-aware step, taken at the inside points only (nan elsewhere)."""
     u = np.asarray(u, dtype=float)
     dl = np.asarray(dl, dtype=float)
     dr = np.asarray(dr, dtype=float)
-    kind = fam.kind
-    if kind == "uniform":
-        return np.zeros_like(u)
-    if kind == "beta":
-        p, q = fam.params
-        return (p - 1.0) / dl - (q - 1.0) / dr
-    if kind == "gamma":
-        k, = fam.params
-        return (k - 1.0) / dl - 1.0
-    if kind == "weibull":
-        k, = fam.params
-        return (k - 1.0) / dl - k * dl ** (k - 1.0)
-    if kind == "gaussian":
-        s, = fam.params
-        return -u / s ** 2
-    if kind == "triangular":
-        c, = fam.params
-        return np.where(u <= c, 1.0 / dl, -1.0 / dr)
-    if kind == "custom":
-        return _score_custom(fam, u, dl, dr)
-    raise ValueError(f"unknown family kind {kind!r}")  # pragma: no cover
+    if fam.kind != "custom":
+        return _KINDS[fam.kind].score(*fam.params, u, dl, dr)
 
+    def central(ui, li, ri):
+        h = np.minimum(1e-6 * _scale(fam), 0.5 * np.minimum(li, ri))
+        return (np.asarray(fam.logpdf_fn(ui + h), dtype=float)
+                - np.asarray(fam.logpdf_fn(ui - h), dtype=float)) / (2.0 * h)
 
-def _score_custom(fam, u, dl, dr):
-    """``_score3`` of a custom family: a central difference of its
-    ``logpdf_fn`` at a scale-aware step, taken at the inside points only,
-    gathered as in ``_logpdf_custom``, and nan elsewhere; the declared edge
-    expansion where the step would leave the support."""
-    shape = np.broadcast_shapes(u.shape, dl.shape, dr.shape)
-    inside = np.broadcast_to((dl > 0) & (dr > 0), shape)
-    out = np.full(shape, math.nan)
-    if not np.any(inside):
-        return out
-    ui = np.broadcast_to(u, shape)[inside]
-    li = np.broadcast_to(dl, shape)[inside]
-    ri = np.broadcast_to(dr, shape)[inside]
-    h = np.minimum(1e-6 * _scale(fam), 0.5 * np.minimum(li, ri))
-    lp = fam.logpdf_fn
-    val = (np.asarray(lp(ui + h), dtype=float)
-           - np.asarray(lp(ui - h), dtype=float)) / (2.0 * h)
-    cut = 1e-9 * _scale(fam)
-    if fam.A1 > 0:
-        val = np.where(li < cut, (fam.kappa1 - 1.0) / li, val)
-    if fam.A2 > 0:
-        val = np.where(ri < cut, -(fam.kappa2 - 1.0) / ri, val)
-    out[inside] = val
-    return out
+    return _custom_inside(fam, u, dl, dr, math.nan, central,
+                          lambda kappa, amp, d, sign: sign * (kappa - 1.0) / d)
 
 
 def log_density(family, theta, x):
@@ -468,30 +471,11 @@ def sample(family, theta, n, seed):
 
 
 def _draw(family, rng, n):
-    kind = family.kind
-    if kind == "uniform":
-        return rng.uniform(0.0, 1.0, n)
-    if kind == "beta":
-        p, q = family.params
-        return rng.beta(p, q, n)
-    if kind == "gamma":
-        k, = family.params
-        return rng.standard_gamma(k, n)
-    if kind == "weibull":
-        k, = family.params
-        return (-np.log1p(-rng.uniform(0.0, 1.0, n))) ** (1.0 / k)
-    if kind == "gaussian":
-        s, = family.params
-        return s * rng.standard_normal(n)
-    if kind == "triangular":
-        c, = family.params
-        v = rng.uniform(0.0, 1.0, n)
-        return np.where(v <= c, np.sqrt(v * c), 1.0 - np.sqrt((1.0 - v) * (1.0 - c)))
-    if kind == "custom":
-        if family.sampler_fn is None:
-            raise ValueError("custom family has no sampler")
-        return np.asarray(family.sampler_fn(rng, n), dtype=float)
-    raise ValueError(f"unknown family kind {kind!r}")  # pragma: no cover
+    if family.kind != "custom":
+        return _KINDS[family.kind].draw(*family.params, rng, n)
+    if family.sampler_fn is None:
+        raise ValueError("custom family has no sampler")
+    return np.asarray(family.sampler_fn(rng, n), dtype=float)
 
 
 def _from_end(fam, t, upper):

@@ -61,8 +61,8 @@ import numpy as np
 
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
-from .estimators import (ORDER_STAT_KINDS, EstimatorSpec, _strip_width, check_family,
-                         extreme_events, tail_events)
+from .estimators import (EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec, _strip_width,
+                         check_family, extreme_events, tail_events)
 from .renyi import (_lse, _overlap_nodes, _pair_nodes, _renyi_from_nodes, default_ladder,
                     g_value)
 
@@ -574,7 +574,7 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     seeds = _child_seeds(seed, 2 * len(eps_ladder) + 2)
     rungs = []
     for idx, eps in enumerate(eps_ladder):
-        spec_eff = replace(spec, eps=eps) if spec.kind in ("lr", "shifted_min") else spec
+        spec_eff = replace(spec, eps=eps) if spec.kind in EPS_KINDS else spec
         est = mc_tail_rate(family, spec_eff, theta, eps, n_grid=n_grid,
                            trials=trials, seed=seeds[idx])
         g = float(g_value(g_tag, eps))

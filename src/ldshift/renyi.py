@@ -452,11 +452,7 @@ def _extrapolate(r, eps_ladder, g_tag):
 
 def default_ladder(g_tag, family=None):
     base = DEFAULT_LOG_LADDER if g_tag == "sq_log" else DEFAULT_LADDER
-    scale = 1.0
-    if family is not None:
-        a, b = family.support
-        if math.isfinite(b - a):
-            scale = b - a
+    scale = 1.0 if family is None else fam_mod._scale(family)
     return tuple(e * scale for e in base)
 
 
@@ -551,6 +547,12 @@ def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
     return float(out) if out.ndim == 0 else out
 
 
+def _natural_g_tag(regime, kappa):
+    """The scaling function g of a regime with exponent kappa."""
+    return {"regular": "square", "semi_regular": "square",
+            "kappa_one": "abs", "kappa_two": "sq_log"}.get(regime, ("power", kappa))
+
+
 def classify_regime(family):
     """Edge regime of a family, its effective (kappa, A1, A2), and the
     natural scaling function.
@@ -560,28 +562,28 @@ def classify_regime(family):
     amplitude is effectively zero at this scaling.
     """
     if family.regular:
-        return RegimeInfo("regular", 2.0, 0.0, 0.0, "square",
-                          fisher=fisher_information(family))
-    edges = []
-    if family.A1 > 0:
-        edges.append(family.kappa1)
-    if family.A2 > 0:
-        edges.append(family.kappa2)
-    if not edges:
-        raise ValueError("family has no active power edge and is not regular")
-    k = min(edges)
-    a1 = family.A1 if (family.A1 > 0 and family.kappa1 <= k + 1e-9) else 0.0
-    a2 = family.A2 if (family.A2 > 0 and family.kappa2 <= k + 1e-9) else 0.0
-    if k > 2.0 + 1e-9:
-        return RegimeInfo("semi_regular", 2.0, 0.0, 0.0, "square",
-                          fisher=fisher_information(family))
-    if abs(k - 1.0) <= 1e-9:
-        return RegimeInfo("kappa_one", 1.0, a1, a2, "abs")
-    if abs(k - 2.0) <= 1e-9:
-        return RegimeInfo("kappa_two", 2.0, a1, a2, "sq_log")
-    if 1.0 < k < 2.0:
-        return RegimeInfo("power_mid", k, a1, a2, ("power", k))
-    return RegimeInfo("power_low", k, a1, a2, ("power", k))
+        regime, k, a1, a2 = "regular", 2.0, 0.0, 0.0
+    else:
+        edges = []
+        if family.A1 > 0:
+            edges.append(family.kappa1)
+        if family.A2 > 0:
+            edges.append(family.kappa2)
+        if not edges:
+            raise ValueError("family has no active power edge and is not regular")
+        k = min(edges)
+        a1 = family.A1 if (family.A1 > 0 and family.kappa1 <= k + 1e-9) else 0.0
+        a2 = family.A2 if (family.A2 > 0 and family.kappa2 <= k + 1e-9) else 0.0
+        if k > 2.0 + 1e-9:
+            regime, k, a1, a2 = "semi_regular", 2.0, 0.0, 0.0
+        elif abs(k - 1.0) <= 1e-9:
+            regime, k = "kappa_one", 1.0
+        elif abs(k - 2.0) <= 1e-9:
+            regime, k = "kappa_two", 2.0
+        else:
+            regime = "power_mid" if 1.0 < k < 2.0 else "power_low"
+    fisher = fisher_information(family) if regime in ("regular", "semi_regular") else None
+    return RegimeInfo(regime, k, a1, a2, _natural_g_tag(regime, k), fisher=fisher)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +603,8 @@ def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, theta=0.0,
     s_grid = np.asarray(s_grid, dtype=float)
     fn = lambda s: closed_form_isg(regime, A1, A2, kappa, s, fisher=fisher)
     vals = np.asarray(fn(s_grid), dtype=float)
-    g_tag = {"regular": "square", "semi_regular": "square",
-             "kappa_one": "abs", "kappa_two": "sq_log"}.get(regime, ("power", kappa))
     return ScalingProfile(
-        g_tag=g_tag, kappa=float(kappa), theta=float(theta), regime=regime,
+        g_tag=_natural_g_tag(regime, kappa), kappa=float(kappa), theta=float(theta), regime=regime,
         s_grid=s_grid, isg=vals, isg_unc=np.zeros_like(vals), isg_fn=fn,
         source="closed_form",
     )

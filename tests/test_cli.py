@@ -241,6 +241,12 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
                "eps_ladder": [0.1, -0.05]}, "eps_ladder"),
     ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
                "eps_ladder": [1.5]}, "eps_ladder"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "gaussian", "params": [1, 5]}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "triangular", "params": [0.3, 9]}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "gamma", "params": [math.inf]}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "gaussian", "params": [math.nan]}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": 2}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [[2], 3]}}, "family"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
         "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
@@ -248,7 +254,9 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
         "bounds-s-grid-16-points", "bounds-s-grid-above-one", "bounds-s-grid-negative",
         "lr-not-log-concave", "mle-not-log-concave", "max-shift-open-edge",
         "combo-open-edges", "rates-empty-ladder", "n-grid-falling", "no-trials",
-        "rates-rung-negative", "rates-rung-wider-than-support"])
+        "rates-rung-negative", "rates-rung-wider-than-support", "gaussian-two-params",
+        "triangular-two-params", "gamma-infinite-shape", "gaussian-nan-sigma",
+        "params-not-a-list", "param-not-a-number"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))

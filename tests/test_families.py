@@ -10,7 +10,7 @@ from scipy import stats
 from scipy.special import betaincinv, gammainc, gammaln
 
 from ldshift.estimators import EstimatorSpec, _k_rows, estimate_many, tail_events
-from ldshift.families import (_dists, _mass_table, _mass_within, _quantile, _score3,
+from ldshift.families import (_KINDS, _dists, _mass_table, _mass_within, _quantile, _score3,
                               _trimmed_support, cdf, fisher_information, log_density,
                               make_family, sample, score)
 from ldshift.quadrature import integrate
@@ -32,6 +32,10 @@ WEIBULL15_VAR = 0.375690284813932
 
 def _fam(kind, params):
     return make_family(kind, params)
+
+
+def test_all_builtins_covers_every_kind():
+    assert {kind for kind, _ in ALL_BUILTINS} == set(_KINDS)
 
 
 def test_metadata_uniform():
@@ -60,12 +64,21 @@ def test_metadata_gamma():
 
 
 def test_invalid_params():
-    with pytest.raises(ValueError):
-        make_family("beta", (0.0, 1.0))
-    with pytest.raises(ValueError):
-        make_family("weibull", (-1.0,))
-    with pytest.raises(ValueError):
-        make_family("nonesuch")
+    # a wrong count is a ValueError too, not the TypeError of a bare signature
+    for kind, params in [
+        ("beta", (0.0, 1.0)), ("weibull", (-1.0,)), ("nonesuch", ()),
+        ("gaussian", (1.0, 5.0)), ("triangular", (0.3, 9.0)), ("beta", (2.0,)), ("gamma", ()),
+        ("gamma", (math.inf,)), ("gaussian", (math.nan,)), ("beta", (2.0, math.inf)),
+        ("uniform", (0.0, 2.0)), ("triangular", (1.0,)),
+    ]:
+        with pytest.raises(ValueError):
+            make_family(kind, params)
+
+
+def test_default_params():
+    assert make_family("gaussian").params == (1.0,)
+    assert make_family("triangular").params == (0.5,)
+    assert make_family("uniform", (0, 1)).params == ()
 
 
 def test_log_density_examples():
@@ -145,7 +158,7 @@ def test_custom_logpdf_sees_inside_points_only():
     strict = make_family("custom", logpdf=_strict_beta22, support=(0.0, 1.0),
                          edge=(2.0, 6.0, 2.0, 6.0), log_concave=True)
     beta22 = make_family("beta", (2, 2))
-    x = np.array([[-0.5, 0.0, 0.3, 1.0], [1.5, 0.7, 0.999, 1e-3]])
+    x = np.array([[-0.5, 0.0, 0.3, 1.0, 1e-12], [1.5, 0.7, 0.999, 1e-3, 1.0 - 1e-12]])
     got = log_density(strict, 0.0, x)
     assert np.all(got[x <= 0.0] == -math.inf) and np.all(got[x >= 1.0] == -math.inf)
     np.testing.assert_allclose(got, log_density(beta22, 0.0, x), rtol=1e-13)
@@ -161,13 +174,14 @@ def test_custom_score_sees_inside_points_only():
     strict = make_family("custom", logpdf=_strict_beta22, support=(0.0, 1.0),
                          edge=(2.0, 6.0, 2.0, 6.0), log_concave=True)
     # inside: the central difference on the whole array, bit for bit
-    u = np.array([[-0.5, 0.0, 0.3, 1.0], [1.5, 0.7, 0.999, 1e-12]])
+    u = np.array([[-0.5, 0.0, 0.3, 1.0, 1.0 - 1e-12], [1.5, 0.7, 0.999, 1e-12, 0.5]])
     got = _score3(strict, u, *_dists(strict, u))
     inside = (u > 0.0) & (u < 1.0)
     ui = u[inside]
     h = np.minimum(1e-6, 0.5 * np.minimum(ui, 1.0 - ui))
     want = (_strict_beta22(ui + h) - _strict_beta22(ui - h)) / (2.0 * h)
     want = np.where(ui < 1e-9, 1.0 / ui, want)
+    want = np.where(1.0 - ui < 1e-9, -1.0 / (1.0 - ui), want)
     assert np.array_equal(got[inside], want)
     assert np.all(np.isnan(got[~inside]))
     assert score(strict, 0.0, 0.3) == float(want[0])
