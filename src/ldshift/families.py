@@ -8,9 +8,9 @@ power behavior f(x) ~ A1 (x-a)^(kappa1-1) near a and A2 (b-x)^(kappa2-1)
 near b, which determines the scaling regime of the divergence asymptotics.
 
 A built-in kind is one entry of ``_KINDS``: its parameter check with edge
-metadata, log f, score and sampler, each written once.  The planned
-shift-exact log-ratio kernel, ``_log_ratio``, is to be its fifth field.
-The ``custom`` kind is the one branch beside that table in each dispatcher.
+metadata, log f, score, sampler and shift-exact log-ratio
+log f(u + shift) - log f(u), each written once.  The ``custom`` kind is the
+one branch beside that table in each dispatcher.
 
 Every mass of f (``cdf``, the tail masses of the order-statistic Monte
 Carlo, the edge strips of the order-statistic rates, a custom family's
@@ -89,9 +89,8 @@ def make_family(kind, params=(), **custom):
 
     kinds: uniform | beta(p, q) | gamma(k) | weibull(k) | gaussian(sigma=1)
     | triangular(c=0.5) | custom.  A built-in kind is one ``_Kind`` entry
-    of ``_KINDS`` (the shift-exact ``_log_ratio`` is to be its fifth field);
-    its parameters must be exactly those listed (a defaulted one may be left
-    out), finite and in range, else a ValueError.  Custom
+    of ``_KINDS``; its parameters must be exactly those listed (a defaulted
+    one may be left out), finite and in range, else a ValueError.  Custom
     families pass keyword arguments: logpdf (vectorized, standardized
     coordinates), support, edge (kappa1, A1, kappa2, A2), log_concave, and
     optionally breakpoints and sampler(rng, n); any other keyword is a
@@ -122,14 +121,23 @@ class _Kind(NamedTuple):
     (*params, u, dl, dr), ``draw`` takes (*params, rng, n).  On a finite
     support ``logpdf`` must be finite, and raise no floating-point warning,
     at every inside point: ``_logpdf3`` evaluates it there without
-    ``errstate``.  The planned shift-exact log-ratio kernel, ``_log_ratio``,
-    belongs here as a fifth field.
+    ``errstate``.
+
+    ``log_ratio`` takes (*params, u, dl, dr, shift) and returns
+    log f(u + shift) - log f(u), exact in the shift wherever u and
+    u + shift both lie inside the support: each power factor enters as
+    log1p(shift / edge distance), so the result keeps its relative
+    precision however small the shift, where the difference of two rounded
+    log-densities holds only about ulp(log f) / shift.  Elsewhere its value
+    is unspecified and callers never read it (``_log_ratio`` evaluates it
+    with floating-point warnings off).
     """
 
     fields: Callable
     logpdf: Callable
     score: Callable
     draw: Callable
+    log_ratio: Callable
 
 
 def _checked(kind, params, arity, in_range, need, default=()):
@@ -142,6 +150,15 @@ def _checked(kind, params, arity, in_range, need, default=()):
     return params
 
 
+def _amplitude(kind, params, amp):
+    """An edge amplitude A, which must be positive and finite: far enough
+    out the normaliser over- or underflows (gamma from k = 179, beta from
+    p = q = 520), which leaves the family no usable power edge."""
+    if not 0.0 < amp < math.inf:
+        raise ValueError(f"{kind} {params}: edge amplitude {amp} is out of floating-point range")
+    return amp
+
+
 def _uniform_fields(*params):
     if params not in ((), (0.0, 1.0)):
         raise ValueError("uniform is standardized on (0, 1); shift via theta")
@@ -152,15 +169,17 @@ def _uniform_fields(*params):
 def _beta_fields(*params):
     p, q = _checked("beta", params, 2, lambda p, q: p > 0 and q > 0,
                     "two finite shapes p, q > 0")
-    inv_b = 1.0 / beta_fn(p, q)
+    b = beta_fn(p, q)
+    inv_b = _amplitude("beta", (p, q), 1.0 / b if b > 0.0 else math.inf)
     return dict(params=(p, q), support=(0.0, 1.0), kappa1=p, A1=inv_b, kappa2=q, A2=inv_b,
                 log_concave=(p >= 1.0 and q >= 1.0))
 
 
 def _gamma_fields(*params):
     k, = _checked("gamma", params, 1, lambda k: k > 0, "one finite shape k > 0")
-    return dict(params=(k,), support=(0.0, math.inf), kappa1=k, A1=math.exp(-log_gamma(k)),
-                kappa2=math.inf, A2=0.0, log_concave=(k >= 1.0))
+    return dict(params=(k,), support=(0.0, math.inf), kappa1=k,
+                A1=_amplitude("gamma", (k,), math.exp(-log_gamma(k))), kappa2=math.inf, A2=0.0,
+                log_concave=(k >= 1.0))
 
 
 def _weibull_fields(*params):
@@ -187,37 +206,86 @@ def _triangular_draw(c, rng, n):
     return np.where(v <= c, np.sqrt(v * c), 1.0 - np.sqrt((1.0 - v) * (1.0 - c)))
 
 
+def _log_step(d, step):
+    """log((d + step) / d) for an array of edge distances d > 0 and a
+    scalar step that leaves d + step > 0: log1p(step / d), except where the
+    step takes away more than half of d.  There d + step is exact (Sterbenz)
+    and the log of the quotient keeps the result to ulps, which log1p of
+    the rounded step / d loses as d + step approaches 0."""
+    x = step / d
+    out = np.log1p(x)
+    if step < 0:
+        near = np.flatnonzero(x < -0.5)
+        if near.size:
+            d = np.take(d, near)
+            np.put(out, near, np.log((d + step) / d))
+    return out
+
+
+def _triangular_log_ratio(c, u, dl, dr, shift):
+    # on one linear piece the ratio is the log-step of the distance to that
+    # piece's edge.  Across the mode each end's log f / f(c) is taken from
+    # its offset m from the mode: m = dl - c is exact near the mode
+    # (Sterbenz), so a small shift keeps its precision; an end more than
+    # half a piece from the mode takes the log of its own edge distance
+    def from_mode(m, dl, dr):
+        left = m <= 0.0
+        x = np.where(left, m / c, -m / (1.0 - c))
+        return np.where(x < -0.5, np.log(np.where(left, dl / c, dr / (1.0 - c))), np.log1p(x))
+
+    m = dl - c
+    left = m <= 0.0
+    same = np.where(left, _log_step(dl, shift), _log_step(dr, -shift))
+    cross = left != (m + shift <= 0.0)
+    if not cross.any():
+        return same
+    return np.where(cross, from_mode(m + shift, dl + shift, dr - shift) - from_mode(m, dl, dr),
+                    same)
+
+
+def _weibull_log_ratio(k, u, dl, dr, shift):
+    step = _log_step(dl, shift)
+    return (k - 1.0) * step - dl ** k * np.expm1(k * step)
+
+
 _KINDS = {
     "uniform": _Kind(
         _uniform_fields,
         lambda u, dl, dr: np.zeros(u.shape),
         lambda u, dl, dr: np.zeros_like(u),
-        lambda rng, n: rng.uniform(0.0, 1.0, n)),
+        lambda rng, n: rng.uniform(0.0, 1.0, n),
+        lambda u, dl, dr, shift: np.zeros(np.shape(u))),
     "beta": _Kind(
         _beta_fields,
         lambda p, q, u, dl, dr: (p - 1.0) * np.log(dl) + (q - 1.0) * np.log(dr) - log_beta(p, q),
         lambda p, q, u, dl, dr: (p - 1.0) / dl - (q - 1.0) / dr,
-        lambda p, q, rng, n: rng.beta(p, q, n)),
+        lambda p, q, rng, n: rng.beta(p, q, n),
+        lambda p, q, u, dl, dr, shift: ((p - 1.0) * _log_step(dl, shift)
+                                        + (q - 1.0) * _log_step(dr, -shift))),
     "gamma": _Kind(
         _gamma_fields,
         lambda k, u, dl, dr: (k - 1.0) * np.log(dl) - dl - log_gamma(k),
         lambda k, u, dl, dr: (k - 1.0) / dl - 1.0,
-        lambda k, rng, n: rng.standard_gamma(k, n)),
+        lambda k, rng, n: rng.standard_gamma(k, n),
+        lambda k, u, dl, dr, shift: (k - 1.0) * _log_step(dl, shift) - shift),
     "weibull": _Kind(
         _weibull_fields,
         lambda k, u, dl, dr: math.log(k) + (k - 1.0) * np.log(dl) - dl ** k,
         lambda k, u, dl, dr: (k - 1.0) / dl - k * dl ** (k - 1.0),
-        lambda k, rng, n: (-np.log1p(-rng.uniform(0.0, 1.0, n))) ** (1.0 / k)),
+        lambda k, rng, n: (-np.log1p(-rng.uniform(0.0, 1.0, n))) ** (1.0 / k),
+        _weibull_log_ratio),
     "gaussian": _Kind(
         _gaussian_fields,
         lambda s, u, dl, dr: -0.5 * (u / s) ** 2 - math.log(s * _SQRT_2PI),
         lambda s, u, dl, dr: -u / s ** 2,
-        lambda s, rng, n: s * rng.standard_normal(n)),
+        lambda s, rng, n: s * rng.standard_normal(n),
+        lambda s, u, dl, dr, shift: -shift * (u + 0.5 * shift) / s ** 2),
     "triangular": _Kind(
         _triangular_fields,
         lambda c, u, dl, dr: np.where(u <= c, np.log(2.0 * dl / c), np.log(2.0 * dr / (1.0 - c))),
         lambda c, u, dl, dr: np.where(u <= c, 1.0 / dl, -1.0 / dr),
-        _triangular_draw),
+        _triangular_draw,
+        _triangular_log_ratio),
 }
 
 
@@ -340,9 +408,11 @@ def _scale(fam):
 def _dists(fam, u):
     """Distances of u to the left and right support edges.  An unbounded
     side's distance is the scalar ``math.inf``, not an array of it: the
-    density kernels (``_logpdf3``, ``_score3``) broadcast it."""
+    density kernels (``_logpdf3``, ``_score3``, ``_log_ratio``) broadcast
+    it.  An edge at 0 gives u itself (not a copy; every caller only reads
+    it), as ``_edge_dist`` does."""
     a, b = fam.support
-    return (u - a if math.isfinite(a) else math.inf,
+    return (math.inf if not math.isfinite(a) else u if a == 0.0 else u - a,
             b - u if math.isfinite(b) else math.inf)
 
 
@@ -377,6 +447,19 @@ def _logpdf3(fam, u, dl, dr):
         val = np.asarray(logpdf(*fam.params, u, dl, dr))   # a 0-d input gives a numpy scalar
     np.copyto(val, -math.inf, where=~inside)
     return val
+
+
+def _log_ratio(fam, u, dl, dr, shift):
+    """log f(u + shift) - log f(u) from (u, edge distances of u): the kind's
+    shift-exact closed form (``_Kind``), for a custom family the difference
+    of its ``_logpdf3`` at the two points.  Read only where u and u + shift
+    both lie inside the support; evaluated with floating-point warnings
+    off, so points elsewhere may be passed along."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if fam.kind == "custom":
+            return (_logpdf3(fam, u + shift, dl + shift, dr - shift)
+                    - _logpdf3(fam, u, dl, dr))
+        return _KINDS[fam.kind].log_ratio(*fam.params, u, dl, dr, shift)
 
 
 def _custom_inside(fam, u, dl, dr, fill, body, edge_law):

@@ -247,6 +247,8 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "gaussian", "params": [math.nan]}}, "family"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": 2}}, "family"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [[2], 3]}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "gamma", "params": [180]}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [600, 600]}}, "family"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
         "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
@@ -256,7 +258,8 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
         "combo-open-edges", "rates-empty-ladder", "n-grid-falling", "no-trials",
         "rates-rung-negative", "rates-rung-wider-than-support", "gaussian-two-params",
         "triangular-two-params", "gamma-infinite-shape", "gaussian-nan-sigma",
-        "params-not-a-list", "param-not-a-number"])
+        "params-not-a-list", "param-not-a-number", "gamma-amplitude-underflows",
+        "beta-amplitude-overflows"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))

@@ -204,34 +204,57 @@ def test_lr_midpoint_of_flat_stretch():
     assert np.all(np.abs(d + 5.0) < 1e-9)
 
 
+# beta(2, 2) as a custom family, whose log-ratio is the plain difference
+CUSTOM_BETA22 = make_family(
+    "custom", logpdf=lambda u: np.log(6.0 * u * (1.0 - u)), support=(0.0, 1.0),
+    edge=(2.0, 6.0, 2.0, 6.0), log_concave=True, sampler=lambda rng, n: rng.beta(2.0, 2.0, n))
+
+
 @pytest.mark.parametrize("kind, eps, fam", [
     ("lr", 0.5, make_family("gaussian")),
     ("lr", 0.6, make_family("gamma", (3,))),
     ("lr", 0.1, make_family("beta", (2, 2))),
     ("lr", 0.3, make_family("beta", (2, 2))),      # narrow rows from n = 3 on
     ("lr", 0.3, FLAT),
+    ("lr", 0.3, make_family("weibull", (1.5,))),
+    ("lr", 0.1, make_family("triangular", (0.3,))),
+    ("lr", 0.1, make_family("beta", (1.5, 1.5))),
+    ("lr", 0.1, make_family("uniform")),
+    ("lr", 0.1, CUSTOM_BETA22),
     ("mle", None, make_family("gamma", (3,))),
     ("mle", None, make_family("beta", (1.5, 1.5))),
     ("mle", None, make_family("weibull", (2,))),
 ], ids=["lr-gaussian", "lr-gamma-3", "lr-beta-2-2", "lr-beta-2-2-narrow", "lr-flat",
-        "mle-gamma-3", "mle-beta-1.5-1.5", "mle-weibull-2"])
+        "lr-weibull-1.5", "lr-triangular-0.3", "lr-beta-1.5-1.5", "lr-uniform",
+        "lr-custom-beta-2-2", "mle-gamma-3", "mle-beta-1.5-1.5", "mle-weibull-2"])
 def test_tail_events_match_full_estimator(kind, eps, fam):
     spec = EstimatorSpec(kind, eps=eps)
     a, b = fam.support
     inset = eps if kind == "lr" else 0.0
     half = eps if kind == "lr" else 0.2
+    undecided = []
     for n in (1, 3, 8):
         X = sample(fam, 0.1, 1000 * n, seed=n).values.reshape(1000, n)
         t = estimate_many(spec, fam, X)
-        # inside the bracket, beyond every bracket, and on the finite bracket
-        # ends of the first two rows
+        lo, hi = X.max(axis=1) - b + inset, X.min(axis=1) - a - inset
+        # inside the bracket, beyond every bracket, on the finite bracket
+        # ends of the first two rows, and past the finite ends of three
+        # quarters of the rows
         thresholds = [(0.1 + half, 0.1 - half), (0.1 + half / 3, 0.1 - half / 5), (50.0, -50.0)]
         ends = [X[0].max() - b + inset, X[1].min() - a - inset]
+        ends += [np.quantile(hi, 0.75)] if math.isfinite(a) else []
+        ends += [np.quantile(lo, 0.25)] if math.isfinite(b) else []
         thresholds += [(e, e) for e in ends if math.isfinite(e)]
         for up, dn in thresholds:
             above, below = tail_events(spec, fam, X, up, dn)
             assert np.array_equal(above, t > up), (n, up)
             assert np.array_equal(below, t < dn), (n, dn)
+            undecided += [np.mean((lo < thr) & (thr < hi)) for thr in (up, dn)]
+    # the estimating function is evaluated on the undecided rows gathered
+    # when they are fewer than half, else on the whole matrix: both ran
+    if math.isfinite(a) or math.isfinite(b):
+        assert any(0.0 < u < 0.5 for u in undecided)
+    assert any(u >= 0.5 for u in undecided)
 
 
 @pytest.mark.parametrize("spec", [

@@ -10,8 +10,8 @@ from scipy import stats
 from scipy.special import betaincinv, gammainc, gammaln
 
 from ldshift.estimators import EstimatorSpec, _k_rows, estimate_many, tail_events
-from ldshift.families import (_KINDS, _dists, _mass_table, _mass_within, _quantile, _score3,
-                              _trimmed_support, cdf, fisher_information, log_density,
+from ldshift.families import (_KINDS, _dists, _log_ratio, _mass_table, _mass_within, _quantile,
+                              _score3, _trimmed_support, cdf, fisher_information, log_density,
                               make_family, sample, score)
 from ldshift.quadrature import integrate
 from ldshift.special import log_beta, log_gamma
@@ -70,6 +70,8 @@ def test_invalid_params():
         ("gaussian", (1.0, 5.0)), ("triangular", (0.3, 9.0)), ("beta", (2.0,)), ("gamma", ()),
         ("gamma", (math.inf,)), ("gaussian", (math.nan,)), ("beta", (2.0, math.inf)),
         ("uniform", (0.0, 2.0)), ("triangular", (1.0,)),
+        # shapes whose edge amplitude under- or overflows
+        ("gamma", (180.0,)), ("beta", (600.0, 600.0)),
     ]:
         with pytest.raises(ValueError):
             make_family(kind, params)
@@ -162,12 +164,14 @@ def test_custom_logpdf_sees_inside_points_only():
     got = log_density(strict, 0.0, x)
     assert np.all(got[x <= 0.0] == -math.inf) and np.all(got[x >= 1.0] == -math.inf)
     np.testing.assert_allclose(got, log_density(beta22, 0.0, x), rtol=1e-13)
-    # the LR estimator's log-ratio shifts rows by z -+ eps past the edges
+    # the LR estimator's log-ratio shifts rows by z -+ eps past the edges;
+    # a custom family's is the plain difference, -inf where a point leaves
     X = np.random.default_rng(5).beta(2, 2, (6, 8))
     z = np.linspace(-0.3, 0.3, 6)
     with np.errstate(invalid="ignore"):
-        np.testing.assert_allclose(_k_rows(strict, X, z, 0.1), _k_rows(beta22, X, z, 0.1),
-                                   rtol=1e-12)
+        want = np.mean(log_density(beta22, z[:, None] - 0.1, X)
+                       - log_density(beta22, z[:, None] + 0.1, X), axis=1)
+    np.testing.assert_allclose(_k_rows(strict, X, z, 0.1), want, rtol=1e-12)
 
 
 def test_custom_score_sees_inside_points_only():
@@ -222,6 +226,75 @@ def test_edge_ratio():
         if f.A2 > 0 and math.isfinite(f.b):
             ratio2 = math.exp(log_density(f, 0.0, f.b - h)) / (f.A2 * h ** (f.kappa2 - 1.0))
             assert 0.9 <= ratio2 <= 1.1
+
+
+def _logpdf_mp(kind, params, u):
+    """log f(u) up to its constant, in mpmath."""
+    import mpmath as mp
+
+    if kind == "uniform":
+        return mp.mpf(0)
+    if kind == "beta":
+        return (params[0] - 1) * mp.log(u) + (params[1] - 1) * mp.log(1 - u)
+    if kind == "gamma":
+        return (params[0] - 1) * mp.log(u) - u
+    if kind == "weibull":
+        return (params[0] - 1) * mp.log(u) - u ** params[0]
+    if kind == "gaussian":
+        return -u * u / (2 * mp.mpf(params[0]) ** 2)
+    c = mp.mpf(params[0])
+    return mp.log(u / c) if u <= c else mp.log((1 - u) / (1 - c))
+
+
+# beta(2, 2) as a custom family: its log-ratio is the plain difference
+CUSTOM_BETA22 = make_family("custom", logpdf=lambda u: np.log(6.0 * u * (1.0 - u)),
+                            support=(0.0, 1.0), edge=(2.0, 6.0, 2.0, 6.0), log_concave=True)
+
+
+@pytest.mark.parametrize("kind, params", ALL_BUILTINS + [("custom", (2.0, 2.0))],
+                         ids=lambda v: str(v))
+def test_log_ratio_matches_mpmath(kind, params):
+    # log f(u + shift) - log f(u) against 30 digits at points within 1e-6 of
+    # every finite edge, inside, and on both sides of the triangular mode,
+    # within 1e-14 shift (1 + |f'/f| + 1/dl + 1/dr).  The difference of two
+    # rounded log-densities is off by about ulp(log f), which at shift 1e-9
+    # misses this bound by a factor of about ulp(log f) / (1e-14 shift): 1e5
+    # to 4e7 on these points.  The custom family, whose ratio is that
+    # difference, is held to the difference's own precision instead.
+    import mpmath as mp
+
+    fam = CUSTOM_BETA22 if kind == "custom" else _fam(kind, params)
+    a, b = fam.support
+    if math.isfinite(b):
+        u = [0.1, 0.25, 0.5, 0.77, 0.9]
+    elif math.isfinite(a):
+        u = [0.01, 0.5, 1.0, 3.0, 10.0]
+    else:
+        u = [-5.0, -1.0, -1e-3, 0.0, 0.7, 4.0]
+    u += [e + s * d for e, s in ((a, 1.0), (b, -1.0)) if math.isfinite(e)
+          for d in (3e-7, 1e-6)]
+    if kind == "triangular":
+        u += [params[0] + s * d for s in (-1.0, 1.0) for d in (1e-12, 1e-7, 1e-4, 0.05)]
+    u = np.array(u)
+    dl, dr = (np.broadcast_to(d, u.shape) for d in _dists(fam, u))
+    sc = np.abs(_score3(fam, u, dl, dr))
+    mp_kind = "beta" if kind == "custom" else kind
+    with mp.workdps(30):
+        for shift in (1e-9, 1e-6, 1e-3, 0.1, -1e-9, -1e-6, -1e-3, -0.1):
+            got = _log_ratio(fam, u, dl, dr, shift)
+            for i, ui in enumerate(u):
+                v = mp.mpf(ui) + mp.mpf(shift)
+                if not a < v < b:
+                    continue
+                lf_u, lf_v = _logpdf_mp(mp_kind, params, mp.mpf(ui)), _logpdf_mp(mp_kind, params, v)
+                err = abs(got[i] - float(lf_v - lf_u))
+                tol = 1e-14 * abs(shift) * (1.0 + sc[i] + 1.0 / dl[i] + 1.0 / dr[i])
+                if kind == "custom":
+                    # the rounded log f at u and at the rounded u + shift,
+                    # where f'/f = 1/v - 1/(1 - v)
+                    tol += 1e-15 * (1.0 + abs(float(lf_u)) + abs(float(lf_v)))
+                    tol += 2.3e-16 * float(abs(v * (1 / v - 1 / (1 - v))))
+                assert err <= tol, (ui, shift, got[i], float(lf_v - lf_u), err / tol)
 
 
 def test_score_examples():

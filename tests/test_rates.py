@@ -1,7 +1,9 @@
 """Empirical and analytic first exponential rates, hypothesis-testing
 exponents, and the empirical interval-estimation rate."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +225,21 @@ def test_n_value_streams_are_pinned():
     assert np.array_equal(mle.p_minus, np.array([98, 26, 0]) / 1_000)
     ht = ht_simulate((beta15, 0.0), (beta15, 0.2), n_grid=(8, 16, 24), trials=1_000, seed=33)
     assert np.array_equal(ht.error_sums, [173.0, 42.0, 10.0])
+
+
+MC_COUNTS = json.loads((Path(__file__).parent / "data" / "mc_counts.json").read_text())
+
+
+@pytest.mark.parametrize("case", MC_COUNTS, ids=[c["id"] for c in MC_COUNTS])
+def test_mc_counts_are_pinned(case):
+    # tail counts of the MLE and LR streams, recorded by
+    # tests/record_mc_counts.py: a change to the estimating functions or the
+    # sign test that moves one row's side shows here
+    est = mc_tail_rate(make_family(*case["family"]), EstimatorSpec(**case["estimator"]), 0.0,
+                       case["eps"], n_grid=case["n_grid"], trials=case["trials"],
+                       seed=case["seed"])
+    assert est.p_plus.tolist() == case["p_plus"]
+    assert est.p_minus.tolist() == case["p_minus"]
 
 
 def _splits(fam, spec, eps, n):
