@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from ldshift.estimators import (EstimatorSpec, estimate, estimate_many, extreme_events,
-                                tail_events)
+from ldshift.estimators import (EstimatorSpec, _row_extremes, estimate, estimate_many,
+                                extreme_events, tail_events)
 from ldshift.families import log_density, make_family, sample
 
 
@@ -204,6 +204,17 @@ def test_lr_midpoint_of_flat_stretch():
     assert np.all(np.abs(d + 5.0) < 1e-9)
 
 
+def test_row_extremes_match_min_max():
+    rng = np.random.default_rng(5)
+    for m, n in ((0, 3), (1, 1), (7, 1), (5, 4), (300, 48)):
+        X = rng.standard_normal((m, n))
+        if m * n > 3:
+            X.flat[[0, 1, -1]] = np.inf, np.nan, -np.inf
+        x_min, x_max = _row_extremes(X)
+        assert np.array_equal(x_min, X.min(axis=1), equal_nan=True)
+        assert np.array_equal(x_max, X.max(axis=1), equal_nan=True)
+
+
 # beta(2, 2) as a custom family, whose log-ratio is the plain difference
 CUSTOM_BETA22 = make_family(
     "custom", logpdf=lambda u: np.log(6.0 * u * (1.0 - u)), support=(0.0, 1.0),
@@ -250,8 +261,9 @@ def test_tail_events_match_full_estimator(kind, eps, fam):
             assert np.array_equal(above, t > up), (n, up)
             assert np.array_equal(below, t < dn), (n, dn)
             undecided += [np.mean((lo < thr) & (thr < hi)) for thr in (up, dn)]
-    # the estimating function is evaluated on the undecided rows gathered
-    # when they are fewer than half, else on the whole matrix: both ran
+    # the estimating function is evaluated on the undecided rows, gathered
+    # unless every row is: some thresholds left a minority undecided, some a
+    # majority
     if math.isfinite(a) or math.isfinite(b):
         assert any(0.0 < u < 0.5 for u in undecided)
     assert any(u >= 0.5 for u in undecided)

@@ -21,6 +21,8 @@ from ldshift.rates import (InsufficientEventsError, WindowError, _child_seeds,
                            mle_chernoff_rate, order_stat_rates)
 from ldshift.verify import check_mc_identities
 
+import record_mc_counts
+
 UNIFORM = make_family("uniform")
 GAUSS = make_family("gaussian")
 BETA22 = make_family("beta", (2, 2))
@@ -232,14 +234,10 @@ MC_COUNTS = json.loads((Path(__file__).parent / "data" / "mc_counts.json").read_
 
 @pytest.mark.parametrize("case", MC_COUNTS, ids=[c["id"] for c in MC_COUNTS])
 def test_mc_counts_are_pinned(case):
-    # tail counts of the MLE and LR streams, recorded by
-    # tests/record_mc_counts.py: a change to the estimating functions or the
+    # tail counts of the MLE and LR streams, recorded by the call made here
+    # (record_mc_counts.run): a change to the estimating functions or the
     # sign test that moves one row's side shows here
-    est = mc_tail_rate(make_family(*case["family"]), EstimatorSpec(**case["estimator"]), 0.0,
-                       case["eps"], n_grid=case["n_grid"], trials=case["trials"],
-                       seed=case["seed"])
-    assert est.p_plus.tolist() == case["p_plus"]
-    assert est.p_minus.tolist() == case["p_minus"]
+    assert record_mc_counts.run(case) == (case["p_plus"], case["p_minus"])
 
 
 def _splits(fam, spec, eps, n):
