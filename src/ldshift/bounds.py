@@ -222,36 +222,35 @@ def alpha2_bar(profile: ScalingProfile):
     return v, min(max(s, DELTA), 1.0 - DELTA)
 
 
-def coincidence(profile: ScalingProfile, tol=None):
+def coincidence(profile: ScalingProfile):
     """(coincide, eq_sym, eq_half) where eq_sym tests a1 = 2^kappa I^(1/2)_g
     and eq_half tests 2^kappa I^(1/2)_g = a2; coincide tests a1 = a2."""
     a1, _ = alpha1_bar(profile)
     a2, _ = alpha2_bar(profile)
-    return _flags(profile, a1, a2, tol)
+    return _flags(profile, a1, a2)
 
 
-def _flags(profile, a1, a2, tol):
+def _flags(profile, a1, a2):
     """The coincidence flags of ``coincidence`` for bounds already computed."""
     half = 2.0 ** profile.kappa * float(profile.isg_fn(0.5))
-    if tol is None:
-        if profile.source == "ladder":
-            # the largest relative extrapolation error over the trusted s,
-            # with a floor for the quadrature/optimization noise
-            rel = float(np.max(_rel_err(profile)[_trusted(profile)]))
-            tol = max(3.0 * rel * abs(a1), 3e-5 * max(1.0, a1))
-        else:
-            tol = 1e-6 * max(1.0, a1)
+    if profile.source == "ladder":
+        # the largest relative extrapolation error over the trusted s,
+        # with a floor for the quadrature/optimization noise
+        rel = float(np.max(_rel_err(profile)[_trusted(profile)]))
+        tol = max(3.0 * rel * abs(a1), 3e-5 * max(1.0, a1))
+    else:
+        tol = 1e-6 * max(1.0, a1)
     eq163 = abs(a1 - half) <= tol
     eq15 = abs(half - a2) <= tol
     coincide = abs(a1 - a2) <= tol
     return coincide, eq163, eq15
 
 
-def bound_pair(profile: ScalingProfile, tol=None) -> BoundPair:
+def bound_pair(profile: ScalingProfile) -> BoundPair:
     """Assemble the bound pair with coincidence flags for a profile."""
     a1, s1 = alpha1_bar(profile)
     a2, s2 = alpha2_bar(profile)
-    coincide, eq163, _ = _flags(profile, a1, a2, tol)
+    coincide, eq163, _ = _flags(profile, a1, a2)
     return BoundPair(
         alpha1_bar=a1, alpha2_bar=a2, s_star1=s1, s_star2=s2,
         kappa=profile.kappa, coincide=coincide, symmetric_at_half=eq163,
@@ -309,7 +308,7 @@ def closed_form_bounds(regime, A1, A2, kappa, fisher=None) -> BoundPair:
             a1v, s1 = alpha1_bar(profile)
             b1 = s1 <= DELTA or s1 >= 1.0 - DELTA
         a2v, s2 = alpha2_bar(profile)
-        coincide, eq163, _ = _flags(profile, a1v, a2v, None)
+        coincide, eq163, _ = _flags(profile, a1v, a2v)
         return BoundPair(a1v, a2v, s1, s2, k, coincide=coincide,
                          symmetric_at_half=eq163,
                          boundary1=b1, boundary2=(s2 <= DELTA or s2 >= 1.0 - DELTA))

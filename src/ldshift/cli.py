@@ -19,7 +19,8 @@ from .estimators import EPS_KINDS, EstimatorSpec, check_family
 from .families import make_family
 from .rates import (InsufficientEventsError, _check_n_grid, alpha2_estimate, mc_tail_rate,
                     mle_chernoff_rate, order_stat_rates)
-from .renyi import _ladder, classify_regime, closed_form_isg, g_value, profile_from_family
+from .renyi import (DivergenceError, _ladder, classify_regime, closed_form_isg, g_value,
+                    profile_from_family)
 from .verify import run_checks
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_bounds",
@@ -127,9 +128,10 @@ def _g_tag(cfg, fam):
     if tag == "auto":
         return classify_regime(fam).g_tag
     if isinstance(tag, (list, tuple)) and len(tag) == 2 and tag[0] == "power":
-        if not isinstance(tag[1], (int, float)) or not tag[1] > 0:
-            raise ConfigError(f"field 'g_tag': power scaling needs kappa > 0, got {tag[1]!r}")
-        return ("power", float(tag[1]))
+        k = tag[1]
+        if type(k) not in (int, float) or not 0 < k < math.inf:  # a bool is no kappa
+            raise ConfigError(f"field 'g_tag': power scaling needs a finite kappa > 0, got {k!r}")
+        return ("power", float(k))
     if tag in ("square", "abs", "sq_log"):
         return tag
     raise ConfigError(f"field 'g_tag': unknown tag {tag!r}")
@@ -158,8 +160,11 @@ def _profile(cfg, fam, theta, g_tag, min_points):
         ladder = _ladder(cfg.get("eps_ladder"), g_tag, fam)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"field 'eps_ladder': {exc}") from exc
-    return profile_from_family(fam, theta=theta, g_tag=g_tag, s_grid=s_grid,
-                               eps_ladder=ladder)
+    try:
+        return profile_from_family(fam, theta=theta, g_tag=g_tag, s_grid=s_grid,
+                                   eps_ladder=ladder)
+    except (ValueError, DivergenceError) as exc:  # the ladder is checked above
+        raise ConfigError(f"field 'g_tag': {exc}") from exc
 
 
 def cmd_bounds(cfg, out=None, fmt="csv"):
@@ -276,13 +281,7 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     rows = []
     nan = float("nan")
     for k, spec in enumerate(specs):
-        try:
-            est = mc_tail_rate(fam, spec, theta, eps0, n_grid=n_grid,
-                               trials=trials, seed=seed + k)
-            mc = [est.beta_plus, est.beta_minus, est.beta, est.slope_stderr]
-        except InsufficientEventsError:
-            mc = [nan] * 4
-        ana_p, ana_m = _analytic_sides(fam, spec, eps0)
+        # alpha2 first: it checks g at every rung before any draw (each stream has its seed)
         try:
             a2 = alpha2_estimate(fam, spec, theta, g_tag, eps_ladder=ladder,
                                  n_grid=n_grid, trials=trials, seed=seed + 1000 + k)
@@ -291,6 +290,15 @@ def cmd_rates(cfg, out=None, fmt="csv"):
             a2_value, respected = a2.value, bool(a2.value <= cf.alpha2_bar * 1.10 + slack)
         except InsufficientEventsError:
             a2_value, respected = nan, nan
+        except ValueError as exc:  # the ladder, trials and n grid are checked above
+            raise ConfigError(f"field 'g_tag': {exc}") from exc
+        try:
+            est = mc_tail_rate(fam, spec, theta, eps0, n_grid=n_grid,
+                               trials=trials, seed=seed + k)
+            mc = [est.beta_plus, est.beta_minus, est.beta, est.slope_stderr]
+        except InsufficientEventsError:
+            mc = [nan] * 4
+        ana_p, ana_m = _analytic_sides(fam, spec, eps0)
         rows.append([spec.kind,
                      spec.eps if spec.eps is not None else nan,
                      spec.lam if spec.lam is not None else nan,

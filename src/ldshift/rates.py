@@ -50,7 +50,11 @@ beyond the target tolerances).
 The analytic rates integrate on the package's own quadrature, never scipy:
 the overlap nodes of a shifted pair, and for an edge strip the family's
 mass table, from which every mass of f in the package is read (as are the
-Monte Carlo's tail masses).
+Monte Carlo's tail masses).  The MLE's Chernoff objective F(t) = -log int
+f exp(-+ t psi) takes the D form of the Renyi sweep (``renyi`` module
+docstring): F = -log1p(-D), D = m - sum f w expm1(t psi) over the overlap
+nodes, m the mass of f outside the overlap, so a small F keeps its
+relative precision where -log(sum ~ 1) kept none.
 """
 
 import math
@@ -63,8 +67,8 @@ from . import families as fam_mod
 from .bounds import _argmax, _optimize
 from .estimators import (EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec, _strip_width,
                          check_family, extreme_events, tail_events)
-from .renyi import (_lse, _overlap_nodes, _pair_nodes, _renyi_from_nodes, default_ladder,
-                    g_value)
+from .renyi import (_EXP_MAX, _outside_masses, _overlap_nodes, _pair_nodes, _renyi_from_nodes,
+                    default_ladder, g_value)
 
 __all__ = [
     "InsufficientEventsError",
@@ -370,22 +374,28 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
 def _chernoff_objective(family, eps, side):
     """F(t) = -log int exp(-+ t score) f over the overlap of f and f(. -+ eps)
     (concave): the density is the first point's, the score the second's, whose
-    singular edge sits outside the window where exp(-+ t score) would blow up."""
+    singular edge sits outside the window where exp(-+ t score) would blow up.
+    The D form of the module docstring, summed directly where D > 1/2 and
+    shifted by t max(sc), sc the signed score, where that overflows exp."""
     shifted = (family, eps if side == "plus" else -eps)
     nodes = _overlap_nodes((family, 0.0), shifted)
     if nodes is None:
         raise WindowError(f"eps={eps} exceeds the support width")
-    lf = fam_mod._logpdf3(family, *fam_mod._at_nodes(family, 0.0, nodes))
-    sc = fam_mod._score3(family, *fam_mod._at_nodes(*shifted, nodes))
+    fw = np.exp(fam_mod._logpdf3(family, *fam_mod._at_nodes(family, 0.0, nodes))) * nodes.w
     sign = -1.0 if side == "plus" else 1.0
-    with np.errstate(divide="ignore"):
-        lw = np.log(nodes.w)
+    sc = sign * fam_mod._score3(family, *fam_mod._at_nodes(*shifted, nodes))
+    sc_max = float(sc.max())
+    m = _outside_masses((family, 0.0), shifted)[0]
 
     def F(t):
-        v = sign * t * sc
-        v += lf
-        v += lw
-        return -_lse(v)
+        top = t * sc_max
+        if top <= _EXP_MAX:
+            d = m - float(np.dot(fw, np.expm1(t * sc)))
+            if d <= 0.5:
+                return -math.log1p(-d)
+            top = 0.0
+        total = float(np.dot(fw, np.exp(t * sc - top)))
+        return -top - math.log(total) if total > 0.0 else math.inf
 
     return F
 
@@ -570,14 +580,14 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if not eps_ladder:
         raise ValueError("eps_ladder needs at least one rung")
+    gvals = [g_value(g_tag, eps) for eps in eps_ladder]
     # the seed count is part of the output: it fixes every rung's seed
     seeds = _child_seeds(seed, 2 * len(eps_ladder) + 2)
     rungs = []
-    for idx, eps in enumerate(eps_ladder):
+    for idx, (eps, g) in enumerate(zip(eps_ladder, gvals)):
         spec_eff = replace(spec, eps=eps) if spec.kind in EPS_KINDS else spec
         est = mc_tail_rate(family, spec_eff, theta, eps, n_grid=n_grid,
                            trials=trials, seed=seeds[idx])
-        g = float(g_value(g_tag, eps))
         rungs.append(est.beta / g)
         stderr = est.slope_stderr / g
     return Alpha2Estimate(value=float(rungs[-1]), stderr=float(stderr),

@@ -133,7 +133,8 @@ class ScalingProfile:
 # scaling functions
 
 def g_value(g_tag, eps):
-    """Evaluate the scaling function g at eps > 0."""
+    """Evaluate the scaling function g at eps > 0; ValueError where g is not
+    positive and finite, as a divergence is divided by it."""
     eps = np.asarray(eps, dtype=float)
     if callable(g_tag):
         out = np.asarray(g_tag(eps), dtype=float)
@@ -147,6 +148,8 @@ def g_value(g_tag, eps):
         out = eps ** float(g_tag[1])
     else:
         raise ValueError(f"unknown scaling tag {g_tag!r}")
+    if not np.all((out > 0.0) & (out < math.inf)):
+        raise ValueError(f"g({eps}) = {out} is not positive and finite")
     return float(out) if out.ndim == 0 else out
 
 
@@ -241,11 +244,9 @@ def _outside_masses(p_point, q_point):
     its own end; each strip's width is the shift difference plus the gap
     between the two trimmed ends (exact for one family)."""
     (fam_p, tp), (fam_q, tq) = p_point, q_point
+    (lo_p, hi_p), (lo_q, hi_q) = map(fam_mod._trimmed_support, (fam_p, fam_q))
     shift = tq - tp
-    below = above = shift
-    if fam_q is not fam_p:
-        (lo_p, hi_p), (lo_q, hi_q) = map(fam_mod._trimmed_support, (fam_p, fam_q))
-        below, above = (lo_q - lo_p) + shift, (hi_q - hi_p) + shift
+    below, above = (lo_q - lo_p) + shift, (hi_q - hi_p) + shift
     m_p = m_q = 0.0
     # below > 0: p starts below q, and its strip there counts where q's end
     # is a finite edge; above > 0: q ends above p, likewise
@@ -308,26 +309,6 @@ def _pair_nodes(p_point, q_point):
                     + pw[hot].sum())
     return _Pair(delta, swept, qw, pw, amax, lin, moments,
                  *_outside_masses(p_point, q_point))
-
-
-def _lse(v):
-    """log(sum(exp(v))) of a 1-d float array, overwriting v.
-
-    The arithmetic of scipy 1.17's log-sum-exp without its dispatch and
-    copies, so results are bit-identical to it: shift by the maximum m, count
-    its cnt occurrences apart and return log1p(rest / cnt) + log(cnt) + m.
-    """
-    m = v.max()
-    if not math.isfinite(m):
-        # all -inf, an inf or a nan: scipy falls back to the plain sum
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return float(np.log(np.exp(v).sum()))
-    top = v == m
-    cnt = np.count_nonzero(top)
-    v[top] = -np.inf
-    v -= m
-    np.exp(v, out=v)
-    return float(np.log1p(v.sum() / cnt) + np.log(cnt) + m)
 
 
 def _renyi_from_nodes(pair, s):
@@ -436,10 +417,12 @@ def _extrapolate(r, eps_ladder, g_tag):
     move of the two refits that drop the first or the last rung.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(np.all((r[1:] > r[:-1]) & (r[1:] > 1.1 * r[:-1]), axis=0)):
+    grows = np.all((r[1:] > r[:-1]) & (r[1:] > 1.1 * r[:-1]), axis=0)
+    if np.any(grows):
         raise DivergenceError(
-            "scaled divergences grow along the ladder; "
-            f"check the scaling function (ratios {r.T})")
+            f"scaled divergences grow along the ladder at {np.count_nonzero(grows)} of "
+            f"{grows.size} orders; check the scaling function (rung ratios "
+            f"{r[:, np.argmax(grows)].tolist()} at the first)")
     if g_tag == "sq_log":
         # elementwise, rung by rung: a matrix product's bits for one order
         # would depend on how many orders are swept with it
@@ -459,29 +442,25 @@ def default_ladder(g_tag, family=None):
 def _ladder(eps_ladder, g_tag, family):
     """The shift ladder as a float tuple (the default one when None); it must
     be strictly decreasing with at least four positive rungs, the first
-    narrower than the support."""
+    narrower than the trimmed support, so every centered pair overlaps."""
     if eps_ladder is None:
         eps_ladder = default_ladder(g_tag, family)
     eps_ladder = tuple(float(e) for e in eps_ladder)
     if len(eps_ladder) < 4 or np.any(np.diff(eps_ladder) >= 0) or eps_ladder[-1] <= 0:
         raise ValueError("eps ladder must be >= 4 strictly decreasing positive rungs")
-    a, b = family.support
-    if not eps_ladder[0] < b - a:
+    lo, hi = fam_mod._trimmed_support(family)
+    if not eps_ladder[0] < hi - lo:
         raise ValueError(f"first rung eps={eps_ladder[0]} is not narrower than the "
-                         f"support width {b - a}")
+                         f"support width {hi - lo}")
     return eps_ladder
 
 
 def _rungs(family, theta, eps_ladder, g_tag):
-    """Centered pair node data and g(eps) for each rung of a shift ladder."""
-    pairs, gvals = [], []
-    for eps in eps_ladder:
-        pair = _pair_nodes((family, theta - eps / 2.0), (family, theta + eps / 2.0))
-        if pair is None:
-            raise ValueError(f"shift eps={eps} exceeds the support overlap")
-        pairs.append(pair)
-        gvals.append(g_value(g_tag, eps))
-    return pairs, gvals
+    """Centered pair node data and g(eps) for each rung of a shift ladder
+    whose rungs are narrower than the trimmed support (``_ladder``)."""
+    gvals = [g_value(g_tag, eps) for eps in eps_ladder]
+    return [_pair_nodes((family, theta - eps / 2.0), (family, theta + eps / 2.0))
+            for eps in eps_ladder], gvals
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,12 @@ def t0_residual(t):
 
 
 @functools.lru_cache(maxsize=None)
-def solve_t0(tol=1e-12):
+def solve_t0():
     """Unique root t0 in (0, 1/2) of 2t + t(1-t)(psi(1+t) - psi(1)) = 1.
 
-    Bisection on the bracket (1e-6, 0.5 - 1e-6); the residual is strictly
-    increasing there, which is asserted as the bracket contracts.  The root
-    depends on ``tol`` alone, so it is memoized.
+    Bisection on the bracket (1e-6, 0.5 - 1e-6) until the residual is below
+    1e-12; the residual is strictly increasing there, which is asserted as
+    the bracket contracts.  The root is a constant, so it is memoized.
     """
     lo, hi = 1e-6, 0.5 - 1e-6
     flo, fhi = t0_residual(lo), t0_residual(hi)
@@ -148,7 +148,7 @@ def solve_t0(tol=1e-12):
             lo, flo = mid, fm
         else:
             hi, fhi = mid, fm
-        if abs(fm) < tol:
+        if abs(fm) < 1e-12:
             return mid
     return 0.5 * (lo + hi)
 

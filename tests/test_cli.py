@@ -15,6 +15,8 @@ from ldshift.families import _mass_within, make_family
 from ldshift.renyi import classify_regime, default_ladder, g_value, renyi_curve
 from ldshift.verify import LemmaCheck
 
+import record_goldens
+
 # recorded with the per-end edge depths of the quadrature; gamma(2) with the
 # sq_log ladder's basis fit; every optimum refined on the scan's interpolant
 # and confirmed by one evaluation to the profile's median relative error;
@@ -249,6 +251,17 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [[2], 3]}}, "family"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "gamma", "params": [180]}}, "family"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [600, 600]}}, "family"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [1.5, 1.5]},
+                "g_tag": ["power", 3]}, "g_tag"),
+    ("renyi-curve", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [1.5, 1.5]},
+                     "g_tag": ["power", 3]}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", 1000]}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", math.inf]}, "g_tag"),
+    ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
+               "g_tag": ["power", 1000]}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", True]}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "gaussian"}, "eps_ladder": [40, 10, 5, 2]},
+     "eps_ladder"),
 ], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
         "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
@@ -259,7 +272,9 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
         "rates-rung-negative", "rates-rung-wider-than-support", "gaussian-two-params",
         "triangular-two-params", "gamma-infinite-shape", "gaussian-nan-sigma",
         "params-not-a-list", "param-not-a-number", "gamma-amplitude-underflows",
-        "beta-amplitude-overflows"])
+        "beta-amplitude-overflows", "power-3-ratios-grow", "curve-power-3-ratios-grow",
+        "power-1000-g-underflows", "power-infinite", "rates-power-1000-g-underflows",
+        "power-bool", "gaussian-rung-wider-than-window"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
@@ -269,12 +284,12 @@ def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     assert field in captured.err
 
 
-def test_quick_lemma_suite_passes(capsys):
-    code, text = _run(["verify", "--level", "quick"], capsys)
+def test_quick_lemma_suite_passes():
+    code, text = record_goldens.verify_quick()
     assert code == 0, text
-    assert _run(["verify", "--level", "quick"], capsys) == (0, text)  # byte-identical
+    assert record_goldens.verify_quick() == (0, text)  # byte-identical
     # and identical to a recorded run, so a moved slack shows
-    assert text == (Path(__file__).parent / "data" / "verify_quick.txt").read_text()
+    assert text == (record_goldens.DATA / "verify_quick.txt").read_text()
 
 
 def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
@@ -284,21 +299,12 @@ def test_verify_exits_1_on_a_failed_check(monkeypatch, capsys):
     assert "FAIL broken" in capsys.readouterr().out
 
 
-# beta(1.5, 1.5) draws strip-free samples per side at the larger rung
-# (both estimators) and the smaller one (lr at n >= 16)
-RATES_GOLDEN_CFG = {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [1.5, 1.5]},
-                    "estimators": [{"kind": "mle"}, {"kind": "lr"}], "trials": 2000,
-                    "n_grid": [8, 16, 32], "eps_ladder": [0.1, 0.05]}
-
-
-def test_rates_golden(tmp_path, capsys):
-    path = tmp_path / "rates.json"
-    path.write_text(json.dumps(RATES_GOLDEN_CFG))
-    code, text = _run(["rates", "--config", str(path)], capsys)
+def test_rates_golden():
+    code, text = record_goldens.rates_table()
     assert code == 0
-    assert _run(["rates", "--config", str(path)], capsys) == (0, text)  # byte-identical
+    assert record_goldens.rates_table() == (0, text)  # byte-identical
     # and identical to a recorded run, so a moved Monte Carlo stream shows
-    assert text == (Path(__file__).parent / "data" / "rates_beta_1.5_1.5.csv").read_text()
+    assert text == (record_goldens.DATA / "rates_beta_1.5_1.5.csv").read_text()
 
 
 @pytest.mark.parametrize("kind", ["lr", "shifted_min"])

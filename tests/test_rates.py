@@ -3,7 +3,6 @@ exponents, and the empirical interval-estimation rate."""
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from ldshift.rates import (InsufficientEventsError, WindowError, _child_seeds,
                            mle_chernoff_rate, order_stat_rates)
 from ldshift.verify import check_mc_identities
 
-import record_mc_counts
+import record_goldens
 
 UNIFORM = make_family("uniform")
 GAUSS = make_family("gaussian")
@@ -229,15 +228,15 @@ def test_n_value_streams_are_pinned():
     assert np.array_equal(ht.error_sums, [173.0, 42.0, 10.0])
 
 
-MC_COUNTS = json.loads((Path(__file__).parent / "data" / "mc_counts.json").read_text())
+MC_COUNTS = json.loads((record_goldens.DATA / "mc_counts.json").read_text())
 
 
 @pytest.mark.parametrize("case", MC_COUNTS, ids=[c["id"] for c in MC_COUNTS])
 def test_mc_counts_are_pinned(case):
     # tail counts of the MLE and LR streams, recorded by the call made here
-    # (record_mc_counts.run): a change to the estimating functions or the
+    # (record_goldens.mc_counts): a change to the estimating functions or the
     # sign test that moves one row's side shows here
-    assert record_mc_counts.run(case) == (case["p_plus"], case["p_minus"])
+    assert record_goldens.mc_counts(case) == (case["p_plus"], case["p_minus"])
 
 
 def _splits(fam, spec, eps, n):
@@ -375,6 +374,42 @@ def test_mle_chernoff_gaussian():
             got = mle_chernoff_rate(GAUSS, eps, side)
             assert got == pytest.approx(eps * eps / 2.0, rel=1e-6)
     assert mle_chernoff_rate(GAUSS, 0.0, "plus") == 0.0
+
+
+# sup over t of -log int f exp(-+ t psi) over the window, psi the shifted
+# point's score, in 40-digit mpmath: mpmath.quad, the stationary t by
+# bisection and secant on the tilted mean of psi
+MLE_CHERNOFF_MPMATH = [
+    (("gamma", (3,)), 0.01, "plus", 4.835820447122320346374555e-05),
+    (("gamma", (3,)), 0.01, "minus", 5.099808698144623500930297e-05),
+    (("gamma", (3,)), 0.3, "plus", 0.03108047581731144859380041),
+    (("gamma", (3,)), 0.3, "minus", 0.05525430305367536018313755),
+    # an edge strip outside the window on either side: its mass enters D
+    (("beta", (1.5, 1.5)), 0.1, "plus", 0.1482263213922751675555039),
+    (("beta", (1.5, 1.5)), 0.1, "minus", 0.1482263213922751675555039),
+]
+
+
+@pytest.mark.parametrize("family, eps, side, want", MLE_CHERNOFF_MPMATH,
+                         ids=[f"{f[0]}-{e}-{s}" for f, e, s, _ in MLE_CHERNOFF_MPMATH])
+def test_mle_chernoff_matches_mpmath(family, eps, side, want):
+    # the D form keeps F's relative precision where F is small; the
+    # -log(sum ~ 1) form missed gamma(3) at eps 0.01 by 5e-12
+    got = mle_chernoff_rate(make_family(*family), eps, side)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_mle_chernoff_past_exp_overflow():
+    # on beta(1.5, 1.5) at eps 1e-4 the minus side's score reaches 5,000 at
+    # the window's lower end, so the bracket's first t = 1 overflows exp
+    # there; unshifted, F reads -inf at t = 1 and 1/2 and the bracket runs
+    # off (1.7e-6); the search in t stops 3e-9 from t* = 1.4e-4, 2.7e-10
+    # off in F (mpmath)
+    got = mle_chernoff_rate(make_family("beta", (1.5, 1.5)), 1e-4, "minus")
+    assert got == pytest.approx(5.324614365853597887397326e-06, rel=1e-9)
+    # a score below 0 all over the window: F grows without bound, as the
+    # MLE of beta(1, 2), min(x) - a, never falls below theta
+    assert mle_chernoff_rate(make_family("beta", (1.0, 2.0)), 0.1, "minus") == math.inf
 
 
 def test_mle_chernoff_trapezoid_cross_check():
