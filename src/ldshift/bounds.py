@@ -50,8 +50,8 @@ class BoundPair:
     """The bound pair with optimizers and coincidence flags.
 
     ``s_star1``/``s_star2`` are clamped to [DELTA, 1-DELTA]; the
-    ``boundary1``/``boundary2`` flags mark optima attained at (or beyond)
-    the clamp, i.e. in the s -> 0 or s -> 1 limit.
+    ``boundary1``/``boundary2`` flags are derived from them and mark optima
+    attained at (or beyond) the clamp, i.e. in the s -> 0 or s -> 1 limit.
     """
 
     alpha1_bar: float
@@ -61,8 +61,14 @@ class BoundPair:
     kappa: float
     coincide: bool
     symmetric_at_half: bool
-    boundary1: bool = False
-    boundary2: bool = False
+
+    @property
+    def boundary1(self):
+        return self.s_star1 <= DELTA or self.s_star1 >= 1.0 - DELTA
+
+    @property
+    def boundary2(self):
+        return self.s_star2 <= DELTA or self.s_star2 >= 1.0 - DELTA
 
 
 def _scan_points(s_grid, include_probes):
@@ -254,8 +260,6 @@ def bound_pair(profile: ScalingProfile) -> BoundPair:
     return BoundPair(
         alpha1_bar=a1, alpha2_bar=a2, s_star1=s1, s_star2=s2,
         kappa=profile.kappa, coincide=coincide, symmetric_at_half=eq163,
-        boundary1=(s1 <= DELTA or s1 >= 1.0 - DELTA),
-        boundary2=(s2 <= DELTA or s2 >= 1.0 - DELTA),
     )
 
 
@@ -271,12 +275,9 @@ def closed_form_bounds(regime, A1, A2, kappa, fisher=None) -> BoundPair:
     if regime == "kappa_one":
         a1v = 2.0 * max(A1, A2)
         a2v = A1 + A2
-        if A1 == A2:
-            s1, b1 = 0.5, False
-        else:
-            s1, b1 = (1.0 - DELTA, True) if A1 > A2 else (DELTA, True)
+        s1 = 0.5 if A1 == A2 else 1.0 - DELTA if A1 > A2 else DELTA
         eq = abs(a1v - a2v) <= 1e-6 * max(1.0, a1v)
-        return BoundPair(a1v, a2v, s1, 0.5, 1.0, eq, eq, boundary1=b1)
+        return BoundPair(a1v, a2v, s1, 0.5, 1.0, eq, eq)
     if regime == "kappa_two":
         v = (A1 + A2) / 2.0
         return BoundPair(v, v, 0.5, 0.5, 2.0, True, True)
@@ -298,18 +299,15 @@ def closed_form_bounds(regime, A1, A2, kappa, fisher=None) -> BoundPair:
             a2v = amp / k
             s = 1.0 - DELTA if edge_hi else DELTA
             eq = False  # 2^kappa / kappa > 1 / kappa strictly
-            return BoundPair(a1v, a2v, s, s, k, eq, False,
-                             boundary1=True, boundary2=True)
+            return BoundPair(a1v, a2v, s, s, k, eq, False)
         # power_mid, one-sided: the sup is at the edge only below 2 - t0
         if k <= 2.0 - solve_t0():
             a1v = amp * 2.0 ** k / k
-            s1, b1 = (1.0 - DELTA, True) if edge_hi else (DELTA, True)
+            s1 = 1.0 - DELTA if edge_hi else DELTA
         else:
             a1v, s1 = alpha1_bar(profile)
-            b1 = s1 <= DELTA or s1 >= 1.0 - DELTA
         a2v, s2 = alpha2_bar(profile)
         coincide, eq163, _ = _flags(profile, a1v, a2v)
         return BoundPair(a1v, a2v, s1, s2, k, coincide=coincide,
-                         symmetric_at_half=eq163,
-                         boundary1=b1, boundary2=(s2 <= DELTA or s2 >= 1.0 - DELTA))
+                         symmetric_at_half=eq163)
     return bound_pair(profile)

@@ -8,6 +8,7 @@ Outputs are byte-identical for identical config + seed.  Exit codes:
 """
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -17,10 +18,10 @@ import sys
 from .bounds import bound_pair, closed_form_bounds
 from .estimators import EPS_KINDS, EstimatorSpec, check_family
 from .families import make_family
-from .rates import (InsufficientEventsError, _check_n_grid, alpha2_estimate, mc_tail_rate,
-                    mle_chernoff_rate, order_stat_rates)
-from .renyi import (DivergenceError, _ladder, classify_regime, closed_form_isg, g_value,
-                    profile_from_family)
+from .rates import (InsufficientEventsError, _check_n_grid, _check_rungs, _check_trials,
+                    alpha2_estimate, mc_tail_rate, mle_chernoff_rate, order_stat_rates)
+from .renyi import (DivergenceError, _check_s_grid, _ladder, classify_regime, closed_form_isg,
+                    g_value, kappa_of_g, profile_from_family)
 from .verify import run_checks
 
 __all__ = ["main", "ConfigError", "load_config", "cmd_bounds",
@@ -31,6 +32,16 @@ CONFIG_VERSION = 1
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _field(name):
+    """Report an input the library rejects inside the block as a config
+    error that names its field."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, DivergenceError) as exc:
+        raise ConfigError(f"field {name!r}: {exc}") from exc
 
 
 def _fmt(v):
@@ -61,6 +72,11 @@ def _write_table(columns, rows, path, fmt):
         # strict JSON: nan is null and an infinity the CSV's "inf"/"-inf"
         payload = [dict(zip(columns, [_json_value(v) for v in row])) for row in rows]
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _emit(text, path)
+
+
+def _emit(text, path):
+    """Write text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -92,14 +108,10 @@ def _build_family(cfg):
     fam_cfg = cfg.get("family")
     if not isinstance(fam_cfg, dict) or "kind" not in fam_cfg:
         raise ConfigError("field 'family': need an object with a 'kind'")
-    try:
+    with _field("family"):
         fam = make_family(fam_cfg["kind"], tuple(fam_cfg.get("params", ())))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'family': {exc}") from exc
-    try:
+    with _field("family.theta"):
         theta = float(fam_cfg.get("theta", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'family.theta': {exc}") from exc
     return fam, theta
 
 
@@ -109,62 +121,42 @@ def _build_estimators(cfg, eps0, fam):
     ladder)."""
     specs = []
     for i, e in enumerate(cfg.get("estimators", ())):
-        try:
+        with _field(f"estimators[{i}]"):
             kind, eps = e["kind"], e.get("eps")
             if eps is None and kind in EPS_KINDS:
                 eps = eps0
             spec = EstimatorSpec(kind=kind, eps=eps, lam=e.get("lambda"))
             check_family(spec, fam)
             specs.append(spec)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"field 'estimators[{i}]': {exc}") from exc
     if not specs:
         raise ConfigError("field 'estimators': need at least one estimator")
     return specs
 
 
 def _g_tag(cfg, fam):
+    """The config's scaling tag; ["power", kappa] becomes ("power", float)."""
     tag = cfg.get("g_tag", "auto")
     if tag == "auto":
         return classify_regime(fam).g_tag
-    if isinstance(tag, (list, tuple)) and len(tag) == 2 and tag[0] == "power":
-        k = tag[1]
-        if type(k) not in (int, float) or not 0 < k < math.inf:  # a bool is no kappa
-            raise ConfigError(f"field 'g_tag': power scaling needs a finite kappa > 0, got {k!r}")
-        return ("power", float(k))
-    if tag in ("square", "abs", "sq_log"):
-        return tag
-    raise ConfigError(f"field 'g_tag': unknown tag {tag!r}")
-
-
-def _s_grid(cfg, min_points):
-    """The config's orders s (None for the default grid): at least
-    ``min_points`` of them, strictly increasing inside (0, 1)."""
-    grid = cfg.get("s_grid")
-    if grid is None:
-        return None
-    try:
-        grid = [float(s) for s in grid]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 's_grid': {exc}") from exc
-    if (len(grid) < min_points or not all(0.0 < s < 1.0 for s in grid)
-            or any(s >= t for s, t in zip(grid, grid[1:]))):
-        raise ConfigError(f"field 's_grid': need at least {min_points} strictly "
-                          f"increasing orders inside (0, 1), got {grid}")
-    return grid
+    tag = tuple(tag) if isinstance(tag, list) else tag
+    with _field("g_tag"):
+        kappa = kappa_of_g(tag)
+    return ("power", kappa) if isinstance(tag, tuple) else tag
 
 
 def _profile(cfg, fam, theta, g_tag, min_points):
-    s_grid = _s_grid(cfg, min_points)
-    try:
+    """The config's ladder profile; an s grid needs ``min_points`` orders."""
+    s_grid = cfg.get("s_grid")
+    if s_grid is not None:
+        with _field("s_grid"):
+            s_grid = _check_s_grid(s_grid)
+            if s_grid.size < min_points:
+                raise ValueError(f"need at least {min_points} orders, got {s_grid.size}")
+    with _field("eps_ladder"):
         ladder = _ladder(cfg.get("eps_ladder"), g_tag, fam)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'eps_ladder': {exc}") from exc
-    try:
+    with _field("g_tag"):  # the ladder and the orders are checked above
         return profile_from_family(fam, theta=theta, g_tag=g_tag, s_grid=s_grid,
                                    eps_ladder=ladder)
-    except (ValueError, DivergenceError) as exc:  # the ladder is checked above
-        raise ConfigError(f"field 'g_tag': {exc}") from exc
 
 
 def cmd_bounds(cfg, out=None, fmt="csv"):
@@ -244,35 +236,22 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     bound_respected when alpha2_estimate is): a result, not an error."""
     fam, theta = _build_family(cfg)
     ladder = cfg.get("eps_ladder")
-    try:
-        ladder = None if ladder is None else [float(e) for e in ladder]
-        if ladder == []:
-            raise ValueError("need at least one rung")
-        width = fam.b - fam.a
-        for eps in ladder or ():
-            if not 0.0 < eps < width:
-                raise ValueError(f"rung eps={eps} is not positive and narrower than "
-                                 f"the support width {width}")
-        eps0 = (ladder or [0.1])[0]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'eps_ladder': {exc}") from exc
+    if ladder is not None:
+        with _field("eps_ladder"):
+            ladder = _check_rungs(fam, ladder)
+    eps0 = 0.1 if ladder is None else ladder[0]
     specs = _build_estimators(cfg, eps0, fam)
     g_tag = _g_tag(cfg, fam)
     info = classify_regime(fam)
     cf = closed_form_bounds(info.regime, info.A1, info.A2, info.kappa,
                             fisher=info.fisher)
     seed = int(cfg["seed"])
-    try:
-        trials = int(cfg.get("trials", 100_000))
-        if trials < 1:
-            raise ValueError(f"need at least 1 trial, got {trials}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'trials': {exc}") from exc
+    with _field("trials"):
+        trials = _check_trials(cfg.get("trials", 100_000))
     n_grid = cfg.get("n_grid")
-    try:
-        n_grid = None if n_grid is None else _check_n_grid(n_grid)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'n_grid': {exc}") from exc
+    if n_grid is not None:
+        with _field("n_grid"):
+            n_grid = _check_n_grid(n_grid)
     columns = ["estimator", "eps_param", "lambda", "tail_eps",
                "beta_plus_mc", "beta_minus_mc", "beta_mc", "slope_stderr",
                "beta_plus_analytic", "beta_minus_analytic",
@@ -283,15 +262,14 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     for k, spec in enumerate(specs):
         # alpha2 first: it checks g at every rung before any draw (each stream has its seed)
         try:
-            a2 = alpha2_estimate(fam, spec, theta, g_tag, eps_ladder=ladder,
-                                 n_grid=n_grid, trials=trials, seed=seed + 1000 + k)
+            with _field("g_tag"):  # the ladder, trials and n grid are checked above
+                a2 = alpha2_estimate(fam, spec, theta, g_tag, eps_ladder=ladder,
+                                     n_grid=n_grid, trials=trials, seed=seed + 1000 + k)
             # a single fit point has no stderr and gives no slack
             slack = 3.0 * a2.stderr if math.isfinite(a2.stderr) else 0.0
             a2_value, respected = a2.value, bool(a2.value <= cf.alpha2_bar * 1.10 + slack)
         except InsufficientEventsError:
             a2_value, respected = nan, nan
-        except ValueError as exc:  # the ladder, trials and n grid are checked above
-            raise ConfigError(f"field 'g_tag': {exc}") from exc
         try:
             est = mc_tail_rate(fam, spec, theta, eps0, n_grid=n_grid,
                                trials=trials, seed=seed + k)
@@ -308,7 +286,7 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     return 0
 
 
-def cmd_verify(level, out=None, fmt=None):
+def cmd_verify(level, out=None):
     """Run the lemma suite; nonzero exit on any failure."""
     checks = run_checks(level)
     lines = []
@@ -317,12 +295,7 @@ def cmd_verify(level, out=None, fmt=None):
         status = "PASS" if c.passed else "FAIL"
         failed |= not c.passed
         lines.append(f"{status} {c.name} slack={c.slack:.3e} ({c.detail})")
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+    _emit("\n".join(lines) + "\n", out)
     return 1 if failed else 0
 
 

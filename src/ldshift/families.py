@@ -15,8 +15,10 @@ one branch beside that table in each dispatcher.
 Every mass of f (``cdf``, the tail masses of the order-statistic Monte
 Carlo, the edge strips of the order-statistic rates, a custom family's
 normalisation) is read from one table per family and end, ``_mass_table``,
-built once on the family's quadrature cells; ``_mass_within`` reads it
-forward and ``_quantile`` inverts it.  No kind has a CDF of its own.
+built once on the cells of the family's quadrature nodes; ``_mass_within``
+reads it forward, ``_strip_mass`` sums it over edge strips (for the Monte
+Carlo and the Renyi sweep alike) and ``_quantile`` inverts it.  No kind has
+a CDF of its own.
 """
 
 import bisect
@@ -27,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .quadrature import _WG, _XG, edge_depth, panel_edges, panel_nodes
+from .quadrature import _WG, _XG, edge_depth, panel_nodes
 from .special import beta_fn, log_beta, log_gamma
 
 __all__ = [
@@ -48,8 +50,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class DensityFamily:
     """Immutable standardized density with location-shift semantics.
 
-    ``regular`` marks families with no power-law support edges (gaussian);
-    for those the edge fields are unused.  ``breakpoints`` lists interior
+    An edge with A = 0 carries no power law; ``regular`` marks a family
+    with no edge that does (gaussian).  ``breakpoints`` lists interior
     kinks of f (quadrature splits there).
     """
 
@@ -60,11 +62,14 @@ class DensityFamily:
     A1: float = 0.0
     kappa2: float = float("nan")
     A2: float = 0.0
-    regular: bool = False
     log_concave: bool = False
     breakpoints: tuple = ()
     logpdf_fn: Optional[Callable] = field(default=None, repr=False)
     sampler_fn: Optional[Callable] = field(default=None, repr=False)
+
+    @property
+    def regular(self):
+        return not (self.A1 > 0 or self.A2 > 0)
 
     @property
     def a(self):
@@ -191,7 +196,7 @@ def _weibull_fields(*params):
 def _gaussian_fields(*params):
     s, = _checked("gaussian", params, 1, lambda s: s > 0, "one finite sigma > 0 (default 1)",
                   (1.0,))
-    return dict(params=(s,), support=(-math.inf, math.inf), regular=True, log_concave=True)
+    return dict(params=(s,), support=(-math.inf, math.inf), log_concave=True)
 
 
 def _triangular_fields(*params):
@@ -357,10 +362,10 @@ def _edge_dist(dist, offset, edge):
 
 def _power_edge(fam, upper):
     """(kappa, A) of the power edge at the lower (upper) end of the support;
-    None where nothing is singular there: a trimmed infinite tail, a regular
-    family, an edge with A = 0."""
+    None where nothing is singular there: a trimmed infinite tail or an edge
+    with A = 0."""
     end, kappa, amp = (fam.b, fam.kappa2, fam.A2) if upper else (fam.a, fam.kappa1, fam.A1)
-    return (kappa, amp) if math.isfinite(end) and not fam.regular and amp > 0 else None
+    return (kappa, amp) if math.isfinite(end) and amp > 0 else None
 
 
 def _edge_depths(fam, drop=0.0):
@@ -375,8 +380,8 @@ def _edge_depths(fam, drop=0.0):
 
 
 @functools.lru_cache(maxsize=256)
-def _trimmed_support(fam, tiny=1e-16):
-    """Finite integration window: infinite tails cut where f < tiny * peak.
+def _trimmed_support(fam):
+    """Finite integration window: infinite tails cut where f < 1e-16 * peak.
     Memoized per family (families are frozen and hashable)."""
     a, b = fam.support
     lo = a if math.isfinite(a) else None
@@ -388,7 +393,7 @@ def _trimmed_support(fam, tiny=1e-16):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lp = _logpdf_plain(fam, probe)
     peak = float(np.max(lp))
-    floor = peak + math.log(tiny)
+    floor = peak + math.log(1e-16)
     if hi is None:
         hi = max(1.0, float(probe[np.argmax(lp)]) + 1.0)
         while float(_logpdf_plain(fam, np.asarray(hi))) > floor:
@@ -610,15 +615,14 @@ def _mass_table(fam, upper):
     per family."""
     lo, hi = _trimmed_support(fam)
     nodes = panel_nodes(lo, hi, fam.breakpoints, _edge_depths(fam))
-    edge_dl, edge_dr = panel_edges(lo, hi, fam.breakpoints, _edge_depths(fam))
-    cells = edge_dl.size - 1
+    cells = nodes.edge_dl.size - 1
     f = np.exp(_logpdf3(fam, *_at_nodes(fam, 0.0, nodes)))
     cell_mass = (f * nodes.w).reshape(cells, -1).sum(axis=1)
     if upper:
-        edges, t_nodes = edge_dr[::-1], nodes.dr.reshape(cells, -1)[::-1, ::-1]
+        edges, t_nodes = nodes.edge_dr[::-1], nodes.dr.reshape(cells, -1)[::-1, ::-1]
         cell_mass = cell_mass[::-1]
     else:
-        edges, t_nodes = edge_dl, nodes.dl.reshape(cells, -1)
+        edges, t_nodes = nodes.edge_dl, nodes.dl.reshape(cells, -1)
     # one node column at a time: a (cells, nodes, nodes) array of density
     # evaluations would set the peak memory of a whole command
     part = np.stack([_gauss_mass(fam, upper, edges[:-1], col) for col in t_nodes.T], axis=1)
@@ -665,6 +669,21 @@ def _mass_within(fam, t, upper=False):
     if math.isfinite(tab.kappa):
         mass = np.where(i <= tab.inner, tab.amp / tab.kappa * t ** tab.kappa, mass)
     return mass
+
+
+def _strip_mass(fam, lo_w, hi_w):
+    """Mass of f in its edge strips {u - a <= lo_w} and {b - u <= hi_w}, the
+    lower one first, each read from the mass table at its own end (a width
+    <= 0 is no strip); 1 when a strip spans the support."""
+    a, b = fam.support
+    if max(lo_w, hi_w) >= b - a:
+        return 1.0
+    m = 0.0
+    if lo_w > 0:
+        m += float(_mass_within(fam, lo_w))
+    if hi_w > 0:
+        m += float(_mass_within(fam, hi_w, upper=True))
+    return m
 
 
 def _bracket(fam, p, upper=False):
@@ -745,11 +764,10 @@ def fisher_information(family):
     the infinite marker without quadrature; above it the integrand's mass
     exponent is kappa - 2, which sets the edge depth.
     """
-    if not family.regular:
-        if family.A1 > 0 and family.kappa1 <= 2.0:
-            return math.inf
-        if family.A2 > 0 and family.kappa2 <= 2.0:
-            return math.inf
+    if family.A1 > 0 and family.kappa1 <= 2.0:
+        return math.inf
+    if family.A2 > 0 and family.kappa2 <= 2.0:
+        return math.inf
     lo, hi = _trimmed_support(family)
     nodes = panel_nodes(lo, hi, family.breakpoints, _edge_depths(family, drop=2.0))
     at = _at_nodes(family, 0.0, nodes)

@@ -15,7 +15,8 @@ than the fixed 400 levels an integrand of unknown exponent gets.
 
 Nodes carry exact distances to both endpoints (``dl``, ``dr``) built in
 distance space, so a density with an edge at an endpoint can be evaluated
-without catastrophic cancellation even at distances near 2^-400.
+without catastrophic cancellation even at distances near 2^-400, and so do
+the edges of their cells (``edge_dl``, ``edge_dr``), from the same walk.
 """
 
 import functools
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = ["PanelNodes", "edge_depth", "panel_nodes", "panel_edges", "integrate"]
+__all__ = ["PanelNodes", "edge_depth", "panel_nodes", "integrate"]
 
 _GAUSS_ORDER = 24
 _XG, _WG = leggauss(_GAUSS_ORDER)
@@ -51,7 +52,9 @@ def edge_depth(alpha):
 
 @dataclass(frozen=True)
 class PanelNodes:
-    """Quadrature nodes on [lo, hi] with weights and exact edge distances."""
+    """Quadrature nodes on [lo, hi] with weights and exact edge distances;
+    cell k runs from edge k to edge k + 1 and holds nodes k * _GAUSS_ORDER
+    up to (k + 1) * _GAUSS_ORDER."""
 
     lo: float
     hi: float
@@ -59,6 +62,8 @@ class PanelNodes:
     w: np.ndarray
     dl: np.ndarray  # exact distance from lo
     dr: np.ndarray  # exact distance from hi
+    edge_dl: np.ndarray  # cell edges' distance from lo
+    edge_dr: np.ndarray  # cell edges' distance from hi
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,17 +90,21 @@ def _expand(edges):
 
 def _segment_nodes(lo, hi, levels_lo, levels_hi):
     """Nodes on one smooth segment, refined toward lo by ``levels_lo``
-    halvings and toward hi by ``levels_hi``, meeting at the midpoint."""
+    halvings and toward hi by ``levels_hi``, meeting at the midpoint, and
+    the segment's cell edges: (x, w, dl, dr, edge_dl, edge_dr)."""
     width = hi - lo
-    dl_left, w_left = _expand(_ladder_cells(width, levels_lo))     # from lo
+    cells_lo = _ladder_cells(width, levels_lo)                     # from lo
     # from hi: the same ladder when both ends are graded alike
-    dr_right, w_right = ((dl_left, w_left) if levels_hi == levels_lo
-                         else _expand(_ladder_cells(width, levels_hi)))
+    cells_hi = cells_lo if levels_hi == levels_lo else _ladder_cells(width, levels_hi)
+    dl_left, w_left = _expand(cells_lo)
+    dr_right, w_right = (dl_left, w_left) if cells_hi is cells_lo else _expand(cells_hi)
     dl = np.concatenate([dl_left, width - dr_right[::-1]])
     dr = np.concatenate([width - dl_left, dr_right[::-1]])
     w = np.concatenate([w_left, w_right[::-1]])
     x = np.where(dl <= dr, lo + dl, hi - dr)
-    return x, w, dl, dr
+    cells_hi = cells_hi[-2::-1]   # the midpoint ends both ladders
+    return (x, w, dl, dr, np.concatenate([cells_lo, width - cells_hi]),
+            np.concatenate([width - cells_lo, cells_hi]))
 
 
 def _segments(lo, hi, breakpoints, edge_levels):
@@ -118,40 +127,24 @@ def panel_nodes(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)
     """
     segments = _segments(lo, hi, breakpoints, edge_levels)
     last = len(segments) - 1
-    xs, ws, dls, drs = [], [], [], []
+    parts = []
     for i, (a, b, lev_l, lev_r) in enumerate(segments):
-        x, w, dl, dr = _segment_nodes(a, b, lev_l, lev_r)
-        xs.append(x)
-        ws.append(w)
+        x, w, dl, dr, edge_dl, edge_dr = _segment_nodes(a, b, lev_l, lev_r)
         # distances re-expressed relative to the full interval; only exact
-        # at the outermost segments, which is where singularities live
-        dls.append(dl + (a - lo) if i > 0 else dl)
-        drs.append(dr + (hi - b) if i < last else dr)
-    join = lambda parts: parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return PanelNodes(lo=lo, hi=hi, x=join(xs), w=join(ws), dl=join(dls), dr=join(drs))
+        # at the outermost segments, which is where singularities live.  A
+        # breakpoint is the last cell edge of one segment and the first of
+        # the next, and is kept once
+        if i > 0:
+            dl, edge_dl, edge_dr = dl + (a - lo), edge_dl[1:] + (a - lo), edge_dr[1:]
+        if i < last:
+            dr, edge_dr = dr + (hi - b), edge_dr + (hi - b)
+        parts.append((x, w, dl, dr, edge_dl, edge_dr))
+    cols = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+    return PanelNodes(lo, hi, *cols)
 
 
-def panel_edges(lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):
-    """Edges of the cells of ``panel_nodes`` with the same arguments, as
-    distances (from lo, from hi), exact where its node distances are: cell k
-    holds its nodes k * _GAUSS_ORDER up to (k + 1) * _GAUSS_ORDER."""
-    segments = _segments(lo, hi, breakpoints, edge_levels)
-    last = len(segments) - 1
-    dls, drs = [], []
-    for i, (a, b, lev_l, lev_r) in enumerate(segments):
-        width = b - a
-        cells_lo = _ladder_cells(width, lev_l)
-        cells_hi = _ladder_cells(width, lev_r)[-2::-1]   # the midpoint ends both
-        # a breakpoint ends one segment and starts the next
-        dl = np.concatenate([cells_lo, width - cells_hi])[1 if i > 0 else 0:]
-        dr = np.concatenate([width - cells_lo, cells_hi])[1 if i > 0 else 0:]
-        dls.append(dl + (a - lo) if i > 0 else dl)
-        drs.append(dr + (hi - b) if i < last else dr)
-    return np.concatenate(dls), np.concatenate(drs)
-
-
-def integrate(fn, lo, hi, breakpoints=(), edge_levels=(_EDGE_LEVELS, _EDGE_LEVELS)):
+def integrate(fn, lo, hi):
     """Integrate ``fn`` (vectorized) over [lo, hi]; an integrand of unknown
     edge behavior gets the deepest ladder at both ends."""
-    nodes = panel_nodes(lo, hi, breakpoints, edge_levels)
+    nodes = panel_nodes(lo, hi)
     return float(np.sum(fn(nodes.x) * nodes.w))

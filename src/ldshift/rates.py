@@ -230,19 +230,23 @@ def _check_n_grid(n_grid):
     return n_grid
 
 
-def _strip_mass(family, lo_w, hi_w):
-    """Mass of f in its edge strips {u - a <= lo_w} and {b - u <= hi_w}, each
-    read from the mass table at its own end (a width <= 0 is no strip); 1
-    when a strip spans the support."""
-    a, b = family.support
-    if max(lo_w, hi_w) >= b - a:
-        return 1.0
-    m = 0.0
-    if lo_w > 0:
-        m += float(fam_mod._mass_within(family, lo_w))
-    if hi_w > 0:
-        m += float(fam_mod._mass_within(family, hi_w, upper=True))
-    return m
+def _check_trials(trials):
+    """The number of trials as an int; ValueError unless it is positive."""
+    trials = int(trials)
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
+    return trials
+
+
+def _check_rungs(family, eps_ladder):
+    """The tail shifts eps as a float tuple; ValueError unless there is at
+    least one and each is positive and narrower than the support."""
+    eps_ladder = tuple(float(e) for e in eps_ladder)
+    width = family.b - family.a
+    if not (eps_ladder and all(0.0 < eps < width for eps in eps_ladder)):
+        raise ValueError(f"eps_ladder needs one or more rungs eps, each positive and narrower "
+                         f"than the support width {width}, got {list(eps_ladder)}")
+    return eps_ladder
 
 
 def _strip_free_count(rng, trials, n, m):
@@ -309,9 +313,8 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
     InsufficientEventsError.
     """
     n_grid = _check_n_grid(_DEFAULT_N_GRID if n_grid is None else n_grid)
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+    trials = _check_trials(trials)
+    _check_rungs(family, (eps,))
     check_family(spec, family)
     up, dn = theta + eps, theta - eps
     extremes = spec.kind in ORDER_STAT_KINDS
@@ -319,8 +322,8 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
     if not (extremes or means):
         w = _strip_width(spec, family, eps)
         # per side: its strip's widths (lower, upper) and mass
-        strips = [((w, -math.inf), _strip_mass(family, w, -math.inf)),
-                  ((-math.inf, w), _strip_mass(family, -math.inf, w))]
+        strips = [((w, -math.inf), fam_mod._strip_mass(family, w, -math.inf)),
+                  ((-math.inf, w), fam_mod._strip_mass(family, -math.inf, w))]
     counts = np.zeros((2, len(n_grid)))
     for i, n in enumerate(n_grid):
         stream = lambda *key: np.random.default_rng(np.random.SeedSequence((seed, n) + key))
@@ -503,12 +506,8 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
     m > 0), the stream first draws how many rows have none,
     Binomial(trials, (1 - m)^n), and then only those rows, conditioned off
     the strips (module docstring)."""
-    if n_grid is None:
-        n_grid = (8, 16, 24, 32, 40, 48)
-    n_grid = _check_n_grid(n_grid)
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
+    n_grid = _check_n_grid((8, 16, 24, 32, 40, 48) if n_grid is None else n_grid)
+    trials = _check_trials(trials)
     hypotheses = [(p_point, q_point), (q_point, p_point)]
     strips = [_zero_strips(*h) for h in hypotheses]
     sums = np.zeros(len(n_grid))
@@ -538,7 +537,7 @@ def _zero_strips(point, other):
     a, b = fam.support
     lo_w = (fam_o.a + t_o) - (a + t) if math.isfinite(a) else -math.inf
     hi_w = (b + t) - (fam_o.b + t_o) if math.isfinite(b) else -math.inf
-    return (lo_w, hi_w), _strip_mass(fam, lo_w, hi_w)
+    return (lo_w, hi_w), fam_mod._strip_mass(fam, lo_w, hi_w)
 
 
 def _llr_rows(p_point, q_point, X):
@@ -573,16 +572,13 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     The infimum over the eps-window of shift centers collapses for location
     families (the law of T - theta does not depend on theta), so one center
     per rung suffices.  Estimators parameterized by a shrinking shift (lr,
-    shifted_min) track the rung eps.
+    shifted_min) track the rung eps.  Rung i is seeded by word i of
+    ``SeedSequence(seed).generate_state``, whatever the number of words.
     """
-    if eps_ladder is None:
-        eps_ladder = default_ladder("abs", family)
-    eps_ladder = tuple(float(e) for e in eps_ladder)
-    if not eps_ladder:
-        raise ValueError("eps_ladder needs at least one rung")
+    eps_ladder = _check_rungs(family, default_ladder("abs", family) if eps_ladder is None
+                              else eps_ladder)
     gvals = [g_value(g_tag, eps) for eps in eps_ladder]
-    # the seed count is part of the output: it fixes every rung's seed
-    seeds = _child_seeds(seed, 2 * len(eps_ladder) + 2)
+    seeds = _child_seeds(seed, len(eps_ladder))
     rungs = []
     for idx, (eps, g) in enumerate(zip(eps_ladder, gvals)):
         spec_eff = replace(spec, eps=eps) if spec.kind in EPS_KINDS else spec

@@ -41,6 +41,7 @@ keeps none.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -110,23 +111,26 @@ class ScalingProfile:
     ``isg_fn`` evaluates the limit at arbitrary s in [0, 1] (used by the
     bound optimizers for refinement); ``isg_unc`` is zero on closed-form
     profiles and, on extrapolated ones, the larger move of the limit when
-    the first or the last rung is dropped from the fit.  ``rung_renyi`` holds
-    an extrapolated profile's rung divergences I^s(eps_i) on s_grid, one row
-    per rung (None on closed forms).
+    the first or the last rung is dropped from the fit.  An extrapolated
+    profile holds its ``eps_ladder`` and its rung divergences I^s(eps_i) on
+    s_grid, one row per rung, in ``rung_renyi`` (None on closed forms).
     """
 
     g_tag: GTag
     kappa: float
-    theta: float
     regime: str
     s_grid: np.ndarray
     isg: np.ndarray
     isg_unc: np.ndarray
     isg_fn: Callable = None
-    source: str = "closed_form"
     eps_ladder: tuple = None
     rung_fn: Callable = None  # never set; kept for code that still reads it
     rung_renyi: np.ndarray = None
+
+    @property
+    def source(self):
+        """"ladder" for an extrapolated profile, else "closed_form"."""
+        return "closed_form" if self.eps_ladder is None else "ladder"
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +138,8 @@ class ScalingProfile:
 
 def g_value(g_tag, eps):
     """Evaluate the scaling function g at eps > 0; ValueError where g is not
-    positive and finite, as a divergence is divided by it."""
+    positive and finite, as a divergence is divided by it, and on a tag
+    ``kappa_of_g`` rejects."""
     eps = np.asarray(eps, dtype=float)
     if callable(g_tag):
         out = np.asarray(g_tag(eps), dtype=float)
@@ -144,10 +149,8 @@ def g_value(g_tag, eps):
         out = np.abs(eps)
     elif g_tag == "sq_log":
         out = -(eps ** 2) * np.log(eps)
-    elif isinstance(g_tag, tuple) and g_tag[0] == "power":
-        out = eps ** float(g_tag[1])
-    else:
-        raise ValueError(f"unknown scaling tag {g_tag!r}")
+    else:  # a power tag; kappa_of_g rejects any other
+        out = eps ** kappa_of_g(g_tag)
     if not np.all((out > 0.0) & (out < math.inf)):
         raise ValueError(f"g({eps}) = {out} is not positive and finite")
     return float(out) if out.ndim == 0 else out
@@ -156,18 +159,19 @@ def g_value(g_tag, eps):
 def kappa_of_g(g_tag):
     """Exponent kappa with x^kappa = lim g(x eps)/g(eps) as eps -> 0.
 
-    Analytic for the built-in tags; estimated over an eps-ladder for a
-    callable, with a non-convergence error when the ladder disagrees.
+    Analytic for the built-in tags, ("power", kappa) with a finite number
+    kappa > 0 (a bool is no kappa) among them; estimated over an eps-ladder
+    for a callable, with a non-convergence error when the ladder disagrees.
     """
     if g_tag == "square" or g_tag == "sq_log":
         return 2.0
     if g_tag == "abs":
         return 1.0
-    if isinstance(g_tag, tuple) and g_tag[0] == "power":
-        k = float(g_tag[1])
-        if k <= 0:
-            raise ValueError(f"power scaling needs kappa > 0, got {k}")
-        return k
+    if isinstance(g_tag, tuple) and len(g_tag) == 2 and g_tag[0] == "power":
+        k = g_tag[1]
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not 0 < k < math.inf:
+            raise ValueError(f"power scaling needs a finite kappa > 0, got {k!r}")
+        return float(k)
     if callable(g_tag):
         x = 2.0
         eps = 10.0 ** -np.arange(2.0, 9.0)
@@ -240,25 +244,18 @@ class _Pair(NamedTuple):
 def _outside_masses(p_point, q_point):
     """(m_p, m_q): the mass of p and of q in the strips outside the overlap
     where the other density's support ends at a finite edge (past a trimmed
-    tail both densities go on), each read from the owner's mass table at
-    its own end; each strip's width is the shift difference plus the gap
-    between the two trimmed ends (exact for one family)."""
+    tail both densities go on), by ``families._strip_mass``; each strip's
+    width is the shift difference plus the gap between the two trimmed ends
+    (exact for one family).  Overlapping pairs only: no strip spans."""
     (fam_p, tp), (fam_q, tq) = p_point, q_point
     (lo_p, hi_p), (lo_q, hi_q) = map(fam_mod._trimmed_support, (fam_p, fam_q))
     shift = tq - tp
-    below, above = (lo_q - lo_p) + shift, (hi_q - hi_p) + shift
-    m_p = m_q = 0.0
     # below > 0: p starts below q, and its strip there counts where q's end
     # is a finite edge; above > 0: q ends above p, likewise
-    if below > 0.0 and math.isfinite(fam_q.a):
-        m_p += float(fam_mod._mass_within(fam_p, below))
-    elif below < 0.0 and math.isfinite(fam_p.a):
-        m_q += float(fam_mod._mass_within(fam_q, -below))
-    if above > 0.0 and math.isfinite(fam_p.b):
-        m_q += float(fam_mod._mass_within(fam_q, above, upper=True))
-    elif above < 0.0 and math.isfinite(fam_q.b):
-        m_p += float(fam_mod._mass_within(fam_p, -above, upper=True))
-    return m_p, m_q
+    below, above = (lo_q - lo_p) + shift, (hi_q - hi_p) + shift
+    width = lambda w, edge: w if math.isfinite(edge) else -math.inf
+    return (fam_mod._strip_mass(fam_p, width(below, fam_q.a), width(-above, fam_q.b)),
+            fam_mod._strip_mass(fam_q, width(-below, fam_p.a), width(above, fam_p.b)))
 
 
 def _pair_nodes(p_point, q_point):
@@ -341,12 +338,20 @@ def _renyi_from_nodes(pair, s):
     return np.array(vals)
 
 
+def _check_s_grid(s_grid):
+    """The orders s as a float array; ValueError unless there is at least
+    one and they are strictly increasing inside (0, 1)."""
+    s = np.asarray(s_grid, dtype=float)
+    if not (s.ndim == 1 and s.size and np.all((s > 0.0) & (s < 1.0)) and np.all(np.diff(s) > 0.0)):
+        raise ValueError(f"s grid must be one or more orders strictly increasing inside (0, 1), "
+                         f"got {s.tolist()}")
+    return s
+
+
 def renyi_divergence(family, theta_p, theta_q, s):
     """I^s(f_{theta_p} || f_{theta_q}) for s in (0, 1); +inf when the shifted
     supports are disjoint."""
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"order s must lie in (0, 1), got {s}")
+    s, = _check_s_grid([s]).tolist()
     if theta_p == theta_q:
         return 0.0
     pair = _pair_nodes((family, float(theta_p)), (family, float(theta_q)))
@@ -357,11 +362,7 @@ def renyi_divergence(family, theta_p, theta_q, s):
 
 def renyi_curve(family, theta, eps, s_grid):
     """Curve s -> I^s(f_{theta-eps/2} || f_{theta+eps/2}) on s_grid."""
-    s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid.size == 0:
-        raise ValueError("empty s grid")
-    if np.any(s_grid <= 0) or np.any(s_grid >= 1) or np.any(np.diff(s_grid) <= 0):
-        raise ValueError("s grid must be strictly increasing inside (0, 1)")
+    s_grid = _check_s_grid(s_grid)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     pair = _pair_nodes((family, theta - eps / 2.0), (family, theta + eps / 2.0))
@@ -433,10 +434,10 @@ def _extrapolate(r, eps_ladder, g_tag):
     return value, np.maximum(np.abs(first - value), np.abs(last - value))
 
 
-def default_ladder(g_tag, family=None):
+def default_ladder(g_tag, family):
+    """The default shift ladder of g_tag times the family's support width."""
     base = DEFAULT_LOG_LADDER if g_tag == "sq_log" else DEFAULT_LADDER
-    scale = 1.0 if family is None else fam_mod._scale(family)
-    return tuple(e * scale for e in base)
+    return tuple(e * fam_mod._scale(family) for e in base)
 
 
 def _ladder(eps_ladder, g_tag, family):
@@ -542,15 +543,9 @@ def classify_regime(family):
     """
     if family.regular:
         regime, k, a1, a2 = "regular", 2.0, 0.0, 0.0
-    else:
-        edges = []
-        if family.A1 > 0:
-            edges.append(family.kappa1)
-        if family.A2 > 0:
-            edges.append(family.kappa2)
-        if not edges:
-            raise ValueError("family has no active power edge and is not regular")
-        k = min(edges)
+    else:  # at least one edge has A > 0
+        k = min(kap for kap, amp in ((family.kappa1, family.A1), (family.kappa2, family.A2))
+                if amp > 0)
         a1 = family.A1 if (family.A1 > 0 and family.kappa1 <= k + 1e-9) else 0.0
         a2 = family.A2 if (family.A2 > 0 and family.kappa2 <= k + 1e-9) else 0.0
         if k > 2.0 + 1e-9:
@@ -574,18 +569,14 @@ def _default_s_grid():
     return np.unique(np.concatenate([body, edges]))
 
 
-def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, theta=0.0,
-                             s_grid=None):
+def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, s_grid=None):
     """Analytic scaling profile from the regime closed forms."""
-    if s_grid is None:
-        s_grid = _default_s_grid()
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
     fn = lambda s: closed_form_isg(regime, A1, A2, kappa, s, fisher=fisher)
     vals = np.asarray(fn(s_grid), dtype=float)
     return ScalingProfile(
-        g_tag=_natural_g_tag(regime, kappa), kappa=float(kappa), theta=float(theta), regime=regime,
+        g_tag=_natural_g_tag(regime, kappa), kappa=float(kappa), regime=regime,
         s_grid=s_grid, isg=vals, isg_unc=np.zeros_like(vals), isg_fn=fn,
-        source="closed_form",
     )
 
 
@@ -604,9 +595,7 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
         g_tag = info.g_tag
     kappa = kappa_of_g(g_tag)
     eps_ladder = _ladder(eps_ladder, g_tag, family)
-    if s_grid is None:
-        s_grid = _default_s_grid()
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid = _default_s_grid() if s_grid is None else _check_s_grid(s_grid)
 
     pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
     gvals = np.array(gvals)[:, None]
@@ -634,7 +623,7 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
         return float(vals[0]) if np.ndim(s) == 0 else vals
 
     return ScalingProfile(
-        g_tag=g_tag, kappa=float(kappa), theta=float(theta), regime=info.regime,
-        s_grid=s_grid, isg=isg, isg_unc=unc, isg_fn=fn, source="ladder",
+        g_tag=g_tag, kappa=float(kappa), regime=info.regime,
+        s_grid=s_grid, isg=isg, isg_unc=unc, isg_fn=fn,
         eps_ladder=eps_ladder, rung_renyi=rung_renyi,
     )

@@ -101,7 +101,6 @@ def _psi(x):
         1.0 / 252.0 - t * (1.0 / 240.0 - t / 132.0))))
 
 
-_psi_vec = np.frompyfunc(_psi, 1, 1)
 _PSI_1 = _psi(1.0)
 
 
@@ -113,18 +112,19 @@ def digamma(x):
     return _psi(x)
 
 
+# elementwise on Python floats: an array costs what its elements do, and a
+# scalar skips numpy's per-call cost (solve_t0 evaluates ~40 of them)
+_t0_residual = np.frompyfunc(
+    lambda t: 2.0 * t + t * (1.0 - t) * (_psi(1.0 + t) - _PSI_1) - 1.0, 1, 1)
+
+
 def t0_residual(t):
     """Residual h(t) = 2t + t(1-t)(psi(1+t) - psi(1)) - 1.
 
     h is strictly increasing on (0, 1/2) with h(0) = -1, so it has a unique
     root t0 there.  Accepts scalars or arrays.
     """
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:  # scalars skip numpy: solve_t0 calls this ~40 times
-        t = float(t)
-        return 2.0 * t + t * (1.0 - t) * (_psi(1.0 + t) - _PSI_1) - 1.0
-    psi = np.asarray(_psi_vec(1.0 + t), dtype=float)
-    return 2.0 * t + t * (1.0 - t) * (psi - _PSI_1) - 1.0
+    return np.asarray(_t0_residual(np.asarray(t, dtype=float)), dtype=float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,12 +136,12 @@ def solve_t0():
     the bracket contracts.  The root is a constant, so it is memoized.
     """
     lo, hi = 1e-6, 0.5 - 1e-6
-    flo, fhi = t0_residual(lo), t0_residual(hi)
+    flo, fhi = float(t0_residual(lo)), float(t0_residual(hi))
     if not (flo < 0.0 < fhi):
         raise RuntimeError("t0 bracket lost: residual endpoints have wrong signs")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = t0_residual(mid)
+        fm = float(t0_residual(mid))
         if not (flo <= fm <= fhi):
             raise RuntimeError("t0 residual not monotone across bracket")
         if fm < 0.0:

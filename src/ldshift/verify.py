@@ -127,11 +127,11 @@ def check_l13():
                       "grid-scan minimizers for kappa in {1.2, 1.5, 1.8}")
 
 
-def _random_concave_pwl(rng, pieces=6):
+def _random_concave_pwl(rng):
     """Random nonnegative concave piecewise-linear function on (0, 1) as the
-    min of affine pieces kept nonnegative at both endpoints."""
+    min of six affine pieces kept nonnegative at both endpoints."""
     lines = []
-    for _ in range(pieces):
+    for _ in range(6):
         v0 = rng.uniform(0.1, 2.0)
         v1 = rng.uniform(0.1, 2.0)
         lines.append((v0, v1 - v0))  # intercept, slope
@@ -184,12 +184,9 @@ def check_concave_infsup():
 
 def check_ap1():
     """x^kappa = lim g(x eps)/g(eps): numeric exponents match analytic."""
-    worst = abs(kappa_of_g("square") - 2.0)
-    worst = max(worst, abs(kappa_of_g("abs") - 1.0))
-    worst = max(worst, abs(kappa_of_g("sq_log") - 2.0))
-    worst = max(worst, abs(kappa_of_g(("power", 1.3)) - 1.3))
-    worst = max(worst, abs(kappa_of_g(lambda e: -e * e * np.log(e)) - 2.0))
-    worst = max(worst, abs(kappa_of_g(lambda e: e ** 0.6) - 0.6))
+    cases = (("square", 2.0), ("abs", 1.0), ("sq_log", 2.0), (("power", 1.3), 1.3),
+             (lambda e: -e * e * np.log(e), 2.0), (lambda e: e ** 0.6, 0.6))
+    worst = max(abs(kappa_of_g(tag) - want) for tag, want in cases)
     return LemmaCheck("scaling_exponent_law", worst <= 1e-3, worst,
                       "built-in tags and two custom scaling functions")
 

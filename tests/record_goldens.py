@@ -1,4 +1,4 @@
-"""Record the golden files in tests/data that three tests compare against:
+"""Record the golden files in tests/data that four tests compare against:
 
 - ``mc_counts.json``: Monte Carlo tail counts of the MLE and LR estimators
   (``test_mc_counts_are_pinned``)
@@ -6,6 +6,8 @@
   (``test_rates_golden``)
 - ``verify_quick.txt``: the ``ldshift verify --level quick`` report
   (``test_quick_lemma_suite_passes``)
+- ``bench_tables.json``: the ``ldshift bounds`` and ``ldshift renyi-curve``
+  tables of the benchmark's CLI configs (``test_bench_tables_golden``)
 
 Run from the repository root, on the tree whose outputs are to be pinned:
 
@@ -27,6 +29,8 @@ from ldshift.families import make_family
 from ldshift.rates import mc_tail_rate
 
 DATA = Path(__file__).resolve().parent / "data"
+# the CLI configs of the benchmark, read only
+BENCH_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "cli"
 
 # (id, family, estimator, tail eps, n grid, trials, seed); the beta(1.5, 1.5)
 # MLE draws strip-free samples per side at n >= 16 and shared rows at n = 8,
@@ -76,6 +80,20 @@ def verify_quick():
     return _cli(["verify", "--level", "quick"])
 
 
+def bench_tables():
+    """{config file name: csv text} of ``ldshift bounds`` on each
+    ``bounds-*.json`` and ``ldshift renyi-curve`` on each
+    ``renyi-curve-*.json`` in BENCH_CLI: the tables of the ladder-bounds
+    workload.  A command that fails gives "exit <code>" in place of its
+    table."""
+    tables = {}
+    for command in ("bounds", "renyi-curve"):
+        for path in sorted(BENCH_CLI.glob(f"{command}-*.json")):
+            code, text = _cli([command, "--config", str(path)])
+            tables[path.name] = text if code == 0 else f"exit {code}"
+    return tables
+
+
 def main():
     cases = []
     for cid, family, estimator, eps, n_grid, trials, seed in MC_CASES:
@@ -90,6 +108,11 @@ def main():
         if code != 0:
             raise SystemExit(f"{name}: the command exited {code}, nothing recorded")
         (DATA / name).write_text(text)
+    tables = bench_tables()
+    failed = [name for name, text in tables.items() if text.startswith("exit ")]
+    if failed:
+        raise SystemExit(f"bench tables: {', '.join(failed)} failed, nothing recorded")
+    (DATA / "bench_tables.json").write_text(json.dumps(tables, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

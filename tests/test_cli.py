@@ -360,3 +360,9 @@ def test_rates_json_is_strict(tmp_path, capsys):
     (row,) = _strict_json(text)
     assert row["beta_minus_analytic"] == "inf"
     assert math.isfinite(row["beta_plus_analytic"])
+
+
+def test_bench_tables_golden():
+    # the ladder-bounds tables of the benchmark, byte for byte as recorded
+    want = json.loads((record_goldens.DATA / "bench_tables.json").read_text())
+    assert record_goldens.bench_tables() == want

@@ -10,10 +10,10 @@ from scipy import stats
 from scipy.special import betaincinv, gammainc, gammaln
 
 from ldshift.estimators import EstimatorSpec, _k_rows, estimate_many, tail_events
-from ldshift.families import (_KINDS, _dists, _log_ratio, _mass_table, _mass_within, _quantile,
-                              _score3, _trimmed_support, cdf, fisher_information, log_density,
-                              make_family, sample, score)
-from ldshift.quadrature import integrate
+from ldshift.families import (_KINDS, _dists, _edge_depths, _log_ratio, _mass_table,
+                              _mass_within, _quantile, _score3, _trimmed_support, cdf,
+                              fisher_information, log_density, make_family, sample, score)
+from ldshift.quadrature import _GAUSS_ORDER, integrate, panel_nodes
 from ldshift.special import log_beta, log_gamma
 
 ALL_BUILTINS = [
@@ -567,3 +567,20 @@ def test_masses_match_scipy(kind, params):
     got = _mass_within(fam, t, upper=True)
     keep = (S >= 1e-6) & (S <= 0.5)
     assert np.max(np.abs(got[keep] - S[keep]) / S[keep]) <= 1e-13
+
+
+def test_cell_edges_frame_their_nodes():
+    # triangular(0.3) splits at its mode: two graded segments sharing an edge
+    fam = make_family("triangular", (0.3,))
+    lo, hi = _trimmed_support(fam)
+    nodes = panel_nodes(lo, hi, fam.breakpoints, _edge_depths(fam))
+    width = hi - lo
+    assert (nodes.edge_dl[0], nodes.edge_dl[-1]) == (0.0, width)
+    assert (nodes.edge_dr[0], nodes.edge_dr[-1]) == (width, 0.0)
+    assert np.count_nonzero(nodes.edge_dl == 0.3) == 1   # the breakpoint, once
+    cells = nodes.edge_dl.size - 1
+    assert nodes.x.size == cells * _GAUSS_ORDER
+    # cell k's nodes lie strictly between edges k and k + 1, in both distances
+    dl, dr = nodes.dl.reshape(cells, -1), nodes.dr.reshape(cells, -1)
+    assert np.all((nodes.edge_dl[:-1, None] < dl) & (dl < nodes.edge_dl[1:, None]))
+    assert np.all((nodes.edge_dr[:-1, None] > dr) & (dr > nodes.edge_dr[1:, None]))

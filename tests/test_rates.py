@@ -242,7 +242,7 @@ def test_mc_counts_are_pinned(case):
 def _splits(fam, spec, eps, n):
     """Whether mc_tail_rate draws strip-free samples per side at n."""
     w = _strip_width(spec, fam, eps)
-    masses = (rates._strip_mass(fam, w, -math.inf), rates._strip_mass(fam, -math.inf, w))
+    masses = (fam_mod._strip_mass(fam, w, -math.inf), fam_mod._strip_mass(fam, -math.inf, w))
     return sum((1.0 - m) ** (n - 1) for m in masses) < 1.0
 
 
@@ -587,5 +587,15 @@ def test_alpha2_estimate_gaussian_mle():
     assert est.value == pytest.approx(0.5, rel=0.15)
     # value and stderr are the last rung's, both divided by g(0.3) = 0.09
     last = mc_tail_rate(GAUSS, EstimatorSpec("mle"), 0.0, 0.3, n_grid=n_grid,
-                        trials=30_000, seed=_child_seeds(15, 8)[2])
+                        trials=30_000, seed=_child_seeds(15, 3)[2])
     assert (est.value, est.stderr) == (last.beta / 0.09, last.slope_stderr / 0.09)
+
+
+def test_negative_shifts_raise():
+    # a tail shift or a rung must be positive, not read as a negative rate
+    beta = make_family("beta", (1.5, 1.5))
+    with pytest.raises(ValueError, match="eps_ladder"):
+        mc_tail_rate(beta, EstimatorSpec("min_shift"), 0.0, -0.1, n_grid=(8, 16), trials=200)
+    with pytest.raises(ValueError, match="eps_ladder"):
+        alpha2_estimate(UNIFORM, EstimatorSpec("min_shift"), 0.0, "abs",
+                        eps_ladder=[0.1, -0.05], n_grid=(8, 16), trials=200)

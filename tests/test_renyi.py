@@ -525,3 +525,22 @@ def test_edge_depths_match_full_depth(kind, params, monkeypatch):
         got = renyi._renyi_from_nodes(pair, s_grid)
         want = renyi._renyi_from_nodes(oracle, s_grid)
         assert np.all(np.abs(got - want) <= 1e-14 + 1e-12 * want)
+
+
+@pytest.mark.parametrize("s_grid", [[0.5, 0.2], [0.0, 0.5], [0.2, 0.5, 1.5], []],
+                         ids=["falling", "at-zero", "above-one", "empty"])
+def test_profile_rejects_bad_s_grids(s_grid):
+    # the orders renyi_curve rejects, profile_from_family rejects too
+    uniform = make_family("uniform")
+    for build in (lambda: renyi_curve(uniform, 0.0, 0.1, s_grid),
+                  lambda: profile_from_family(uniform, s_grid=s_grid)):
+        with pytest.raises(ValueError, match="s grid"):
+            build()
+
+
+@pytest.mark.parametrize("kappa", [True, False, "2", None, -1.0, 0, math.inf, math.nan])
+def test_power_tag_needs_a_finite_positive_kappa(kappa):
+    for use in (kappa_of_g, lambda tag: g_value(tag, 0.1)):
+        with pytest.raises(ValueError, match="finite kappa > 0"):
+            use(("power", kappa))
+    assert kappa_of_g(("power", 2)) == 2.0 and g_value(("power", 2), 0.1) == 0.1 ** 2.0
