@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .renyi import ScalingProfile, closed_form_isg, profile_from_closed_form
+from .renyi import ScalingProfile, profile_from_closed_form
 from .special import beta_fn, solve_t0
 
 __all__ = [

@@ -16,7 +16,7 @@ import math
 import sys
 
 from .bounds import bound_pair, closed_form_bounds
-from .estimators import EPS_KINDS, EstimatorSpec, check_family
+from .estimators import EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec, check_family
 from .families import make_family
 from .rates import (InsufficientEventsError, _check_n_grid, _check_rungs, _check_trials,
                     alpha2_estimate, mc_tail_rate, mle_chernoff_rate, order_stat_rates)
@@ -105,14 +105,16 @@ def load_config(path):
 
 
 def _build_family(cfg):
+    """The config's family; it takes no shift theta, as no output of a
+    location family depends on one."""
     fam_cfg = cfg.get("family")
     if not isinstance(fam_cfg, dict) or "kind" not in fam_cfg:
         raise ConfigError("field 'family': need an object with a 'kind'")
+    if "theta" in fam_cfg:
+        raise ConfigError("field 'family.theta': no output depends on the shift of a "
+                          "location family; remove the field")
     with _field("family"):
-        fam = make_family(fam_cfg["kind"], tuple(fam_cfg.get("params", ())))
-    with _field("family.theta"):
-        theta = float(fam_cfg.get("theta", 0.0))
-    return fam, theta
+        return make_family(fam_cfg["kind"], tuple(fam_cfg.get("params", ())))
 
 
 def _build_estimators(cfg, eps0, fam):
@@ -133,18 +135,19 @@ def _build_estimators(cfg, eps0, fam):
     return specs
 
 
-def _g_tag(cfg, fam):
-    """The config's scaling tag; ["power", kappa] becomes ("power", float)."""
+def _g_tag(cfg, info):
+    """The config's scaling tag, the regime's natural one (``info``) for
+    "auto"; ["power", kappa] becomes ("power", float)."""
     tag = cfg.get("g_tag", "auto")
     if tag == "auto":
-        return classify_regime(fam).g_tag
+        return info.g_tag
     tag = tuple(tag) if isinstance(tag, list) else tag
     with _field("g_tag"):
         kappa = kappa_of_g(tag)
     return ("power", kappa) if isinstance(tag, tuple) else tag
 
 
-def _profile(cfg, fam, theta, g_tag, min_points):
+def _profile(cfg, fam, g_tag, min_points):
     """The config's ladder profile; an s grid needs ``min_points`` orders."""
     s_grid = cfg.get("s_grid")
     if s_grid is not None:
@@ -155,17 +158,16 @@ def _profile(cfg, fam, theta, g_tag, min_points):
     with _field("eps_ladder"):
         ladder = _ladder(cfg.get("eps_ladder"), g_tag, fam)
     with _field("g_tag"):  # the ladder and the orders are checked above
-        return profile_from_family(fam, theta=theta, g_tag=g_tag, s_grid=s_grid,
-                                   eps_ladder=ladder)
+        return profile_from_family(fam, g_tag=g_tag, s_grid=s_grid, eps_ladder=ladder)
 
 
 def cmd_bounds(cfg, out=None, fmt="csv"):
     """Regime, kappa, amplitudes, and both bounds computed both ways."""
-    fam, theta = _build_family(cfg)
+    fam = _build_family(cfg)
     info = classify_regime(fam)
     cf = closed_form_bounds(info.regime, info.A1, info.A2, info.kappa,
                             fisher=info.fisher)
-    prof = _profile(cfg, fam, theta, _g_tag(cfg, fam), min_points=17)
+    prof = _profile(cfg, fam, _g_tag(cfg, info), min_points=17)
     num = bound_pair(prof)
     columns = ["family", "regime", "kappa", "A1", "A2",
                "alpha1_bar_closed", "alpha1_bar_numeric",
@@ -183,10 +185,10 @@ def cmd_bounds(cfg, out=None, fmt="csv"):
 def cmd_renyi_curve(cfg, out=None, fmt="csv"):
     """Per-s divergences along the shift ladder plus extrapolated limits and
     their error: the larger move when the first or the last rung is dropped."""
-    fam, theta = _build_family(cfg)
-    g_tag = _g_tag(cfg, fam)
+    fam = _build_family(cfg)
     info = classify_regime(fam)
-    prof = _profile(cfg, fam, theta, g_tag, min_points=1)
+    g_tag = _g_tag(cfg, info)
+    prof = _profile(cfg, fam, g_tag, min_points=1)
     columns = ["s"]
     for eps in prof.eps_ladder:
         columns += [f"renyi_eps_{eps:g}", f"scaled_eps_{eps:g}"]
@@ -205,26 +207,22 @@ def cmd_renyi_curve(cfg, out=None, fmt="csv"):
 
 
 def _analytic_sides(fam, spec, eps):
-    a, b = fam.support
-    bounded = math.isfinite(a) and math.isfinite(b)
+    """The analytic (plus, minus) rates of an estimator at eps; nan for lr,
+    which has none, and where the rate functions reject the family or eps."""
     try:
-        if spec.kind == "min_shift" and bounded:
-            r = order_stat_rates(fam, eps)
-            return r.min_shift_plus, r.min_shift_minus
-        if spec.kind == "max_shift" and bounded:
-            r = order_stat_rates(fam, eps)
-            return r.max_shift_plus, r.max_shift_minus
-        if spec.kind == "convex_combo" and bounded:
-            r = order_stat_rates(fam, eps, lam=spec.lam)
-            return r.combo_plus, r.combo_minus
-        if spec.kind == "shifted_min" and bounded:
-            # min(x) - a - eps exceeds theta + eps only when the sample sits
-            # beyond a + 2 eps; it can never land below theta - eps
-            r2 = order_stat_rates(fam, 2.0 * eps)
-            return r2.min_shift_plus, math.inf
-        if spec.kind == "mle" and fam.log_concave:
+        if spec.kind == "mle":
             return (mle_chernoff_rate(fam, eps, "plus"),
                     mle_chernoff_rate(fam, eps, "minus"))
+        if spec.kind == "convex_combo":
+            r = order_stat_rates(fam, eps, lam=spec.lam)
+            return r.combo_plus, r.combo_minus
+        if spec.kind in ORDER_STAT_KINDS:
+            # min(x) - a - eps exceeds theta + eps only when the sample sits
+            # beyond a + 2 eps; it can never land below theta - eps
+            r = order_stat_rates(fam, 2.0 * eps if spec.kind == "shifted_min" else eps)
+            return {"min_shift": (r.min_shift_plus, r.min_shift_minus),
+                    "max_shift": (r.max_shift_plus, r.max_shift_minus),
+                    "shifted_min": (r.min_shift_plus, math.inf)}[spec.kind]
     except ValueError:
         pass
     return float("nan"), float("nan")
@@ -234,15 +232,15 @@ def cmd_rates(cfg, out=None, fmt="csv"):
     """Empirical vs analytic rates per estimator, against the bounds.  Where
     the Monte Carlo sees no tail event, its columns are nan (and so is
     bound_respected when alpha2_estimate is): a result, not an error."""
-    fam, theta = _build_family(cfg)
+    fam = _build_family(cfg)
     ladder = cfg.get("eps_ladder")
     if ladder is not None:
         with _field("eps_ladder"):
             ladder = _check_rungs(fam, ladder)
     eps0 = 0.1 if ladder is None else ladder[0]
     specs = _build_estimators(cfg, eps0, fam)
-    g_tag = _g_tag(cfg, fam)
     info = classify_regime(fam)
+    g_tag = _g_tag(cfg, info)
     cf = closed_form_bounds(info.regime, info.A1, info.A2, info.kappa,
                             fisher=info.fisher)
     seed = int(cfg["seed"])
@@ -263,7 +261,7 @@ def cmd_rates(cfg, out=None, fmt="csv"):
         # alpha2 first: it checks g at every rung before any draw (each stream has its seed)
         try:
             with _field("g_tag"):  # the ladder, trials and n grid are checked above
-                a2 = alpha2_estimate(fam, spec, theta, g_tag, eps_ladder=ladder,
+                a2 = alpha2_estimate(fam, spec, g_tag, eps_ladder=ladder,
                                      n_grid=n_grid, trials=trials, seed=seed + 1000 + k)
             # a single fit point has no stderr and gives no slack
             slack = 3.0 * a2.stderr if math.isfinite(a2.stderr) else 0.0
@@ -271,7 +269,7 @@ def cmd_rates(cfg, out=None, fmt="csv"):
         except InsufficientEventsError:
             a2_value, respected = nan, nan
         try:
-            est = mc_tail_rate(fam, spec, theta, eps0, n_grid=n_grid,
+            est = mc_tail_rate(fam, spec, 0.0, eps0, n_grid=n_grid,
                                trials=trials, seed=seed + k)
             mc = [est.beta_plus, est.beta_minus, est.beta, est.slope_stderr]
         except InsufficientEventsError:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import families as fam_mod
-from .families import DensityFamily, SampleBatch
+from .families import SampleBatch
 
 __all__ = ["EstimatorSpec", "ORDER_STAT_KINDS", "EPS_KINDS", "check_family", "estimate",
            "estimate_many", "tail_events", "extreme_events"]
@@ -96,7 +96,7 @@ def estimate_many(spec, family, X):
     check_family(spec, family)
     a, b = family.support
     kind = spec.kind
-    if kind in ("min_shift", "max_shift", "shifted_min", "convex_combo"):
+    if kind in ORDER_STAT_KINDS:
         x_min, x_max = _row_extremes(X)
     if kind == "min_shift":
         return x_min - a

@@ -29,18 +29,18 @@ b - u_i > w, w = eps + min(inset, eps) (``estimators._strip_width``); in
 the likelihood test a value where the other density is zero decides its
 row with no error.  Of ``trials`` samples of size n, the number with no
 value in strips of mass m is Binomial(trials, (1 - m)^n), m read from the
-mass table at each strip's own end.  A stream that uses this draws that
-count first, then only those samples, from f conditioned off the strips
-(rejection, acceptance 1 - m); accepted values left over carry from block
-to block, so the rows do not depend on the chunk size.  ``ht_simulate``
-does this for each hypothesis whose strips have m > 0.  ``mc_tail_rate``
-draws one strip-free sample per side, from stream (seed, n, side), on a
-rung where that draws fewer values than shared rows:
-(1 - m_lo)^(n - 1) + (1 - m_hi)^(n - 1) < 1.  An open edge has m = 0, so
-gamma, weibull and gaussian rungs never split: they and every other
-unsplit rung keep the stream (seed, n) of shared rows, while split rungs
-and the likelihood test between families with finite edges draw
-strip-free streams.
+mass table at each strip's own end.  ``_strip_free`` draws that count
+first (no draw where m = 0: all ``trials`` samples are kept), then only
+those samples, from f conditioned off the strips (rejection, acceptance
+1 - m); accepted values left over carry from block to block, so the rows
+do not depend on the chunk size.  ``ht_simulate`` draws each hypothesis
+this way.  A rung of ``mc_tail_rate``'s n-value rows runs one or two such
+streams, each with its own seed key, strips and thresholds: shared rows
+are the one stream (seed, n), with no strip, testing both thresholds; on
+a rung where it draws fewer values, (1 - m_lo)^(n - 1) + (1 - m_hi)^(n - 1)
+< 1, each side has a stream (seed, n, side) clear of its strip, testing
+its own threshold.  An open edge has m = 0, so gamma, weibull and gaussian
+rungs never split.
 
 The tail regression fits -log p_hat = beta n + gamma log n + c by
 event-count-weighted least squares (the log n nuisance absorbs the sqrt(n)
@@ -249,21 +249,19 @@ def _check_rungs(family, eps_ladder):
     return eps_ladder
 
 
-def _strip_free_count(rng, trials, n, m):
-    """How many of ``trials`` samples of size n draw no value in strips of
-    mass m: Binomial(trials, (1 - m)^n), all of them when m = 0."""
-    if m == 0.0:
-        return trials
-    return int(rng.binomial(trials, math.exp(n * math.log1p(-m)) if m < 1.0 else 0.0))
-
-
-def _strip_free(family, rng, rows, n, widths=(-math.inf, -math.inf), m=0.0):
-    """Yield ``rows`` samples of size n from f conditioned off its edge
-    strips {u - a <= widths[0]} and {b - u <= widths[1]} of mass m, as
-    (k, n) blocks of at most _CHUNK_VALUES values (at least one row).
-    Draws in a strip are rejected and each row takes the next n accepted
-    values, carrying those left over into the next block, so the rows do
-    not depend on the block size; with m = 0 they are consecutive draws."""
+def _strip_free(family, rng, trials, n, widths=(-math.inf, -math.inf), m=0.0):
+    """Yield the samples of size n, of ``trials``, that draw no value in the
+    edge strips {u - a <= widths[0]} and {b - u <= widths[1]} of mass m:
+    their number first, Binomial(trials, (1 - m)^n) (all ``trials`` when
+    m = 0, with no draw), then the samples, from f conditioned off the
+    strips, as (k, n) blocks of at most _CHUNK_VALUES values (at least one
+    row).  Draws in a strip are rejected and each row takes the next n
+    accepted values, carrying those left over into the next block, so the
+    rows do not depend on the block size; with m = 0 they are consecutive
+    draws."""
+    rows = trials
+    if m != 0.0:
+        rows = int(rng.binomial(trials, math.exp(n * math.log1p(-m)) if m < 1.0 else 0.0))
     a, b = family.support
     lo_w, hi_w = widths
     carry = np.empty(0)
@@ -321,9 +319,11 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
     means = spec.kind == "mle" and family.kind == "gaussian"
     if not (extremes or means):
         w = _strip_width(spec, family, eps)
-        # per side: its strip's widths (lower, upper) and mass
-        strips = [((w, -math.inf), fam_mod._strip_mass(family, w, -math.inf)),
-                  ((-math.inf, w), fam_mod._strip_mass(family, -math.inf, w))]
+        # a rung's streams: (key, strip widths (lower, upper), strip mass,
+        # thresholds); shared rows test both sides, a strip-free stream one
+        shared = [((), (-math.inf, -math.inf), 0.0, (up, dn))]
+        sides = [((0,), (w, -math.inf), fam_mod._strip_mass(family, w, -math.inf), (up, None)),
+                 ((1,), (-math.inf, w), fam_mod._strip_mass(family, -math.inf, w), (None, dn))]
     counts = np.zeros((2, len(n_grid)))
     for i, n in enumerate(n_grid):
         stream = lambda *key: np.random.default_rng(np.random.SeedSequence((seed, n) + key))
@@ -339,23 +339,16 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
                     t = _gaussian_means(family, rng, m, n)
                     above, below = t > eps, t < -eps
                 counts[:, i] += np.count_nonzero(above), np.count_nonzero(below)
-        elif sum((1.0 - mass) ** (n - 1) for _, mass in strips) < 1.0:
-            # a side's events need a sample clear of its strip: draw those
-            # samples only, from a stream per side
-            for side, (widths, mass) in enumerate(strips):
-                rng = stream(side)
-                rows = _strip_free_count(rng, trials, n, mass)
-                for X in _strip_free(family, rng, rows, n, widths, mass):
-                    X += theta
-                    hits = tail_events(spec, family, X, *((up, None), (None, dn))[side])
-                    counts[side, i] += np.count_nonzero(hits[side])
-                    del X
         else:
-            for X in _strip_free(family, stream(), trials, n):
-                X += theta
-                above, below = tail_events(spec, family, X, up, dn)
-                counts[:, i] += np.count_nonzero(above), np.count_nonzero(below)
-                del X
+            # a side's events need a sample clear of its strip: where that
+            # draws fewer values, each side draws those samples only
+            split = sum((1.0 - mass) ** (n - 1) for _, _, mass, _ in sides) < 1.0
+            for key, widths, mass, thresholds in sides if split else shared:
+                for X in _strip_free(family, stream(*key), trials, n, widths, mass):
+                    X += theta
+                    above, below = tail_events(spec, family, X, *thresholds)
+                    counts[:, i] += np.count_nonzero(above), np.count_nonzero(below)
+                    del X
     counts_p, counts_m = counts
     if counts_p.sum() == 0 and counts_m.sum() == 0:
         raise InsufficientEventsError(
@@ -405,11 +398,14 @@ def _chernoff_objective(family, eps, side):
 
 def mle_chernoff_rate(family, eps, side):
     """Analytic half-side exponent of the MLE for a log-concave family:
-    sup over t >= 0 of -log int exp(-+ t f'(x -+ eps)/f(x -+ eps)) f(x) dx."""
+    sup over t >= 0 of -log int exp(-+ t f'(x -+ eps)/f(x -+ eps)) f(x) dx;
+    ValueError unless eps is finite and >= 0 (0 gives 0)."""
     if not family.log_concave:
         raise ValueError(f"mle rate needs a log-concave family, got {family.kind}")
     if side not in ("plus", "minus"):
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if eps == 0:
         return 0.0
     F = _chernoff_objective(family, eps, side)
@@ -476,7 +472,7 @@ def chernoff_test_rate(p_point, q_point):
 def hoeffding_rate(p_point, q_point, r):
     """Best second-error exponent under first-error constraint r:
     sup_s (-s r + I^s(p||q)) / (1 - s), floored at zero."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"r must be >= 0, got {r}")
     pair = _pair_nodes(p_point, q_point)
     if pair is None:
@@ -513,10 +509,8 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
     sums = np.zeros(len(n_grid))
     for i, n in enumerate(n_grid):
         for h, ((fam_h, t_h), _) in enumerate(hypotheses):
-            widths, mass = strips[h]
             rng = np.random.default_rng(np.random.SeedSequence((seed, n, h)))
-            rows = _strip_free_count(rng, trials, n, mass)
-            for X in _strip_free(fam_h, rng, rows, n, widths, mass):
+            for X in _strip_free(fam_h, rng, trials, n, *strips[h]):
                 X += t_h
                 llr = _llr_rows(p_point, q_point, X)
                 # errors: q preferred under p, p accepted under q
@@ -551,11 +545,11 @@ def _llr_rows(p_point, q_point, X):
     return np.sum(d, axis=1)
 
 
-def lr_rate_identity(family, theta, eps, n_grid=None, trials=20_000, seed=0):
+def lr_rate_identity(family, eps, n_grid=None, trials=20_000, seed=0):
     """Compare the likelihood-ratio estimator's Monte Carlo rate (lhs)
-    against sup_s I^s(f_{theta-eps} || f_{theta+eps}) (rhs)."""
-    rhs = chernoff_test_rate((family, theta - eps), (family, theta + eps))
-    est = mc_tail_rate(family, EstimatorSpec("lr", eps=eps), theta, eps,
+    against sup_s I^s(f_{-eps} || f_{eps}) (rhs)."""
+    rhs = chernoff_test_rate((family, -eps), (family, eps))
+    est = mc_tail_rate(family, EstimatorSpec("lr", eps=eps), 0.0, eps,
                        n_grid=n_grid, trials=trials, seed=seed)
     return est.beta, rhs
 
@@ -563,16 +557,16 @@ def lr_rate_identity(family, theta, eps, n_grid=None, trials=20_000, seed=0):
 # ---------------------------------------------------------------------------
 # the empirical interval-estimation rate
 
-def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
+def alpha2_estimate(family, spec, g_tag, eps_ladder=None, n_grid=None,
                     trials=100_000, seed=0):
     """Empirical stand-in for the interval-estimation rate: beta(spec, eps)
     divided by g(eps) along a shrinking ladder; the reported value and its
     standard error are the final rung's.
 
     The infimum over the eps-window of shift centers collapses for location
-    families (the law of T - theta does not depend on theta), so one center
-    per rung suffices.  Estimators parameterized by a shrinking shift (lr,
-    shifted_min) track the rung eps.  Rung i is seeded by word i of
+    families (the law of T - theta does not depend on theta), so each rung
+    simulates at theta = 0 alone.  Estimators parameterized by a shrinking
+    shift (lr, shifted_min) track the rung eps.  Rung i is seeded by word i of
     ``SeedSequence(seed).generate_state``, whatever the number of words.
     """
     eps_ladder = _check_rungs(family, default_ladder("abs", family) if eps_ladder is None
@@ -582,7 +576,7 @@ def alpha2_estimate(family, spec, theta, g_tag, eps_ladder=None, n_grid=None,
     rungs = []
     for idx, (eps, g) in enumerate(zip(eps_ladder, gvals)):
         spec_eff = replace(spec, eps=eps) if spec.kind in EPS_KINDS else spec
-        est = mc_tail_rate(family, spec_eff, theta, eps, n_grid=n_grid,
+        est = mc_tail_rate(family, spec_eff, 0.0, eps, n_grid=n_grid,
                            trials=trials, seed=seeds[idx])
         rungs.append(est.beta / g)
         stderr = est.slope_stderr / g

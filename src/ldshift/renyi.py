@@ -2,9 +2,9 @@
 of a density, the scaling exponent kappa of a scaling function g, rescaled
 small-shift limits I^s_g, and their closed forms per edge-behavior regime.
 
-Conventions: orders s in (0, 1); the centered pair (theta - eps/2,
-theta + eps/2) is used for scaling limits; +inf is returned only on the
-structural condition of disjoint supports.
+Conventions: orders s in (0, 1); the centered pair (-eps/2, eps/2) is used
+for scaling limits, which do not depend on where the pair is centered;
++inf is returned only on the structural condition of disjoint supports.
 
 The sweep.  Let O be the overlap of the two trimmed supports, delta = log p
 - log q at its quadrature nodes, and m_p, m_q the masses of p and q outside
@@ -43,12 +43,12 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import families as fam_mod
-from .families import DensityFamily, fisher_information
+from .families import fisher_information
 from .quadrature import panel_nodes
 from .special import _beta
 
@@ -360,12 +360,12 @@ def renyi_divergence(family, theta_p, theta_q, s):
     return float(_renyi_from_nodes(pair, s)[0])
 
 
-def renyi_curve(family, theta, eps, s_grid):
-    """Curve s -> I^s(f_{theta-eps/2} || f_{theta+eps/2}) on s_grid."""
+def renyi_curve(family, eps, s_grid):
+    """Curve s -> I^s(f_{-eps/2} || f_{eps/2}) on s_grid."""
     s_grid = _check_s_grid(s_grid)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    pair = _pair_nodes((family, theta - eps / 2.0), (family, theta + eps / 2.0))
+    pair = _pair_nodes((family, -eps / 2.0), (family, eps / 2.0))
     if pair is None:
         return RenyiCurve(s_grid=s_grid, values=np.full(s_grid.shape, math.inf))
     return RenyiCurve(s_grid=s_grid, values=_renyi_from_nodes(pair, s_grid))
@@ -456,11 +456,11 @@ def _ladder(eps_ladder, g_tag, family):
     return eps_ladder
 
 
-def _rungs(family, theta, eps_ladder, g_tag):
+def _rungs(family, eps_ladder, g_tag):
     """Centered pair node data and g(eps) for each rung of a shift ladder
     whose rungs are narrower than the trimmed support (``_ladder``)."""
     gvals = [g_value(g_tag, eps) for eps in eps_ladder]
-    return [_pair_nodes((family, theta - eps / 2.0), (family, theta + eps / 2.0))
+    return [_pair_nodes((family, -eps / 2.0), (family, eps / 2.0))
             for eps in eps_ladder], gvals
 
 
@@ -580,8 +580,7 @@ def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, s_grid=None):
     )
 
 
-def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
-                        eps_ladder=None):
+def profile_from_family(family, g_tag=None, s_grid=None, eps_ladder=None):
     """Scaling profile tabulated from quadrature ladders of the family.
 
     Rung node data is computed once and reused, so the returned ``isg_fn``
@@ -597,7 +596,7 @@ def profile_from_family(family, theta=0.0, g_tag=None, s_grid=None,
     eps_ladder = _ladder(eps_ladder, g_tag, family)
     s_grid = _default_s_grid() if s_grid is None else _check_s_grid(s_grid)
 
-    pairs, gvals = _rungs(family, theta, eps_ladder, g_tag)
+    pairs, gvals = _rungs(family, eps_ladder, g_tag)
     gvals = np.array(gvals)[:, None]
     memo = {}
 

@@ -10,14 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_pair, closed_form_bounds
+from .bounds import bound_pair
 from .estimators import EstimatorSpec
 from .families import make_family
 from .quadrature import integrate
 from .rates import chernoff_test_rate, lr_rate_identity, mc_tail_rate, order_stat_rates
 from .renyi import (_betafn_vec, _pair_nodes, _renyi_from_nodes, kappa_of_g,
                     profile_from_closed_form, renyi_curve)
-from .special import beta_fn, digamma, l8_derivative, solve_t0, t0_residual
+from .special import beta_fn, l8_derivative, solve_t0, t0_residual
 
 __all__ = ["LemmaCheck", "run_checks", "QUICK_CHECKS", "FULL_CHECKS"]
 
@@ -216,7 +216,7 @@ def check_curve_concavity():
     for fam in (make_family("uniform"), make_family("beta", (2.0, 2.0)),
                 make_family("gaussian"), make_family("weibull", (1.3,))):
         eps = float(rng.uniform(0.05, 0.3))
-        curve = renyi_curve(fam, 0.0, eps, s_grid)
+        curve = renyi_curve(fam, eps, s_grid)
         worst = max(worst, float(np.max(np.diff(curve.values, 2))))
     return LemmaCheck("curve_concavity", worst <= 1e-8, worst,
                       "second differences of four family curves")
@@ -238,7 +238,7 @@ def check_mc_identities(seed=0):
     worst = max(worst, rel)
     details.append(f"combo {rel:.3f}")
     # the likelihood-ratio identity on the gaussian family
-    lhs, rhs = lr_rate_identity(make_family("gaussian"), 0.0, 0.25,
+    lhs, rhs = lr_rate_identity(make_family("gaussian"), 0.25,
                                 n_grid=(32, 64, 128, 192), trials=30_000, seed=seed)
     rel = abs(lhs - rhs) / rhs
     ok &= rel <= 0.15

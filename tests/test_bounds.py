@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from ldshift import bounds, rates
-from ldshift.bounds import (BoundPair, _argmax, _optimize, alpha1_bar, alpha2_bar,
-                            bound_pair, closed_form_bounds, coincidence)
-from ldshift.families import fisher_information, make_family
+from ldshift.bounds import (_argmax, _optimize, alpha1_bar, alpha2_bar, bound_pair,
+                            closed_form_bounds, coincidence)
+from ldshift.families import make_family
 from ldshift.renyi import (classify_regime, closed_form_isg, profile_from_closed_form,
                            profile_from_family)
 from ldshift.special import beta_fn, solve_t0

@@ -11,7 +11,9 @@ import pytest
 
 from ldshift import cli
 from ldshift.cli import main
+from ldshift.estimators import EstimatorSpec
 from ldshift.families import _mass_within, make_family
+from ldshift.rates import mle_chernoff_rate, order_stat_rates
 from ldshift.renyi import classify_regime, default_ladder, g_value, renyi_curve
 from ldshift.verify import LemmaCheck
 
@@ -186,7 +188,7 @@ def test_renyi_curve_columns_are_the_rung_curves(kind, tmp_path, capsys):
     fam = make_family(*FAMILIES[kind])
     g_tag = classify_regime(fam).g_tag
     for eps in default_ladder(g_tag, fam):
-        values = renyi_curve(fam, 0.0, eps, s_grid).values
+        values = renyi_curve(fam, eps, s_grid).values
         assert [float(r[f"renyi_eps_{eps:g}"]) for r in rows] == values.tolist()
         assert [float(r[f"scaled_eps_{eps:g}"]) for r in rows] == \
             [float(v / g_value(g_tag, eps)) for v in values]
@@ -208,6 +210,10 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("bounds", [1, 2], "JSON object"),
     ("bounds", {"version": 1, "seed": 0, "family": {"kind": "uniform", "theta": "abc"}},
      "family.theta"),
+    ("bounds", {"version": 1, "seed": 0, "family": {"kind": "uniform", "theta": 0}},
+     "family.theta"),
+    ("rates", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [2, 3], "theta": 0.5},
+               "estimators": [{"kind": "min_shift"}], "trials": 100}, "family.theta"),
     ("bounds", {**UNIFORM_CFG, "eps_ladder": [0.1, 0.2]}, "eps_ladder"),
     ("bounds", {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [2, 3]},
                 "eps_ladder": [0.01, 0.02]}, "eps_ladder"),
@@ -262,7 +268,8 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("bounds", {**UNIFORM_CFG, "g_tag": ["power", True]}, "g_tag"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "gaussian"}, "eps_ladder": [40, 10, 5, 2]},
      "eps_ladder"),
-], ids=["not-an-object", "theta-not-a-number", "short-rising-ladder", "beta-rising-ladder",
+], ids=["not-an-object", "theta-not-a-number", "theta-zero", "rates-theta-half",
+        "short-rising-ladder", "beta-rising-ladder",
         "ladder-not-numbers", "power-not-positive", "s-grid-not-numbers",
         "trials-not-a-number", "rung-as-wide-as-support", "rates-ladder-not-numbers",
         "s-grid-falling", "s-grid-above-one", "s-grid-at-zero", "s-grid-repeated",
@@ -282,6 +289,33 @@ def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in captured.err
+
+
+@pytest.mark.parametrize("family, spec", [
+    (("gamma", (3,)), EstimatorSpec("min_shift")),
+    (("gamma", (3,)), EstimatorSpec("shifted_min", eps=0.1)),
+    (("beta", (2, 3)), EstimatorSpec("lr", eps=0.1)),
+], ids=["min-shift-open-edge", "shifted-min-open-edge", "lr"])
+def test_analytic_sides_nan_without_a_rate(family, spec):
+    # an open edge has no order-statistic rate, and lr has no analytic one
+    sides = cli._analytic_sides(make_family(*family), spec, 0.1)
+    assert len(sides) == 2 and all(math.isnan(v) for v in sides)
+
+
+def test_analytic_sides_read_the_rate_functions():
+    beta = make_family("beta", (2, 3))
+    r = order_stat_rates(beta, 0.1, lam=0.5)
+    cells = {
+        EstimatorSpec("min_shift"): (r.min_shift_plus, math.inf),
+        EstimatorSpec("max_shift"): (math.inf, r.max_shift_minus),
+        EstimatorSpec("shifted_min", eps=0.1): (order_stat_rates(beta, 0.2).min_shift_plus,
+                                                math.inf),
+        EstimatorSpec("convex_combo", lam=0.5): (r.combo_plus, r.combo_minus),
+        EstimatorSpec("mle"): (mle_chernoff_rate(beta, 0.1, "plus"),
+                               mle_chernoff_rate(beta, 0.1, "minus")),
+    }
+    for spec, want in cells.items():
+        assert cli._analytic_sides(beta, spec, 0.1) == want, spec
 
 
 def test_quick_lemma_suite_passes():

@@ -13,7 +13,7 @@ from ldshift.estimators import EstimatorSpec, _k_rows, estimate_many, tail_event
 from ldshift.families import (_KINDS, _dists, _edge_depths, _log_ratio, _mass_table,
                               _mass_within, _quantile, _score3, _trimmed_support, cdf,
                               fisher_information, log_density, make_family, sample, score)
-from ldshift.quadrature import _GAUSS_ORDER, integrate, panel_nodes
+from ldshift.quadrature import _GAUSS_ORDER, panel_nodes
 from ldshift.special import log_beta, log_gamma
 
 ALL_BUILTINS = [

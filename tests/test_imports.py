@@ -1,7 +1,9 @@
 """Import footprint: `import ldshift`, the `bounds`, `renyi-curve`, `rates`
 and `verify` commands and `cdf` never load scipy, and all of them run where
-scipy cannot be imported (scipy is a test dependency only)."""
+scipy cannot be imported (scipy is a test dependency only); and no module
+imports a name it never reads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -115,3 +117,28 @@ def test_commands_and_cdf_run_with_scipy_blocked(tmp_path):
     path = tmp_path / "rates.json"
     path.write_text(json.dumps(RATES_CFG))
     assert _run_fresh(BLOCKED_SCRIPT, str(path)) == ["ok", "15", "7"]
+
+
+def _unused_imports(path):
+    """Names a module imports at module level and never reads; a name
+    listed in ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in read)
+
+
+def test_src_modules_have_no_unused_imports():
+    unused = [u for path in sorted((ROOT / "src" / "ldshift").glob("*.py"))
+              for u in _unused_imports(path)]
+    assert unused == []

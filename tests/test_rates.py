@@ -13,7 +13,6 @@ from ldshift import families as fam_mod
 from ldshift import rates
 from ldshift.estimators import EstimatorSpec, _strip_width, estimate_many, tail_events
 from ldshift.families import _draw, make_family
-from ldshift.quadrature import panel_nodes
 from ldshift.rates import (InsufficientEventsError, WindowError, _child_seeds,
                            alpha2_estimate, chernoff_test_rate, hoeffding_rate,
                            ht_simulate, lr_rate_identity, mc_tail_rate,
@@ -448,6 +447,16 @@ def test_mle_chernoff_requires_log_concave():
         mle_chernoff_rate(GAUSS, 0.1, "sideways")
 
 
+def test_mle_chernoff_rejects_negative_or_non_finite_eps():
+    gamma3 = make_family("gamma", (3,))
+    for eps in (-0.3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            mle_chernoff_rate(gamma3, eps, "plus")
+    assert mle_chernoff_rate(gamma3, 0.0, "plus") == 0.0
+    with pytest.raises(WindowError):  # wider than the trimmed support
+        mle_chernoff_rate(make_family("beta", (1.5, 1.5)), 5.0, "plus")
+
+
 def test_chernoff_test_rate_gaussians():
     rate = chernoff_test_rate((GAUSS, 0.0), (GAUSS, 1.0))
     assert rate == pytest.approx(0.125, rel=1e-6)
@@ -471,6 +480,12 @@ def test_hoeffding_examples():
     assert rbig.value == 0.0 and rbig.clamped
     with pytest.raises(ValueError):
         hoeffding_rate((GAUSS, 0.0), (GAUSS, 1.0), -1.0)
+
+
+def test_hoeffding_rejects_nan_constraint():
+    beta = make_family("beta", (1.5, 1.5))
+    with pytest.raises(ValueError, match="r must be >= 0"):
+        hoeffding_rate((beta, 0.0), (beta, 0.2), math.nan)
 
 
 def test_hoeffding_dominates_chernoff():
@@ -527,8 +542,7 @@ def test_lr_rate_identity_gaussian():
 
 
 def test_lr_rate_identity_beta():
-    lhs, rhs = lr_rate_identity(BETA22, 0.0, 0.1, n_grid=(16, 32, 64, 96),
-                                trials=30_000, seed=9)
+    lhs, rhs = lr_rate_identity(BETA22, 0.1, n_grid=(16, 32, 64, 96), trials=30_000, seed=9)
     want = chernoff_test_rate((BETA22, -0.1), (BETA22, 0.1))
     assert rhs == want
     assert lhs == pytest.approx(rhs, rel=0.15)
@@ -553,7 +567,7 @@ def test_rate_shift_invariance():
 def test_empty_ladder_and_bad_grids_raise():
     spec = EstimatorSpec("min_shift")
     with pytest.raises(ValueError, match="eps_ladder"):
-        alpha2_estimate(UNIFORM, spec, 0.0, "abs", eps_ladder=())
+        alpha2_estimate(UNIFORM, spec, "abs", eps_ladder=())
     for n_grid in ((), (8, 4), (0, 4)):
         with pytest.raises(ValueError, match="n_grid"):
             mc_tail_rate(UNIFORM, spec, 0.0, 0.1, n_grid=n_grid, trials=100)
@@ -566,22 +580,22 @@ def test_empty_ladder_and_bad_grids_raise():
 
 
 def test_alpha2_estimate_uniform_combo():
-    est = alpha2_estimate(UNIFORM, EstimatorSpec("convex_combo", lam=0.5), 0.0,
-                          "abs", eps_ladder=(0.1, 0.05, 0.025),
+    est = alpha2_estimate(UNIFORM, EstimatorSpec("convex_combo", lam=0.5), "abs",
+                          eps_ladder=(0.1, 0.05, 0.025),
                           n_grid=(16, 32, 64, 128, 256), trials=30_000, seed=13)
     assert 1.8 <= est.value <= 2.2          # A1 + A2 = 2
 
 
 def test_alpha2_estimate_shifted_min():
-    est = alpha2_estimate(UNIFORM, EstimatorSpec("shifted_min", eps=0.1), 0.0,
-                          "abs", eps_ladder=(0.1, 0.05, 0.025),
+    est = alpha2_estimate(UNIFORM, EstimatorSpec("shifted_min", eps=0.1), "abs",
+                          eps_ladder=(0.1, 0.05, 0.025),
                           n_grid=(16, 32, 64, 128, 256), trials=30_000, seed=14)
     assert 1.8 <= est.value <= 2.2          # 2 A1 = 2
 
 
 def test_alpha2_estimate_gaussian_mle():
     n_grid = (8, 16, 24, 32, 48, 64)
-    est = alpha2_estimate(GAUSS, EstimatorSpec("mle"), 0.0, "square",
+    est = alpha2_estimate(GAUSS, EstimatorSpec("mle"), "square",
                           eps_ladder=(0.5, 0.4, 0.3),
                           n_grid=n_grid, trials=30_000, seed=15)
     assert est.value == pytest.approx(0.5, rel=0.15)
@@ -597,5 +611,5 @@ def test_negative_shifts_raise():
     with pytest.raises(ValueError, match="eps_ladder"):
         mc_tail_rate(beta, EstimatorSpec("min_shift"), 0.0, -0.1, n_grid=(8, 16), trials=200)
     with pytest.raises(ValueError, match="eps_ladder"):
-        alpha2_estimate(UNIFORM, EstimatorSpec("min_shift"), 0.0, "abs",
+        alpha2_estimate(UNIFORM, EstimatorSpec("min_shift"), "abs",
                         eps_ladder=[0.1, -0.05], n_grid=(8, 16), trials=200)

@@ -65,13 +65,13 @@ def test_order_domain():
 
 def test_curve_uniform_constant():
     u = make_family("uniform")
-    curve = renyi_curve(u, 0.0, 0.1, np.linspace(0.1, 0.9, 9))
+    curve = renyi_curve(u, 0.1, np.linspace(0.1, 0.9, 9))
     assert np.allclose(curve.values, -math.log(0.9), atol=1e-12)
 
 
 def test_curve_gaussian_peak():
     g = make_family("gaussian")
-    curve = renyi_curve(g, 0.0, 0.2, S_GRID)
+    curve = renyi_curve(g, 0.2, S_GRID)
     want = S_GRID * (1 - S_GRID) * 0.04 / 2.0
     assert np.allclose(curve.values, want, atol=1e-12)
     assert abs(S_GRID[np.argmax(curve.values)] - 0.5) < 1e-9
@@ -80,24 +80,24 @@ def test_curve_gaussian_peak():
 def test_curve_grid_validation():
     u = make_family("uniform")
     with pytest.raises(ValueError):
-        renyi_curve(u, 0.0, 0.1, [])
+        renyi_curve(u, 0.1, [])
     with pytest.raises(ValueError):
-        renyi_curve(u, 0.0, 0.1, [0.5, 0.2])
+        renyi_curve(u, 0.1, [0.5, 0.2])
     with pytest.raises(ValueError):
-        renyi_curve(u, 0.0, -0.1, [0.2, 0.5])
+        renyi_curve(u, -0.1, [0.2, 0.5])
 
 
 def test_curve_concavity_and_nonnegativity():
     for fam in (make_family("beta", (2, 2)), make_family("weibull", (1.3,)),
                 make_family("triangular", (0.4,)), _custom_power()):
-        curve = renyi_curve(fam, 0.0, 0.17, S_GRID)
+        curve = renyi_curve(fam, 0.17, S_GRID)
         assert np.all(curve.values >= 0)
         assert np.max(np.diff(curve.values, 2)) <= 1e-8
 
 
 def test_curve_symmetric_family():
     b = make_family("beta", (2, 2))
-    curve = renyi_curve(b, 0.0, 0.2, S_GRID)
+    curve = renyi_curve(b, 0.2, S_GRID)
     assert np.allclose(curve.values, curve.values[::-1], atol=1e-8)
 
 
@@ -159,7 +159,7 @@ def test_g_value():
 
 def _limit(family, s, g_tag, eps_ladder=None):
     """The profile of one order s: its extrapolated limit, error and rungs."""
-    return profile_from_family(family, 0.0, g_tag, s_grid=[s], eps_ladder=eps_ladder)
+    return profile_from_family(family, g_tag, s_grid=[s], eps_ladder=eps_ladder)
 
 
 def test_scaled_limit_uniform():
@@ -516,10 +516,10 @@ def test_edge_depths_match_full_depth(kind, params, monkeypatch):
     g_tag = classify_regime(fam).g_tag
     ladder = renyi.default_ladder(g_tag, fam)
     s_grid = renyi._default_s_grid()
-    pairs, _ = renyi._rungs(fam, 0.0, ladder, g_tag)
+    pairs, _ = renyi._rungs(fam, ladder, g_tag)
     monkeypatch.setattr(renyi, "panel_nodes",
                         lambda lo, hi, bps, levels: panel_nodes(lo, hi, bps, (400, 400)))
-    oracles, _ = renyi._rungs(fam, 0.0, ladder, g_tag)
+    oracles, _ = renyi._rungs(fam, ladder, g_tag)
     for pair, oracle in zip(pairs, oracles):
         assert oracle[0].size >= 19248 > pair[0].size
         got = renyi._renyi_from_nodes(pair, s_grid)
@@ -532,7 +532,7 @@ def test_edge_depths_match_full_depth(kind, params, monkeypatch):
 def test_profile_rejects_bad_s_grids(s_grid):
     # the orders renyi_curve rejects, profile_from_family rejects too
     uniform = make_family("uniform")
-    for build in (lambda: renyi_curve(uniform, 0.0, 0.1, s_grid),
+    for build in (lambda: renyi_curve(uniform, 0.1, s_grid),
                   lambda: profile_from_family(uniform, s_grid=s_grid)):
         with pytest.raises(ValueError, match="s grid"):
             build()
