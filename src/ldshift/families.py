@@ -338,7 +338,9 @@ def _validate_custom(fam):
             )
     total = _mass_table(fam, False).mass[-1]
     if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"custom density integrates to {total:.8f}, not 1")
+        lo, hi = _trimmed_support(fam)
+        raise ValueError(f"custom density sums to {total:.8f}, not 1, over its trimmed window "
+                         f"[{lo:g}, {hi:g}]; a normalised one may need breakpoints near its peak")
 
 
 def _at_nodes(fam, theta, nodes):

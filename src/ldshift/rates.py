@@ -373,15 +373,15 @@ def _chernoff_objective(family, eps, side):
     singular edge sits outside the window where exp(-+ t score) would blow up.
     The D form of the module docstring, summed directly where D > 1/2 and
     shifted by t max(sc), sc the signed score, where that overflows exp."""
-    shifted = (family, eps if side == "plus" else -eps)
-    nodes = _overlap_nodes((family, 0.0), shifted)
+    shift = eps if side == "plus" else -eps
+    nodes = _overlap_nodes(family, 0.0, shift)
     if nodes is None:
         raise WindowError(f"eps={eps} exceeds the support width")
     fw = np.exp(fam_mod._logpdf3(family, *fam_mod._at_nodes(family, 0.0, nodes))) * nodes.w
     sign = -1.0 if side == "plus" else 1.0
-    sc = sign * fam_mod._score3(family, *fam_mod._at_nodes(*shifted, nodes))
+    sc = sign * fam_mod._score3(family, *fam_mod._at_nodes(family, shift, nodes))
     sc_max = float(sc.max())
-    m = _outside_masses((family, 0.0), shifted)[0]
+    m = _outside_masses(family, 0.0, shift)[0]
 
     def F(t):
         top = t * sc_max
@@ -409,13 +409,18 @@ def mle_chernoff_rate(family, eps, side):
     if eps == 0:
         return 0.0
     F = _chernoff_objective(family, eps, side)
-    # grow the bracket until the concave objective has turned over
+    # grow the bracket until the concave objective has turned over, then
+    # shrink it to [t_hi / 4, t_hi] about t*, so the search stops relative to t*
     t_hi = 1.0
     for _ in range(60):
         if F(t_hi) < F(t_hi / 2.0):
             break
         t_hi *= 2.0
-    best, _ = _argmax(F, 0.0, t_hi)
+    for _ in range(60):
+        if F(t_hi / 2.0) > F(t_hi / 4.0):
+            break
+        t_hi /= 2.0
+    best, _ = _argmax(lambda u: F(u * t_hi), 0.25, 1.0)
     return float(max(best, F(0.0)))
 
 
@@ -455,14 +460,22 @@ def order_stat_rates(family, eps, lam=None):
 # ---------------------------------------------------------------------------
 # hypothesis-testing exponents
 
+def _one_family(p_point, q_point):
+    """(family, tp, tq) of two (family, theta) points of one family object;
+    ValueError for two families."""
+    (family, tp), (other, tq) = p_point, q_point
+    if other is not family:
+        raise ValueError(f"a testing pair needs one family, got {family.kind} and {other.kind}")
+    return family, tp, tq
+
+
 def chernoff_test_rate(p_point, q_point):
-    """Best exponent of the summed testing errors: sup_s I^s(p||q); +inf
-    when the supports are disjoint."""
-    fam_p, tp = p_point
-    fam_q, tq = q_point
-    if fam_p is fam_q and tp == tq:
+    """Best exponent of the summed testing errors between two shifts p, q
+    of one family: sup_s I^s(p||q); +inf when the supports are disjoint."""
+    family, tp, tq = _one_family(p_point, q_point)
+    if tp == tq:
         return 0.0
-    pair = _pair_nodes(p_point, q_point)
+    pair = _pair_nodes(family, tp, tq)
     if pair is None:
         return math.inf
     value, _ = _argmax(lambda s: _renyi_from_nodes(pair, s)[0], 1e-7, 1.0 - 1e-7)
@@ -470,11 +483,13 @@ def chernoff_test_rate(p_point, q_point):
 
 
 def hoeffding_rate(p_point, q_point, r):
-    """Best second-error exponent under first-error constraint r:
-    sup_s (-s r + I^s(p||q)) / (1 - s), floored at zero."""
+    """Best second-error exponent under first-error constraint r between two
+    shifts p, q of one family: sup_s (-s r + I^s(p||q)) / (1 - s), floored
+    at zero."""
+    family, tp, tq = _one_family(p_point, q_point)
     if not r >= 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    pair = _pair_nodes(p_point, q_point)
+    pair = _pair_nodes(family, tp, tq)
     if pair is None:
         return HoeffdingRate(value=math.inf, s_star=0.5, at_boundary=False,
                              clamped=False)
@@ -493,26 +508,27 @@ def hoeffding_rate(p_point, q_point, r):
 
 
 def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
-    """Simulate the likelihood test {p^n >= q^n} (ties accept) and regress
-    -log(e1 + e2) on n.
+    """Simulate the likelihood test {p^n >= q^n} (ties accept) between two
+    shifts p, q of one family and regress -log(e1 + e2) on n.
 
     Each hypothesis draws from its own per-n stream.  A value where the
     other density is zero decides its row with no error, so where such
-    values fill a strip at a finite edge of the hypothesis' support (mass
-    m > 0), the stream first draws how many rows have none,
-    Binomial(trials, (1 - m)^n), and then only those rows, conditioned off
-    the strips (module docstring)."""
+    values fill the strip the shift leaves at a finite edge of the
+    hypothesis' support (mass m > 0), the stream first draws how many rows
+    have none, Binomial(trials, (1 - m)^n), and then only those rows,
+    conditioned off the strip (module docstring)."""
+    family, tp, tq = _one_family(p_point, q_point)
     n_grid = _check_n_grid((8, 16, 24, 32, 40, 48) if n_grid is None else n_grid)
     trials = _check_trials(trials)
-    hypotheses = [(p_point, q_point), (q_point, p_point)]
-    strips = [_zero_strips(*h) for h in hypotheses]
+    hypotheses = [(tp, tq), (tq, tp)]
+    strips = [_zero_strips(family, *h) for h in hypotheses]
     sums = np.zeros(len(n_grid))
     for i, n in enumerate(n_grid):
-        for h, ((fam_h, t_h), _) in enumerate(hypotheses):
+        for h, (t_h, _) in enumerate(hypotheses):
             rng = np.random.default_rng(np.random.SeedSequence((seed, n, h)))
-            for X in _strip_free(fam_h, rng, trials, n, *strips[h]):
+            for X in _strip_free(family, rng, trials, n, *strips[h]):
                 X += t_h
-                llr = _llr_rows(p_point, q_point, X)
+                llr = _llr_rows(family, tp, tq, X)
                 # errors: q preferred under p, p accepted under q
                 sums[i] += np.count_nonzero(llr < 0 if h == 0 else llr >= 0)
                 del X
@@ -523,22 +539,19 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
                        error_sums=sums, trials=trials, seed=int(seed))
 
 
-def _zero_strips(point, other):
-    """The strips at the finite edges of ``point``'s support where the
-    density of ``other`` is zero, as widths from those edges (-inf for
-    none), and their mass under ``point``."""
-    (fam, t), (fam_o, t_o) = point, other
-    a, b = fam.support
-    lo_w = (fam_o.a + t_o) - (a + t) if math.isfinite(a) else -math.inf
-    hi_w = (b + t) - (fam_o.b + t_o) if math.isfinite(b) else -math.inf
-    return (lo_w, hi_w), fam_mod._strip_mass(fam, lo_w, hi_w)
+def _zero_strips(family, t, t_o):
+    """The strips at the finite edges of the support of f(. - t) where
+    f(. - t_o) is zero, as widths from those edges (-inf for none), and
+    their mass under f(. - t)."""
+    a, b = family.support
+    lo_w = (a + t_o) - (a + t) if math.isfinite(a) else -math.inf
+    hi_w = (b + t) - (b + t_o) if math.isfinite(b) else -math.inf
+    return (lo_w, hi_w), fam_mod._strip_mass(family, lo_w, hi_w)
 
 
-def _llr_rows(p_point, q_point, X):
-    fam_p, tp = p_point
-    fam_q, tq = q_point
-    lp = fam_mod._logpdf_plain(fam_p, X - tp)
-    lq = fam_mod._logpdf_plain(fam_q, X - tq)
+def _llr_rows(family, tp, tq, X):
+    lp = fam_mod._logpdf_plain(family, X - tp)
+    lq = fam_mod._logpdf_plain(family, X - tq)
     with np.errstate(invalid="ignore"):
         d = lp - lq
     # points outside both supports cannot occur under either hypothesis

@@ -18,11 +18,10 @@ keeps its relative precision, where -log(int p^s q^(1-s)) = -log(1 - 1e-25)
 keeps none.
 - m_p and m_q are read from the mass tables (``families._mass_within``) at
   the end of each strip that a finite support edge of the other density
-  leaves outside O.  A strip's width is the shift difference plus the gap
-  of the two trimmed ends, never a difference of rounded edge positions:
-  fl(1 + eps/2) - fl(1 - eps/2) is 1e-4 off eps at eps = 1e-12.  A trimmed
-  infinite tail leaves no strip: its mass beyond the cut counts as overlap
-  for both densities alike.
+  leaves outside O.  A strip's width is the shift difference itself, never
+  a difference of rounded edge positions: fl(1 + eps/2) - fl(1 - eps/2) is
+  1e-4 off eps at eps = 1e-12.  A trimmed infinite tail leaves no strip:
+  its mass beyond the cut counts as overlap for both densities alike.
 - A node with |delta| < 1e-3 enters through the moments M_k = sum q w
   delta^k (k = 2, 3, 4; M_0 and M_1 serve the direct sum below):
   s expm1(delta) - expm1(s delta) = s (1 - s) delta^2 / 2 (1 + (1 + s)
@@ -118,13 +117,13 @@ class ScalingProfile:
 
     g_tag: GTag
     kappa: float
-    regime: str
     s_grid: np.ndarray
     isg: np.ndarray
     isg_unc: np.ndarray
     isg_fn: Callable = None
     eps_ladder: tuple = None
-    rung_fn: Callable = None  # never set; kept for code that still reads it
+    # never set; read by ``_wrap_profile`` in perfbench/tracing.py (both go with ROADMAP item 7)
+    rung_fn: Callable = None
     rung_renyi: np.ndarray = None
 
     @property
@@ -192,29 +191,16 @@ def kappa_of_g(g_tag):
 # ---------------------------------------------------------------------------
 # divergence quadrature
 
-def _overlap_nodes(p_point, q_point):
-    """Nodes over the overlap of the trimmed supports of two (family, theta)
-    points (the families may differ), split at both densities' breakpoints,
-    each end graded for the sharper of their edges there; None if disjoint.
-    For two different families, an end where the inner density is only cut
-    (an infinite tail, which goes on) runs on to the outer density's end:
-    the other family's tail may carry real mass past the cut, where one
-    family shifted carries only its own negligible tail."""
-    (fam_p, tp), (fam_q, tq) = p_point, q_point
-    lo_p, hi_p = fam_mod._trimmed_support(fam_p)
-    lo_q, hi_q = (lo_p, hi_p) if fam_q is fam_p else fam_mod._trimmed_support(fam_q)
-    lo, hi = max(lo_p + tp, lo_q + tq), min(hi_p + tp, hi_q + tq)
+def _overlap_nodes(family, tp, tq):
+    """Nodes over the overlap of the trimmed supports of f(. - tp) and
+    f(. - tq), split at both shifts' breakpoints, each end graded for the
+    family's edge there; None if disjoint."""
+    lo_f, hi_f = fam_mod._trimmed_support(family)
+    lo, hi = max(lo_f + tp, lo_f + tq), min(hi_f + tp, hi_f + tq)
     if not hi > lo:
         return None
-    if fam_q is not fam_p:
-        if not math.isfinite((fam_p if lo_p + tp >= lo_q + tq else fam_q).a):
-            lo = min(lo_p + tp, lo_q + tq)
-        if not math.isfinite((fam_p if hi_p + tp <= hi_q + tq else fam_q).b):
-            hi = max(hi_p + tp, hi_q + tq)
-    bps = [c + t for fam, t in (p_point, q_point) for c in fam.breakpoints]
-    dep_p = fam_mod._edge_depths(fam_p)
-    dep_q = dep_p if fam_q is fam_p else fam_mod._edge_depths(fam_q)
-    return panel_nodes(lo, hi, bps, (max(dep_p[0], dep_q[0]), max(dep_p[1], dep_q[1])))
+    bps = [c + t for t in (tp, tq) for c in family.breakpoints]
+    return panel_nodes(lo, hi, bps, fam_mod._edge_depths(family))
 
 
 # below this |delta| a node enters the sweep through its moments
@@ -241,26 +227,24 @@ class _Pair(NamedTuple):
     m_q: float
 
 
-def _outside_masses(p_point, q_point):
-    """(m_p, m_q): the mass of p and of q in the strips outside the overlap
-    where the other density's support ends at a finite edge (past a trimmed
-    tail both densities go on), by ``families._strip_mass``; each strip's
-    width is the shift difference plus the gap between the two trimmed ends
-    (exact for one family).  Overlapping pairs only: no strip spans."""
-    (fam_p, tp), (fam_q, tq) = p_point, q_point
-    (lo_p, hi_p), (lo_q, hi_q) = map(fam_mod._trimmed_support, (fam_p, fam_q))
+def _outside_masses(family, tp, tq):
+    """(m_p, m_q): the mass of p = f(. - tp) and of q = f(. - tq) in the
+    strips outside the overlap where the other one's support ends at a
+    finite edge (past a trimmed tail both densities go on), by
+    ``families._strip_mass``; each strip's width is the shift tq - tp.
+    Overlapping pairs only: no strip spans."""
     shift = tq - tp
-    # below > 0: p starts below q, and its strip there counts where q's end
-    # is a finite edge; above > 0: q ends above p, likewise
-    below, above = (lo_q - lo_p) + shift, (hi_q - hi_p) + shift
+    # shift > 0: p starts below q, and its strip there counts where the
+    # lower edge is finite; q ends above p, likewise at the upper edge
     width = lambda w, edge: w if math.isfinite(edge) else -math.inf
-    return (fam_mod._strip_mass(fam_p, width(below, fam_q.a), width(-above, fam_q.b)),
-            fam_mod._strip_mass(fam_q, width(-below, fam_p.a), width(above, fam_p.b)))
+    a, b = family.support
+    return (fam_mod._strip_mass(family, width(shift, a), width(-shift, b)),
+            fam_mod._strip_mass(family, width(-shift, a), width(shift, b)))
 
 
-def _pair_nodes(p_point, q_point):
-    """The sweep data (``_Pair``) of p and q over the overlap of their
-    trimmed supports; None when disjoint.
+def _pair_nodes(family, tp, tq):
+    """The sweep data (``_Pair``) of p = f(. - tp) and q = f(. - tq) over
+    the overlap of their trimmed supports; None when disjoint.
 
     ``delta`` keeps one value per node.  A node with |delta| < 1e-3 is
     summed once into the moments M_k = sum q w delta^k, k = 0 ... 4, and
@@ -270,11 +254,10 @@ def _pair_nodes(p_point, q_point):
     e^-709 p, so p - q rounds to p.  m_p and m_q come from
     ``_outside_masses``.
     """
-    nodes = _overlap_nodes(p_point, q_point)
+    nodes = _overlap_nodes(family, tp, tq)
     if nodes is None:
         return None
-    lp, lq = (fam_mod._logpdf3(fam, *fam_mod._at_nodes(fam, t, nodes))
-              for fam, t in (p_point, q_point))
+    lp, lq = (fam_mod._logpdf3(family, *fam_mod._at_nodes(family, t, nodes)) for t in (tp, tq))
     delta = lp - lq
     a = np.abs(delta)
     amax = float(a.max())
@@ -305,7 +288,7 @@ def _pair_nodes(p_point, q_point):
         lin = float(np.dot(np.where(hot, 0.0, qw), np.expm1(np.fmin(swept, _EXP_MAX)))
                     + pw[hot].sum())
     return _Pair(delta, swept, qw, pw, amax, lin, moments,
-                 *_outside_masses(p_point, q_point))
+                 *_outside_masses(family, tp, tq))
 
 
 def _renyi_from_nodes(pair, s):
@@ -354,7 +337,7 @@ def renyi_divergence(family, theta_p, theta_q, s):
     s, = _check_s_grid([s]).tolist()
     if theta_p == theta_q:
         return 0.0
-    pair = _pair_nodes((family, float(theta_p)), (family, float(theta_q)))
+    pair = _pair_nodes(family, float(theta_p), float(theta_q))
     if pair is None:
         return math.inf
     return float(_renyi_from_nodes(pair, s)[0])
@@ -365,7 +348,7 @@ def renyi_curve(family, eps, s_grid):
     s_grid = _check_s_grid(s_grid)
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    pair = _pair_nodes((family, -eps / 2.0), (family, eps / 2.0))
+    pair = _pair_nodes(family, -eps / 2.0, eps / 2.0)
     if pair is None:
         return RenyiCurve(s_grid=s_grid, values=np.full(s_grid.shape, math.inf))
     return RenyiCurve(s_grid=s_grid, values=_renyi_from_nodes(pair, s_grid))
@@ -460,8 +443,7 @@ def _rungs(family, eps_ladder, g_tag):
     """Centered pair node data and g(eps) for each rung of a shift ladder
     whose rungs are narrower than the trimmed support (``_ladder``)."""
     gvals = [g_value(g_tag, eps) for eps in eps_ladder]
-    return [_pair_nodes((family, -eps / 2.0), (family, eps / 2.0))
-            for eps in eps_ladder], gvals
+    return [_pair_nodes(family, -eps / 2.0, eps / 2.0) for eps in eps_ladder], gvals
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +557,7 @@ def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, s_grid=None):
     fn = lambda s: closed_form_isg(regime, A1, A2, kappa, s, fisher=fisher)
     vals = np.asarray(fn(s_grid), dtype=float)
     return ScalingProfile(
-        g_tag=_natural_g_tag(regime, kappa), kappa=float(kappa), regime=regime,
+        g_tag=_natural_g_tag(regime, kappa), kappa=float(kappa),
         s_grid=s_grid, isg=vals, isg_unc=np.zeros_like(vals), isg_fn=fn,
     )
 
@@ -589,9 +571,8 @@ def profile_from_family(family, g_tag=None, s_grid=None, eps_ladder=None):
     s_grid tabulation (``rung_renyi``) fills the memo, and ``isg_fn`` sweeps
     the quadrature nodes and extrapolates only for orders s not seen before.
     """
-    info = classify_regime(family)
     if g_tag is None:
-        g_tag = info.g_tag
+        g_tag = classify_regime(family).g_tag
     kappa = kappa_of_g(g_tag)
     eps_ladder = _ladder(eps_ladder, g_tag, family)
     s_grid = _default_s_grid() if s_grid is None else _check_s_grid(s_grid)
@@ -622,7 +603,7 @@ def profile_from_family(family, g_tag=None, s_grid=None, eps_ladder=None):
         return float(vals[0]) if np.ndim(s) == 0 else vals
 
     return ScalingProfile(
-        g_tag=g_tag, kappa=float(kappa), regime=info.regime,
+        g_tag=g_tag, kappa=float(kappa),
         s_grid=s_grid, isg=isg, isg_unc=unc, isg_fn=fn,
         eps_ladder=eps_ladder, rung_renyi=rung_renyi,
     )

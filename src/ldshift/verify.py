@@ -46,7 +46,7 @@ def check_sandwich():
         eps = float(rng.uniform(0.05, 0.4))
         s = float(rng.uniform(0.01, 0.99))
         # one pair build serves both orders
-        pair = _pair_nodes((fam, 0.0), (fam, eps))
+        pair = _pair_nodes(fam, 0.0, eps)
         half, val = _renyi_from_nodes(pair, (0.5, s)).tolist()
         lo = 2.0 * min(s, 1.0 - s) * half
         hi = 2.0 * max(s, 1.0 - s) * half

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ldshift import cli
+from ldshift import cli, renyi
 from ldshift.cli import main
 from ldshift.estimators import EstimatorSpec
 from ldshift.families import _mass_within, make_family
@@ -105,6 +105,20 @@ def test_bounds_golden(name, tmp_path, capsys):
         else:
             assert row[col] == want, col
     assert _run(argv, capsys) == (0, text)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "gamma-3"])
+@pytest.mark.parametrize("command", ["bounds", "renyi-curve", "rates"])
+def test_a_command_integrates_the_fisher_information_once(command, name, tmp_path, capsys,
+                                                          monkeypatch):
+    # the command classifies the family once; the profile takes its g tag
+    calls = []
+    real = renyi.fisher_information
+    monkeypatch.setattr(renyi, "fisher_information", lambda fam: calls.append(fam) or real(fam))
+    fields = {"estimators": [{"kind": "mle"}], "trials": 200, "n_grid": [2, 4, 8]}
+    config = _config(tmp_path, name, **(fields if command == "rates" else {}))
+    assert _run([command, "--config", config], capsys)[0] == 0
+    assert len(calls) == 1
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -445,6 +445,22 @@ def test_custom_family_bad_metadata():
         )
 
 
+def test_custom_mass_error_names_the_window():
+    # Student t3: the trimmed window reaches about +-3.3e4 and, without
+    # breakpoints, its panels put no node near the peak; the error says
+    # where the mass was summed, and breakpoints there mend it
+    nu = 3.0
+    args = dict(logpdf=lambda u: (gammaln((nu + 1) / 2) - gammaln(nu / 2)
+                                  - 0.5 * math.log(nu * math.pi)
+                                  - (nu + 1) / 2 * np.log1p(u * u / nu)),
+                support=(-math.inf, math.inf), edge=(math.inf, 0.0, math.inf, 0.0),
+                log_concave=False)
+    with pytest.raises(ValueError, match=r"trimmed window \[.*\]; .* breakpoints near its peak"):
+        make_family("custom", **args)
+    fam = make_family("custom", breakpoints=(-1.0, 0.0, 1.0), **args)
+    assert fisher_information(fam) == pytest.approx((nu + 1) / (nu + 3), abs=1e-10)
+
+
 def test_triangular_cdf_and_density():
     f = make_family("triangular", (0.3,))
     assert abs(cdf(f, 0.3) - 0.3) < 1e-14

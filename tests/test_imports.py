@@ -1,7 +1,7 @@
 """Import footprint: `import ldshift`, the `bounds`, `renyi-curve`, `rates`
 and `verify` commands and `cdf` never load scipy, and all of them run where
-scipy cannot be imported (scipy is a test dependency only); and no module
-imports a name it never reads."""
+scipy cannot be imported (scipy is a test dependency only); no module
+imports a name it never reads, and no private helper goes unread."""
 
 import ast
 import json
@@ -142,3 +142,34 @@ def test_src_modules_have_no_unused_imports():
     unused = [u for path in sorted((ROOT / "src" / "ldshift").glob("*.py"))
               for u in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """Names of the private functions, classes and constants a module
+    defines at module level: one leading underscore, not a dunder."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_src_private_names_are_all_read():
+    # a private helper that no code in src reads (as a name or an
+    # attribute; a docstring mention does not count) is dead
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "ldshift").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    defined = [(module, name) for module, tree in trees.items()
+               for name in sorted(_private_definitions(tree))]
+    assert len(defined) > 100
+    assert [f"{module}:{name}" for module, name in defined if name not in read] == []
