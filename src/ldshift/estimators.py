@@ -33,6 +33,11 @@ ORDER_STAT_KINDS = ("min_shift", "max_shift", "shifted_min", "convex_combo")
 # the estimators indexed by a shift eps > 0
 EPS_KINDS = ("lr", "shifted_min")
 _KINDS = ("mle", "lr") + ORDER_STAT_KINDS
+# sample values per evaluation of the estimating function in the sign test
+# (128 KiB): its temporaries, the shifted values and the function's terms,
+# are then reused from the heap, where block-sized ones (2 MiB) were handed
+# back to the system when freed and faulted in again for the next block
+_SLICE_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -124,11 +129,11 @@ def tail_events(spec, family, X, up, dn):
     bands of the full solve (1e-9 n for S, 1e-12 n for k).  A threshold
     outside the bracket of admissible shifts, and an LR row in the narrow
     case, need no evaluation, so the estimating function is evaluated only
-    on the rows the threshold leaves undecided, gathered first.  The row
-    extremes are taken once per call.  Rows inside the band, or within
-    rounding of a finite bracket end, get the full solve, so every
-    indicator is that of the full estimate.  Other kinds compare the full
-    estimate.
+    on the rows the threshold leaves undecided, gathered in slices of
+    _SLICE_VALUES values.  The row extremes are taken once per call.  Rows
+    inside the band, or within rounding of a finite bracket end, get the
+    full solve, so every indicator is that of the full estimate.  Other
+    kinds compare the full estimate.
     """
     X = _matrix(X)
     if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
@@ -159,13 +164,14 @@ def tail_events(spec, family, X, up, dn):
             sign &= ~narrow
             right[narrow] = t_narrow[narrow] > thr
             left[narrow] = t_narrow[narrow] < thr
-        rows = np.flatnonzero(sign)
-        if rows.size:
-            # the rows are independent: a gathered row gives the value it
-            # has in the whole matrix
-            v = fn(X if rows.size == m else X[rows], np.full(rows.size, thr))
-            right[rows] = v < -band * n
-            left[rows] = v > band * n
+        # the rows are independent: a gathered row gives the value it has
+        # in the whole matrix
+        rows, step = np.flatnonzero(sign), max(1, _SLICE_VALUES // n)
+        for i in range(0, rows.size, step):
+            r = rows[i:i + step]
+            v = fn(X[r], thr)
+            right[r] = v < -band * n
+            left[r] = v > band * n
         sides.append((right, left))
         rest |= ~(right | left)
     (above, _), (_, below) = sides
@@ -209,36 +215,50 @@ def extreme_events(spec, family, f_min, s_max, c_up, c_dn):
     table, and only rows whose bracket of T straddles a threshold get the
     exact quantiles.
     """
+    return _extreme_rule(spec, family, c_up, c_dn)(f_min, s_max)
+
+
+def _extreme_rule(spec, family, c_up, c_dn):
+    """``extreme_events`` at fixed thresholds, as a function of
+    (f_min, s_max): the family check and the threshold masses are taken
+    once, however many blocks of rows it then decides."""
     check_family(spec, family)
     a, b = family.support
     kind = spec.kind
     below_mass = lambda x: fam_mod._mass_within(family, x - a)
     above_mass = lambda x: fam_mod._mass_within(family, b - x, upper=True)
     if kind == "max_shift":
-        return s_max < above_mass(b + c_up), s_max > above_mass(b + c_dn)
+        m_up, m_dn = above_mass(b + c_up), above_mass(b + c_dn)
+        return lambda f_min, s_max: (s_max < m_up, s_max > m_dn)
     if kind != "convex_combo":
         a_eff = a + spec.eps if kind == "shifted_min" else a
-        return f_min > below_mass(a_eff + c_up), f_min < below_mass(a_eff + c_dn)
+        m_up, m_dn = below_mass(a_eff + c_up), below_mass(a_eff + c_dn)
+        return lambda f_min, s_max: (f_min > m_up, f_min < m_dn)
     lam = spec.lam
-    above = f_min > below_mass(a + c_up / lam)
-    below = s_max > above_mass(b + c_dn / (1.0 - lam))
-    rows = np.flatnonzero(above | below)
-    cand_up, cand_dn = above[rows], below[rows]
-    # the distances min - a and b - max, bracketed
-    dl_lo, dl_hi = fam_mod._bracket(family, f_min[rows])
-    dr_lo, dr_hi = fam_mod._bracket(family, s_max[rows], upper=True)
-    t_lo = lam * dl_lo - (1.0 - lam) * dr_hi
-    t_hi = lam * dl_hi - (1.0 - lam) * dr_lo
-    exact = ((cand_up & (t_lo <= c_up) & (t_hi > c_up))
-             | (cand_dn & (t_lo < c_dn) & (t_hi >= c_dn)))
-    if exact.any():
-        r = rows[exact]
-        t_lo[exact] = t_hi[exact] = (
-            lam * fam_mod._quantile(family, f_min[r])[1]
-            - (1.0 - lam) * fam_mod._quantile(family, s_max[r], upper=True)[2])
-    above[rows] = cand_up & (t_lo > c_up)
-    below[rows] = cand_dn & (t_hi < c_dn)
-    return above, below
+    m_up, m_dn = below_mass(a + c_up / lam), above_mass(b + c_dn / (1.0 - lam))
+
+    def decide(f_min, s_max):
+        above = f_min > m_up
+        below = s_max > m_dn
+        rows = np.flatnonzero(above | below)
+        cand_up, cand_dn = above[rows], below[rows]
+        # the distances min - a and b - max, bracketed
+        dl_lo, dl_hi = fam_mod._bracket(family, f_min[rows])
+        dr_lo, dr_hi = fam_mod._bracket(family, s_max[rows], upper=True)
+        t_lo = lam * dl_lo - (1.0 - lam) * dr_hi
+        t_hi = lam * dl_hi - (1.0 - lam) * dr_lo
+        exact = ((cand_up & (t_lo <= c_up) & (t_hi > c_up))
+                 | (cand_dn & (t_lo < c_dn) & (t_hi >= c_dn)))
+        if exact.any():
+            r = rows[exact]
+            t_lo[exact] = t_hi[exact] = (
+                lam * fam_mod._quantile(family, f_min[r])[1]
+                - (1.0 - lam) * fam_mod._quantile(family, s_max[r], upper=True)[2])
+        above[rows] = cand_up & (t_lo > c_up)
+        below[rows] = cand_dn & (t_hi < c_dn)
+        return above, below
+
+    return decide
 
 
 def _need_finite(edge, kind, side):
@@ -257,16 +277,18 @@ def _row_extremes(X):
 
 def _root_fn(spec, family):
     """The MLE's score sum or the LR estimator's log-ratio k as fn(X, z),
-    nondecreasing in z (the family is log-concave), with the inset of its
-    bracket ends and its zero band per sample value."""
+    nondecreasing in z (the family is log-concave), z one shift per row or
+    one for all rows, with the inset of its bracket ends and its zero band
+    per sample value."""
     if spec.kind == "mle":
         return (lambda Xr, theta: _score_sum(family, Xr, theta)), 0.0, 1e-9
     return (lambda Xr, z: _k_rows(family, Xr, z, spec.eps)), spec.eps, 1e-12
 
 
 def _score_sum(family, X, theta):
-    """Row score sums S(theta) = sum_i f'(x_i - theta)/f(x_i - theta)."""
-    U = X - theta[:, None]
+    """Row score sums S(theta) = sum_i f'(x_i - theta)/f(x_i - theta),
+    theta one value per row or a scalar."""
+    U = X - np.reshape(theta, (-1, 1))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s = fam_mod._score3(family, U, *fam_mod._dists(family, U))
     return np.einsum("ij->i", s)
@@ -346,8 +368,9 @@ def _k_rows(family, X, z, eps):
     nondecreasing in z for log-concave f: the row mean of one shift-exact
     log-ratio pass at u = x - z - eps with shift 2 eps.  Meaningful where
     every u and u + 2 eps lies inside the support, i.e. for z inside the
-    bracket of admissible shifts (``_interval``), the only z it is read at."""
-    U = X - z[:, None]
+    bracket of admissible shifts (``_interval``), the only z it is read at;
+    z is one value per row or a scalar."""
+    U = X - np.reshape(z, (-1, 1))
     U -= eps
     r = fam_mod._log_ratio(family, U, *fam_mod._dists(family, U), 2.0 * eps)
     return np.einsum("ij->i", r) / X.shape[1]

@@ -218,12 +218,11 @@ def _log_step(d, step):
     and the log of the quotient keeps the result to ulps, which log1p of
     the rounded step / d loses as d + step approaches 0."""
     x = step / d
-    out = np.log1p(x)
-    if step < 0:
-        near = np.flatnonzero(x < -0.5)
-        if near.size:
-            d = np.take(d, near)
-            np.put(out, near, np.log((d + step) / d))
+    near = np.flatnonzero(x < -0.5) if step < 0 else ()
+    out = np.log1p(x, out=x)
+    if len(near):
+        d = np.take(d, near)
+        np.put(out, near, np.log((d + step) / d))
     return out
 
 

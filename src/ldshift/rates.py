@@ -13,14 +13,27 @@ joint law in probability space (David & Nagaraja, *Order Statistics*,
 mass below the minimum is F_min = (1 - S_max)(1 - U2^(1/(n-1))), or
 1 - S_max when n = 1; ``extreme_events`` decides their tail events.  The
 gaussian MLE is the row mean, so each of its rows draws one standard
-normal Z and takes the mean exactly from its law, theta + sigma Z / sqrt(n).
-The other estimators draw all n values of a row from the family and take
-their tail events {T > theta + eps} and {T < theta - eps} from
-``tail_events``, which for the MLE and LR estimators reads the side from
-the sign of the monotone estimating function at the threshold and solves
-in full only the rows inside its zero band or at a bracket end, so the
-counts are those of the full estimates.  (The gaussian LR estimate is the
-mean too, but keeps its n-value rows: they exercise the LR root solver.)
+normal Z and takes the mean exactly from its law, sigma Z / sqrt(n) about
+0.  The other estimators draw all n values of a row from the family and
+take their tail events {T > eps} and {T < -eps} from ``tail_events``,
+which for the MLE and LR estimators reads the side from the sign of the
+monotone estimating function at the threshold and solves in full only the
+rows inside its zero band or at a bracket end, so the counts are those of
+the full estimates.  (The gaussian LR estimate is the mean too, but keeps
+its n-value rows: they exercise the LR root solver.)  Every row kind
+simulates at theta = 0: the law of T - theta does not depend on theta.
+
+Working set.  A Monte Carlo block holds at most _CHUNK_VALUES = 2**18
+float64 values, 2 MiB: a block of n-value rows (``_strip_free``) at most
+that many sample values, and so does each of its rejection draws; a block
+of summary rows (extremes, gaussian means) as many rows as fit at
+_SUMMARY_ROW_VALUES float64 a row, its draws, its summary and what
+deciding its events takes.  The sign test of ``tail_events`` evaluates
+the estimating function on slices of its rows, so deciding a block of
+n-value rows keeps less than half a block more alive; the likelihood test's
+two log-density passes are block-sized.  One call's peak memory is thus a
+small multiple of 2 MiB, whatever its trials and n.  No row depends on
+the block size, so every count is the same at any budget.
 
 Strip-free rows.  At a finite support edge one value can settle a row.
 The MLE or LR estimate T of a sample u_i + theta exceeds theta + eps only
@@ -65,8 +78,8 @@ import numpy as np
 
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
-from .estimators import (EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec, _strip_width,
-                         check_family, extreme_events, tail_events)
+from .estimators import (EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec, _extreme_rule,
+                         _strip_width, check_family, tail_events)
 from .renyi import (_EXP_MAX, _outside_masses, _overlap_nodes, _pair_nodes, _renyi_from_nodes,
                     default_ladder, g_value)
 
@@ -90,14 +103,14 @@ __all__ = [
 
 _DEFAULT_N_GRID = (8, 16, 32, 64, 128, 256, 384)
 _MIN_EVENTS = 10
-# matrix entries per simulation chunk: 8 MB of float64, small enough that
-# whether the allocator reuses a freed chunk or maps a fresh one moves the
-# process's peak memory by little
-_CHUNK_VALUES = 1_000_000
-# float64 temporaries per row drawn as a summary of its sample (the two
-# extremes, or the gaussian mean): its draws, the summary and what deciding
-# its events takes
-_SUMMARY_ROW_VALUES = 8
+# float64 values per Monte Carlo block (module docstring): 2 MiB.  A
+# call's peak memory follows the block, not the work: at 8 MB a block and
+# the temporaries deciding it held 23.5 MiB in one gamma(3) MLE call
+_CHUNK_VALUES = 2**18
+# float64 a summary row holds at its peak (the two extremes of a convex
+# combination, traced): its draws, the summary and what deciding its
+# events takes
+_SUMMARY_ROW_VALUES = 10
 
 
 class InsufficientEventsError(RuntimeError):
@@ -296,7 +309,9 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
 
     For each n, simulates ``trials`` batches and counts {T > theta + eps}
     and {T < theta - eps}; the per-side slopes of -log p_hat come from the
-    weighted regression above.  A row is one of four kinds (module
+    weighted regression above.  theta does not change the result: the law
+    of T - theta does not depend on it, so every row simulates at 0 and
+    tests +-eps.  A row is one of four kinds (module
     docstring), each drawn from its own per-n stream:
     - an order-statistic estimator's two extremes, drawn exactly in
       probability space: the family needs no sampler;
@@ -314,16 +329,17 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
     trials = _check_trials(trials)
     _check_rungs(family, (eps,))
     check_family(spec, family)
-    up, dn = theta + eps, theta - eps
     extremes = spec.kind in ORDER_STAT_KINDS
     means = spec.kind == "mle" and family.kind == "gaussian"
-    if not (extremes or means):
+    if extremes:
+        decide = _extreme_rule(spec, family, eps, -eps)
+    elif not means:
         w = _strip_width(spec, family, eps)
         # a rung's streams: (key, strip widths (lower, upper), strip mass,
         # thresholds); shared rows test both sides, a strip-free stream one
-        shared = [((), (-math.inf, -math.inf), 0.0, (up, dn))]
-        sides = [((0,), (w, -math.inf), fam_mod._strip_mass(family, w, -math.inf), (up, None)),
-                 ((1,), (-math.inf, w), fam_mod._strip_mass(family, -math.inf, w), (None, dn))]
+        shared = [((), (-math.inf, -math.inf), 0.0, (eps, -eps))]
+        sides = [((0,), (w, -math.inf), fam_mod._strip_mass(family, w, -math.inf), (eps, None)),
+                 ((1,), (-math.inf, w), fam_mod._strip_mass(family, -math.inf, w), (None, -eps))]
     counts = np.zeros((2, len(n_grid)))
     for i, n in enumerate(n_grid):
         stream = lambda *key: np.random.default_rng(np.random.SeedSequence((seed, n) + key))
@@ -333,8 +349,7 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
             for done in range(0, trials, chunk):
                 m = min(chunk, trials - done)
                 if extremes:
-                    above, below = extreme_events(spec, family, *_extreme_masses(rng, m, n),
-                                                  eps, -eps)
+                    above, below = decide(*_extreme_masses(rng, m, n))
                 else:
                     t = _gaussian_means(family, rng, m, n)
                     above, below = t > eps, t < -eps
@@ -345,7 +360,6 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
             split = sum((1.0 - mass) ** (n - 1) for _, _, mass, _ in sides) < 1.0
             for key, widths, mass, thresholds in sides if split else shared:
                 for X in _strip_free(family, stream(*key), trials, n, widths, mass):
-                    X += theta
                     above, below = tail_events(spec, family, X, *thresholds)
                     counts[:, i] += np.count_nonzero(above), np.count_nonzero(below)
                     del X
@@ -485,7 +499,9 @@ def chernoff_test_rate(p_point, q_point):
 def hoeffding_rate(p_point, q_point, r):
     """Best second-error exponent under first-error constraint r between two
     shifts p, q of one family: sup_s (-s r + I^s(p||q)) / (1 - s), floored
-    at zero."""
+    at zero.  Where p has mass m_p outside q's support, I^s tends to
+    -log1p(-m_p) as s -> 1, so for r below that the objective grows
+    without bound: the exponent is +inf, at the boundary s = 1."""
     family, tp, tq = _one_family(p_point, q_point)
     if not r >= 0:
         raise ValueError(f"r must be >= 0, got {r}")
@@ -493,6 +509,8 @@ def hoeffding_rate(p_point, q_point, r):
     if pair is None:
         return HoeffdingRate(value=math.inf, s_star=0.5, at_boundary=False,
                              clamped=False)
+    if r < -math.log1p(-pair.m_p):
+        return HoeffdingRate(value=math.inf, s_star=1.0, at_boundary=True, clamped=False)
 
     def objective(s):
         v = (-s * r + _renyi_from_nodes(pair, s)) / (1.0 - s)
@@ -550,12 +568,14 @@ def _zero_strips(family, t, t_o):
 
 
 def _llr_rows(family, tp, tq, X):
-    lp = fam_mod._logpdf_plain(family, X - tp)
+    """Row sums of log p - log q at the values X, which it overwrites."""
     lq = fam_mod._logpdf_plain(family, X - tq)
+    X -= tp
+    lp = fam_mod._logpdf_plain(family, X)
     with np.errstate(invalid="ignore"):
-        d = lp - lq
+        lp -= lq
     # points outside both supports cannot occur under either hypothesis
-    return np.sum(d, axis=1)
+    return np.sum(lp, axis=1)
 
 
 def lr_rate_identity(family, eps, n_grid=None, trials=20_000, seed=0):

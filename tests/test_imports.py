@@ -1,7 +1,8 @@
 """Import footprint: `import ldshift`, the `bounds`, `renyi-curve`, `rates`
 and `verify` commands and `cdf` never load scipy, and all of them run where
 scipy cannot be imported (scipy is a test dependency only); no module
-imports a name it never reads, and no private helper goes unread."""
+imports a name it never reads, no private helper goes unread, and no module
+starts threads or processes."""
 
 import ast
 import json
@@ -173,3 +174,23 @@ def test_src_private_names_are_all_read():
                for name in sorted(_private_definitions(tree))]
     assert len(defined) > 100
     assert [f"{module}:{name}" for module, name in defined if name not in read] == []
+
+
+# perfbench's tracer keeps one span stack and one set of depth counters per
+# process (the CHANGES.md FOUND on `Tracer`), so work on a second thread
+# could make its two traced passes disagree; this rule goes when the tracer
+# keeps them per thread
+_CONCURRENCY = ("threading", "concurrent", "multiprocessing")
+
+
+def test_src_starts_no_threads():
+    found = []
+    for path in sorted((ROOT / "src" / "ldshift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in _CONCURRENCY]
+    assert found == [], ("src imports threading, concurrent.futures or multiprocessing; "
+                         "perfbench's tracer keeps one span stack per process (CHANGES.md "
+                         "FOUND on `Tracer`): " + ", ".join(found))

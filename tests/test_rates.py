@@ -3,6 +3,7 @@ exponents, and the empirical interval-estimation rate."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,58 @@ def test_gaussian_mle_mean_rows_do_not_depend_on_chunking(monkeypatch):
     b = mc_tail_rate(*args, **kw)
     assert np.array_equal(a.p_plus, b.p_plus)
     assert np.array_equal(a.p_minus, b.p_minus)
+
+
+@pytest.mark.parametrize("fam, spec, eps, n_grid", [
+    (make_family("gamma", (3,)), EstimatorSpec("mle"), 0.5, (8, 16)),
+    (make_family("gamma", (3,)), EstimatorSpec("lr", eps=0.6), 0.6, (4, 32)),
+], ids=["mle-gamma-3", "lr-gamma-3"])
+def test_shared_rows_do_not_depend_on_chunking(fam, spec, eps, n_grid, monkeypatch):
+    # gamma(3) has an open upper edge, so one shared stream (seed, n) draws
+    # every row of a rung; 1,000 values a block splits a rung into many
+    # blocks, each ending mid-stream
+    kw = dict(n_grid=n_grid, trials=3_000, seed=57)
+    a = mc_tail_rate(fam, spec, 0.0, eps, **kw)
+    monkeypatch.setattr(rates, "_CHUNK_VALUES", 1_000)
+    b = mc_tail_rate(fam, spec, 0.0, eps, **kw)
+    assert np.array_equal(a.p_plus, b.p_plus)
+    assert np.array_equal(a.p_minus, b.p_minus)
+    assert a.p_plus.min() > 0 and a.p_minus.min() > 0
+
+
+def _traced_peak(run):
+    """The peak of the memory Python allocates during run(), after one
+    untraced call has built what the family caches (its mass tables)."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+GAMMA3, BETA15 = make_family("gamma", (3,)), make_family("beta", (1.5, 1.5))
+
+
+@pytest.mark.parametrize("run, blocks", [
+    (lambda: mc_tail_rate(GAMMA3, EstimatorSpec("mle"), 0.0, 0.5, n_grid=(48,),
+                          trials=20_000, seed=1), 2),
+    (lambda: mc_tail_rate(GAMMA3, EstimatorSpec("lr", eps=0.6), 0.0, 0.6, n_grid=(32,),
+                          trials=8_000, seed=1), 2),
+    (lambda: mc_tail_rate(BETA15, EstimatorSpec("convex_combo", lam=0.5), 0.0, 0.1,
+                          n_grid=(8,), trials=200_000, seed=1), 1.5),
+    (lambda: mc_tail_rate(BETA15, EstimatorSpec("mle"), 0.0, 0.1, n_grid=(32,),
+                          trials=20_000, seed=1), 2),
+    (lambda: ht_simulate((GAMMA3, 0.0), (GAMMA3, 0.2), n_grid=(48,), trials=20_000,
+                         seed=1), 4),
+], ids=["mle-gamma-3-shared", "lr-gamma-3-shared", "convex-combo-summary",
+        "mle-beta-1.5-1.5-strip-free", "ht-gamma-3"])
+def test_a_call_works_in_a_few_blocks(run, blocks):
+    # a call holds one block at a time and what deciding it takes: slices
+    # of it in the sign test, two block-sized log-density passes in the
+    # likelihood test (at 8 MB blocks the gamma(3) MLE call held 23.5 MiB)
+    assert _traced_peak(run) < blocks * rates._CHUNK_VALUES * 8
 
 
 def test_n_value_streams_are_pinned():
@@ -474,6 +527,24 @@ def test_hoeffding_examples():
         hoeffding_rate((GAUSS, 0.0), (GAUSS, 1.0), -1.0)
 
 
+@pytest.mark.parametrize("fam, twice", [
+    (UNIFORM, 0.22088957604840967),
+    (make_family("gamma", (3,)), 0.010320097709514453),
+    (make_family("beta", (2, 3)), 0.039331612525683214),
+], ids=["uniform", "gamma-3", "beta-2-3"])
+def test_hoeffding_infinite_below_the_outside_mass(fam, twice):
+    # p = f has mass m_p below q = f(. - 0.2)'s support: I^s -> -log1p(-m_p)
+    # as s -> 1, so for r below that the exponent is +inf; above it the sup
+    # is finite (``twice`` was recorded before the rule)
+    p, q = (fam, 0.0), (fam, 0.2)
+    threshold = -math.log1p(-fam_mod._mass_within(fam, 0.2))
+    for r in (0.0, threshold / 2):
+        h = hoeffding_rate(p, q, r)
+        assert h.value == math.inf and h.at_boundary and not h.clamped, (r, h)
+    h = hoeffding_rate(p, q, 2 * threshold)
+    assert h.value == pytest.approx(twice, rel=1e-12) and not h.at_boundary
+
+
 def test_hoeffding_rejects_nan_constraint():
     beta = make_family("beta", (1.5, 1.5))
     with pytest.raises(ValueError, match="r must be >= 0"):
@@ -544,12 +615,21 @@ def test_data_processing_cap():
     assert est.beta <= cap + 3.0 * est.slope_stderr
 
 
+def _same_at_two_thetas(fam, spec):
+    """Whether mc_tail_rate gives the same counts and slope at theta 0 and 2.5."""
+    a = mc_tail_rate(fam, spec, 0.0, 0.1, n_grid=(8, 16, 32), trials=20_000, seed=12)
+    b = mc_tail_rate(fam, spec, 2.5, 0.1, n_grid=(8, 16, 32), trials=20_000, seed=12)
+    return (np.array_equal(a.p_plus, b.p_plus) and np.array_equal(a.p_minus, b.p_minus)
+            and a.beta == b.beta)
+
+
 def test_rate_shift_invariance():
-    a = mc_tail_rate(UNIFORM, EstimatorSpec("min_shift"), 0.0, 0.1,
-                     n_grid=(8, 16, 32), trials=20_000, seed=12)
-    b = mc_tail_rate(UNIFORM, EstimatorSpec("min_shift"), 2.5, 0.1,
-                     n_grid=(8, 16, 32), trials=20_000, seed=12)
-    assert a.beta == pytest.approx(b.beta, rel=1e-12)  # same draws, shifted
+    # every row kind simulates at 0: theta changes no count
+    assert _same_at_two_thetas(UNIFORM, EstimatorSpec("min_shift"))
+
+
+def test_n_value_rows_ignore_theta():
+    assert _same_at_two_thetas(make_family("gamma", (3,)), EstimatorSpec("mle"))
 
 
 def test_empty_ladder_and_bad_grids_raise():
