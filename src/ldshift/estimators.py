@@ -7,8 +7,8 @@ the scalar ``estimate`` is the single-batch view of the same code path, and
 ``tail_events`` gives the driver the side of two thresholds each row's
 estimate falls on, by one sign test of the estimating function where it can.
 The MLE's estimating function is the score sum; the LR estimator's is the
-row mean of one shift-exact log-ratio pass (``families._log_ratio``), the
-same kernel in its bisection and in the sign test.
+row mean of one pass of the window kernel ``families._log_ratio`` (that of
+the Renyi pairs and the likelihood test), in its bisection and sign test.
 The order-statistic estimators read a sample only through its extremes:
 ``extreme_events`` decides their sides from the masses beyond the extremes.
 The gaussian MLE reads it only through its mean, which the Monte Carlo
@@ -34,9 +34,10 @@ ORDER_STAT_KINDS = ("min_shift", "max_shift", "shifted_min", "convex_combo")
 EPS_KINDS = ("lr", "shifted_min")
 _KINDS = ("mle", "lr") + ORDER_STAT_KINDS
 # sample values per evaluation of the estimating function in the sign test
-# (128 KiB): its temporaries, the shifted values and the function's terms,
-# are then reused from the heap, where block-sized ones (2 MiB) were handed
-# back to the system when freed and faulted in again for the next block
+# (128 KiB), and in ``rates`` per rejection draw and likelihood-test slice:
+# their temporaries are then reused from the heap, where block-sized ones
+# (2 MiB) were handed back to the system when freed and faulted in again
+# for the next block
 _SLICE_VALUES = 2**14
 
 
@@ -365,14 +366,16 @@ def _mle_rows(family, X, score, inset, band):
 
 def _k_rows(family, X, z, eps):
     """k(z) = mean_i [log f(x_i - z + eps) - log f(x_i - z - eps)] per row,
-    nondecreasing in z for log-concave f: the row mean of one shift-exact
-    log-ratio pass at u = x - z - eps with shift 2 eps.  Meaningful where
-    every u and u + 2 eps lies inside the support, i.e. for z inside the
-    bracket of admissible shifts (``_interval``), the only z it is read at;
-    z is one value per row or a scalar."""
+    nondecreasing in z for log-concave f: the row mean of the window kernel
+    ``families._log_ratio`` at lower points u = x - z - eps, shift 2 eps,
+    with the upper points' distance to b taken once as (b - u) - 2 eps.
+    Meaningful where every u and u + 2 eps lies inside the support, i.e.
+    for z inside the bracket of admissible shifts (``_interval``), the only
+    z it is read at; z is one value per row or a scalar."""
     U = X - np.reshape(z, (-1, 1))
     U -= eps
-    r = fam_mod._log_ratio(family, U, *fam_mod._dists(family, U), 2.0 * eps)
+    dl, dr = fam_mod._dists(family, U)
+    r = fam_mod._log_ratio(family, U, dl, dr - 2.0 * eps, 2.0 * eps)
     return np.einsum("ij->i", r) / X.shape[1]
 
 

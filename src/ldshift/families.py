@@ -9,8 +9,9 @@ near b, which determines the scaling regime of the divergence asymptotics.
 
 A built-in kind is one entry of ``_KINDS``: its parameter check with edge
 metadata, log f, score, sampler and shift-exact log-ratio
-log f(u + shift) - log f(u), each written once.  The ``custom`` kind is the
-one branch beside that table in each dispatcher.
+log f(u + shift) - log f(u) in a pair's window frame (``_log_ratio``),
+each written once.  The ``custom`` kind is the one branch beside that
+table in each dispatcher.
 
 Every mass of f (``cdf``, the tail masses of the order-statistic Monte
 Carlo, the edge strips of the order-statistic rates, a custom family's
@@ -128,14 +129,11 @@ class _Kind(NamedTuple):
     at every inside point: ``_logpdf3`` evaluates it there without
     ``errstate``.
 
-    ``log_ratio`` takes (*params, u, dl, dr, shift) and returns
-    log f(u + shift) - log f(u), exact in the shift wherever u and
-    u + shift both lie inside the support: each power factor enters as
-    log1p(shift / edge distance), so the result keeps its relative
-    precision however small the shift, where the difference of two rounded
-    log-densities holds only about ulp(log f) / shift.  Elsewhere its value
-    is unspecified and callers never read it (``_log_ratio`` evaluates it
-    with floating-point warnings off).
+    ``log_ratio`` takes (*params, u, dl, dr, shift) in the window frame
+    of ``_log_ratio`` and returns log f(u + shift) - log f(u), each power
+    factor as +-log1p(shift / d) of a given distance d: exact however small
+    the shift, where two rounded log-densities differ by ulp(log f)/shift.
+    Where a point lies outside its value is unspecified and never read.
     """
 
     fields: Callable
@@ -211,44 +209,28 @@ def _triangular_draw(c, rng, n):
     return np.where(v <= c, np.sqrt(v * c), 1.0 - np.sqrt((1.0 - v) * (1.0 - c)))
 
 
-def _log_step(d, step):
-    """log((d + step) / d) for an array of edge distances d > 0 and a
-    scalar step that leaves d + step > 0: log1p(step / d), except where the
-    step takes away more than half of d.  There d + step is exact (Sterbenz)
-    and the log of the quotient keeps the result to ulps, which log1p of
-    the rounded step / d loses as d + step approaches 0."""
-    x = step / d
-    near = np.flatnonzero(x < -0.5) if step < 0 else ()
-    out = np.log1p(x, out=x)
-    if len(near):
-        d = np.take(d, near)
-        np.put(out, near, np.log((d + step) / d))
-    return out
-
-
 def _triangular_log_ratio(c, u, dl, dr, shift):
-    # on one linear piece the ratio is the log-step of the distance to that
-    # piece's edge.  Across the mode each end's log f / f(c) is taken from
-    # its offset m from the mode: m = dl - c is exact near the mode
-    # (Sterbenz), so a small shift keeps its precision; an end more than
-    # half a piece from the mode takes the log of its own edge distance
-    def from_mode(m, dl, dr):
-        left = m <= 0.0
-        x = np.where(left, m / c, -m / (1.0 - c))
-        return np.where(x < -0.5, np.log(np.where(left, dl / c, dr / (1.0 - c))), np.log1p(x))
+    # on one piece the ratio is +-log1p(shift / d), d the distance to that
+    # piece's edge.  Only where the points straddle the mode is log f / f(c)
+    # taken from each one's offset from it, m = dl - c (exact near the mode,
+    # Sterbenz) and the sum m + shift, so a small shift keeps its precision;
+    # a point over half a piece w from the mode takes log(d / w)
+    def from_mode(x, d, w):
+        return np.where(x < -0.5, np.log(d / w), np.log1p(x))
 
     m = dl - c
     left = m <= 0.0
-    same = np.where(left, _log_step(dl, shift), _log_step(dr, -shift))
-    cross = left != (m + shift <= 0.0)
-    if not cross.any():
-        return same
-    return np.where(cross, from_mode(m + shift, dl + shift, dr - shift) - from_mode(m, dl, dr),
-                    same)
+    out = np.where(left, np.log1p(shift / dl), -np.log1p(shift / dr))
+    cross = np.flatnonzero(left & (m + shift > 0.0))
+    if cross.size:
+        m, dl, dr = (np.take(d, cross) for d in (m, dl, dr))
+        np.put(out, cross, from_mode(-(m + shift) / (1.0 - c), dr, 1.0 - c)
+               - from_mode(m / c, dl, c))
+    return out
 
 
 def _weibull_log_ratio(k, u, dl, dr, shift):
-    step = _log_step(dl, shift)
+    step = np.log1p(shift / dl)
     return (k - 1.0) * step - dl ** k * np.expm1(k * step)
 
 
@@ -264,14 +246,14 @@ _KINDS = {
         lambda p, q, u, dl, dr: (p - 1.0) * np.log(dl) + (q - 1.0) * np.log(dr) - log_beta(p, q),
         lambda p, q, u, dl, dr: (p - 1.0) / dl - (q - 1.0) / dr,
         lambda p, q, rng, n: rng.beta(p, q, n),
-        lambda p, q, u, dl, dr, shift: ((p - 1.0) * _log_step(dl, shift)
-                                        + (q - 1.0) * _log_step(dr, -shift))),
+        lambda p, q, u, dl, dr, shift: ((p - 1.0) * np.log1p(shift / dl)
+                                        - (q - 1.0) * np.log1p(shift / dr))),
     "gamma": _Kind(
         _gamma_fields,
         lambda k, u, dl, dr: (k - 1.0) * np.log(dl) - dl - log_gamma(k),
         lambda k, u, dl, dr: (k - 1.0) / dl - 1.0,
         lambda k, rng, n: rng.standard_gamma(k, n),
-        lambda k, u, dl, dr, shift: (k - 1.0) * _log_step(dl, shift) - shift),
+        lambda k, u, dl, dr, shift: (k - 1.0) * np.log1p(shift / dl) - shift),
     "weibull": _Kind(
         _weibull_fields,
         lambda k, u, dl, dr: math.log(k) + (k - 1.0) * np.log(dl) - dl ** k,
@@ -456,15 +438,16 @@ def _logpdf3(fam, u, dl, dr):
 
 
 def _log_ratio(fam, u, dl, dr, shift):
-    """log f(u + shift) - log f(u) from (u, edge distances of u): the kind's
-    shift-exact closed form (``_Kind``), for a custom family the difference
-    of its ``_logpdf3`` at the two points.  Read only where u and u + shift
-    both lie inside the support; evaluated with floating-point warnings
-    off, so points elsewhere may be passed along."""
+    """log f(u + shift) - log f(u), shift > 0, in the window frame of a
+    shifted pair: dl is the lower point u's distance to the lower edge, dr
+    the upper point's to the upper edge, the other two are the sums
+    dl + shift and dr + shift, so exact distances stay exact.  The kind's
+    closed form (``_Kind``); for a custom family ``_logpdf3`` at the upper
+    point minus at the lower.  Read only where dl, dr > 0; evaluated with
+    floating-point warnings off, so points elsewhere may be passed along."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if fam.kind == "custom":
-            return (_logpdf3(fam, u + shift, dl + shift, dr - shift)
-                    - _logpdf3(fam, u, dl, dr))
+            return _logpdf3(fam, u + shift, dl + shift, dr) - _logpdf3(fam, u, dl, dr + shift)
         return _KINDS[fam.kind].log_ratio(*fam.params, u, dl, dr, shift)
 
 

@@ -28,19 +28,21 @@ float64 values, 2 MiB: a block of n-value rows (``_strip_free``) at most
 that many sample values, and so does each of its rejection draws; a block
 of summary rows (extremes, gaussian means) as many rows as fit at
 _SUMMARY_ROW_VALUES float64 a row, its draws, its summary and what
-deciding its events takes.  The sign test of ``tail_events`` evaluates
-the estimating function on slices of its rows, so deciding a block of
-n-value rows keeps less than half a block more alive; the likelihood test's
-two log-density passes are block-sized.  One call's peak memory is thus a
-small multiple of 2 MiB, whatever its trials and n.  No row depends on
-the block size, so every count is the same at any budget.
+deciding its events takes.  Rejection draws, the sign test of
+``tail_events`` and the likelihood test each take at most
+``estimators._SLICE_VALUES`` values (128 KiB) at a time, so deciding a
+block keeps less than half a block more alive.  One call's peak memory is
+thus a small multiple of 2 MiB, whatever its trials and n.  No row depends
+on the block or piece size, so every count is the same at any budget.
 
 Strip-free rows.  At a finite support edge one value can settle a row.
 The MLE or LR estimate T of a sample u_i + theta exceeds theta + eps only
 if every u_i - a > w, and falls below theta - eps only if every
 b - u_i > w, w = eps + min(inset, eps) (``estimators._strip_width``); in
 the likelihood test a value where the other density is zero decides its
-row with no error.  Of ``trials`` samples of size n, the number with no
+row with no error; its strips are the shift wide (``renyi._edge_strips``),
+so a value kept lies more than the shift from the edge, as the window
+kernel needs.  Of ``trials`` samples of size n, the number with no
 value in strips of mass m is Binomial(trials, (1 - m)^n), m read from the
 mass table at each strip's own end.  ``_strip_free`` draws that count
 first (no draw where m = 0: all ``trials`` samples are kept), then only
@@ -78,9 +80,9 @@ import numpy as np
 
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
-from .estimators import (EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec, _extreme_rule,
-                         _strip_width, check_family, tail_events)
-from .renyi import (_EXP_MAX, _outside_masses, _overlap_nodes, _pair_nodes, _renyi_from_nodes,
+from .estimators import (_SLICE_VALUES, EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec,
+                         _extreme_rule, _strip_width, check_family, tail_events)
+from .renyi import (_EXP_MAX, _edge_strips, _overlap_nodes, _pair_nodes, _renyi_from_nodes,
                     default_ladder, g_value)
 
 __all__ = [
@@ -268,7 +270,8 @@ def _strip_free(family, rng, trials, n, widths=(-math.inf, -math.inf), m=0.0):
     their number first, Binomial(trials, (1 - m)^n) (all ``trials`` when
     m = 0, with no draw), then the samples, from f conditioned off the
     strips, as (k, n) blocks of at most _CHUNK_VALUES values (at least one
-    row).  Draws in a strip are rejected and each row takes the next n
+    row).  Draws come at most _SLICE_VALUES at a time; those in a strip (a
+    width of -inf is none) are rejected and each row takes the next n
     accepted values, carrying those left over into the next block, so the
     rows do not depend on the block size; with m = 0 they are consecutive
     draws."""
@@ -291,13 +294,15 @@ def _strip_free(family, rng, trials, n, widths=(-math.inf, -math.inf), m=0.0):
             carry = carry[got:]
             while got < flat.size:
                 v = fam_mod._draw(family, rng,
-                                  min(_CHUNK_VALUES, math.ceil((flat.size - got) / (1.0 - m))))
-                v = v[(v - a > lo_w) & (b - v > hi_w)]
+                                  min(_SLICE_VALUES, math.ceil((flat.size - got) / (1.0 - m))))
+                if lo_w > -math.inf:
+                    v = v[v - a > lo_w]
+                if hi_w > -math.inf:
+                    v = v[b - v > hi_w]
                 take = min(v.size, flat.size - got)
                 flat[got:got + take] = v[:take]
-                carry = v[take:].copy()
+                carry = v[take:]
                 got += take
-                del v
             del flat
         yield X
         del X  # one block live at a time
@@ -395,7 +400,7 @@ def _chernoff_objective(family, eps, side):
     sign = -1.0 if side == "plus" else 1.0
     sc = sign * fam_mod._score3(family, *fam_mod._at_nodes(family, shift, nodes))
     sc_max = float(sc.max())
-    m = _outside_masses(family, 0.0, shift)[0]
+    (_, m), _ = _edge_strips(family, 0.0, shift)
 
     def F(t):
         top = t * sc_max
@@ -532,23 +537,24 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
     Each hypothesis draws from its own per-n stream.  A value where the
     other density is zero decides its row with no error, so where such
     values fill the strip the shift leaves at a finite edge of the
-    hypothesis' support (mass m > 0), the stream first draws how many rows
-    have none, Binomial(trials, (1 - m)^n), and then only those rows,
-    conditioned off the strip (module docstring)."""
+    hypothesis' support (mass m > 0, ``renyi._edge_strips``), the stream
+    first draws how many rows have none, Binomial(trials, (1 - m)^n), and
+    then only those rows, conditioned off the strip (module docstring).
+    Rows are scored in slices of ``estimators._SLICE_VALUES`` values."""
     family, tp, tq = _one_family(p_point, q_point)
     n_grid = _check_n_grid((8, 16, 24, 32, 40, 48) if n_grid is None else n_grid)
     trials = _check_trials(trials)
-    hypotheses = [(tp, tq), (tq, tp)]
-    strips = [_zero_strips(family, *h) for h in hypotheses]
+    strips = _edge_strips(family, tp, tq)
     sums = np.zeros(len(n_grid))
     for i, n in enumerate(n_grid):
-        for h, (t_h, _) in enumerate(hypotheses):
+        for h in (0, 1):
             rng = np.random.default_rng(np.random.SeedSequence((seed, n, h)))
+            step = max(1, _SLICE_VALUES // n)
             for X in _strip_free(family, rng, trials, n, *strips[h]):
-                X += t_h
-                llr = _llr_rows(family, tp, tq, X)
-                # errors: q preferred under p, p accepted under q
-                sums[i] += np.count_nonzero(llr < 0 if h == 0 else llr >= 0)
+                for r in range(0, X.shape[0], step):
+                    llr = _llr_rows(family, X[r:r + step], tp, tq, h == 1)
+                    # errors: q preferred under p, p accepted under q
+                    sums[i] += np.count_nonzero(llr < 0 if h == 0 else llr >= 0)
                 del X
     if sums.sum() == 0:
         raise InsufficientEventsError("no testing errors observed at any n")
@@ -557,25 +563,20 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
                        error_sums=sums, trials=trials, seed=int(seed))
 
 
-def _zero_strips(family, t, t_o):
-    """The strips at the finite edges of the support of f(. - t) where
-    f(. - t_o) is zero, as widths from those edges (-inf for none), and
-    their mass under f(. - t)."""
-    a, b = family.support
-    lo_w = (a + t_o) - (a + t) if math.isfinite(a) else -math.inf
-    hi_w = (b + t) - (b + t_o) if math.isfinite(b) else -math.inf
-    return (lo_w, hi_w), fam_mod._strip_mass(family, lo_w, hi_w)
-
-
-def _llr_rows(family, tp, tq, X):
-    """Row sums of log p - log q at the values X, which it overwrites."""
-    lq = fam_mod._logpdf_plain(family, X - tq)
-    X -= tp
-    lp = fam_mod._logpdf_plain(family, X)
-    with np.errstate(invalid="ignore"):
-        lp -= lq
-    # points outside both supports cannot occur under either hypothesis
-    return np.sum(lp, axis=1)
+def _llr_rows(family, U, tp, tq, under_q):
+    """Row sums of log p - log q at the values U + t of one hypothesis
+    f(. - t), t = tq under q, else tp, by the window kernel on U itself: as
+    in ``renyi._pair_nodes``, its lower point is the coordinate of the
+    density shifted higher, U or U - s, s = |tq - tp|, and its sign + where
+    q is.  Off the strips of ``renyi._edge_strips`` the edge distance less
+    s is > 0."""
+    s = abs(tq - tp)
+    dl, dr = fam_mod._dists(family, U)
+    if (tq > tp) == under_q:
+        k = np.einsum("ij->i", fam_mod._log_ratio(family, U, dl, dr - s, s))
+    else:
+        k = np.einsum("ij->i", fam_mod._log_ratio(family, U - s, dl - s, dr, s))
+    return k if tq > tp else -k
 
 
 def lr_rate_identity(family, eps, n_grid=None, trials=20_000, seed=0):

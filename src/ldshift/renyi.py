@@ -16,9 +16,13 @@ O.  Since int_O p = 1 - m_p and int_O q = 1 - m_q,
 and I^s = -log1p(-D).  Every term of D is >= 0, so a divergence of 1e-25
 keeps its relative precision, where -log(int p^s q^(1-s)) = -log(1 - 1e-25)
 keeps none.
+- delta is the window kernel ``families._log_ratio`` at the nodes' exact
+  distances to the ends of O, whose ends are q's lower and p's upper edge
+  (shift > 0), so its power factors are +-log1p(shift / d), exact.
 - m_p and m_q are read from the mass tables (``families._mass_within``) at
   the end of each strip that a finite support edge of the other density
-  leaves outside O.  A strip's width is the shift difference itself, never
+  leaves outside O (``_edge_strips``, which also gives the likelihood
+  test's strips).  A strip's width is the shift difference itself, never
   a difference of rounded edge positions: fl(1 + eps/2) - fl(1 - eps/2) is
   1e-4 off eps at eps = 1e-12.  A trimmed infinite tail leaves no strip:
   its mass beyond the cut counts as overlap for both densities alike.
@@ -227,44 +231,50 @@ class _Pair(NamedTuple):
     m_q: float
 
 
-def _outside_masses(family, tp, tq):
-    """(m_p, m_q): the mass of p = f(. - tp) and of q = f(. - tq) in the
-    strips outside the overlap where the other one's support ends at a
-    finite edge (past a trimmed tail both densities go on), by
-    ``families._strip_mass``; each strip's width is the shift tq - tp.
-    Overlapping pairs only: no strip spans."""
+def _edge_strips(family, tp, tq):
+    """[(widths, mass) of p = f(. - tp), the same of q = f(. - tq)]: the
+    strips outside the overlap where the other's support ends at a finite
+    edge (past a trimmed tail both go on), widths (lower, upper) from the
+    edges, -inf for none, each the shift |tq - tp| itself, and their mass
+    by ``families._strip_mass``.  Overlapping pairs only: no strip spans."""
     shift = tq - tp
+    a, b = family.support
     # shift > 0: p starts below q, and its strip there counts where the
     # lower edge is finite; q ends above p, likewise at the upper edge
-    width = lambda w, edge: w if math.isfinite(edge) else -math.inf
-    a, b = family.support
-    return (fam_mod._strip_mass(family, width(shift, a), width(-shift, b)),
-            fam_mod._strip_mass(family, width(-shift, a), width(shift, b)))
+    width = lambda w, edge: w if math.isfinite(edge) and w > 0 else -math.inf
+    strips = [(width(shift, a), width(-shift, b)), (width(-shift, a), width(shift, b))]
+    return [(w, fam_mod._strip_mass(family, *w)) for w in strips]
 
 
 def _pair_nodes(family, tp, tq):
     """The sweep data (``_Pair``) of p = f(. - tp) and q = f(. - tq) over
     the overlap of their trimmed supports; None when disjoint.
 
-    ``delta`` keeps one value per node.  A node with |delta| < 1e-3 is
-    summed once into the moments M_k = sum q w delta^k, k = 0 ... 4, and
-    its weights in ``qw`` and ``pw`` are set to 0; where such nodes are
-    the majority, the swept nodes are gathered instead.  ``lin`` = sum q w
-    expm1(delta) over the swept nodes; where delta > 709, q is below
-    e^-709 p, so p - q rounds to p.  m_p and m_q come from
-    ``_outside_masses``.
+    ``delta`` keeps one value per node: the window kernel
+    ``families._log_ratio`` at the nodes' own ``dl``, ``dr`` and the
+    coordinate u of the density shifted higher, negated where that is p;
+    only q is evaluated, p w = q w e^delta.  A node with |delta| < 1e-3 is
+    summed once into the moments M_k = sum q w delta^k, k = 0 ... 4, and its
+    weights in ``qw`` and ``pw`` are set to 0; where such nodes are the
+    majority, the swept nodes are gathered instead.  ``lin`` = sum q w
+    expm1(delta) over the swept nodes; where delta > 709, q is below e^-709
+    p, so p - q rounds to p.  m_p and m_q come from ``_edge_strips``.
     """
     nodes = _overlap_nodes(family, tp, tq)
     if nodes is None:
         return None
-    lp, lq = (fam_mod._logpdf3(family, *fam_mod._at_nodes(family, t, nodes)) for t in (tp, tq))
-    delta = lp - lq
+    dl = fam_mod._edge_dist(nodes.dl, 0.0, family.a)
+    dr = fam_mod._edge_dist(nodes.dr, 0.0, family.b)
+    delta = fam_mod._log_ratio(family, nodes.x - max(tp, tq), dl, dr, abs(tq - tp))
+    if tq < tp:
+        np.negative(delta, out=delta)
+    lq = fam_mod._logpdf3(family, *fam_mod._at_nodes(family, tq, nodes))
     a = np.abs(delta)
     amax = float(a.max())
+    pw = np.exp(lq + delta)   # q w e^delta would overflow beyond delta = 709
+    pw *= nodes.w
     qw = np.exp(lq, out=lq)
     qw *= nodes.w
-    pw = np.exp(lp, out=lp)
-    pw *= nodes.w
     swept = delta
     moments = (0.0,) * 5
     small = a < _SERIES_DELTA
@@ -287,8 +297,8 @@ def _pair_nodes(family, tp, tq):
         hot = swept > _EXP_MAX
         lin = float(np.dot(np.where(hot, 0.0, qw), np.expm1(np.fmin(swept, _EXP_MAX)))
                     + pw[hot].sum())
-    return _Pair(delta, swept, qw, pw, amax, lin, moments,
-                 *_outside_masses(family, tp, tq))
+    (_, m_p), (_, m_q) = _edge_strips(family, tp, tq)
+    return _Pair(delta, swept, qw, pw, amax, lin, moments, m_p, m_q)
 
 
 def _renyi_from_nodes(pair, s):

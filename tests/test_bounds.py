@@ -2,7 +2,9 @@
 properties, agreement of the numeric optimizers with the closed forms, and
 the documented gap of the one-sided low-exponent closed form."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +230,26 @@ def test_kappa_two_and_semi_regular_ladders_match_closed_bounds(kind, params):
     assert bp.alpha2_bar == pytest.approx(cf.alpha2_bar, rel=5e-3)
     assert bp.alpha1_bar >= bp.alpha2_bar
     assert bp.coincide == cf.coincide
+
+
+# the benchmark's deep ladder config, only read
+DEEP_BETA_2_3 = (Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "cli"
+                 / "bounds-beta-2-3-deep.json")
+
+
+def test_deep_kappa_two_ladder_reaches_the_closed_bounds():
+    # rungs 1e-4 ... 1e-12 on beta(2, 3): the window kernel keeps delta =
+    # log p - log q exact in the shift next to p's upper edge, where the
+    # difference of two rounded log-densities left alpha1 6.0000376, alpha2
+    # 5.9998106 and a relative err of 6.2e-6 at s = 1/2
+    cfg = json.loads(DEEP_BETA_2_3.read_text())
+    fam = make_family(cfg["family"]["kind"], cfg["family"]["params"])
+    prof = profile_from_family(fam, eps_ladder=cfg["eps_ladder"])
+    bp = bound_pair(prof)
+    assert abs(bp.alpha1_bar - 6.0) <= 4e-5, bp.alpha1_bar
+    assert abs(bp.alpha2_bar - 6.0) <= 4e-5, bp.alpha2_bar
+    half, = np.flatnonzero(prof.s_grid == 0.5)
+    assert prof.isg_unc[half] <= 1e-6 * prof.isg[half]
 
 
 def test_optimize_tiny_objective_is_not_constant():

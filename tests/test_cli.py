@@ -19,59 +19,6 @@ from ldshift.verify import LemmaCheck
 
 import record_goldens
 
-# recorded with the per-end edge depths of the quadrature; gamma(2) with the
-# sq_log ladder's basis fit; every optimum refined on the scan's interpolant
-# and confirmed by one evaluation to the profile's median relative error;
-# every rung divergence from the cancellation-free sweep D (renyi module
-# docstring), under which an ulp of the log-normaliser moves the alphas by
-# ulps.  One row per regime, so a change to the optimizers or the sweep
-# shows in each
-GOLDEN = {
-    "uniform": {
-        "family": "uniform", "regime": "kappa_one", "kappa": 1.0, "A1": 1.0, "A2": 1.0,
-        "alpha1_bar_closed": 2.0, "alpha1_bar_numeric": 2.00000000921387,
-        "alpha2_bar_closed": 2.0, "alpha2_bar_numeric": 2.00000000921387,
-        "s_star1": 0.5, "s_star2": 0.5, "coincide_closed": "true",
-        "coincide_numeric": "true", "symmetric_at_half": "true",
-    },
-    "beta": {
-        "family": "beta", "regime": "power_mid", "kappa": 1.5,
-        "A1": 2.546479089470325, "A2": 2.546479089470325,
-        "alpha1_bar_closed": 6.29514986141918, "alpha1_bar_numeric": 6.292306516218437,
-        "alpha2_bar_closed": 6.29514986141918, "alpha2_bar_numeric": 6.292306516218315,
-        "s_star1": 0.5000000083046848, "s_star2": 0.5000000019604701, "coincide_closed": "true",
-        "coincide_numeric": "true", "symmetric_at_half": "true",
-    },
-    "gamma": {
-        "family": "gamma", "regime": "kappa_two", "kappa": 2.0, "A1": 1.0, "A2": 0.0,
-        "alpha1_bar_closed": 0.5, "alpha1_bar_numeric": 0.49999425692526245,
-        "alpha2_bar_closed": 0.5, "alpha2_bar_numeric": 0.49995279462394104,
-        "s_star1": 0.49999699073451154, "s_star2": 0.95, "coincide_closed": "true",
-        "coincide_numeric": "true", "symmetric_at_half": "true",
-    },
-    "beta-0.3-0.3": {
-        "family": "beta", "regime": "power_low", "kappa": 0.3,
-        "A1": 0.16639977020643656, "A2": 0.16639977020643656,
-        "alpha1_bar_closed": 0.9641968680934432, "alpha1_bar_numeric": 0.963547590111774,
-        "alpha2_bar_closed": 0.9641968680934432, "alpha2_bar_numeric": 0.9635475901112763,
-        "s_star1": 0.5000000083046848, "s_star2": 0.5000000019604701, "coincide_closed": "true",
-        "coincide_numeric": "true", "symmetric_at_half": "true",
-    },
-    "gamma-3": {
-        "family": "gamma", "regime": "semi_regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
-        "alpha1_bar_closed": 0.5000000000000001, "alpha1_bar_numeric": 0.5000000004630909,
-        "alpha2_bar_closed": 0.5000000000000001, "alpha2_bar_numeric": 0.49997180644706885,
-        "s_star1": 0.5, "s_star2": 0.6957284344575654, "coincide_closed": "true",
-        "coincide_numeric": "true", "symmetric_at_half": "true",
-    },
-    "gaussian": {
-        "family": "gaussian", "regime": "regular", "kappa": 2.0, "A1": 0.0, "A2": 0.0,
-        "alpha1_bar_closed": 0.4999999999999996, "alpha1_bar_numeric": 0.4999999999999331,
-        "alpha2_bar_closed": 0.4999999999999996, "alpha2_bar_numeric": 0.49999999999991396,
-        "s_star1": 0.5000000019604701, "s_star2": 0.5, "coincide_closed": "true",
-        "coincide_numeric": "true", "symmetric_at_half": "true",
-    },
-}
 # config name -> (family kind, params)
 FAMILIES = {"uniform": ("uniform", []), "beta": ("beta", [1.5, 1.5]), "gamma": ("gamma", [2]),
             "beta-0.3-0.3": ("beta", [0.3, 0.3]), "gamma-3": ("gamma", [3]),
@@ -92,19 +39,18 @@ def _run(argv, capsys):
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_bounds_golden(name, tmp_path, capsys):
+    # one row per regime; each default config is one of the benchmark's, so
+    # its golden is that table in tests/data/bench_tables.json
     argv = ["bounds", "--config", _config(tmp_path, name)]
     code, text = _run(argv, capsys)
     assert code == 0
-    (row,) = list(csv.DictReader(io.StringIO(text)))
-    assert list(row) == list(GOLDEN[name])
-    for col, want in GOLDEN[name].items():
-        if isinstance(want, float):
-            assert float(row[col]) == pytest.approx(want, rel=1e-12, abs=0.0), col
-        else:
-            assert row[col] == want, col
-    assert _run(argv, capsys) == (0, text)
+    kind, params = FAMILIES[name]
+    slug = "-".join([kind] + [f"{p:g}" for p in params])
+    tables = json.loads((record_goldens.DATA / "bench_tables.json").read_text())
+    assert text == tables[f"bounds-{slug}.json"]
+    assert _run(argv, capsys) == (0, text)   # byte-identical rerun
 
 
 @pytest.mark.parametrize("name", ["gaussian", "gamma-3"])
@@ -139,7 +85,7 @@ def test_ladder_bounds_match_benchmark_refs(path, capsys):
         assert abs(float(row[col]) - want) <= 5e-3 * abs(want) + 1e-12, (col, row[col], want)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_bounds_csv_and_json_agree(name, tmp_path, capsys):
     # one table, two renderings: every JSON value is the CSV cell it reads
     path = _config(tmp_path, name)

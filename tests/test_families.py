@@ -254,46 +254,62 @@ CUSTOM_BETA22 = make_family("custom", logpdf=lambda u: np.log(6.0 * u * (1.0 - u
 @pytest.mark.parametrize("kind, params", ALL_BUILTINS + [("custom", (2.0, 2.0))],
                          ids=lambda v: str(v))
 def test_log_ratio_matches_mpmath(kind, params):
-    # log f(u + shift) - log f(u) against 30 digits at points within 1e-6 of
-    # every finite edge, inside, and on both sides of the triangular mode,
-    # within 1e-14 shift (1 + |f'/f| + 1/dl + 1/dr).  The difference of two
-    # rounded log-densities is off by about ulp(log f), which at shift 1e-9
-    # misses this bound by a factor of about ulp(log f) / (1e-14 shift): 1e5
-    # to 4e7 on these points.  The custom family, whose ratio is that
-    # difference, is held to the difference's own precision instead.
+    # log f(u + shift) - log f(u) in the window frame (u the lower point, dl
+    # its distance to the lower edge, dr the upper point's to the upper
+    # edge) against 30 digits, within 1e-14 shift (1 + |f'/f| + 1/dl + 1/dr):
+    # lower points inside and within 1e-6 of a finite lower edge, upper
+    # points within 1e-7 ... 1e-13 of a finite upper edge, and both points
+    # on either side of the triangular mode.  The difference of two rounded
+    # log-densities is off by about ulp(log f), which at shift 1e-9 misses
+    # this bound by a factor of about ulp(log f) / (1e-14 shift): 1e5 to 4e7
+    # on these points.  Where the upper point is closer to its edge than the
+    # shift, that bound exceeds the ratio's size, so it is also held to
+    # 1e-14 (1 + |ratio|): an upper distance formed as (dr + shift) - shift,
+    # as the old interface's dr - shift step did, is off by up to ulp(shift)
+    # and misses that by up to 1e10.  The custom family, whose ratio is the
+    # difference of its log-densities, is held to that difference's own
+    # precision instead.
     import mpmath as mp
 
     fam = CUSTOM_BETA22 if kind == "custom" else _fam(kind, params)
     a, b = fam.support
     if math.isfinite(b):
-        u = [0.1, 0.25, 0.5, 0.77, 0.9]
+        lowers = [0.1, 0.25, 0.5, 0.77, 0.9]
     elif math.isfinite(a):
-        u = [0.01, 0.5, 1.0, 3.0, 10.0]
+        lowers = [0.01, 0.5, 1.0, 3.0, 10.0]
     else:
-        u = [-5.0, -1.0, -1e-3, 0.0, 0.7, 4.0]
-    u += [e + s * d for e, s in ((a, 1.0), (b, -1.0)) if math.isfinite(e)
-          for d in (3e-7, 1e-6)]
-    if kind == "triangular":
-        u += [params[0] + s * d for s in (-1.0, 1.0) for d in (1e-12, 1e-7, 1e-4, 0.05)]
-    u = np.array(u)
-    dl, dr = (np.broadcast_to(d, u.shape) for d in _dists(fam, u))
-    sc = np.abs(_score3(fam, u, dl, dr))
+        lowers = [-5.0, -1.0, -1e-3, 0.0, 0.7, 4.0]
+    lowers += [a + d for d in (3e-7, 1e-6) if math.isfinite(a)]
+    mode = ([params[0] + s * d for s in (-1.0, 1.0) for d in (1e-12, 1e-7, 1e-4, 0.05)]
+            if kind == "triangular" else [])
     mp_kind = "beta" if kind == "custom" else kind
     with mp.workdps(30):
-        for shift in (1e-9, 1e-6, 1e-3, 0.1, -1e-9, -1e-6, -1e-3, -0.1):
+        near_b = [b - mp.mpf(d) for d in (1e-7, 1e-9, 1e-11, 1e-13)] if math.isfinite(b) else []
+        for shift in (1e-9, 1e-6, 1e-3, 0.1):
+            # points (u, dl, dr, lower, upper), the last two exact: from a
+            # float lower point (the mode's upper points from the float
+            # below them), or from an upper point a float distance below b
+            pts = [(x, x - a, b - (mp.mpf(x) + shift), mp.mpf(x), mp.mpf(x) + shift)
+                   for x in lowers + mode + [v - shift for v in mode]]
+            pts += [(y - shift, y - shift - a, b - y, y - shift, y) for y in near_b]
+            pts = [p for p in pts if a < p[3] and p[4] < b]
+            u, dl, dr = (np.array([float(p[k]) for p in pts]) for k in range(3))
+            v = [p[4] for p in pts]
             got = _log_ratio(fam, u, dl, dr, shift)
+            sc = np.maximum(np.abs(_score3(fam, u, dl, dr + shift)),
+                            np.abs(_score3(fam, u + shift, dl + shift, dr)))
             for i, ui in enumerate(u):
-                v = mp.mpf(ui) + mp.mpf(shift)
-                if not a < v < b:
-                    continue
-                lf_u, lf_v = _logpdf_mp(mp_kind, params, mp.mpf(ui)), _logpdf_mp(mp_kind, params, v)
+                lf_u = _logpdf_mp(mp_kind, params, pts[i][3])
+                lf_v = _logpdf_mp(mp_kind, params, v[i])
                 err = abs(got[i] - float(lf_v - lf_u))
-                tol = 1e-14 * abs(shift) * (1.0 + sc[i] + 1.0 / dl[i] + 1.0 / dr[i])
+                tol = 1e-14 * shift * (1.0 + sc[i] + 1.0 / dl[i] + 1.0 / dr[i])
+                if dr[i] < shift and kind != "custom":
+                    tol = min(tol, 1e-14 * (1.0 + abs(float(lf_v - lf_u))))
                 if kind == "custom":
                     # the rounded log f at u and at the rounded u + shift,
                     # where f'/f = 1/v - 1/(1 - v)
                     tol += 1e-15 * (1.0 + abs(float(lf_u)) + abs(float(lf_v)))
-                    tol += 2.3e-16 * float(abs(v * (1 / v - 1 / (1 - v))))
+                    tol += 2.3e-16 * float(abs(v[i] * (1 / v[i] - 1 / (1 - v[i]))))
                 assert err <= tol, (ui, shift, got[i], float(lf_v - lf_u), err / tol)
 
 
