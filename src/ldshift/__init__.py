@@ -2,7 +2,7 @@
 
 Computes the two non-regular extensions of the classical estimation-rate
 bound via small-shift asymptotics of Renyi divergences, evaluates their
-closed forms per support-edge regime, and verifies attainability by
+closed form in the support-edge exponent, and verifies attainability by
 simulating the matching estimators and regressing empirical tail-probability
 exponents.
 """

@@ -1,7 +1,9 @@
 """The two rate upper bounds for a scaling profile: the point-estimation
 bound a1 = 2^kappa sup_s I^s_g, the interval-estimation bound a2 (a
 kappa-dependent sup/inf of I^s_g weighted by a power-mean factor), their
-coincidence analysis, and the closed-form values per edge regime.
+coincidence analysis, and their closed-form values in the edge exponent
+kappa: both C/2 at kappa = 2 (C = A1 + A2, or the Fisher information),
+2 max(A1, A2) and A1 + A2 at kappa = 1, one expression in kappa at A1 = A2.
 
 One scan-interpolate-confirm optimizer, ``_optimize``, serves both bounds
 here and the testing exponents in ``rates``; a minimum is found by negating
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .renyi import ScalingProfile, profile_from_closed_form
+from .renyi import ScalingProfile, _check_regime, profile_from_closed_form
 from .special import beta_fn, solve_t0
 
 __all__ = [
@@ -264,50 +266,29 @@ def bound_pair(profile: ScalingProfile) -> BoundPair:
 
 
 def closed_form_bounds(regime, A1, A2, kappa, fisher=None) -> BoundPair:
-    """Closed-form bound pair for a regime, falling back to numeric
-    optimization of the closed-form I^s_g where no formula exists."""
-    k = float(kappa)
-    if regime in ("regular", "semi_regular"):
-        if fisher is None:
-            raise ValueError(f"regime {regime!r} needs the fisher information")
-        v = fisher / 2.0
+    """Closed-form bound pair at the edge exponent kappa, ``regime`` its
+    label: the paper's formulas at kappa = 2, at kappa = 1, at A1 = A2, and
+    for one edge below kappa = 2 - t0 (alpha2 tabulated below 1, optimized
+    above); numeric optimization of the closed-form I^s_g elsewhere."""
+    k = _check_regime(regime, A1, A2, kappa, fisher)
+    if k == 2.0:
+        v = (A1 + A2 if fisher is None else fisher) / 2.0
         return BoundPair(v, v, 0.5, 0.5, 2.0, True, True)
-    if regime == "kappa_one":
-        a1v = 2.0 * max(A1, A2)
-        a2v = A1 + A2
+    if k == 1.0:
+        a1v, a2v = 2.0 * max(A1, A2), A1 + A2
         s1 = 0.5 if A1 == A2 else 1.0 - DELTA if A1 > A2 else DELTA
         eq = abs(a1v - a2v) <= 1e-6 * max(1.0, a1v)
         return BoundPair(a1v, a2v, s1, 0.5, 1.0, eq, eq)
-    if regime == "kappa_two":
-        v = (A1 + A2) / 2.0
-        return BoundPair(v, v, 0.5, 0.5, 2.0, True, True)
-
-    if regime == "power_mid" and A1 == A2 and A1 > 0:
+    if A1 == A2:
         v = A1 * 2.0 ** (k - 1.0) * (3.0 - k) * beta_fn((1.0 + k) / 2.0, 2.0 - k) / k
         return BoundPair(v, v, 0.5, 0.5, k, True, True)
-    if regime == "power_low" and A1 == A2 and A1 > 0:
-        v = A1 * 2.0 ** k * (1.0 - k) * beta_fn((1.0 + k) / 2.0, 1.0 - k) / k
-        return BoundPair(v, v, 0.5, 0.5, k, True, True)
-
-    one_sided = (A1 > 0 and A2 == 0) or (A2 > 0 and A1 == 0)
+    # one edge: alpha1's sup sits at its s limit, s -> 1 for the left edge
+    amp, s = max(A1, A2), 1.0 - DELTA if A1 > 0 else DELTA
+    if min(A1, A2) == 0.0 and k < 1.0:  # 2^kappa / kappa > 1 / kappa: never coincident
+        return BoundPair(amp * 2.0 ** k / k, amp / k, s, s, k, False, False)
     profile = profile_from_closed_form(regime, A1, A2, k)
-    if one_sided:
-        amp = max(A1, A2)
-        edge_hi = A1 > 0  # supremum side: s -> 1 when the left edge dominates
-        if regime == "power_low":
-            a1v = amp * 2.0 ** k / k
-            a2v = amp / k
-            s = 1.0 - DELTA if edge_hi else DELTA
-            eq = False  # 2^kappa / kappa > 1 / kappa strictly
-            return BoundPair(a1v, a2v, s, s, k, eq, False)
-        # power_mid, one-sided: the sup is at the edge only below 2 - t0
-        if k <= 2.0 - solve_t0():
-            a1v = amp * 2.0 ** k / k
-            s1 = 1.0 - DELTA if edge_hi else DELTA
-        else:
-            a1v, s1 = alpha1_bar(profile)
-        a2v, s2 = alpha2_bar(profile)
-        coincide, eq163, _ = _flags(profile, a1v, a2v)
-        return BoundPair(a1v, a2v, s1, s2, k, coincide=coincide,
-                         symmetric_at_half=eq163)
-    return bound_pair(profile)
+    if min(A1, A2) > 0.0 or k > 2.0 - solve_t0():
+        return bound_pair(profile)
+    a1v, (a2v, s2) = amp * 2.0 ** k / k, alpha2_bar(profile)
+    coincide, eq163, _ = _flags(profile, a1v, a2v)
+    return BoundPair(a1v, a2v, s, s2, k, coincide=coincide, symmetric_at_half=eq163)

@@ -1,6 +1,6 @@
 """Renyi divergence I^s(p||q) = -log int p^s q^(1-s) between shifted copies
 of a density, the scaling exponent kappa of a scaling function g, rescaled
-small-shift limits I^s_g, and their closed forms per edge-behavior regime.
+small-shift limits I^s_g, and their closed form in the edge exponent kappa.
 
 Conventions: orders s in (0, 1); the centered pair (-eps/2, eps/2) is used
 for scaling limits, which do not depend on where the pair is centered;
@@ -40,6 +40,22 @@ keeps none.
 - Where D > 1/2, 1 - D would lose digits to the rounding of D; the
   integral is then summed directly on the same nodes, with exp in place of
   expm1 and M_0 ... M_4 for the nodes below 1e-3.
+
+The closed form.  An edge f ~ A t^(kappa-1) adds A [s/kappa + int_0^inf (s
+(1+x)^a + (1-s) x^a - (1+x)^(sa) x^((1-s)a)) dx], a = kappa - 1, to I^s_g
+(an upper edge at 1 - s).  For 0 < kappa < 2 the two edges sum to one
+expression in kappa, with t = 1 - s,
+
+    I^s_g = (A1 s (1 - s(kappa-1)) B(s + kappa t, 2 - kappa)
+             + A2 t (1 - t(kappa-1)) B(t + kappa s, 2 - kappa)) / kappa,
+
+which is A1 s + A2 t at kappa = 1, bit for bit (s + t rounds to 1 and
+B(1, 1) = 1), and on (0, 1) the paper's form in B(x, 1 - kappa), as
+B(x, 2 - kappa) (1 + s(1 - kappa)) = (1 - kappa) B(x, 1 - kappa) at
+x = s + kappa t.  At kappa = 2 the integrand falls off like 1/x; under
+g = -eps^2 log eps the limit is (A1 + A2) s t / 2.  Past 2, or with no
+edge, it is J s t / 2 under g = eps^2, J the Fisher information.  A
+regime string only labels kappa (``_regime``).
 """
 
 import functools
@@ -80,10 +96,6 @@ GTag = Union[str, tuple, Callable]
 # fitted out in that basis over a deeper halving ladder
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125)
 DEFAULT_LOG_LADDER = tuple(1e-2 / 2.0 ** i for i in range(7))
-
-_REGIMES = ("regular", "semi_regular", "kappa_one", "kappa_two",
-            "power_mid", "power_low")
-
 
 class DivergenceError(RuntimeError):
     """Ladder ratios grow instead of converging (wrong scaling function)."""
@@ -457,7 +469,7 @@ def _rungs(family, eps_ladder, g_tag):
 
 
 # ---------------------------------------------------------------------------
-# closed forms per regime
+# closed form in kappa
 
 _beta_ufunc = np.frompyfunc(_beta, 2, 1)
 
@@ -468,15 +480,51 @@ def _betafn_vec(x, y):
     return np.asarray(_beta_ufunc(x, y), dtype=float)
 
 
-def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
-    """Closed-form I^s_g for the given edge regime; vectorized over s.
+def _snap(kappa):
+    """kappa, or 1.0 or 2.0 when within 1e-9 of either."""
+    return 1.0 if abs(kappa - 1.0) <= 1e-9 else 2.0 if abs(kappa - 2.0) <= 1e-9 else kappa
 
-    Regimes: regular / semi_regular (needs ``fisher``), kappa_one,
-    kappa_two, power_mid (1 < kappa < 2), power_low (0 < kappa < 1).
-    Values extend continuously to s in {0, 1}.  A float s gives a float,
-    computed in Python floats with ``special._beta``; an array gives an
-    array of the same values.
+
+def _regime(kappa):
+    """The label of an edge exponent kappa, snapped; inf for no power-law edge."""
+    k = _snap(kappa)
+    if k > 2.0:
+        return "regular" if k == math.inf else "semi_regular"
+    return {1.0: "kappa_one", 2.0: "kappa_two"}.get(k, "power_mid" if k > 1.0 else "power_low")
+
+
+def _check_regime(regime, A1, A2, kappa, fisher):
+    """The closed forms' kappa as a float, snapped; ValueError unless the
+    amplitudes are finite and >= 0, and the regime is regular or
+    semi_regular at kappa = 2 with a finite ``fisher`` > 0, or is the label
+    ``_regime(kappa)`` of a kappa in (0, 2] with an amplitude > 0 and no
+    ``fisher``."""
+    k = _snap(float(kappa))
+    if regime in ("regular", "semi_regular"):
+        ok = k == 2.0 and fisher is not None and 0.0 < fisher < math.inf
+    else:
+        ok = 0.0 < k <= 2.0 and regime == _regime(k) and (A1 > 0.0 or A2 > 0.0) and fisher is None
+    if not (ok and 0.0 <= A1 < math.inf and 0.0 <= A2 < math.inf):
+        raise ValueError(f"regime {regime!r} does not fit kappa={k}, A1={A1}, A2={A2}, "
+                         f"fisher={fisher}: regular and semi_regular need kappa 2 and a fisher "
+                         "information > 0, the others are the label of a kappa in (0, 2] with "
+                         "amplitudes >= 0, one > 0, and no fisher")
+    return k
+
+
+def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
+    """Closed-form I^s_g at the edge exponent kappa, ``regime`` its label;
+    vectorized over s.  The module docstring's expression below kappa = 2,
+    C s (1 - s) / 2 at 2, with C = A1 + A2, or ``fisher`` in the regular and
+    semi_regular regimes.  Values extend continuously to s in {0, 1}.  A
+    float s gives a float, computed in Python floats with ``special._beta``;
+    an array gives an array of the same values.
     """
+    return _closed_isg(_check_regime(regime, A1, A2, kappa, fisher), A1, A2, s, fisher)
+
+
+def _closed_isg(k, A1, A2, s, fisher):
+    """``closed_form_isg`` at a kappa k that ``_check_regime`` passed."""
     if isinstance(s, float):
         s = float(s)
         outside = s < 0 or s > 1  # nan passes, and comes out as nan
@@ -485,71 +533,40 @@ def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
         outside = (s < 0).any() or (s > 1).any()
     if outside:
         raise ValueError("s must lie in [0, 1]")
-    k = float(kappa)
-    if regime in ("regular", "semi_regular"):
-        if fisher is None:
-            raise ValueError(f"regime {regime!r} needs the fisher information")
-        if abs(k - 2.0) > 1e-9:
-            raise ValueError(f"regime {regime!r} requires kappa = 2, got {k}")
-        out = s * (1.0 - s) * fisher / 2.0
-    elif regime == "kappa_one":
-        if abs(k - 1.0) > 1e-9:
-            raise ValueError(f"regime kappa_one requires kappa = 1, got {k}")
-        out = A1 * s + A2 * (1.0 - s)
-    elif regime == "kappa_two":
-        if abs(k - 2.0) > 1e-9:
-            raise ValueError(f"regime kappa_two requires kappa = 2, got {k}")
-        out = (A1 + A2) * s * (1.0 - s) / 2.0
-    elif regime == "power_mid":
-        if not 1.0 < k < 2.0:
-            raise ValueError(f"regime power_mid requires kappa in (1, 2), got {k}")
-        out = (A1 * s * (1.0 - s * (k - 1.0)) * _betafn_vec(s + k * (1.0 - s), 2.0 - k)
-               + A2 * (1.0 - s) * (1.0 - (1.0 - s) * (k - 1.0))
-               * _betafn_vec(1.0 - s + k * s, 2.0 - k)) / k
-    elif regime == "power_low":
-        if not 0.0 < k < 1.0:
-            raise ValueError(f"regime power_low requires kappa in (0, 1), got {k}")
-        out = (1.0 - k) * (A1 * s * _betafn_vec(s + k * (1.0 - s), 1.0 - k)
-                           + A2 * (1.0 - s) * _betafn_vec(1.0 - s + k * s, 1.0 - k)) / k
+    t = 1.0 - s
+    if k == 2.0:
+        out = (A1 + A2 if fisher is None else fisher) * s * t / 2.0
     else:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {_REGIMES}")
+        out = (A1 * s * (1.0 - s * (k - 1.0)) * _betafn_vec(s + k * t, 2.0 - k)
+               + A2 * t * (1.0 - t * (k - 1.0)) * _betafn_vec(t + k * s, 2.0 - k)) / k
     if isinstance(s, float):
         return float(out)
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
 
 
-def _natural_g_tag(regime, kappa):
-    """The scaling function g of a regime with exponent kappa."""
-    return {"regular": "square", "semi_regular": "square",
-            "kappa_one": "abs", "kappa_two": "sq_log"}.get(regime, ("power", kappa))
+def _natural_g_tag(kappa):
+    """The scaling function g of a snapped edge exponent kappa (inf for none)."""
+    return "square" if kappa > 2.0 else {1.0: "abs", 2.0: "sq_log"}.get(kappa, ("power", kappa))
 
 
 def classify_regime(family):
-    """Edge regime of a family, its effective (kappa, A1, A2), and the
-    natural scaling function.
+    """Regime label of a family, its effective (kappa, A1, A2), the natural
+    scaling function and, past kappa = 2, the Fisher information.
 
-    When the two edges carry different exponents, the sharper edge (smaller
-    kappa) dominates the small-shift divergence and the other side's
-    amplitude is effectively zero at this scaling.
+    kappa is the smallest exponent over the edges with A > 0, inf with
+    none.  The sharper edge dominates the small-shift divergence, and the
+    other side's amplitude is effectively zero at this scaling.  Past 2
+    the limit is Fisher's, reported as kappa 2 with both amplitudes 0.
     """
-    if family.regular:
-        regime, k, a1, a2 = "regular", 2.0, 0.0, 0.0
-    else:  # at least one edge has A > 0
-        k = min(kap for kap, amp in ((family.kappa1, family.A1), (family.kappa2, family.A2))
-                if amp > 0)
-        a1 = family.A1 if (family.A1 > 0 and family.kappa1 <= k + 1e-9) else 0.0
-        a2 = family.A2 if (family.A2 > 0 and family.kappa2 <= k + 1e-9) else 0.0
-        if k > 2.0 + 1e-9:
-            regime, k, a1, a2 = "semi_regular", 2.0, 0.0, 0.0
-        elif abs(k - 1.0) <= 1e-9:
-            regime, k = "kappa_one", 1.0
-        elif abs(k - 2.0) <= 1e-9:
-            regime, k = "kappa_two", 2.0
-        else:
-            regime = "power_mid" if 1.0 < k < 2.0 else "power_low"
-    fisher = fisher_information(family) if regime in ("regular", "semi_regular") else None
-    return RegimeInfo(regime, k, a1, a2, _natural_g_tag(regime, k), fisher=fisher)
+    edges = ((family.kappa1, family.A1), (family.kappa2, family.A2))
+    k = min((kap for kap, amp in edges if amp > 0), default=math.inf)
+    a1, a2 = (amp if amp > 0 and kap <= k + 1e-9 else 0.0 for kap, amp in edges)
+    k = _snap(k)
+    regime, g_tag = _regime(k), _natural_g_tag(k)
+    if k > 2.0:
+        return RegimeInfo(regime, 2.0, 0.0, 0.0, g_tag, fisher=fisher_information(family))
+    return RegimeInfo(regime, k, a1, a2, g_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +579,14 @@ def _default_s_grid():
 
 
 def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, s_grid=None):
-    """Analytic scaling profile from the regime closed forms."""
+    """Analytic scaling profile of ``closed_form_isg``, under the natural g
+    of kappa (square with ``fisher``)."""
+    k = _check_regime(regime, A1, A2, kappa, fisher)
     s_grid = _default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
-    fn = lambda s: closed_form_isg(regime, A1, A2, kappa, s, fisher=fisher)
+    fn = lambda s: _closed_isg(k, A1, A2, s, fisher)
     vals = np.asarray(fn(s_grid), dtype=float)
     return ScalingProfile(
-        g_tag=_natural_g_tag(regime, kappa), kappa=float(kappa),
+        g_tag=_natural_g_tag(k if fisher is None else math.inf), kappa=k,
         s_grid=s_grid, isg=vals, isg_unc=np.zeros_like(vals), isg_fn=fn,
     )
 

@@ -15,7 +15,7 @@ from .estimators import EstimatorSpec
 from .families import make_family
 from .quadrature import integrate
 from .rates import chernoff_test_rate, lr_rate_identity, mc_tail_rate, order_stat_rates
-from .renyi import (_betafn_vec, _pair_nodes, _renyi_from_nodes, kappa_of_g,
+from .renyi import (_betafn_vec, _pair_nodes, _regime, _renyi_from_nodes, kappa_of_g,
                     profile_from_closed_form, renyi_curve)
 from .special import beta_fn, l8_derivative, solve_t0, t0_residual
 
@@ -192,17 +192,15 @@ def check_ap1():
 
 
 def check_bound_order():
-    """alpha1 >= alpha2 over 200 random regimes and amplitudes."""
+    """alpha1 >= alpha2 over 200 random edge exponents and amplitudes."""
     rng = np.random.default_rng(0)
     worst = -math.inf
     for _ in range(200):
-        regime = ("kappa_one", "kappa_two", "power_mid", "power_low")[rng.integers(4)]
-        kappa = {"kappa_one": 1.0, "kappa_two": 2.0,
-                 "power_mid": float(rng.uniform(1.05, 1.95)),
-                 "power_low": float(rng.uniform(0.15, 0.95))}[regime]
+        i = rng.integers(4)
+        kappa = [1.0, 2.0, float(rng.uniform(1.05, 1.95)), float(rng.uniform(0.15, 0.95))][i]
         A1 = float(rng.uniform(0.2, 3.0))
         A2 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.8 else 0.0
-        bp = bound_pair(profile_from_closed_form(regime, A1, A2, kappa))
+        bp = bound_pair(profile_from_closed_form(_regime(kappa), A1, A2, kappa))
         worst = max(worst, bp.alpha2_bar - bp.alpha1_bar)
     return LemmaCheck("bound_order", worst <= 1e-9, max(worst, 0.0),
                       "200 random configurations")

@@ -13,7 +13,7 @@ from ldshift import bounds, rates
 from ldshift.bounds import (_argmax, _optimize, alpha1_bar, alpha2_bar, bound_pair,
                             closed_form_bounds, coincidence)
 from ldshift.families import make_family
-from ldshift.renyi import (classify_regime, closed_form_isg, profile_from_closed_form,
+from ldshift.renyi import (_regime, classify_regime, closed_form_isg, profile_from_closed_form,
                            profile_from_family)
 from ldshift.special import beta_fn, solve_t0
 
@@ -121,32 +121,64 @@ def test_closed_form_bounds_mid_one_sided():
     assert not bp_hi.boundary1
 
 
+def _random_closed_profile(rng):
+    """(kappa, A1, A2) and the closed-form profile of a random edge exponent
+    (1, 2, or drawn in (1, 2) or (0, 1)) and amplitudes, A2 = 0 one time in
+    five."""
+    i = rng.integers(4)
+    kappa = [1.0, 2.0, float(rng.uniform(1.05, 1.95)), float(rng.uniform(0.15, 0.95))][i]
+    A1 = float(rng.uniform(0.2, 3.0))
+    A2 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.8 else 0.0
+    return (kappa, A1, A2), profile_from_closed_form(_regime(kappa), A1, A2, kappa)
+
+
 def test_bound_order_random():
     rng = np.random.default_rng(100)
-    regimes = ("kappa_one", "kappa_two", "power_mid", "power_low")
     for _ in range(200):
-        regime = regimes[rng.integers(4)]
-        kappa = {"kappa_one": 1.0, "kappa_two": 2.0,
-                 "power_mid": float(rng.uniform(1.05, 1.95)),
-                 "power_low": float(rng.uniform(0.15, 0.95))}[regime]
-        A1 = float(rng.uniform(0.2, 3.0))
-        A2 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.8 else 0.0
-        bp = bound_pair(profile_from_closed_form(regime, A1, A2, kappa))
-        assert bp.alpha1_bar >= bp.alpha2_bar - 1e-9, (regime, kappa, A1, A2)
+        case, prof = _random_closed_profile(rng)
+        bp = bound_pair(prof)
+        assert bp.alpha1_bar >= bp.alpha2_bar - 1e-9, case
 
 
-def test_coincide_iff_symmetric_at_half_low_kappa():
-    # for kappa <= 1 coincidence is equivalent to the symmetric-sup condition
+def test_coincide_iff_symmetric_at_half():
+    # coincidence is equivalent to the symmetric-sup condition at every
+    # kappa in (0, 2): equal, near-equal, one-sided and unequal amplitudes
     rng = np.random.default_rng(200)
-    for _ in range(60):
-        if rng.random() < 0.5:
-            regime, kappa = "kappa_one", 1.0
-        else:
-            regime, kappa = "power_low", float(rng.uniform(0.2, 0.95))
+    kappas = [float(k) for k in rng.uniform(0.2, 1.95, 15)] + np.linspace(0.1, 1.9, 19).tolist()
+    for kappa in kappas:
         A1 = float(rng.uniform(0.2, 3.0))
-        A2 = A1 if rng.random() < 0.4 else float(rng.uniform(0.2, 3.0))
-        bp = bound_pair(profile_from_closed_form(regime, A1, A2, kappa))
-        assert bp.coincide == bp.symmetric_at_half, (regime, kappa, A1, A2)
+        near = A1 * (1.0 + float(rng.uniform(-1e-6, 1e-6)))
+        for A2 in (A1, near, 0.0, float(rng.uniform(0.2, 3.0))):
+            bp = bound_pair(profile_from_closed_form(_regime(kappa), A1, A2, kappa))
+            assert bp.coincide == bp.symmetric_at_half, (kappa, A1, A2)
+
+
+@pytest.mark.parametrize("regime, A1, A2, kappa, fisher", [
+    ("kappa_one", 1.0, 0.5, 1.7, None),    # the label of another kappa
+    ("kappa_one", 1.0, 1.0, 1.5, None),
+    ("kappa_two", 1.0, 1.0, 1.3, None),
+    ("power_mid", 1.0, 1.0, 0.5, None),
+    ("weird", 1.0, 1.0, 1.0, None),
+    ("regular", 0.0, 0.0, 1.0, 1.0),       # a Fisher regime off kappa = 2
+    ("power_low", 1.0, 1.0, 0.0, None),    # kappa outside (0, 2]
+    ("power_mid", 1.0, 1.0, 2.5, None),
+    ("power_low", 1.0, 1.0, math.nan, None),
+    ("power_low", -1.0, -1.0, 0.5, None),  # an amplitude negative or not finite
+    ("power_mid", math.inf, 1.0, 1.5, None),
+    ("kappa_one", 1.0, math.nan, 1.0, None),
+    ("kappa_one", 0.0, 0.0, 1.0, None),    # no edge amplitude > 0
+    ("regular", 0.0, 0.0, 2.0, None),       # fisher missing or <= 0
+    ("semi_regular", 0.0, 0.0, 2.0, None),
+    ("regular", 0.0, 0.0, 2.0, 0.0),
+    ("kappa_two", 1.0, 1.0, 2.0, 1.0),     # fisher in an edge regime
+])
+@pytest.mark.parametrize("closed_form", [
+    closed_form_bounds, lambda *args, fisher: closed_form_isg(*args, 0.5, fisher=fisher)],
+    ids=["bounds", "isg"])
+def test_closed_forms_reject_inconsistent_arguments(closed_form, regime, A1, A2, kappa,
+                                                    fisher):
+    with pytest.raises(ValueError):
+        closed_form(regime, A1, A2, kappa, fisher=fisher)
 
 
 def test_numeric_matches_closed_forms():
@@ -317,17 +349,11 @@ def test_closed_form_refine_matches_golden_oracle(monkeypatch):
     # value is the golden refine's
     seen = _spy_optimize(monkeypatch, bounds)
     rng = np.random.default_rng(300)
-    regimes = ("kappa_one", "kappa_two", "power_mid", "power_low")
     optimized = 0
     for _ in range(100):
-        regime = regimes[rng.integers(4)]
-        kappa = {"kappa_one": 1.0, "kappa_two": 2.0,
-                 "power_mid": float(rng.uniform(1.05, 1.95)),
-                 "power_low": float(rng.uniform(0.15, 0.95))}[regime]
-        A1 = float(rng.uniform(0.2, 3.0))
-        A2 = float(rng.uniform(0.0, 3.0)) if rng.random() < 0.8 else 0.0
-        bound_pair(profile_from_closed_form(regime, A1, A2, kappa))
-        optimized += 1 if regime == "kappa_one" else 2  # kappa = 1: alpha2 is 2 I^(1/2)
+        (kappa, _, _), prof = _random_closed_profile(rng)
+        bound_pair(prof)
+        optimized += 1 if kappa == 1.0 else 2  # kappa = 1: alpha2 is 2 I^(1/2)
     fam = make_family("gamma", (3,))
     hoeffding = _spy_optimize(monkeypatch, rates)
     for r in (0.006, 0.01, 0.02, 0.06):

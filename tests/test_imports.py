@@ -1,8 +1,9 @@
 """Import footprint: `import ldshift`, the `bounds`, `renyi-curve`, `rates`
 and `verify` commands and `cdf` never load scipy, and all of them run where
 scipy cannot be imported (scipy is a test dependency only); no module
-imports a name it never reads, no private helper goes unread, and no module
-starts threads or processes."""
+imports a name it never reads, no private helper goes unread, no module
+starts threads or processes, and regime strings are compared only where
+they are derived from kappa."""
 
 import ast
 import json
@@ -194,3 +195,35 @@ def test_src_starts_no_threads():
     assert found == [], ("src imports threading, concurrent.futures or multiprocessing; "
                          "perfbench's tracer keeps one span stack per process (CHANGES.md "
                          "FOUND on `Tracer`): " + ", ".join(found))
+
+
+# the closed forms are keyed on kappa; a regime string is only its label,
+# made by ``renyi._regime`` and checked by ``renyi._check_regime``
+_REGIME_LABEL_FUNCTIONS = {("renyi.py", "_regime"), ("renyi.py", "_check_regime")}
+
+
+def _is_regime(node):
+    return (isinstance(node, ast.Name) and node.id == "regime"
+            or isinstance(node, ast.Attribute) and node.attr == "regime")
+
+
+def _is_strings(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(_is_strings(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def test_src_compares_regime_strings_only_in_the_labeling():
+    found = []
+    for path in sorted((ROOT / "src" / "ldshift").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if (path.name, getattr(top, "name", None)) in _REGIME_LABEL_FUNCTIONS:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    if any(map(_is_regime, operands)) and any(map(_is_strings, operands)):
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == [], ("regime compared with a string outside renyi._regime and "
+                         "renyi._check_regime (ROADMAP item 10: the closed forms are keyed "
+                         "on kappa, a regime is only its label): " + ", ".join(found))

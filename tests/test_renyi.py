@@ -1,6 +1,8 @@
 """Renyi divergence quadrature, curve properties, scaling exponents,
-ladder limits, and the per-regime closed forms."""
+ladder limits, regime labels, and the closed form in kappa against its
+local integral."""
 
+import functools
 import math
 import warnings
 
@@ -203,15 +205,46 @@ def test_closed_form_isg_examples():
     assert val == pytest.approx(4.0)
 
 
-def test_closed_form_isg_validation():
-    with pytest.raises(ValueError):
-        closed_form_isg("power_mid", 1.0, 1.0, 2.5, 0.5)
-    with pytest.raises(ValueError):
-        closed_form_isg("kappa_one", 1.0, 1.0, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        closed_form_isg("regular", 0.0, 0.0, 2.0, 0.5)  # missing fisher
-    with pytest.raises(ValueError):
-        closed_form_isg("weird", 1.0, 1.0, 1.0, 0.5)
+@functools.lru_cache(maxsize=None)
+def _edge_isg_oracle(kappa, s):
+    """I^s_g of one lower edge of unit amplitude at exponent kappa, at 30
+    digits: s/kappa plus the integral over x > 0 of s (1+x)^a + (1-s) x^a -
+    (1+x)^(sa) x^((1-s)a), a = kappa - 1.  On [0, 1/2] the binomial series
+    of (1+x)^a and (1+x)^(sa) is integrated term by term, which takes the
+    x^a singularity exactly; [1/2, 2] is one quadrature; past X = 2 the
+    integrand is sum_{j >= 2} (s C(a, j) - C(sa, j)) x^(a-j), integrated
+    term by term.  Both series converge like 2^-j."""
+    import mpmath as mp
+    with mp.workdps(30):
+        k, s = mp.mpf(kappa), mp.mpf(s)
+        a, half, X = k - 1, mp.mpf(1) / 2, mp.mpf(2)
+        sa, ra = s * a, (1 - s) * a
+        head = (1 - s) * half ** (a + 1) / (a + 1)
+        tail = mp.mpf(0)
+        ca = csa = mp.mpf(1)  # C(a, j) and C(sa, j)
+        for j in range(130):
+            head += s * ca * half ** (j + 1) / (j + 1) - csa * half ** (ra + j + 1) / (ra + j + 1)
+            if j >= 2:
+                tail += (s * ca - csa) * X ** (a - j + 1) / (j - 1 - a)
+            ca, csa = ca * (a - j) / (j + 1), csa * (sa - j) / (j + 1)
+        mid = mp.quad(lambda x: s * (1 + x) ** a + (1 - s) * x ** a - (1 + x) ** sa * x ** ra,
+                      [half, X])
+        return float(s / k + head + mid + tail)
+
+
+def test_closed_form_isg_matches_local_integral_oracle():
+    # the one expression in kappa against the local integral it rests on
+    # (module docstring): a lower edge at s plus r times an upper edge, the
+    # lower edge's mirror, at 1 - s
+    worst = 0.0
+    for kappa in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.1, 1.3, 1.5, 1.7, 1.9):
+        regime = renyi._regime(kappa)
+        for s in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            for r in (0.0, 0.3, 1.0):
+                want = _edge_isg_oracle(kappa, s) + r * _edge_isg_oracle(kappa, 1.0 - s)
+                got = closed_form_isg(regime, 1.0, r, kappa, s)
+                worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-13
 
 
 def test_betafn_vec_matches_scalar_beta():
@@ -236,18 +269,27 @@ def test_closed_form_isg_nan_s_gives_nan():
 
 
 def test_classify_regimes():
-    assert classify_regime(make_family("uniform")).regime == "kappa_one"
-    assert classify_regime(make_family("beta", (2, 2))).regime == "kappa_two"
-    info = classify_regime(make_family("weibull", (1.5,)))
-    assert info.regime == "power_mid" and info.kappa == 1.5
-    assert classify_regime(make_family("gaussian")).regime == "regular"
-    info = classify_regime(make_family("beta", (4.0, 4.0)))
-    assert info.regime == "semi_regular"
-    assert math.isfinite(info.fisher)
-    # mixed edges: the sharper one dominates
-    info = classify_regime(make_family("beta", (0.5, 1.0)))
-    assert info.regime == "power_low"
-    assert info.kappa == 0.5 and info.A2 == 0.0
+    # kappa snaps to 1 and 2 within 1e-9; past 2 the Fisher limit takes over
+    # at kappa 2 with amplitudes 0; the sharper of two edges dominates
+    cases = [
+        (("uniform", ()), "kappa_one", 1.0, 1.0, "abs"),
+        (("beta", (1 + 1e-10, 3)), "kappa_one", 1.0, 0.0, "abs"),
+        (("beta", (2, 2)), "kappa_two", 2.0, 6.0, "sq_log"),
+        (("beta", (2 + 1e-10, 3)), "kappa_two", 2.0, 0.0, "sq_log"),
+        (("weibull", (1.5,)), "power_mid", 1.5, 0.0, ("power", 1.5)),
+        (("beta", (0.5, 1.0)), "power_low", 0.5, 0.0, ("power", 0.5)),
+        (("beta", (2 + 1e-6, 3)), "semi_regular", 2.0, 0.0, "square"),
+        (("beta", (4.0, 4.0)), "semi_regular", 2.0, 0.0, "square"),
+        (("gaussian", ()), "regular", 2.0, 0.0, "square"),
+    ]
+    for (kind, params), regime, kappa, A2, g_tag in cases:
+        fam = make_family(kind, params)
+        info = classify_regime(fam)
+        assert (info.regime, info.kappa, info.A2, info.g_tag) == (regime, kappa, A2, g_tag), fam
+        fisher = regime in ("regular", "semi_regular")
+        assert info.A1 == (0.0 if fisher else fam.A1), fam
+        assert (info.fisher is not None) == fisher, fam
+        assert info.fisher is None or 0.0 < info.fisher < math.inf, fam
 
 
 def test_regime_agreement():
