@@ -136,15 +136,14 @@ def _build_estimators(cfg, eps0, fam):
 
 
 def _g_tag(cfg, info):
-    """The config's scaling tag, the regime's natural one (``info``) for
-    "auto"; ["power", kappa] becomes ("power", float)."""
+    """The config's scaling tag, an edge exponent > 0 (a JSON number,
+    Infinity allowed), or the family's own one (``info``) for "auto"."""
     tag = cfg.get("g_tag", "auto")
     if tag == "auto":
         return info.g_tag
-    tag = tuple(tag) if isinstance(tag, list) else tag
     with _field("g_tag"):
-        kappa = kappa_of_g(tag)
-    return ("power", kappa) if isinstance(tag, tuple) else tag
+        kappa_of_g(tag)
+    return float(tag)
 
 
 def _profile(cfg, fam, g_tag, min_points):

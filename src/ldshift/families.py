@@ -51,9 +51,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class DensityFamily:
     """Immutable standardized density with location-shift semantics.
 
-    An edge with A = 0 carries no power law; ``regular`` marks a family
-    with no edge that does (gaussian).  ``breakpoints`` lists interior
-    kinks of f (quadrature splits there).
+    An edge with A = 0 carries no power law.  ``breakpoints`` lists
+    interior kinks of f (quadrature splits there).
     """
 
     kind: str
@@ -67,10 +66,6 @@ class DensityFamily:
     breakpoints: tuple = ()
     logpdf_fn: Optional[Callable] = field(default=None, repr=False)
     sampler_fn: Optional[Callable] = field(default=None, repr=False)
-
-    @property
-    def regular(self):
-        return not (self.A1 > 0 or self.A2 > 0)
 
     @property
     def a(self):

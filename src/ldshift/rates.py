@@ -594,8 +594,10 @@ def lr_rate_identity(family, eps, n_grid=None, trials=20_000, seed=0):
 def alpha2_estimate(family, spec, g_tag, eps_ladder=None, n_grid=None,
                     trials=100_000, seed=0):
     """Empirical stand-in for the interval-estimation rate: beta(spec, eps)
-    divided by g(eps) along a shrinking ladder; the reported value and its
-    standard error are the final rung's.
+    divided by g(eps) along a shrinking ladder, g of tag ``g_tag`` (1 -> eps,
+    2 -> -eps^2 log eps, > 2 or inf -> eps^2, else eps^tag; the default
+    ladder is tag 1's); the reported value and its standard error are the
+    final rung's.
 
     The infimum over the eps-window of shift centers collapses for location
     families (the law of T - theta does not depend on theta), so each rung
@@ -603,7 +605,7 @@ def alpha2_estimate(family, spec, g_tag, eps_ladder=None, n_grid=None,
     shift (lr, shifted_min) track the rung eps.  Rung i is seeded by word i of
     ``SeedSequence(seed).generate_state``, whatever the number of words.
     """
-    eps_ladder = _check_rungs(family, default_ladder("abs", family) if eps_ladder is None
+    eps_ladder = _check_rungs(family, default_ladder(1.0, family) if eps_ladder is None
                               else eps_ladder)
     gvals = [g_value(g_tag, eps) for eps in eps_ladder]
     seeds = _child_seeds(seed, len(eps_ladder))

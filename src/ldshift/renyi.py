@@ -1,5 +1,5 @@
 """Renyi divergence I^s(p||q) = -log int p^s q^(1-s) between shifted copies
-of a density, the scaling exponent kappa of a scaling function g, rescaled
+of a density, the scaling functions g and their exponents kappa, rescaled
 small-shift limits I^s_g, and their closed form in the edge exponent kappa.
 
 Conventions: orders s in (0, 1); the centered pair (-eps/2, eps/2) is used
@@ -56,13 +56,17 @@ x = s + kappa t.  At kappa = 2 the integrand falls off like 1/x; under
 g = -eps^2 log eps the limit is (A1 + A2) s t / 2.  Past 2, or with no
 edge, it is J s t / 2 under g = eps^2, J the Fisher information.  A
 regime string only labels kappa (``_regime``).
+
+The scaling tag is one number, the edge exponent (> 0, inf allowed) whose g
+it names: 1 -> eps, 2 -> -eps^2 log eps, > 2 or inf -> eps^2, else eps^tag
+(``g_value``); a family's tag is its snapped kappa (``classify_regime``).
 """
 
 import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,8 +91,6 @@ __all__ = [
     "DEFAULT_LADDER",
     "DEFAULT_LOG_LADDER",
 ]
-
-GTag = Union[str, tuple, Callable]
 
 # default shift ladders (times the support width): plain power scalings
 # converge like powers of eps, removed by iterated extrapolation over a
@@ -115,7 +117,7 @@ class RegimeInfo:
     kappa: float
     A1: float
     A2: float
-    g_tag: GTag
+    g_tag: float
     fisher: Optional[float] = None
 
 
@@ -131,7 +133,7 @@ class ScalingProfile:
     s_grid, one row per rung, in ``rung_renyi`` (None on closed forms).
     """
 
-    g_tag: GTag
+    g_tag: float
     kappa: float
     s_grid: np.ndarray
     isg: np.ndarray
@@ -152,56 +154,26 @@ class ScalingProfile:
 # scaling functions
 
 def g_value(g_tag, eps):
-    """Evaluate the scaling function g at eps > 0; ValueError where g is not
+    """The scaling function g of tag g_tag at eps > 0: 1 -> eps, 2 -> -eps^2
+    log eps, > 2 or inf -> eps^2, else eps^tag.  ValueError where g is not
     positive and finite, as a divergence is divided by it, and on a tag
     ``kappa_of_g`` rejects."""
     eps = np.asarray(eps, dtype=float)
-    if callable(g_tag):
-        out = np.asarray(g_tag(eps), dtype=float)
-    elif g_tag == "square":
-        out = eps ** 2
-    elif g_tag == "abs":
-        out = np.abs(eps)
-    elif g_tag == "sq_log":
-        out = -(eps ** 2) * np.log(eps)
-    else:  # a power tag; kappa_of_g rejects any other
-        out = eps ** kappa_of_g(g_tag)
+    out = -(eps ** 2) * np.log(eps) if g_tag == 2.0 else eps ** kappa_of_g(g_tag)
     if not np.all((out > 0.0) & (out < math.inf)):
         raise ValueError(f"g({eps}) = {out} is not positive and finite")
     return float(out) if out.ndim == 0 else out
 
 
 def kappa_of_g(g_tag):
-    """Exponent kappa with x^kappa = lim g(x eps)/g(eps) as eps -> 0.
-
-    Analytic for the built-in tags, ("power", kappa) with a finite number
-    kappa > 0 (a bool is no kappa) among them; estimated over an eps-ladder
-    for a callable, with a non-convergence error when the ladder disagrees.
-    """
-    if g_tag == "square" or g_tag == "sq_log":
-        return 2.0
-    if g_tag == "abs":
-        return 1.0
-    if isinstance(g_tag, tuple) and len(g_tag) == 2 and g_tag[0] == "power":
-        k = g_tag[1]
-        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not 0 < k < math.inf:
-            raise ValueError(f"power scaling needs a finite kappa > 0, got {k!r}")
-        return float(k)
-    if callable(g_tag):
-        x = 2.0
-        eps = 10.0 ** -np.arange(2.0, 9.0)
-        est = np.array([math.log(g_tag(x * e) / g_tag(e)) / math.log(x)
-                        for e in eps])
-        # logarithmic factors in g leave 1/log(eps) corrections; fit them out
-        u = 1.0 / np.log(eps)
-        X = np.vstack([np.ones_like(u), u, u * u]).T
-        coef, *_ = np.linalg.lstsq(X, est, rcond=None)
-        resid = float(np.max(np.abs(X @ coef - est)))
-        if resid > 1e-3:
-            raise ValueError("scaling exponent of custom g did not converge "
-                             f"(ladder misfit {resid:.2e}, estimates {est})")
-        return float(coef[0])
-    raise ValueError(f"unknown scaling tag {g_tag!r}")
+    """Exponent kappa with x^kappa = lim g(x eps)/g(eps) as eps -> 0:
+    min(g_tag, 2), as g is eps^2 past 2 and -eps^2 log eps at 2 (module
+    docstring).  ValueError unless the tag is a real number > 0, inf
+    allowed; a bool is no tag."""
+    if isinstance(g_tag, bool) or not isinstance(g_tag, numbers.Real) or not g_tag > 0:
+        raise ValueError(f"scaling tag must be an edge exponent > 0 (inf allowed), "
+                         f"got {g_tag!r}")
+    return min(float(g_tag), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +390,9 @@ def _extrapolate(r, eps_ladder, g_tag):
     """eps -> 0 limits of the rung ratios r (rungs along axis 0, orders s
     along axis 1): (value, err) per column.
 
-    ``sq_log`` ladders are fitted in their asymptotic basis (see
-    ``_log_weights``), the others by iterated Aitken.  ``err`` is the larger
-    move of the two refits that drop the first or the last rung.
+    Ladders of tag 2 (g = -eps^2 log eps) are fitted in their asymptotic
+    basis (see ``_log_weights``), the others by iterated Aitken.  ``err`` is
+    the larger move of the two refits that drop the first or the last rung.
     """
     r = np.asarray(r, dtype=float)
     grows = np.all((r[1:] > r[:-1]) & (r[1:] > 1.1 * r[:-1]), axis=0)
@@ -429,7 +401,7 @@ def _extrapolate(r, eps_ladder, g_tag):
             f"scaled divergences grow along the ladder at {np.count_nonzero(grows)} of "
             f"{grows.size} orders; check the scaling function (rung ratios "
             f"{r[:, np.argmax(grows)].tolist()} at the first)")
-    if g_tag == "sq_log":
+    if g_tag == 2.0:
         # elementwise, rung by rung: a matrix product's bits for one order
         # would depend on how many orders are swept with it
         w = _log_weights(eps_ladder)
@@ -441,7 +413,7 @@ def _extrapolate(r, eps_ladder, g_tag):
 
 def default_ladder(g_tag, family):
     """The default shift ladder of g_tag times the family's support width."""
-    base = DEFAULT_LOG_LADDER if g_tag == "sq_log" else DEFAULT_LADDER
+    base = DEFAULT_LOG_LADDER if g_tag == 2.0 else DEFAULT_LADDER
     return tuple(e * fam_mod._scale(family) for e in base)
 
 
@@ -545,14 +517,10 @@ def _closed_isg(k, A1, A2, s, fisher):
     return float(out) if out.ndim == 0 else out
 
 
-def _natural_g_tag(kappa):
-    """The scaling function g of a snapped edge exponent kappa (inf for none)."""
-    return "square" if kappa > 2.0 else {1.0: "abs", 2.0: "sq_log"}.get(kappa, ("power", kappa))
-
-
 def classify_regime(family):
-    """Regime label of a family, its effective (kappa, A1, A2), the natural
-    scaling function and, past kappa = 2, the Fisher information.
+    """Regime label of a family, its effective (kappa, A1, A2), its scaling
+    tag (the snapped edge exponent, inf with no power-law edge) and, past
+    kappa = 2, the Fisher information.
 
     kappa is the smallest exponent over the edges with A > 0, inf with
     none.  The sharper edge dominates the small-shift divergence, and the
@@ -563,10 +531,9 @@ def classify_regime(family):
     k = min((kap for kap, amp in edges if amp > 0), default=math.inf)
     a1, a2 = (amp if amp > 0 and kap <= k + 1e-9 else 0.0 for kap, amp in edges)
     k = _snap(k)
-    regime, g_tag = _regime(k), _natural_g_tag(k)
     if k > 2.0:
-        return RegimeInfo(regime, 2.0, 0.0, 0.0, g_tag, fisher=fisher_information(family))
-    return RegimeInfo(regime, k, a1, a2, g_tag)
+        return RegimeInfo(_regime(k), 2.0, 0.0, 0.0, k, fisher=fisher_information(family))
+    return RegimeInfo(_regime(k), k, a1, a2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -579,20 +546,22 @@ def _default_s_grid():
 
 
 def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, s_grid=None):
-    """Analytic scaling profile of ``closed_form_isg``, under the natural g
-    of kappa (square with ``fisher``)."""
+    """Analytic scaling profile of ``closed_form_isg``, under the g of tag
+    kappa (tag inf, g = eps^2, with ``fisher``)."""
     k = _check_regime(regime, A1, A2, kappa, fisher)
     s_grid = _default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
     fn = lambda s: _closed_isg(k, A1, A2, s, fisher)
     vals = np.asarray(fn(s_grid), dtype=float)
     return ScalingProfile(
-        g_tag=_natural_g_tag(k if fisher is None else math.inf), kappa=k,
+        g_tag=k if fisher is None else math.inf, kappa=k,
         s_grid=s_grid, isg=vals, isg_unc=np.zeros_like(vals), isg_fn=fn,
     )
 
 
 def profile_from_family(family, g_tag=None, s_grid=None, eps_ladder=None):
-    """Scaling profile tabulated from quadrature ladders of the family.
+    """Scaling profile tabulated from quadrature ladders of the family,
+    under the g of ``g_tag`` (1 -> eps, 2 -> -eps^2 log eps, > 2 or inf ->
+    eps^2, else eps^tag), by default the family's ``classify_regime`` tag.
 
     Rung node data is computed once and reused, so the returned ``isg_fn``
     evaluates cheaply at arbitrary s (extrapolating the same ladder).  The
@@ -632,7 +601,7 @@ def profile_from_family(family, g_tag=None, s_grid=None, eps_ladder=None):
         return float(vals[0]) if np.ndim(s) == 0 else vals
 
     return ScalingProfile(
-        g_tag=g_tag, kappa=float(kappa),
+        g_tag=g_tag, kappa=kappa,
         s_grid=s_grid, isg=isg, isg_unc=unc, isg_fn=fn,
         eps_ladder=eps_ladder, rung_renyi=rung_renyi,
     )

@@ -252,7 +252,7 @@ def test_ladder_profiles_match_closed_bounds():
     ("gamma", (3.0,)),
 ])
 def test_kappa_two_and_semi_regular_ladders_match_closed_bounds(kind, params):
-    # the sq_log basis fit and the square-scaled Aitken ladder, each optimized
+    # the log basis fit (tag 2) and the eps^2-scaled Aitken ladder, each optimized
     # on the extrapolated curve over its trusted s
     fam = make_family(kind, params)
     info = classify_regime(fam)
@@ -446,7 +446,7 @@ def test_closed_form_isg_array_equals_float_loop(regime, kappa, fisher, A1, A2):
 
 
 def test_ladder_isg_fn_array_equals_float_loop():
-    # the Aitken ladder and the sq_log basis fit of the kappa = 2 families
+    # the Aitken ladder and the log basis fit (tag 2) of the kappa = 2 families
     s = np.linspace(0.031, 0.969, 11)  # off the default grid: fresh sweeps
     for kind, params in (("uniform", ()), ("gamma", (2.0,)), ("beta", (2.0, 2.0)),
                          ("weibull", (2.0,)), ("beta", (2.0, 3.0))):

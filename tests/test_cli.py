@@ -124,7 +124,7 @@ def test_format_flag_overrides_config(config_format, flag, want, tmp_path, capsy
 
 
 def test_renyi_curve_gamma2_matches_closed_form(tmp_path, capsys):
-    # the sq_log basis fit holds to 5e-3 out to s = 0.999
+    # the log basis fit (tag 2) holds to 5e-3 out to s = 0.999
     s_grid = [0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95,
               0.99, 0.999]
     code, text = _run(["renyi-curve", "--config", _config(tmp_path, "gamma", s_grid=s_grid)],
@@ -154,6 +154,23 @@ def test_renyi_curve_columns_are_the_rung_curves(kind, tmp_path, capsys):
             [float(v / g_value(g_tag, eps)) for v in values]
 
 
+@pytest.mark.parametrize("config", sorted(
+    p.name for p in record_goldens.BENCH_CLI.glob("*.json") if not p.name.startswith("rates-")))
+def test_numeric_g_tag_matches_auto(config, tmp_path, capsys):
+    # the family's own tag written as a JSON number (Infinity for the
+    # gaussian) gives the table of "auto", byte for byte
+    cfg = json.loads((record_goldens.BENCH_CLI / config).read_text())
+    command = "bounds" if config.startswith("bounds-") else "renyi-curve"
+    fam = make_family(cfg["family"]["kind"], tuple(cfg["family"]["params"]))
+    tag = classify_regime(fam).g_tag
+    outputs = []
+    for g_tag in ("auto", tag):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "g_tag": g_tag}))
+        outputs.append(_run([command, "--config", str(path)], capsys))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+
 def test_bounds_config_without_seed(tmp_path, capsys):
     path = tmp_path / "noseed.json"
     path.write_text(json.dumps({"version": 1, "family": {"kind": "uniform"}}))
@@ -178,7 +195,7 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("bounds", {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [2, 3]},
                 "eps_ladder": [0.01, 0.02]}, "eps_ladder"),
     ("bounds", {**UNIFORM_CFG, "eps_ladder": [0.2, "x", 0.05, 0.01]}, "eps_ladder"),
-    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", -1]}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": -1}, "g_tag"),
     ("bounds", {**UNIFORM_CFG, "s_grid": ["a"]}, "s_grid"),
     ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": "x"}, "trials"),
     ("bounds", {**UNIFORM_CFG, "eps_ladder": [5, 4, 3, 2]}, "eps_ladder"),
@@ -218,14 +235,16 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "gamma", "params": [180]}}, "family"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [600, 600]}}, "family"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [1.5, 1.5]},
-                "g_tag": ["power", 3]}, "g_tag"),
+                "g_tag": 3}, "g_tag"),
     ("renyi-curve", {**UNIFORM_CFG, "family": {"kind": "beta", "params": [1.5, 1.5]},
-                     "g_tag": ["power", 3]}, "g_tag"),
-    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", 1000]}, "g_tag"),
-    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", math.inf]}, "g_tag"),
+                     "g_tag": 3}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "family": {"kind": "gamma", "params": [2]}, "g_tag": 2,
+                "eps_ladder": [1, 0.5, 0.25, 0.125]}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": math.nan}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", 1.5]}, "g_tag"),
     ("rates", {**UNIFORM_CFG, "estimators": [{"kind": "min_shift"}], "trials": 100,
-               "g_tag": ["power", 1000]}, "g_tag"),
-    ("bounds", {**UNIFORM_CFG, "g_tag": ["power", True]}, "g_tag"),
+               "g_tag": "abs"}, "g_tag"),
+    ("bounds", {**UNIFORM_CFG, "g_tag": True}, "g_tag"),
     ("bounds", {**UNIFORM_CFG, "family": {"kind": "gaussian"}, "eps_ladder": [40, 10, 5, 2]},
      "eps_ladder"),
 ], ids=["not-an-object", "theta-not-a-number", "theta-zero", "rates-theta-half",
@@ -240,7 +259,7 @@ GRID_17 = [0.05 * i for i in range(1, 18)]
         "triangular-two-params", "gamma-infinite-shape", "gaussian-nan-sigma",
         "params-not-a-list", "param-not-a-number", "gamma-amplitude-underflows",
         "beta-amplitude-overflows", "power-3-ratios-grow", "curve-power-3-ratios-grow",
-        "power-1000-g-underflows", "power-infinite", "rates-power-1000-g-underflows",
+        "log-g-zero-at-rung-1", "tag-nan", "legacy-power-list", "rates-legacy-abs-tag",
         "power-bool", "gaussian-rung-wider-than-window"])
 def test_config_errors_exit_2(command, cfg, field, tmp_path, capsys):
     path = tmp_path / "bad.json"

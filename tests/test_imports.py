@@ -202,9 +202,9 @@ def test_src_starts_no_threads():
 _REGIME_LABEL_FUNCTIONS = {("renyi.py", "_regime"), ("renyi.py", "_check_regime")}
 
 
-def _is_regime(node):
-    return (isinstance(node, ast.Name) and node.id == "regime"
-            or isinstance(node, ast.Attribute) and node.attr == "regime")
+def _is_named(node, *names):
+    return (isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names)
 
 
 def _is_strings(node):
@@ -222,8 +222,29 @@ def test_src_compares_regime_strings_only_in_the_labeling():
             for node in ast.walk(top):
                 if isinstance(node, ast.Compare):
                     operands = [node.left, *node.comparators]
-                    if any(map(_is_regime, operands)) and any(map(_is_strings, operands)):
+                    if (any(_is_named(op, "regime") for op in operands)
+                            and any(map(_is_strings, operands))):
                         found.append(f"{path.name}:{node.lineno}")
     assert found == [], ("regime compared with a string outside renyi._regime and "
                          "renyi._check_regime (ROADMAP item 10: the closed forms are keyed "
                          "on kappa, a regime is only its label): " + ", ".join(found))
+
+
+def test_src_scaling_tags_are_numbers():
+    # a scaling tag is the edge exponent kappa_e, a number: no tag is
+    # compared with a string name or tested for being a callable
+    found = []
+    for path in sorted((ROOT / "src" / "ldshift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                bad = (any(_is_named(op, "g_tag") for op in operands)
+                       and any(map(_is_strings, operands)))
+            else:
+                bad = (isinstance(node, ast.Call) and _is_named(node.func, "callable")
+                       and any(_is_named(arg, "g_tag", "tag") for arg in node.args))
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], ("scaling tag compared with a string or tested with callable() "
+                         "(ROADMAP items 8 and 10: a tag is the edge exponent whose g it "
+                         "names, and the callable and named tags are gone): " + ", ".join(found))

@@ -642,7 +642,7 @@ def test_n_value_rows_ignore_theta():
 def test_empty_ladder_and_bad_grids_raise():
     spec = EstimatorSpec("min_shift")
     with pytest.raises(ValueError, match="eps_ladder"):
-        alpha2_estimate(UNIFORM, spec, "abs", eps_ladder=())
+        alpha2_estimate(UNIFORM, spec, 1.0, eps_ladder=())
     for n_grid in ((), (8, 4), (0, 4)):
         with pytest.raises(ValueError, match="n_grid"):
             mc_tail_rate(UNIFORM, spec, 0.0, 0.1, n_grid=n_grid, trials=100)
@@ -655,14 +655,14 @@ def test_empty_ladder_and_bad_grids_raise():
 
 
 def test_alpha2_estimate_uniform_combo():
-    est = alpha2_estimate(UNIFORM, EstimatorSpec("convex_combo", lam=0.5), "abs",
+    est = alpha2_estimate(UNIFORM, EstimatorSpec("convex_combo", lam=0.5), 1.0,
                           eps_ladder=(0.1, 0.05, 0.025),
                           n_grid=(16, 32, 64, 128, 256), trials=30_000, seed=13)
     assert 1.8 <= est.value <= 2.2          # A1 + A2 = 2
 
 
 def test_alpha2_estimate_shifted_min():
-    est = alpha2_estimate(UNIFORM, EstimatorSpec("shifted_min", eps=0.1), "abs",
+    est = alpha2_estimate(UNIFORM, EstimatorSpec("shifted_min", eps=0.1), 1.0,
                           eps_ladder=(0.1, 0.05, 0.025),
                           n_grid=(16, 32, 64, 128, 256), trials=30_000, seed=14)
     assert 1.8 <= est.value <= 2.2          # 2 A1 = 2
@@ -670,7 +670,7 @@ def test_alpha2_estimate_shifted_min():
 
 def test_alpha2_estimate_gaussian_mle():
     n_grid = (8, 16, 24, 32, 48, 64)
-    est = alpha2_estimate(GAUSS, EstimatorSpec("mle"), "square",
+    est = alpha2_estimate(GAUSS, EstimatorSpec("mle"), math.inf,
                           eps_ladder=(0.5, 0.4, 0.3),
                           n_grid=n_grid, trials=30_000, seed=15)
     assert est.value == pytest.approx(0.5, rel=0.15)
@@ -686,5 +686,5 @@ def test_negative_shifts_raise():
     with pytest.raises(ValueError, match="eps_ladder"):
         mc_tail_rate(beta, EstimatorSpec("min_shift"), 0.0, -0.1, n_grid=(8, 16), trials=200)
     with pytest.raises(ValueError, match="eps_ladder"):
-        alpha2_estimate(UNIFORM, EstimatorSpec("min_shift"), "abs",
+        alpha2_estimate(UNIFORM, EstimatorSpec("min_shift"), 1.0,
                         eps_ladder=[0.1, -0.05], n_grid=(8, 16), trials=200)

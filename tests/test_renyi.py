@@ -134,27 +134,22 @@ def test_theta_immaterial():
 
 
 def test_kappa_of_g():
-    assert kappa_of_g("square") == 2.0
-    assert kappa_of_g("abs") == 1.0
-    assert kappa_of_g("sq_log") == 2.0
-    assert kappa_of_g(("power", 1.3)) == 1.3
-    assert abs(kappa_of_g(lambda e: -e * e * np.log(e)) - 2.0) < 1e-3
-    assert abs(kappa_of_g(lambda e: e ** 0.6) - 0.6) < 1e-6
-
-
-def test_kappa_of_g_nonconvergent():
-    # oscillating exponent has no scaling limit at the ladder's resolution
-    with pytest.raises(ValueError):
-        kappa_of_g(lambda e: e ** (1.0 + 0.5 * math.sin(math.log(e) * 50.0)))
+    # the tag is the edge exponent; past 2 (inf: no power-law edge) g is eps^2
+    for tag, kappa in ((0.6, 0.6), (1.0, 1.0), (1.3, 1.3), (2.0, 2.0), (3, 2.0),
+                       (1000.0, 2.0), (math.inf, 2.0)):
+        assert kappa_of_g(tag) == kappa
 
 
 def test_g_value():
-    assert g_value("square", 0.1) == pytest.approx(0.01)
-    assert g_value("abs", 0.1) == pytest.approx(0.1)
-    assert g_value("sq_log", 0.1) == pytest.approx(-0.01 * math.log(0.1))
-    assert g_value(("power", 0.5), 0.04) == pytest.approx(0.2)
+    eps = np.array([0.3, 0.1, 1e-5, 1e-300])
+    # tags 1 and past 2 give eps and eps^2 bit for bit
+    assert np.array_equal(g_value(1.0, eps), np.abs(eps))
+    for tag in (3.0, math.inf):
+        assert np.array_equal(g_value(tag, eps[:3]), eps[:3] ** 2)
+    assert g_value(2.0, 0.1) == -(0.1 ** 2) * math.log(0.1)
+    assert g_value(0.5, 0.04) == pytest.approx(0.2)
     # a rung divergence is divided by g: g must be positive and finite
-    for tag, eps in ((("power", 1000.0), 0.2), ("sq_log", 1.0), ("abs", [0.1, 0.0])):
+    for tag, eps in ((3.0, 1e-300), (2.0, 1.0), (1.0, [0.1, 0.0]), (1.0, -0.1), (3.0, math.inf)):
         with pytest.raises(ValueError, match="not positive and finite"):
             g_value(tag, eps)
 
@@ -167,31 +162,31 @@ def _limit(family, s, g_tag, eps_ladder=None):
 def test_scaled_limit_uniform():
     u = make_family("uniform")
     for s in (0.2, 0.3, 0.5, 0.8):
-        assert abs(_limit(u, s, "abs").isg[0] - 1.0) < 0.005
+        assert abs(_limit(u, s, 1.0).isg[0] - 1.0) < 0.005
 
 
 def test_scaled_limit_gaussian():
     g = make_family("gaussian")
-    assert abs(_limit(g, 0.5, "square").isg[0] - 0.125) < 1e-9
+    assert abs(_limit(g, 0.5, math.inf).isg[0] - 0.125) < 1e-9
 
 
 def test_scaled_limit_beta22_sqlog():
     b = make_family("beta", (2, 2))
-    assert abs(_limit(b, 0.5, "sq_log").isg[0] - 1.5) < 0.015   # (A1+A2) s(1-s)/2 = 1.5
+    assert abs(_limit(b, 0.5, 2.0).isg[0] - 1.5) < 0.015   # (A1+A2) s(1-s)/2 = 1.5
 
 
 def test_scaled_limit_divergence_error():
     u = make_family("uniform")
     with pytest.raises(DivergenceError):
-        _limit(u, 0.5, "square")  # wrong scaling: ratios grow
+        _limit(u, 0.5, math.inf)  # wrong scaling: ratios grow
 
 
 def test_scaled_limit_ladder_validation():
     u = make_family("uniform")
     with pytest.raises(ValueError):
-        _limit(u, 0.5, "abs", eps_ladder=(0.2, 0.1, 0.05))
+        _limit(u, 0.5, 1.0, eps_ladder=(0.2, 0.1, 0.05))
     with pytest.raises(ValueError):
-        _limit(u, 0.5, "abs", eps_ladder=(0.05, 0.1, 0.2, 0.4))
+        _limit(u, 0.5, 1.0, eps_ladder=(0.05, 0.1, 0.2, 0.4))
 
 
 def test_closed_form_isg_examples():
@@ -270,17 +265,19 @@ def test_closed_form_isg_nan_s_gives_nan():
 
 def test_classify_regimes():
     # kappa snaps to 1 and 2 within 1e-9; past 2 the Fisher limit takes over
-    # at kappa 2 with amplitudes 0; the sharper of two edges dominates
+    # at kappa 2 with amplitudes 0; the sharper of two edges dominates; the
+    # scaling tag is the snapped edge exponent, inf with no power-law edge
     cases = [
-        (("uniform", ()), "kappa_one", 1.0, 1.0, "abs"),
-        (("beta", (1 + 1e-10, 3)), "kappa_one", 1.0, 0.0, "abs"),
-        (("beta", (2, 2)), "kappa_two", 2.0, 6.0, "sq_log"),
-        (("beta", (2 + 1e-10, 3)), "kappa_two", 2.0, 0.0, "sq_log"),
-        (("weibull", (1.5,)), "power_mid", 1.5, 0.0, ("power", 1.5)),
-        (("beta", (0.5, 1.0)), "power_low", 0.5, 0.0, ("power", 0.5)),
-        (("beta", (2 + 1e-6, 3)), "semi_regular", 2.0, 0.0, "square"),
-        (("beta", (4.0, 4.0)), "semi_regular", 2.0, 0.0, "square"),
-        (("gaussian", ()), "regular", 2.0, 0.0, "square"),
+        (("uniform", ()), "kappa_one", 1.0, 1.0, 1.0),
+        (("beta", (1 + 1e-10, 3)), "kappa_one", 1.0, 0.0, 1.0),
+        (("beta", (2, 2)), "kappa_two", 2.0, 6.0, 2.0),
+        (("beta", (2 + 1e-10, 3)), "kappa_two", 2.0, 0.0, 2.0),
+        (("weibull", (1.5,)), "power_mid", 1.5, 0.0, 1.5),
+        (("beta", (0.5, 1.0)), "power_low", 0.5, 0.0, 0.5),
+        (("beta", (2 + 1e-6, 3)), "semi_regular", 2.0, 0.0, 2 + 1e-6),
+        (("beta", (4.0, 4.0)), "semi_regular", 2.0, 0.0, 4.0),
+        (("gamma", (3,)), "semi_regular", 2.0, 0.0, 3.0),
+        (("gaussian", ()), "regular", 2.0, 0.0, math.inf),
     ]
     for (kind, params), regime, kappa, A2, g_tag in cases:
         fam = make_family(kind, params)
@@ -552,9 +549,22 @@ def test_profile_rejects_bad_s_grids(s_grid):
             build()
 
 
-@pytest.mark.parametrize("kappa", [True, False, "2", None, -1.0, 0, math.inf, math.nan])
+@pytest.mark.parametrize("kappa", [
+    True, False, "2", None, -1.0, 0, math.nan, pytest.param("abs", id="abs"),
+    pytest.param(("power", 1.5), id="power-tuple"), pytest.param(lambda e: e, id="callable")])
 def test_power_tag_needs_a_finite_positive_kappa(kappa):
+    # a tag is a real edge exponent > 0, inf allowed, whose kappa_of_g is
+    # finite; the named, tuple and callable tags are gone
     for use in (kappa_of_g, lambda tag: g_value(tag, 0.1)):
-        with pytest.raises(ValueError, match="finite kappa > 0"):
-            use(("power", kappa))
-    assert kappa_of_g(("power", 2)) == 2.0 and g_value(("power", 2), 0.1) == 0.1 ** 2.0
+        with pytest.raises(ValueError, match="edge exponent > 0"):
+            use(kappa)
+    assert kappa_of_g(2) == 2.0 and g_value(3, 0.1) == 0.1 ** 2.0
+
+
+def test_infinite_tag_means_no_power_law_edge():
+    # inf is a legal tag: no power-law edge, so kappa is 2 and g is eps^2,
+    # the tag a smooth family like the gaussian is classified with
+    eps = np.array([0.3, 0.1, 1e-5])
+    assert kappa_of_g(math.inf) == 2.0
+    assert np.array_equal(g_value(math.inf, eps), eps ** 2)
+    assert classify_regime(make_family("gaussian")).g_tag == math.inf
