@@ -8,18 +8,21 @@ kappa: both C/2 at kappa = 2 (C = A1 + A2, or the Fisher information),
 One scan-interpolate-confirm optimizer, ``_optimize``, serves both bounds
 here and the testing exponents in ``rates``; a minimum is found by negating
 the objective.  Objectives map a float s to a float and an array of s to an
-array.  The scan is one call on the whole scan array.  The refine then
-interpolates: the polynomial through the (at most five) scan values around
-the best point costs no evaluation, and its optimum is located by the
-golden-section ``_argmax`` in the bracket of the best point's neighbours.
-One float call of the objective confirms it: the value is accepted when it
-matches the polynomial's prediction to the objective's own relative
-precision (the median extrapolation error of a ladder profile, 1e-12
-otherwise).  Else the refine falls back to golden section on the objective
-over the same bracket, one float call a step.  Either way the scan point
-wins if it is better, so every reported value is an evaluation of the
-objective, and on a ladder profile each float call costs one sweep of every
-rung.
+array.  The bounds read their scan values from the profile's own table of
+I^s_g (``_isg_at``): a closed form evaluates it once, at build, on its grid
+and the scan orders, and a ladder profile's is isg on its grid.  Other
+objectives are scanned in one call on the whole scan array.  The refine
+then interpolates: the polynomial through the (at most five) scan values
+around the best point costs no evaluation, and its optimum is located by
+the golden-section ``_argmax`` in the bracket of the best point's
+neighbours.  One float call of the objective confirms it: the value is
+accepted when it matches the polynomial's prediction to the objective's
+own relative precision (the median extrapolation error of a ladder
+profile, 1e-12 otherwise).  Else the refine falls back to golden section on
+the objective over the same bracket, one float call a step.  Either way the
+scan point wins if it is better, so every reported value is an evaluation
+of the objective.  The refine is where the bounds call ``isg_fn``, and on a
+ladder profile each float call costs one sweep of every rung.
 """
 
 import math
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .renyi import ScalingProfile, _check_regime, profile_from_closed_form
+from .renyi import (ScalingProfile, _check_regime, _elementwise, _scan_points,
+                    profile_from_closed_form)
 from .special import beta_fn, solve_t0
 
 __all__ = [
@@ -40,9 +44,9 @@ __all__ = [
 ]
 
 # suprema over the open interval are taken on [DELTA, 1-DELTA] plus probes
-# nearer the edges, since several regimes attain the bound at the boundary
+# nearer the edges (``renyi._scan_points``), since several regimes attain
+# the bound at the boundary
 DELTA = 1e-4
-_EDGE_PROBES = (1e-7, 1e-5, 1.0 - 1e-5, 1.0 - 1e-7)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,11 +75,6 @@ class BoundPair:
     @property
     def boundary2(self):
         return self.s_star2 <= DELTA or self.s_star2 >= 1.0 - DELTA
-
-
-def _scan_points(s_grid, include_probes):
-    pts = np.concatenate([s_grid, _EDGE_PROBES]) if include_probes else s_grid
-    return np.unique(np.clip(pts, 1e-9, 1.0 - 1e-9))
 
 
 def _argmax(fn, lo, hi):
@@ -126,10 +125,11 @@ def _interpolant(xs, ys):
     return poly
 
 
-def _optimize(fn, scan, maximize, rel_tol=1e-12):
+def _optimize(fn, scan, maximize, rel_tol=1e-12, scan_vals=None):
     """Optimize fn over [scan[0], scan[-1]]: (value, s) with s unclamped.
 
-    Scan fn over the sorted points ``scan`` in one call on the array, then
+    Scan fn over the sorted points ``scan``, whose values are ``scan_vals``
+    when the caller has them and else one call of fn on the array, then
     refine in the bracket of the best point's neighbours: locate the
     optimum of the polynomial through the scan values at most two points
     either side, and evaluate fn once there.  That value stands when it
@@ -138,7 +138,7 @@ def _optimize(fn, scan, maximize, rel_tol=1e-12):
     the refined point.  The scan point is kept if it is still better.
     """
     sign = 1.0 if maximize else -1.0
-    vals = sign * np.asarray(fn(scan), dtype=float)
+    vals = sign * np.asarray(fn(scan) if scan_vals is None else scan_vals, dtype=float)
     if np.ptp(vals) <= 1e-12 * np.max(np.abs(vals)):
         # constant objective: deterministic tie rule
         return float(sign * vals[len(vals) // 2]), 0.5
@@ -172,24 +172,44 @@ def _trusted(profile):
     return rel <= 10.0 * np.median(rel)
 
 
+def _isg_at(profile, s):
+    """I^s_g at the sorted orders s, read from the profile's table (a
+    closed form's ``table``, a ladder's s_grid and isg); ``isg_fn``
+    evaluates the orders it lacks, such as a ladder order the scan's clip
+    moved, in one call."""
+    orders, vals = profile.table or (profile.s_grid, profile.isg)
+    i = np.minimum(np.searchsorted(orders, s), orders.size - 1)
+    out = vals[i]
+    miss = orders[i] != s
+    if miss.any():
+        out[miss] = profile.isg_fn(s[miss])
+    return out
+
+
 def _optimize_profile(profile, transform, maximize):
     """Optimize transform(I^s_g, s) over s on the (extrapolated) limit curve.
 
-    Closed forms are scanned on their grid plus probes nearer the edges.
-    Ladder profiles are scanned on the trusted part of their grid only
+    Closed forms are scanned on their grid plus probes nearer the edges,
+    the orders of their table.  Ladder profiles are scanned on the trusted part of their grid only
     (``_trusted``): quadrature noise ~1e-15 absolute is amplified by
     1/(s(1-s)), and the extrapolation error grows near s in {0, 1}.  Their
     refine is confirmed to the median relative error over those points:
-    the ladder knows its objective no better.
+    the ladder knows its objective no better.  The scan values are read
+    from the profile's table (``_isg_at``); only the refine calls isg_fn.
     """
     objective = lambda s: transform(profile.isg_fn(s), s)
     if profile.source == "ladder":
         ok = _trusted(profile)
         scan = _scan_points(profile.s_grid[ok], include_probes=False)
-        return _optimize(objective, scan, maximize,
-                         rel_tol=float(np.median(_rel_err(profile)[ok])))
-    scan = _scan_points(profile.s_grid, include_probes=True)
-    return _optimize(objective, scan, maximize)
+        rel_tol = float(np.median(_rel_err(profile)[ok]))
+    else:
+        scan, rel_tol = profile.table[0], 1e-12
+    return _optimize(objective, scan, maximize, rel_tol, transform(_isg_at(profile, scan), scan))
+
+
+def _half(profile):
+    """I^(1/2)_g, read from the profile's table like a scan."""
+    return float(_isg_at(profile, np.array([0.5]))[0])
 
 
 def alpha1_bar(profile: ScalingProfile):
@@ -201,16 +221,19 @@ def alpha1_bar(profile: ScalingProfile):
     return v, min(max(s, DELTA), 1.0 - DELTA)
 
 
-def _power_mean_factor(s, kappa):
-    # (s^(1/(k-1)) + (1-s)^(1/(k-1)))^(k-1), stable for all kappa != 1;
-    # elementwise on an array, through the same math body
-    if isinstance(s, np.ndarray):
-        return np.array([_power_mean_factor(float(x), kappa) for x in s])
-    e = 1.0 / (kappa - 1.0)
-    ls, l1s = math.log(s), math.log1p(-s)
-    m = max(e * ls, e * l1s)
-    return math.exp((kappa - 1.0) * (m + math.log(
-        math.exp(e * ls - m) + math.exp(e * l1s - m))))
+def _power_mean_factor(kappa):
+    """s -> (s^(1/(k-1)) + (1-s)^(1/(k-1)))^(k-1), stable for all kappa != 1,
+    on a float s or elementwise on an array (``_elementwise``), with k - 1
+    and 1/(k - 1) computed once."""
+    km1 = kappa - 1.0
+    e = 1.0 / km1
+
+    def one(s):
+        ls, l1s = math.log(s), math.log1p(-s)
+        m = max(e * ls, e * l1s)
+        return math.exp(km1 * (m + math.log(math.exp(e * ls - m) + math.exp(e * l1s - m))))
+
+    return _elementwise(one)
 
 
 def alpha2_bar(profile: ScalingProfile):
@@ -221,10 +244,12 @@ def alpha2_bar(profile: ScalingProfile):
         raise ValueError("profile grid too coarse (need >= 17 points)")
     k = profile.kappa
     if abs(k - 1.0) < 1e-9:
-        return 2.0 * float(profile.isg_fn(0.5)), 0.5
+        return 2.0 * _half(profile), 0.5
+
+    factor = _power_mean_factor(k)
 
     def transform(r, s):
-        return r / (s * (1.0 - s)) * _power_mean_factor(s, k)
+        return r / (s * (1.0 - s)) * factor(s)
 
     v, s = _optimize_profile(profile, transform, maximize=(k < 1.0))
     return v, min(max(s, DELTA), 1.0 - DELTA)
@@ -240,7 +265,7 @@ def coincidence(profile: ScalingProfile):
 
 def _flags(profile, a1, a2):
     """The coincidence flags of ``coincidence`` for bounds already computed."""
-    half = 2.0 ** profile.kappa * float(profile.isg_fn(0.5))
+    half = 2.0 ** profile.kappa * _half(profile)
     if profile.source == "ladder":
         # the largest relative extrapolation error over the trusted s,
         # with a floor for the quadrature/optimization noise

@@ -49,10 +49,12 @@ expression in kappa, with t = 1 - s,
     I^s_g = (A1 s (1 - s(kappa-1)) B(s + kappa t, 2 - kappa)
              + A2 t (1 - t(kappa-1)) B(t + kappa s, 2 - kappa)) / kappa,
 
-which is A1 s + A2 t at kappa = 1, bit for bit (s + t rounds to 1 and
-B(1, 1) = 1), and on (0, 1) the paper's form in B(x, 1 - kappa), as
-B(x, 2 - kappa) (1 + s(1 - kappa)) = (1 - kappa) B(x, 1 - kappa) at
-x = s + kappa t.  At kappa = 2 the integrand falls off like 1/x; under
+and on (0, 1) the paper's form in B(x, 1 - kappa), as B(x, 2 - kappa)
+(1 + s(1 - kappa)) = (1 - kappa) B(x, 1 - kappa) at x = s + kappa t.  At
+kappa = 1 it is A1 s + A2 t bit for bit (s + t rounds to 1 and B(1, 1) =
+1), and the code evaluates that form there, with no beta function.
+Elsewhere Gamma(2 - kappa) is computed once per closed form
+(``_beta_at``).  At kappa = 2 the integrand falls off like 1/x; under
 g = -eps^2 log eps the limit is (A1 + A2) s t / 2.  Past 2, or with no
 edge, it is J s t / 2 under g = eps^2, J the Fisher information.  A
 regime string only labels kappa (``_regime``).
@@ -73,7 +75,7 @@ import numpy as np
 from . import families as fam_mod
 from .families import fisher_information
 from .quadrature import panel_nodes
-from .special import _beta
+from .special import _GAMMA_MAX, _GAMMA_MIN, _beta
 
 __all__ = [
     "DivergenceError",
@@ -131,6 +133,9 @@ class ScalingProfile:
     the first or the last rung is dropped from the fit.  An extrapolated
     profile holds its ``eps_ladder`` and its rung divergences I^s(eps_i) on
     s_grid, one row per rung, in ``rung_renyi`` (None on closed forms).
+    ``table`` is the (orders, I^s_g) the bound optimizers read their scan
+    from: on closed forms the scan orders themselves; None on extrapolated
+    profiles, whose table is s_grid and isg.
     """
 
     g_tag: float
@@ -143,6 +148,7 @@ class ScalingProfile:
     # never set; read by ``_wrap_profile`` in perfbench/tracing.py (both go with ROADMAP item 7)
     rung_fn: Callable = None
     rung_renyi: np.ndarray = None
+    table: tuple = None
 
     @property
     def source(self):
@@ -447,9 +453,41 @@ _beta_ufunc = np.frompyfunc(_beta, 2, 1)
 
 
 def _betafn_vec(x, y):
-    if isinstance(x, float) and isinstance(y, float):
-        return _beta(x, y)
+    """B(x, y), a float at floats, else elementwise: through ``_beta_at`` at
+    a float y, through ``special._beta`` per element otherwise."""
+    if isinstance(y, float):
+        return _beta_at(y)(x)
     return np.asarray(_beta_ufunc(x, y), dtype=float)
+
+
+def _beta_at(y):
+    """x -> B(x, y) at a float y, on a float x or elementwise on an array:
+    ``special._beta``'s Gamma ratio in its operand order, with Gamma(y)
+    computed once, and ``_beta`` itself where that ratio is not its branch
+    (nan, x + y >= 171, an argument <= 1e-300, an overflow)."""
+    gy = math.gamma(y) if _GAMMA_MIN < y < _GAMMA_MAX else math.nan
+
+    def one(x):
+        if x > _GAMMA_MIN and x + y < _GAMMA_MAX:
+            b = math.gamma(x) * gy / math.gamma(x + y)
+            if math.isfinite(b):
+                return b
+        return _beta(x, y)
+
+    return _elementwise(one)
+
+
+def _elementwise(one):
+    """A function of a float that maps an array elementwise too, in one
+    loop of Python floats, so an array's values are the floats' bit for
+    bit."""
+    def at(x):
+        if isinstance(x, float):
+            return one(x)
+        x = np.asarray(x, dtype=float)
+        return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+    return at
 
 
 def _snap(kappa):
@@ -487,16 +525,33 @@ def _check_regime(regime, A1, A2, kappa, fisher):
 def closed_form_isg(regime, A1, A2, kappa, s, fisher=None):
     """Closed-form I^s_g at the edge exponent kappa, ``regime`` its label;
     vectorized over s.  The module docstring's expression below kappa = 2,
-    C s (1 - s) / 2 at 2, with C = A1 + A2, or ``fisher`` in the regular and
-    semi_regular regimes.  Values extend continuously to s in {0, 1}.  A
-    float s gives a float, computed in Python floats with ``special._beta``;
-    an array gives an array of the same values.
+    A1 s + A2 (1 - s) at 1, C s (1 - s) / 2 at 2, with C = A1 + A2, or
+    ``fisher`` in the regular and semi_regular regimes.  Values extend
+    continuously to s in {0, 1}.  A float s gives a float, computed in
+    Python floats with ``special._beta``'s Gamma ratio; an array gives an
+    array of the same values.
     """
-    return _closed_isg(_check_regime(regime, A1, A2, kappa, fisher), A1, A2, s, fisher)
+    k = _check_regime(regime, A1, A2, kappa, fisher)
+    return _closed_isg(_closed_form(k, A1, A2, fisher), s)
 
 
-def _closed_isg(k, A1, A2, s, fisher):
-    """``closed_form_isg`` at a kappa k that ``_check_regime`` passed."""
+def _closed_form(k, A1, A2, fisher):
+    """The closed form at a kappa k that ``_check_regime`` passed, as a
+    function of s and t = 1 - s (floats, or arrays elementwise), with k - 1
+    and Gamma(2 - k) computed once."""
+    if k == 2.0:
+        c = A1 + A2 if fisher is None else fisher
+        return lambda s, t: c * s * t / 2.0
+    if k == 1.0:
+        return lambda s, t: A1 * s + A2 * t
+    km1, beta = k - 1.0, _beta_at(2.0 - k)
+    return lambda s, t: (A1 * s * (1.0 - s * km1) * beta(s + k * t)
+                         + A2 * t * (1.0 - t * km1) * beta(t + k * s)) / k
+
+
+def _closed_isg(form, s):
+    """A ``_closed_form`` at s in [0, 1]: a float at a float s, else an
+    array (a float at a 0-d one)."""
     if isinstance(s, float):
         s = float(s)
         outside = s < 0 or s > 1  # nan passes, and comes out as nan
@@ -505,12 +560,7 @@ def _closed_isg(k, A1, A2, s, fisher):
         outside = (s < 0).any() or (s > 1).any()
     if outside:
         raise ValueError("s must lie in [0, 1]")
-    t = 1.0 - s
-    if k == 2.0:
-        out = (A1 + A2 if fisher is None else fisher) * s * t / 2.0
-    else:
-        out = (A1 * s * (1.0 - s * (k - 1.0)) * _betafn_vec(s + k * t, 2.0 - k)
-               + A2 * t * (1.0 - t * (k - 1.0)) * _betafn_vec(t + k * s, 2.0 - k)) / k
+    out = form(s, 1.0 - s)
     if isinstance(s, float):
         return float(out)
     out = np.asarray(out, dtype=float)
@@ -539,22 +589,48 @@ def classify_regime(family):
 # ---------------------------------------------------------------------------
 # scaling profiles
 
+@functools.lru_cache(maxsize=None)
 def _default_s_grid():
+    """The default orders: 39 evenly spaced on [0.025, 0.975] and four
+    nearer each edge; built on first use, and read-only."""
     body = np.linspace(0.025, 0.975, 39)
     edges = np.array([1e-4, 1e-3, 5e-3, 0.01, 0.99, 0.995, 0.999, 0.9999])
-    return np.unique(np.concatenate([body, edges]))
+    grid = np.unique(np.concatenate([body, edges]))
+    grid.flags.writeable = False
+    return grid
+
+
+# the bound optimizers' suprema over the open interval take these probes
+# nearer the edges than any default order, since several regimes attain
+# the bound at the boundary
+_EDGE_PROBES = (1e-7, 1e-5, 1.0 - 1e-5, 1.0 - 1e-7)
+
+
+def _scan_points(s_grid, include_probes):
+    """The orders a bound optimizer scans: s_grid, with the edge probes if
+    asked, clipped to [1e-9, 1 - 1e-9], sorted and unique."""
+    pts = np.concatenate([s_grid, _EDGE_PROBES]) if include_probes else s_grid
+    return np.unique(np.clip(pts, 1e-9, 1.0 - 1e-9))
 
 
 def profile_from_closed_form(regime, A1, A2, kappa, fisher=None, s_grid=None):
     """Analytic scaling profile of ``closed_form_isg``, under the g of tag
-    kappa (tag inf, g = eps^2, with ``fisher``)."""
+    kappa (tag inf, g = eps^2, with ``fisher``).  The closed form is
+    evaluated in one array call on s_grid and the bound optimizers' scan
+    orders (``_scan_points`` with the edge probes); the scan orders and
+    their values make its ``table``."""
     k = _check_regime(regime, A1, A2, kappa, fisher)
-    s_grid = _default_s_grid() if s_grid is None else np.asarray(s_grid, dtype=float)
-    fn = lambda s: _closed_isg(k, A1, A2, s, fisher)
-    vals = np.asarray(fn(s_grid), dtype=float)
+    s_grid = _default_s_grid() if s_grid is None else _check_s_grid(s_grid)
+    form = _closed_form(k, A1, A2, fisher)
+    fn = lambda s: _closed_isg(form, s)
+    scan = _scan_points(s_grid, include_probes=True)
+    orders = np.union1d(s_grid, scan)  # the scan, unless the clip moved a grid order
+    vals = fn(orders)
+    isg = vals[np.searchsorted(orders, s_grid)]
     return ScalingProfile(
         g_tag=k if fisher is None else math.inf, kappa=k,
-        s_grid=s_grid, isg=vals, isg_unc=np.zeros_like(vals), isg_fn=fn,
+        s_grid=s_grid, isg=isg, isg_unc=np.zeros_like(isg), isg_fn=fn,
+        table=(scan, vals[np.searchsorted(orders, scan)]),
     )
 
 

@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ldshift import bounds, rates
+from ldshift import bounds, rates, renyi
 from ldshift.bounds import (_argmax, _optimize, alpha1_bar, alpha2_bar, bound_pair,
                             closed_form_bounds, coincidence)
 from ldshift.families import make_family
 from ldshift.renyi import (_regime, classify_regime, closed_form_isg, profile_from_closed_form,
                            profile_from_family)
-from ldshift.special import beta_fn, solve_t0
+from ldshift.special import _beta, beta_fn, solve_t0
 
 EQ_385_K15 = 2.47209956973516     # symmetric mid-regime value at kappa=1.5, A=1 (mpmath)
 EQ_3821_K05 = 3.38885233917592    # symmetric low-regime value at kappa=0.5, A=1 (mpmath)
@@ -325,17 +325,20 @@ def _golden_oracle(fn, scan, maximize):
 
 def _spy_optimize(monkeypatch, module):
     """Record (objective, scan, maximize, rel_tol, result, float calls) of
-    every ``_optimize`` call made through ``module``."""
+    every ``_optimize`` call made through ``module``; scan values handed in
+    must be the objective's own on the scan, bit for bit."""
     seen = []
 
-    def spy(fn, scan, maximize, rel_tol=1e-12):
+    def spy(fn, scan, maximize, rel_tol=1e-12, scan_vals=None):
         calls = [0]
 
         def counted(s):
             calls[0] += not isinstance(s, np.ndarray)
             return fn(s)
 
-        got = _optimize(counted, scan, maximize, rel_tol)
+        if scan_vals is not None:
+            assert np.asarray(scan_vals).tolist() == np.asarray(fn(scan)).tolist()
+        got = _optimize(counted, scan, maximize, rel_tol, scan_vals)
         seen.append((fn, scan, maximize, rel_tol, got, calls[0]))
         return got
 
@@ -443,6 +446,10 @@ def test_closed_form_isg_array_equals_float_loop(regime, kappa, fisher, A1, A2):
     loop = [closed_form_isg(regime, A1, A2, kappa, float(s), fisher=fisher) for s in S_ARRAY]
     assert all(type(v) is float for v in loop)
     assert got.dtype == float and got.tolist() == loop
+    # a closed profile's isg_fn, its constants computed once, gives the same
+    fn = profile_from_closed_form(regime, A1, A2, kappa, fisher=fisher).isg_fn
+    assert fn(S_ARRAY).tolist() == loop
+    assert [fn(float(s)) for s in S_ARRAY] == loop
 
 
 def test_ladder_isg_fn_array_equals_float_loop():
@@ -472,3 +479,103 @@ def test_hoeffding_objective_array_equals_float_loop(monkeypatch):
     loop = [fn(float(s)) for s in scan]
     assert all(type(v) is float for v in loop)
     assert fn(scan).tolist() == loop
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5, 2.0])
+def test_closed_bound_pair_evaluates_each_scan_order_once(kappa, monkeypatch):
+    # the profile evaluates its grid and the scan orders in one array call
+    # at build; both optimizers read that table, so every float call of the
+    # closed form is one of a refine's
+    arrays, floats = [], [0]
+    closed_isg = renyi._closed_isg
+
+    def spy(form, s):
+        if isinstance(s, float):
+            floats[0] += 1
+        else:
+            arrays.append(np.array(s, dtype=float))
+        return closed_isg(form, s)
+
+    refine = [0]
+
+    def optimize(fn, scan, maximize, rel_tol=1e-12, scan_vals=None):
+        def counted(s):
+            refine[0] += 1
+            return fn(s)
+
+        return _optimize(counted, scan, maximize, rel_tol, scan_vals)
+
+    monkeypatch.setattr(renyi, "_closed_isg", spy)
+    monkeypatch.setattr(bounds, "_optimize", optimize)
+    bound_pair(profile_from_closed_form(_regime(kappa), 1.3, 0.6, kappa))
+    grid = renyi._default_s_grid()
+    scanned, = arrays
+    assert scanned.size == grid.size + 4
+    assert np.array_equal(scanned, renyi._scan_points(grid, include_probes=True))
+    assert 0 < floats[0] == refine[0]
+
+
+def _scan_by_function(profile, transform, maximize):
+    """``_optimize_profile`` on a closed form with every scan value from one
+    call of isg_fn on the scan array, none from the profile's table."""
+    objective = lambda s: transform(profile.isg_fn(s), s)
+    return _optimize(objective, renyi._scan_points(profile.s_grid, include_probes=True),
+                     maximize)
+
+
+def _beta_expression(k, A1, A2, s):
+    """The module docstring's closed form below kappa = 2 at a float s,
+    with one ``special._beta`` per term: kappa = 1 included."""
+    t = 1.0 - s
+    return (A1 * s * (1.0 - s * (k - 1.0)) * _beta(s + k * t, 2.0 - k)
+            + A2 * t * (1.0 - t * (k - 1.0)) * _beta(t + k * s, 2.0 - k)) / k
+
+
+def test_table_read_bounds_equal_scan_by_function_bit_for_bit(monkeypatch):
+    # 600 random closed profiles at kappa 1, 2, in (1, 2) and in (0, 1), one-
+    # and two-sided, on the default grid and on random grids, some with
+    # orders below 1e-9 and above 1 - 1e-9 that the scan clips
+    rng = np.random.default_rng(34)
+    cases = []
+    for n in range(600):
+        kappa = [1.0, 2.0, float(rng.uniform(1.02, 1.98)), float(rng.uniform(0.05, 0.98))][n % 4]
+        A1 = float(rng.uniform(0.1, 3.0))
+        A2 = float(rng.uniform(0.1, 3.0)) if rng.random() < 0.7 else 0.0
+        if rng.random() < 0.5:
+            A1, A2 = A2, A1
+        grid = None
+        if n % 3 == 1:
+            grid = np.unique(rng.uniform(0.0, 1.0, int(rng.integers(17, 60))))
+        elif n % 3 == 2:
+            grid = np.unique(np.concatenate([[1e-13, 4e-10], rng.uniform(0.0, 1.0, 30),
+                                             [1.0 - 1e-12]]))
+        cases.append((kappa, A1, A2, grid))
+
+    def results():
+        out = []
+        for kappa, A1, A2, grid in cases:
+            regime = _regime(kappa)
+            prof = profile_from_closed_form(regime, A1, A2, kappa, s_grid=grid)
+            out.append((alpha1_bar(prof), alpha2_bar(prof), bound_pair(prof),
+                        closed_form_bounds(regime, A1, A2, kappa), prof.isg.tolist()))
+        return out
+
+    table_read = results()
+    monkeypatch.setattr(bounds, "_optimize_profile", _scan_by_function)
+    monkeypatch.setattr(bounds, "_half", lambda prof: float(prof.isg_fn(0.5)))
+    by_function = results()
+    for case, got, want in zip(cases, table_read, by_function):
+        assert repr(got) == repr(want), case
+
+    # the closed form itself, hoisted constants and the kappa = 1 form
+    # included, is the docstring's expression in special._beta bit for bit
+    for kappa, A1, A2, grid in cases[::7]:
+        if kappa == 2.0:
+            continue
+        prof = profile_from_closed_form(_regime(kappa), A1, A2, kappa, s_grid=grid)
+        orders = prof.table[0]
+        want = [_beta_expression(kappa, A1, A2, s) for s in orders.tolist()]
+        assert prof.table[1].tolist() == want, (kappa, A1, A2)
+        assert [prof.isg_fn(s) for s in orders.tolist()] == want, (kappa, A1, A2)
+        assert prof.isg.tolist() == [_beta_expression(kappa, A1, A2, s)
+                                     for s in prof.s_grid.tolist()]

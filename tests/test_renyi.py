@@ -17,7 +17,7 @@ from ldshift.rates import chernoff_test_rate, hoeffding_rate
 from ldshift.renyi import (DivergenceError, classify_regime, closed_form_isg,
                            g_value, kappa_of_g, profile_from_closed_form,
                            profile_from_family, renyi_curve, renyi_divergence)
-from ldshift.special import beta_fn
+from ldshift.special import _beta, beta_fn
 
 S_GRID = np.linspace(0.05, 0.95, 19)
 
@@ -249,6 +249,15 @@ def test_betafn_vec_matches_scalar_beta():
     assert got.dtype == float and got.shape == x.shape
     assert np.array_equal(got, [[beta_fn(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(x, y)])
     assert renyi._betafn_vec(np.float64(1.25), 0.5) == beta_fn(1.25, 0.5)
+    # a float y: Gamma(y) computed once, and special._beta itself where its
+    # Gamma ratio does not hold (x + y >= 171, nan, an argument <= 1e-300)
+    x = np.array([[1e-300, 2e-300, 0.3, 1.0], [2.5, 169.5, 170.9, 300.0]])
+    for y in (0.5, 1.7, 1.0, 1e-300, 1e-299, 0.7, 170.5, 171.0, math.nan):
+        got = renyi._betafn_vec(x, y)
+        want = [[_beta(a, y) for a in row] for row in x.tolist()]
+        assert got.shape == x.shape and np.array_equal(got, want, equal_nan=True), y
+    got = renyi._betafn_vec(np.array([0.4, math.nan, 1.3]), 0.6)
+    assert np.array_equal(got, [_beta(0.4, 0.6), math.nan, _beta(1.3, 0.6)], equal_nan=True)
 
 
 def test_closed_form_isg_nan_s_gives_nan():
@@ -538,13 +547,17 @@ def test_edge_depths_match_full_depth(kind, params, monkeypatch):
         assert np.all(np.abs(got - want) <= 1e-14 + 1e-12 * want)
 
 
-@pytest.mark.parametrize("s_grid", [[0.5, 0.2], [0.0, 0.5], [0.2, 0.5, 1.5], []],
-                         ids=["falling", "at-zero", "above-one", "empty"])
+@pytest.mark.parametrize("s_grid", [
+    [0.5, 0.2], [0.0, 0.5], [0.2, 0.5, 1.5], [],
+    [0.0, 1.0] + [0.5] * 15, [0.2, 0.5, 0.5], [[0.2, 0.4], [0.6, 0.8]], [0.2, math.nan]],
+    ids=["falling", "at-zero", "above-one", "empty", "ends-and-repeats", "repeated", "two-d",
+         "nan"])
 def test_profile_rejects_bad_s_grids(s_grid):
-    # the orders renyi_curve rejects, profile_from_family rejects too
+    # the orders renyi_curve rejects, both profile builders reject too
     uniform = make_family("uniform")
     for build in (lambda: renyi_curve(uniform, 0.1, s_grid),
-                  lambda: profile_from_family(uniform, s_grid=s_grid)):
+                  lambda: profile_from_family(uniform, s_grid=s_grid),
+                  lambda: profile_from_closed_form("kappa_one", 1.0, 1.0, 1.0, s_grid=s_grid)):
         with pytest.raises(ValueError, match="s grid"):
             build()
 
