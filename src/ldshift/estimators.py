@@ -130,11 +130,18 @@ def tail_events(spec, family, X, up, dn):
     bands of the full solve (1e-9 n for S, 1e-12 n for k).  A threshold
     outside the bracket of admissible shifts, and an LR row in the narrow
     case, need no evaluation, so the estimating function is evaluated only
-    on the rows the threshold leaves undecided, gathered in slices of
-    _SLICE_VALUES values.  The row extremes are taken once per call.  Rows
-    inside the band, or within rounding of a finite bracket end, get the
-    full solve, so every indicator is that of the full estimate.  Other
-    kinds compare the full estimate.
+    on the rows the threshold leaves undecided, in slices of _SLICE_VALUES
+    values, each read as a view of X where its rows are consecutive and
+    gathered otherwise.  Rows inside the band, or within a slack of a
+    finite bracket end, get the full solve, so every indicator is that of
+    the full estimate.  Other kinds compare the full estimate.
+
+    A row's extremes fix its bracket ends at a finite edge only, so only
+    those are taken, once per call: none on the gaussian, whose ends are
+    infinite, the minima alone where only the lower edge is finite (gamma,
+    weibull).  The slack grows with the row's spread; with one open side it
+    takes the block's spread instead, no smaller, which only leaves more
+    rows to the full solve.
     """
     X = _matrix(X)
     if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
@@ -143,15 +150,20 @@ def tail_events(spec, family, X, up, dn):
     fn, inset, band = _root_fn(spec, family)
     m, n = X.shape
     a, b = family.support
-    x_min, x_max = _row_extremes(X)
-    lo, hi = x_max - b + inset, x_min - a - inset     # infinite on an open side
+    finite_a, finite_b = math.isfinite(a), math.isfinite(b)
+    x_min = _row_reduce(np.minimum, X) if finite_a else X.min() if finite_b else 0.0
+    x_max = _row_reduce(np.maximum, X) if finite_b else X.max() if finite_a else 0.0
+    # infinite on an open side
+    lo, hi = (np.broadcast_to(end, m) for end in (x_max - b + inset, x_min - a - inset))
     # the full solve moves a bracket end inward by at most 1e-12 of the
     # bracket (MLE) or 1e-13 of its larger end (LR): thresholds that close
     # to a finite end are left to it, with room for the other end to lie
     # up to 2^10 sample spreads away when it is grown from the sample
     ends = np.where(np.isfinite(lo), np.abs(lo), 0.0) + np.where(np.isfinite(hi), np.abs(hi), 0.0)
     slack = 1e-9 * (1.0 + ends + x_max - x_min)
-    if spec.kind == "lr":
+    # the narrow case needs two finite edges
+    narrow_rows = spec.kind == "lr" and finite_a and finite_b
+    if narrow_rows:
         narrow, t_narrow = _lr_narrow(family, x_min, x_max, spec.eps)
     sides, rest = [], np.zeros(m, dtype=bool)
     for thr in (up, dn):
@@ -161,7 +173,7 @@ def tail_events(spec, family, X, up, dn):
         thr = float(thr)
         right, left = thr < lo, thr > hi
         sign = ~(right | left) & (np.minimum(thr - lo, hi - thr) > slack)
-        if spec.kind == "lr":
+        if narrow_rows:
             sign &= ~narrow
             right[narrow] = t_narrow[narrow] > thr
             left[narrow] = t_narrow[narrow] < thr
@@ -170,6 +182,8 @@ def tail_events(spec, family, X, up, dn):
         rows, step = np.flatnonzero(sign), max(1, _SLICE_VALUES // n)
         for i in range(0, rows.size, step):
             r = rows[i:i + step]
+            if r[-1] - r[0] == r.size - 1:
+                r = slice(r[0], r[-1] + 1)
             v = fn(X[r], thr)
             right[r] = v < -band * n
             left[r] = v > band * n
@@ -209,20 +223,32 @@ def extreme_events(spec, family, f_min, s_max, c_up, c_dn):
     The min kinds compare f_min with the mass below a + c (a + eps + c for
     shifted_min), max_shift compares s_max with the mass above b + c: F is
     nondecreasing, so these are the events themselves.  The convex
-    combination T = lam (min - a) + (1 - lam) (max - b) exceeds c_up only
-    where min - a > c_up / lam and falls below c_dn only where
-    max - b < c_dn / (1 - lam); other rows are decided with no work.  The
-    remaining rows bracket min and max between points of the family's mass
-    table, and only rows whose bracket of T straddles a threshold get the
-    exact quantiles.
+    combination T = lam dl - (1 - lam) dr, dl = min - a and dr = b - max,
+    exceeds c_up exactly where dr < (lam dl - c_up) / (1 - lam), that is
+    where s_max < G_up(f_min), the mass above b - (lam dl - c_up) / (1 - lam)
+    at the dl whose mass below a + dl is f_min; it falls below c_dn exactly
+    where f_min < G_dn(s_max), the mass below a + (c_dn + (1 - lam) dr) / lam.
+    Both boundaries are nondecreasing.  Each is evaluated once per call at
+    the points of the family's mass table, where the mass is exact, and
+    bounded on _BINS uniform bins of its argument; a row compares its mass
+    with its bin's bounds, and only a row between them (or in a bin past
+    the table's last mass) takes one exact quantile, dl or dr, and one mass.
     """
     return _extreme_rule(spec, family, c_up, c_dn)(f_min, s_max)
 
 
+# uniform mass bins on which the convex combination's boundaries are
+# bounded, and their relative widening: far above the rounding of a table
+# mass and of the quantile solve
+_BINS = 4096
+_BIN_ROOM = 1e-8
+
+
 def _extreme_rule(spec, family, c_up, c_dn):
     """``extreme_events`` at fixed thresholds, as a function of
-    (f_min, s_max): the family check and the threshold masses are taken
-    once, however many blocks of rows it then decides."""
+    (f_min, s_max): the family check, the threshold masses and the convex
+    combination's bin bounds are taken once per call, however many blocks
+    of rows it then decides."""
     check_family(spec, family)
     a, b = family.support
     kind = spec.kind
@@ -236,30 +262,61 @@ def _extreme_rule(spec, family, c_up, c_dn):
         m_up, m_dn = below_mass(a_eff + c_up), below_mass(a_eff + c_dn)
         return lambda f_min, s_max: (f_min > m_up, f_min < m_dn)
     lam = spec.lam
-    m_up, m_dn = below_mass(a + c_up / lam), above_mass(b + c_dn / (1.0 - lam))
+    # the boundaries as functions of the distance dl (dr) from the edge
+    g_up = lambda dl: _near_mass(family, (lam * dl - c_up) / (1.0 - lam), upper=True)
+    g_dn = lambda dr: _near_mass(family, (c_dn + (1.0 - lam) * dr) / lam, upper=False)
+    up = _below_boundary(family, g_up, upper=False)
+    dn = _below_boundary(family, g_dn, upper=True)
+    return lambda f_min, s_max: (up(f_min, s_max), dn(s_max, f_min))
 
-    def decide(f_min, s_max):
-        above = f_min > m_up
-        below = s_max > m_dn
-        rows = np.flatnonzero(above | below)
-        cand_up, cand_dn = above[rows], below[rows]
-        # the distances min - a and b - max, bracketed
-        dl_lo, dl_hi = fam_mod._bracket(family, f_min[rows])
-        dr_lo, dr_hi = fam_mod._bracket(family, s_max[rows], upper=True)
-        t_lo = lam * dl_lo - (1.0 - lam) * dr_hi
-        t_hi = lam * dl_hi - (1.0 - lam) * dr_lo
-        exact = ((cand_up & (t_lo <= c_up) & (t_hi > c_up))
-                 | (cand_dn & (t_lo < c_dn) & (t_hi >= c_dn)))
-        if exact.any():
-            r = rows[exact]
-            t_lo[exact] = t_hi[exact] = (
-                lam * fam_mod._quantile(family, f_min[r])[1]
-                - (1.0 - lam) * fam_mod._quantile(family, s_max[r], upper=True)[2])
-        above[rows] = cand_up & (t_lo > c_up)
-        below[rows] = cand_dn & (t_hi < c_dn)
-        return above, below
 
-    return decide
+def _below_boundary(family, g, upper):
+    """The rule q < G(p) per row, G(p) = g(d), d the distance from the lower
+    (upper) end whose mass is p, g nondecreasing.  On the bin
+    [j, j + 1) / _BINS of p, G lies between its values at the mass table's
+    points at or below j / _BINS and at or above (j + 1) / _BINS: their
+    masses are exact, and the quantile solve keeps d between them.  Below
+    the lower bound (widened by _BIN_ROOM) a row holds, at or above the
+    upper one it does not; the rows between, and those of a bin with no
+    table point above it, solve d and compare with g(d)."""
+    tab = fam_mod._mass_table(family, upper)
+    edges = np.arange(_BINS + 1) / _BINS
+    i_lo = np.searchsorted(tab.mass, edges[:-1], side="right") - 1
+    i_hi = np.searchsorted(tab.mass, edges[1:])
+    covered = i_hi < tab.mass.size
+    # g at the table points some bin reads: a few hundred, as the table's
+    # points crowd into the first and last bins' mass near a power edge
+    at_table = np.zeros(tab.t.size)
+    read = np.unique(np.concatenate([i_lo, i_hi[covered]]))
+    at_table[read] = g(tab.t[read])
+    # one more bin for p = 1, decided exactly like those past the table
+    lo = np.append(np.where(covered, at_table[i_lo] * (1.0 - _BIN_ROOM), 0.0), 0.0)
+    hi = np.append(np.where(covered, at_table[np.minimum(i_hi, tab.mass.size - 1)]
+                            * (1.0 + _BIN_ROOM), math.inf), math.inf)
+    end = 2 if upper else 1
+
+    def rule(p, q):
+        j = (p * _BINS).astype(np.intp)
+        out = q < lo[j]
+        rows = np.flatnonzero(~out & (q < hi[j]))
+        if rows.size:
+            out[rows] = q[rows] < g(fam_mod._quantile(family, p[rows], upper)[end])
+        return out
+
+    return rule
+
+
+def _near_mass(family, t, upper):
+    """Mass of f within distances t of its lower (upper) edge, both edges
+    finite, read from the nearer end as ``families.cdf`` does: past half
+    the mass it is 1 minus the mass within the rest of the support of the
+    other edge, which keeps it exact to ulps."""
+    mass = fam_mod._mass_within(family, t, upper)
+    far = mass > 0.5
+    if far.any():
+        a, b = family.support
+        mass[far] = 1.0 - fam_mod._mass_within(family, (b - a) - t[far], not upper)
+    return mass
 
 
 def _need_finite(edge, kind, side):
@@ -268,12 +325,17 @@ def _need_finite(edge, kind, side):
 
 
 def _row_extremes(X):
-    """(min, max) of each row of a matrix, by ``reduceat`` on the flat rows:
-    the same values as X.min(axis=1) and X.max(axis=1), each pair of them
-    at about the cost of one of those on rows of 48 values or fewer."""
+    """(min, max) of each row of a matrix (``_row_reduce``)."""
+    return _row_reduce(np.minimum, X), _row_reduce(np.maximum, X)
+
+
+def _row_reduce(ufunc, X):
+    """``ufunc`` (np.minimum or np.maximum) over each row of a matrix, by
+    ``reduceat`` on the flat rows: the same values as X.min(axis=1) or
+    X.max(axis=1), at about half their cost on rows of 48 values or
+    fewer."""
     m, n = X.shape
-    flat, starts = X.ravel(), np.arange(0, m * n, n)
-    return np.minimum.reduceat(flat, starts), np.maximum.reduceat(flat, starts)
+    return ufunc.reduceat(X.ravel(), np.arange(0, m * n, n))
 
 
 def _root_fn(spec, family):

@@ -437,13 +437,19 @@ def _log_ratio(fam, u, dl, dr, shift):
     shifted pair: dl is the lower point u's distance to the lower edge, dr
     the upper point's to the upper edge, the other two are the sums
     dl + shift and dr + shift, so exact distances stay exact.  The kind's
-    closed form (``_Kind``); for a custom family ``_logpdf3`` at the upper
-    point minus at the lower.  Read only where dl, dr > 0; evaluated with
+    closed form (``_Kind``); for a custom family the difference of its two
+    passes (``_custom_passes``).  Read only where dl, dr > 0; evaluated with
     floating-point warnings off, so points elsewhere may be passed along."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if fam.kind == "custom":
-            return _logpdf3(fam, u + shift, dl + shift, dr) - _logpdf3(fam, u, dl, dr + shift)
+            return np.subtract(*_custom_passes(fam, u, dl, dr, shift))
         return _KINDS[fam.kind].log_ratio(*fam.params, u, dl, dr, shift)
+
+
+def _custom_passes(fam, u, dl, dr, shift):
+    """(log f(u + shift), log f(u)) of a custom family in the window frame
+    of ``_log_ratio``, one ``_logpdf3`` pass each."""
+    return _logpdf3(fam, u + shift, dl + shift, dr), _logpdf3(fam, u, dl, dr + shift)
 
 
 def _custom_inside(fam, u, dl, dr, fill, body, edge_law):
@@ -616,11 +622,6 @@ def _mass_table(fam, upper):
     return _MassTable(t=t, mass=mass, kappa=kappa, amp=amp, inner=t_nodes.shape[1] + 1)
 
 
-def _bracket_index(tab, p):
-    """Index i per mass p with tab.mass[i - 1] < p <= tab.mass[i]."""
-    return np.clip(np.searchsorted(tab.mass, p), 1, tab.t.size - 1)
-
-
 def _mass_within(fam, t, upper=False):
     """Mass of f within distance t of the lower (upper) end of its trimmed
     support, elementwise: 0 for t <= 0, the whole mass beyond the other end.
@@ -665,15 +666,6 @@ def _strip_mass(fam, lo_w, hi_w):
     return m
 
 
-def _bracket(fam, p, upper=False):
-    """Distances (t0, t1) from the lower (upper) end of the trimmed support
-    between which the mass below (above) reaches p: consecutive points of the
-    family's mass table."""
-    tab = _mass_table(fam, upper)
-    i = _bracket_index(tab, p)
-    return tab.t[i - 1], tab.t[i]
-
-
 _NEWTON_STEPS = 8
 
 
@@ -681,7 +673,8 @@ def _solve_from_end(fam, q, upper):
     """Distances from the lower (upper) end of the trimmed support at which
     the mass counted from that end is q."""
     tab = _mass_table(fam, upper)
-    i = _bracket_index(tab, q)
+    # tab.mass[i - 1] < q <= tab.mass[i]
+    i = np.clip(np.searchsorted(tab.mass, q), 1, tab.t.size - 1)
     t0, t1, m0, m1 = tab.t[i - 1], tab.t[i], tab.mass[i - 1], tab.mass[i]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = t0 + (t1 - t0) * np.nan_to_num(np.clip((q - m0) / (m1 - m0), 0.0, 1.0))

@@ -11,11 +11,15 @@ only through its extremes, so each of their rows draws two uniforms
 joint law in probability space (David & Nagaraja, *Order Statistics*,
 2003): the mass above the maximum is S_max = 1 - U1^(1/n), and given it the
 mass below the minimum is F_min = (1 - S_max)(1 - U2^(1/(n-1))), or
-1 - S_max when n = 1; ``extreme_events`` decides their tail events.  The
-gaussian MLE is the row mean, so each of its rows draws one standard
-normal Z and takes the mean exactly from its law, sigma Z / sqrt(n) about
-0.  The other estimators draw all n values of a row from the family and
-take their tail events {T > eps} and {T < -eps} from ``tail_events``,
+1 - S_max when n = 1; ``extreme_events`` decides their tail events.  A
+min or max kind compares one mass with the threshold's; the convex
+combination compares one mass with a boundary in the other, bounded once
+per call on uniform bins from the family's mass table, and only a row
+between its bin's bounds solves one exact quantile.  The gaussian MLE is
+the row mean, so each of its rows draws one standard normal Z and takes
+the mean exactly from its law, sigma Z / sqrt(n) about 0.  The other
+estimators draw all n values of a row from the family and take their
+tail events {T > eps} and {T < -eps} from ``tail_events``,
 which for the MLE and LR estimators reads the side from the sign of the
 monotone estimating function at the threshold and solves in full only the
 rows inside its zero band or at a bracket end, so the counts are those of

@@ -243,22 +243,33 @@ def _pair_nodes(family, tp, tq):
     ``delta`` keeps one value per node: the window kernel
     ``families._log_ratio`` at the nodes' own ``dl``, ``dr`` and the
     coordinate u of the density shifted higher, negated where that is p;
-    only q is evaluated, p w = q w e^delta.  A node with |delta| < 1e-3 is
-    summed once into the moments M_k = sum q w delta^k, k = 0 ... 4, and its
-    weights in ``qw`` and ``pw`` are set to 0; where such nodes are the
-    majority, the swept nodes are gathered instead.  ``lin`` = sum q w
-    expm1(delta) over the swept nodes; where delta > 709, q is below e^-709
-    p, so p - q rounds to p.  m_p and m_q come from ``_edge_strips``.
+    only q is evaluated, p w = q w e^delta (a custom family's q is one of
+    the kernel's two passes of its ``logpdf_fn``).  A node with
+    |delta| < 1e-3 is summed once into the moments M_k = sum q w delta^k,
+    k = 0 ... 4, and its weights in ``qw`` and ``pw`` are set to 0; where
+    such nodes are the majority, the swept nodes are gathered instead.
+    ``lin`` = sum q w expm1(delta) over the swept nodes; where delta > 709,
+    q is below e^-709 p, so p - q rounds to p.  m_p and m_q come from
+    ``_edge_strips``.
     """
     nodes = _overlap_nodes(family, tp, tq)
     if nodes is None:
         return None
     dl = fam_mod._edge_dist(nodes.dl, 0.0, family.a)
     dr = fam_mod._edge_dist(nodes.dr, 0.0, family.b)
-    delta = fam_mod._log_ratio(family, nodes.x - max(tp, tq), dl, dr, abs(tq - tp))
+    u, shift = nodes.x - max(tp, tq), abs(tq - tp)
+    if family.kind == "custom":
+        # the kernel's two passes: at u + shift the density shifted lower,
+        # at u the one shifted higher, so one of them is q
+        at_lower, at_higher = fam_mod._custom_passes(family, u, dl, dr, shift)
+        with np.errstate(invalid="ignore"):
+            delta = at_lower - at_higher
+        lq = at_higher if tq > tp else at_lower
+    else:
+        delta = fam_mod._log_ratio(family, u, dl, dr, shift)
+        lq = fam_mod._logpdf3(family, *fam_mod._at_nodes(family, tq, nodes))
     if tq < tp:
         np.negative(delta, out=delta)
-    lq = fam_mod._logpdf3(family, *fam_mod._at_nodes(family, tq, nodes))
     a = np.abs(delta)
     amax = float(a.max())
     pw = np.exp(lq + delta)   # q w e^delta would overflow beyond delta = 709

@@ -1,7 +1,7 @@
 """Record the golden files in tests/data that four tests compare against:
 
-- ``mc_counts.json``: Monte Carlo tail counts of the MLE and LR estimators
-  (``test_mc_counts_are_pinned``)
+- ``mc_counts.json``: Monte Carlo tail counts of the MLE, LR and
+  order-statistic estimators (``test_mc_counts_are_pinned``)
 - ``rates_beta_1.5_1.5.csv``: a small ``ldshift rates`` table
   (``test_rates_golden``)
 - ``verify_quick.txt``: the ``ldshift verify --level quick`` report
@@ -41,6 +41,21 @@ MC_CASES = [
     ("lr-beta-2-2", ["beta", [2, 2]], {"kind": "lr", "eps": 0.1}, 0.1, [8, 16, 32], 2000, 43),
     ("mle-gamma-3", ["gamma", [3]], {"kind": "mle"}, 0.5, [4, 8, 16], 2000, 44),
     ("mle-beta-1.5-1.5", ["beta", [1.5, 1.5]], {"kind": "mle"}, 0.1, [8, 16, 32], 4000, 45),
+    # the order statistics decide their rows from the extremes' masses: the
+    # convex combination on the benchmark's grid, and at lambda 0.3 on a
+    # U-shaped beta and an asymmetric triangular density
+    ("convex-combo-0.5-beta-1.5-1.5", ["beta", [1.5, 1.5]], {"kind": "convex_combo", "lam": 0.5},
+     0.1, [8, 16, 32, 64], 40000, 46),
+    ("convex-combo-0.3-beta-0.3-0.3", ["beta", [0.3, 0.3]], {"kind": "convex_combo", "lam": 0.3},
+     0.02, [2, 4, 8, 16], 20000, 47),
+    ("convex-combo-0.3-triangular-0.3", ["triangular", [0.3]],
+     {"kind": "convex_combo", "lam": 0.3}, 0.03, [2, 4, 8, 16], 20000, 48),
+    ("min-shift-beta-2-3", ["beta", [2, 3]], {"kind": "min_shift"}, 0.1, [8, 16, 32, 64],
+     4000, 49),
+    ("max-shift-beta-2-3", ["beta", [2, 3]], {"kind": "max_shift"}, 0.1, [8, 16, 32, 64],
+     4000, 50),
+    ("shifted-min-beta-2-3", ["beta", [2, 3]], {"kind": "shifted_min", "eps": 0.05}, 0.05,
+     [8, 16, 32, 64], 4000, 51),
 ]
 
 # beta(1.5, 1.5) draws strip-free samples per side at the larger rung

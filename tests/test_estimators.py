@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy import stats
 
+from ldshift import estimators
+from ldshift import families as fam_mod
 from ldshift.estimators import (EstimatorSpec, _row_extremes, estimate, estimate_many,
                                 extreme_events, tail_events)
 from ldshift.families import log_density, make_family, sample
@@ -285,6 +288,136 @@ def test_extreme_events_match_full_estimator(spec):
         above, below = extreme_events(spec, fam, f_min, s_max, eps, -eps)
         assert np.array_equal(above, t > eps), eps
         assert np.array_equal(below, t < -eps), eps
+
+
+def test_tail_events_read_extremes_at_finite_edges_only(monkeypatch):
+    # a gaussian row's bracket ends are infinite: no row extreme is taken;
+    # a gamma row's lower end is its minimum, and the maxima are not taken,
+    # nor the minima of gamma(3) mirrored onto (-inf, 0)
+    mirrored = make_family("custom", logpdf=lambda u: 2.0 * np.log(-u) + u - math.log(2.0),
+                           support=(-math.inf, 0.0), edge=(math.inf, 0.0, 3.0, 0.5),
+                           log_concave=True, sampler=lambda rng, n: -rng.gamma(3.0, size=n))
+    reduced = []
+    row_reduce = estimators._row_reduce
+    monkeypatch.setattr(estimators, "_row_reduce",
+                        lambda ufunc, X: reduced.append(ufunc.__name__) or row_reduce(ufunc, X))
+    for fam, specs, want in (
+            (make_family("gaussian"), [EstimatorSpec("lr", eps=0.5)], []),
+            (make_family("gamma", (3,)), [EstimatorSpec("lr", eps=0.6), EstimatorSpec("mle")],
+             ["minimum"]),
+            (mirrored, [EstimatorSpec("lr", eps=0.6), EstimatorSpec("mle")], ["maximum"])):
+        X = sample(fam, 0.0, 2000 * 8, seed=9).values.reshape(2000, 8)
+        for spec in specs:
+            reduced.clear()
+            above, below = tail_events(spec, fam, X, 0.5, -0.5)
+            assert reduced == want, (fam.kind, spec.kind)
+            t = estimate_many(spec, fam, X)
+            assert np.array_equal(above, t > 0.5) and np.array_equal(below, t < -0.5)
+
+
+@pytest.mark.parametrize("spec", [EstimatorSpec("mle"), EstimatorSpec("lr", eps=0.6)],
+                         ids=["mle", "lr"])
+def test_tail_events_at_an_end_in_a_wide_block(spec):
+    # a gamma row's threshold within 1e-10 of its bracket end min x - a -
+    # inset, in a block whose spread (a value at 1000) is far above the
+    # row's: the slack takes the block's spread, and the row's indicator is
+    # that of its full estimate
+    fam = make_family("gamma", (3,))
+    X = np.array([[1.0, 1.5, 2.0, 2.5], [1.0, 2.0, 3.0, 1000.0], [2.0, 2.2, 2.4, 2.6]])
+    t = estimate_many(spec, fam, X)
+    end = X[0].min() - (spec.eps or 0.0)
+    for thr in (end - 5e-11, end - 1e-12, end + 5e-11):
+        above, below = tail_events(spec, fam, X, thr, thr)
+        assert np.array_equal(above, t > thr), thr
+        assert np.array_equal(below, t < thr), thr
+
+
+# the convex combination's oracle: families on (0, 1) with scipy's law of
+# each
+COMBO_LAWS = [
+    (make_family("beta", (1.5, 1.5)), stats.beta(1.5, 1.5)),
+    (make_family("beta", (0.3, 0.3)), stats.beta(0.3, 0.3)),
+    (make_family("beta", (0.5, 3)), stats.beta(0.5, 3)),
+    (make_family("triangular", (0.3,)), stats.triang(0.3)),
+    (make_family("uniform"), stats.uniform()),
+]
+COMBO_IDS = ["beta-1.5-1.5", "beta-0.3-0.3", "beta-0.5-3", "triangular-0.3", "uniform"]
+
+
+@pytest.mark.parametrize("fam, law", COMBO_LAWS[:3], ids=COMBO_IDS[:3])
+def test_boundary_masses_hold_past_half_the_support(fam, law):
+    # a boundary mass read from the far end loses the distance to a
+    # singular far edge to rounding (1.1e-8 relative on beta(0.3, 0.3) at
+    # 1e-14 from it, above the bins' widening); read from the nearer end
+    # it keeps ulps
+    t = np.concatenate([np.linspace(0.5, 1.0, 2001)[1:-1], 1.0 - np.logspace(-14, -2, 50)])
+    for upper, want in ((False, law.cdf(t)), (True, law.sf(1.0 - t))):
+        got = estimators._near_mass(fam, t, upper)
+        assert np.all(np.abs(got / want - 1.0) <= 1e-14), upper
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("fam, law", COMBO_LAWS[1:], ids=COMBO_IDS[1:])
+def test_convex_events_match_full_estimator(fam, law, lam):
+    # sampled rows, the masses beyond their extremes from scipy's law
+    spec = EstimatorSpec("convex_combo", lam=lam)
+    events = 0
+    for n in (1, 2, 4, 16):
+        X = sample(fam, 0.0, 4000 * n, seed=n).values.reshape(4000, n)
+        t = estimate_many(spec, fam, X)
+        f_min, s_max = law.cdf(X.min(axis=1)), law.sf(X.max(axis=1))
+        for eps in (0.02, 0.1):
+            above, below = extreme_events(spec, fam, f_min, s_max, eps, -eps)
+            assert np.array_equal(above, t > eps), (n, eps)
+            assert np.array_equal(below, t < -eps), (n, eps)
+            events += np.count_nonzero(above) + np.count_nonzero(below)
+    assert events > 0
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("fam, law", COMBO_LAWS, ids=COMBO_IDS)
+def test_convex_events_on_placed_rows(fam, law, lam, monkeypatch):
+    # rows placed where the boundary bins and the mass tables end: masses on
+    # bin edges j / K, at 0, at and beyond a table's last mass, and within
+    # 1e-12 of the boundaries G_up, G_dn themselves (from scipy's quantiles);
+    # each against the estimate of a two-value sample with those extremes
+    spec, eps, K = EstimatorSpec("convex_combo", lam=lam), 0.05, estimators._BINS
+    g_up = lambda f: law.sf(1.0 - (lam * law.ppf(f) - eps) / (1.0 - lam))
+    g_dn = lambda s: law.cdf((-eps + (1.0 - lam) * (1.0 - law.isf(s))) / lam)
+    edges = np.arange(0, K + 1, 61) / K
+    ends = [fam_mod._mass_table(fam, upper).mass[-1] for upper in (False, True)]
+    beyond = [np.nextafter(e, 2.0) for e in ends]
+    near = [1.0 - 1e-12, 1.0 + 1e-12]
+    f = [edges, [0.0, ends[0], beyond[0], 1.0]]
+    s = [edges, [0.0, ends[1], beyond[1], 1.0]]
+    f_grid, s_grid = (np.concatenate(v) for v in (f, s))
+    rows = [(x, y) for x in f_grid for y in s_grid]
+    grid_rows = len(rows)
+    rows += [(x, g * r) for x, g in zip(edges, g_up(edges)) if 0.0 < g < 1.0 for r in near]
+    rows += [(g * r, y) for y, g in zip(edges, g_dn(edges)) if 0.0 < g < 1.0 for r in near]
+    # where G leaves 0: the lowest dl, dr that can cross a threshold
+    rows += [(law.cdf(eps / lam) * r, 0.0) for r in near]
+    rows += [(0.0, law.sf(1.0 - eps / (1.0 - lam)) * r) for r in near]
+    f_min, s_max = np.array(rows).T
+    placed = np.arange(len(rows)) >= grid_rows
+    X = np.column_stack([law.ppf(f_min), law.isf(s_max)])
+    t = estimate_many(spec, fam, X)
+    # a sample has its minimum below its maximum; a row whose estimate lies
+    # within rounding of a threshold has no side
+    keep = ((f_min + s_max <= 1.0) & (X[:, 0] <= X[:, 1])
+            & (np.abs(t - eps) > 1e-14) & (np.abs(t + eps) > 1e-14))
+    f_min, s_max, t, placed = f_min[keep], s_max[keep], t[keep], placed[keep]
+    solved = []
+    quantile = fam_mod._quantile
+    monkeypatch.setattr(fam_mod, "_quantile",
+                        lambda family, p, *args, **kw: solved.append(np.size(p))
+                        or quantile(family, p, *args, **kw))
+    above, below = extreme_events(spec, fam, f_min, s_max, eps, -eps)
+    assert np.array_equal(above, t > eps)
+    assert np.array_equal(below, t < -eps)
+    # the rows next to G straddle their bins and take the exact quantile
+    assert np.count_nonzero(placed) >= 20
+    assert sum(solved) >= np.count_nonzero(placed)
 
 
 def test_empty_batch():

@@ -287,9 +287,10 @@ MC_COUNTS = json.loads((record_goldens.DATA / "mc_counts.json").read_text())
 
 @pytest.mark.parametrize("case", MC_COUNTS, ids=[c["id"] for c in MC_COUNTS])
 def test_mc_counts_are_pinned(case):
-    # tail counts of the MLE and LR streams, recorded by the call made here
-    # (record_goldens.mc_counts): a change to the estimating functions or the
-    # sign test that moves one row's side shows here
+    # tail counts of the MLE, LR and order-statistic streams, recorded by the
+    # call made here (record_goldens.mc_counts): a change to the estimating
+    # functions, the sign test or the extremes' rule that moves one row's
+    # side shows here
     assert record_goldens.mc_counts(case) == (case["p_plus"], case["p_minus"])
 
 

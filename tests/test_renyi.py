@@ -525,6 +525,25 @@ def test_pair_node_counts(kind, params, nodes):
     assert pair.delta.size == nodes
 
 
+@pytest.mark.parametrize("tp, tq", [(-0.025, 0.025), (0.025, -0.025)])
+def test_custom_pair_reads_logpdf_twice(tp, tq):
+    # q is one of the window kernel's two passes of logpdf_fn, not a third
+    sizes = []
+
+    def logpdf(u):
+        sizes.append(np.size(u))
+        return np.log(6.0 * u * (1.0 - u))
+
+    fam = make_family("custom", logpdf=logpdf, support=(0.0, 1.0), edge=(2.0, 6.0, 2.0, 6.0),
+                      log_concave=True)
+    renyi._pair_nodes(fam, tp, tq)      # builds the mass tables its strips read
+    sizes.clear()
+    pair = renyi._pair_nodes(fam, tp, tq)
+    # a pass reads every node; a strip mass, one Gauss rule
+    assert sizes.count(pair.delta.size) == 2
+    assert all(size == pair.delta.size or size < 100 for size in sizes)
+
+
 @pytest.mark.parametrize("kind, params", [
     ("beta", (1.5, 1.5)), ("beta", (0.3, 0.3)), ("beta", (2.0, 3.0)), ("uniform", ()),
     ("gaussian", ()), ("gamma", (3.0,)), ("triangular", (0.3,)),
