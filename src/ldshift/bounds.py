@@ -8,9 +8,9 @@ kappa: both C/2 at kappa = 2 (C = A1 + A2, or the Fisher information),
 One scan-interpolate-confirm optimizer, ``_optimize``, serves both bounds
 here and the testing exponents in ``rates``; a minimum is found by negating
 the objective.  Objectives map a float s to a float and an array of s to an
-array.  The bounds read their scan values from the profile's own table of
-I^s_g (``_isg_at``): a closed form evaluates it once, at build, on its grid
-and the scan orders, and a ladder profile's is isg on its grid.  Other
+array.  The bounds read their scan values from the profile's ``table``,
+its one store of I^s_g (``_isg_at``): a closed form fills it at build on
+its grid and the scan orders, a ladder profile with isg on its grid.  Other
 objectives are scanned in one call on the whole scan array.  The refine
 then interpolates: the polynomial through the (at most five) scan values
 around the best point costs no evaluation, and its optimum is located by
@@ -173,11 +173,10 @@ def _trusted(profile):
 
 
 def _isg_at(profile, s):
-    """I^s_g at the sorted orders s, read from the profile's table (a
-    closed form's ``table``, a ladder's s_grid and isg); ``isg_fn``
-    evaluates the orders it lacks, such as a ladder order the scan's clip
-    moved, in one call."""
-    orders, vals = profile.table or (profile.s_grid, profile.isg)
+    """I^s_g at the sorted orders s, read from the profile's ``table``;
+    ``isg_fn`` evaluates the orders it lacks, such as a ladder order the
+    scan's clip moved, in one call."""
+    orders, vals = profile.table
     i = np.minimum(np.searchsorted(orders, s), orders.size - 1)
     out = vals[i]
     miss = orders[i] != s

@@ -97,9 +97,23 @@ def check_family(spec, family):
 
 
 def estimate_many(spec, family, X):
-    """Row-wise estimates for a (batches, n) matrix of samples."""
+    """Row-wise estimates for a (batches, n) matrix of samples; ValueError
+    on a value that is not finite, or on a row whose range exceeds the
+    support width b - a, a sample no shift of the family can draw."""
     X = _matrix(X)
     check_family(spec, family)
+    if not np.isfinite(X).all():
+        raise ValueError("samples must be finite")
+    a, b = family.support
+    x_min, x_max = _row_extremes(X)
+    if np.any(x_max - x_min > b - a):
+        raise ValueError(f"a sample's range exceeds the support width {b - a}: "
+                         "no shift of the family draws it")
+    return _estimates(spec, family, X)
+
+
+def _estimates(spec, family, X):
+    """``estimate_many`` on a matrix of the family's own draws, unchecked."""
     a, b = family.support
     kind = spec.kind
     if kind in ORDER_STAT_KINDS:
@@ -144,9 +158,9 @@ def tail_events(spec, family, X, up, dn):
     rows to the full solve.
     """
     X = _matrix(X)
-    if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
-        return _compare(estimate_many(spec, family, X), up, dn)
     check_family(spec, family)
+    if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
+        return _compare(_estimates(spec, family, X), up, dn)
     fn, inset, band = _root_fn(spec, family)
     m, n = X.shape
     a, b = family.support
@@ -191,7 +205,7 @@ def tail_events(spec, family, X, up, dn):
         rest |= ~(right | left)
     (above, _), (_, below) = sides
     if rest.any():
-        above[rest], below[rest] = _compare(estimate_many(spec, family, X[rest]), up, dn)
+        above[rest], below[rest] = _compare(_estimates(spec, family, X[rest]), up, dn)
     return above, below
 
 

@@ -485,10 +485,12 @@ def order_stat_rates(family, eps, lam=None):
 
 def _one_family(p_point, q_point):
     """(family, tp, tq) of two (family, theta) points of one family object;
-    ValueError for two families."""
+    ValueError for two families or a nan shift."""
     (family, tp), (other, tq) = p_point, q_point
     if other is not family:
         raise ValueError(f"a testing pair needs one family, got {family.kind} and {other.kind}")
+    if math.isnan(tp) or math.isnan(tq):
+        raise ValueError(f"shifts must not be nan, got {tp} and {tq}")
     return family, tp, tq
 
 
@@ -510,7 +512,10 @@ def hoeffding_rate(p_point, q_point, r):
     shifts p, q of one family: sup_s (-s r + I^s(p||q)) / (1 - s), floored
     at zero.  Where p has mass m_p outside q's support, I^s tends to
     -log1p(-m_p) as s -> 1, so for r below that the objective grows
-    without bound: the exponent is +inf, at the boundary s = 1."""
+    without bound: the exponent is +inf, at the boundary s = 1.  Where q
+    has mass m_q outside p's support, I^s tends to -log1p(-m_q) as s -> 0,
+    and so does the objective, whatever r: that limit, at the boundary
+    s = 0, stands where the scan finds no more (and is all at r = inf)."""
     family, tp, tq = _one_family(p_point, q_point)
     if not r >= 0:
         raise ValueError(f"r must be >= 0, got {r}")
@@ -520,6 +525,10 @@ def hoeffding_rate(p_point, q_point, r):
                              clamped=False)
     if r < -math.log1p(-pair.m_p):
         return HoeffdingRate(value=math.inf, s_star=1.0, at_boundary=True, clamped=False)
+    at_zero = HoeffdingRate(value=-math.log1p(-pair.m_q), s_star=0.0, at_boundary=True,
+                            clamped=False)
+    if pair.m_q > 0.0 and r == math.inf:
+        return at_zero
 
     def objective(s):
         v = (-s * r + _renyi_from_nodes(pair, s)) / (1.0 - s)
@@ -528,6 +537,8 @@ def hoeffding_rate(p_point, q_point, r):
     # scan catches suprema in the interior; the s -> 1 probe the boundary case
     grid = np.concatenate([np.linspace(0.01, 0.99, 50), [1.0 - 1e-6]])
     value, s_star = _optimize(objective, grid, maximize=True)
+    if pair.m_q > 0.0 and at_zero.value > value:
+        return at_zero
     at_boundary = s_star > 1.0 - 1e-4
     clamped = value < 0.0
     return HoeffdingRate(value=max(value, 0.0), s_star=s_star,

@@ -133,9 +133,8 @@ class ScalingProfile:
     the first or the last rung is dropped from the fit.  An extrapolated
     profile holds its ``eps_ladder`` and its rung divergences I^s(eps_i) on
     s_grid, one row per rung, in ``rung_renyi`` (None on closed forms).
-    ``table`` is the (orders, I^s_g) the bound optimizers read their scan
-    from: on closed forms the scan orders themselves; None on extrapolated
-    profiles, whose table is s_grid and isg.
+    ``table`` is the one store of (orders, I^s_g) the bound optimizers read:
+    a closed form's scan orders, an extrapolated profile's s_grid and isg.
     """
 
     g_tag: float
@@ -344,8 +343,10 @@ def _check_s_grid(s_grid):
 
 def renyi_divergence(family, theta_p, theta_q, s):
     """I^s(f_{theta_p} || f_{theta_q}) for s in (0, 1); +inf when the shifted
-    supports are disjoint."""
+    supports are disjoint (an infinite shift); ValueError on a nan shift."""
     s, = _check_s_grid([s]).tolist()
+    if math.isnan(theta_p) or math.isnan(theta_q):
+        raise ValueError(f"shifts must not be nan, got {theta_p} and {theta_q}")
     if theta_p == theta_q:
         return 0.0
     pair = _pair_nodes(family, float(theta_p), float(theta_q))
@@ -450,26 +451,8 @@ def _ladder(eps_ladder, g_tag, family):
     return eps_ladder
 
 
-def _rungs(family, eps_ladder, g_tag):
-    """Centered pair node data and g(eps) for each rung of a shift ladder
-    whose rungs are narrower than the trimmed support (``_ladder``)."""
-    gvals = [g_value(g_tag, eps) for eps in eps_ladder]
-    return [_pair_nodes(family, -eps / 2.0, eps / 2.0) for eps in eps_ladder], gvals
-
-
 # ---------------------------------------------------------------------------
 # closed form in kappa
-
-_beta_ufunc = np.frompyfunc(_beta, 2, 1)
-
-
-def _betafn_vec(x, y):
-    """B(x, y), a float at floats, else elementwise: through ``_beta_at`` at
-    a float y, through ``special._beta`` per element otherwise."""
-    if isinstance(y, float):
-        return _beta_at(y)(x)
-    return np.asarray(_beta_ufunc(x, y), dtype=float)
-
 
 def _beta_at(y):
     """x -> B(x, y) at a float y, on a float x or elementwise on an array:
@@ -650,11 +633,11 @@ def profile_from_family(family, g_tag=None, s_grid=None, eps_ladder=None):
     under the g of ``g_tag`` (1 -> eps, 2 -> -eps^2 log eps, > 2 or inf ->
     eps^2, else eps^tag), by default the family's ``classify_regime`` tag.
 
-    Rung node data is computed once and reused, so the returned ``isg_fn``
-    evaluates cheaply at arbitrary s (extrapolating the same ladder).  The
-    limit and its error are memoized per s for the life of the profile: the
-    s_grid tabulation (``rung_renyi``) fills the memo, and ``isg_fn`` sweeps
-    the quadrature nodes and extrapolates only for orders s not seen before.
+    Each rung's centered pair is built once, so ``isg_fn`` evaluates
+    cheaply at arbitrary s: one sweep of every rung at its orders,
+    extrapolated.  The s_grid tabulation is the profile's ``table``, which
+    the bound optimizers scan; the orders they refine are new ones, so
+    ``isg_fn`` keeps no memo.
     """
     if g_tag is None:
         g_tag = classify_regime(family).g_tag
@@ -662,33 +645,23 @@ def profile_from_family(family, g_tag=None, s_grid=None, eps_ladder=None):
     eps_ladder = _ladder(eps_ladder, g_tag, family)
     s_grid = _default_s_grid() if s_grid is None else _check_s_grid(s_grid)
 
-    pairs, gvals = _rungs(family, eps_ladder, g_tag)
-    gvals = np.array(gvals)[:, None]
-    memo = {}
+    pairs = [_pair_nodes(family, -eps / 2.0, eps / 2.0) for eps in eps_ladder]
+    gvals = np.array([g_value(g_tag, eps) for eps in eps_ladder])[:, None]
 
-    def sweep(s_list):
-        """Rung divergences at the orders s_list; memoizes their limits."""
+    def limits(s_list):
+        """Rung divergences at the orders s_list, max(limit, 0) and err."""
         renyi = np.array([_renyi_from_nodes(p, s_list) for p in pairs])
         vals, errs = _extrapolate(renyi / gvals, eps_ladder, g_tag)
-        memo.update(zip(s_list, zip(np.maximum(vals, 0.0), errs)))
-        return renyi
+        return renyi, np.maximum(vals, 0.0), errs
 
-    def limit_at(s_arr):
-        keys = [float(s) for s in s_arr]
-        new = list(dict.fromkeys(s for s in keys if s not in memo))
-        if new:
-            sweep(new)
-        return np.array([memo[s] for s in keys]).T
-
-    rung_renyi = sweep(s_grid.tolist())
-    isg, unc = limit_at(s_grid)
+    rung_renyi, isg, unc = limits(s_grid.tolist())
 
     def fn(s):
-        vals = limit_at(np.atleast_1d(np.clip(s, 1e-9, 1.0 - 1e-9)))[0]
+        vals = limits(np.atleast_1d(np.clip(s, 1e-9, 1.0 - 1e-9)).tolist())[1]
         return float(vals[0]) if np.ndim(s) == 0 else vals
 
     return ScalingProfile(
         g_tag=g_tag, kappa=kappa,
         s_grid=s_grid, isg=isg, isg_unc=unc, isg_fn=fn,
-        eps_ladder=eps_ladder, rung_renyi=rung_renyi,
+        eps_ladder=eps_ladder, rung_renyi=rung_renyi, table=(s_grid, isg),
     )

@@ -15,7 +15,7 @@ from .estimators import EstimatorSpec
 from .families import make_family
 from .quadrature import integrate
 from .rates import chernoff_test_rate, lr_rate_identity, mc_tail_rate, order_stat_rates
-from .renyi import (_betafn_vec, _pair_nodes, _regime, _renyi_from_nodes, g_value, kappa_of_g,
+from .renyi import (_beta_at, _pair_nodes, _regime, _renyi_from_nodes, g_value, kappa_of_g,
                     profile_from_closed_form, renyi_curve)
 from .special import beta_fn, l8_derivative, solve_t0, t0_residual
 
@@ -31,7 +31,7 @@ class LemmaCheck:
 
 
 def _beta_product(s, kappa):
-    return s * (1.0 - s * (kappa - 1.0)) * _betafn_vec(s + kappa * (1.0 - s), 2.0 - kappa)
+    return s * (1.0 - s * (kappa - 1.0)) * _beta_at(2.0 - kappa)(s + kappa * (1.0 - s))
 
 
 def check_sandwich():

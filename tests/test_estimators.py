@@ -401,11 +401,13 @@ def test_convex_events_on_placed_rows(fam, law, lam, monkeypatch):
     f_min, s_max = np.array(rows).T
     placed = np.arange(len(rows)) >= grid_rows
     X = np.column_stack([law.ppf(f_min), law.isf(s_max)])
-    t = estimate_many(spec, fam, X)
-    # a sample has its minimum below its maximum; a row whose estimate lies
-    # within rounding of a threshold has no side
-    keep = ((f_min + s_max <= 1.0) & (X[:, 0] <= X[:, 1])
-            & (np.abs(t - eps) > 1e-14) & (np.abs(t + eps) > 1e-14))
+    # a sample has its minimum below its maximum (estimate_many rejects the
+    # others); a row whose estimate lies within rounding of a threshold has
+    # no side
+    sample = (f_min + s_max <= 1.0) & (X[:, 0] <= X[:, 1])
+    f_min, s_max, placed = f_min[sample], s_max[sample], placed[sample]
+    t = estimate_many(spec, fam, X[sample])
+    keep = (np.abs(t - eps) > 1e-14) & (np.abs(t + eps) > 1e-14)
     f_min, s_max, t, placed = f_min[keep], s_max[keep], t[keep], placed[keep]
     solved = []
     quantile = fam_mod._quantile
@@ -424,3 +426,39 @@ def test_empty_batch():
     u = make_family("uniform")
     with pytest.raises(ValueError):
         estimate(EstimatorSpec("min_shift"), u, np.array([]))
+
+
+IMPOSSIBLE_SPECS = [EstimatorSpec("mle"), EstimatorSpec("lr", eps=0.1), EstimatorSpec("min_shift"),
+                    EstimatorSpec("convex_combo", lam=0.5)]
+
+
+def test_estimate_rejects_impossible_samples():
+    # a range beyond the support width, 1, fits no shift of beta(2,2), and a
+    # nan no sample; a range equal to the width fits the one shift 0.25
+    fam = make_family("beta", (2, 2))
+    for spec in IMPOSSIBLE_SPECS:
+        with pytest.raises(ValueError, match="range exceeds the support width"):
+            estimate(spec, fam, [0.0, 1.5])
+        for batch in ([0.2, 0.3, math.nan], [0.2, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                estimate(spec, fam, batch)
+        assert estimate(spec, fam, [0.25, 1.25]) == 0.25, spec.kind
+
+
+def test_estimate_many_rejects_impossible_samples():
+    # one impossible row fails the whole matrix; an open support has no width
+    fam = make_family("beta", (2, 2))
+    good = np.array([[0.1, 0.5, 0.9], [0.2, 0.3, 0.4]])
+    for spec in IMPOSSIBLE_SPECS:
+        wide, bad = good.copy(), good.copy()
+        wide[1, 2] = np.nextafter(1.2, 2.0)
+        bad[0, 1] = -math.inf
+        with pytest.raises(ValueError, match="range exceeds the support width"):
+            estimate_many(spec, fam, wide)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_many(spec, fam, bad)
+        edge = good.copy()
+        edge[1, 2] = 1.2
+        assert estimate_many(spec, fam, edge)[1] == pytest.approx(0.2, abs=1e-15), spec.kind
+    gauss = make_family("gaussian")
+    assert estimate_many(EstimatorSpec("mle"), gauss, [[-1e300, 1e300]])[0] == 0.0

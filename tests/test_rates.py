@@ -4,6 +4,7 @@ exponents, and the empirical interval-estimation rate."""
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import optimize
 from scipy.special import betainc
 
 from ldshift import families as fam_mod
-from ldshift import rates
+from ldshift import rates, renyi
 from ldshift.estimators import EstimatorSpec, _strip_width, estimate_many, tail_events
 from ldshift.families import _draw, log_density, make_family
 from ldshift.rates import (InsufficientEventsError, WindowError, _child_seeds,
@@ -535,22 +536,44 @@ def test_hoeffding_examples():
         hoeffding_rate((GAUSS, 0.0), (GAUSS, 1.0), -1.0)
 
 
-@pytest.mark.parametrize("fam, twice", [
-    (UNIFORM, 0.22088957604840967),
-    (make_family("gamma", (3,)), 0.010320097709514453),
-    (make_family("beta", (2, 3)), 0.039331612525683214),
+@pytest.mark.parametrize("fam, twice, at_zero", [
+    (UNIFORM, 0.22314355131420976, True),
+    (make_family("gamma", (3,)), 0.010320097709514453, False),
+    (make_family("beta", (2, 3)), 0.039331612525683214, False),
 ], ids=["uniform", "gamma-3", "beta-2-3"])
-def test_hoeffding_infinite_below_the_outside_mass(fam, twice):
+def test_hoeffding_infinite_below_the_outside_mass(fam, twice, at_zero):
     # p = f has mass m_p below q = f(. - 0.2)'s support: I^s -> -log1p(-m_p)
     # as s -> 1, so for r below that the exponent is +inf; above it the sup
-    # is finite (``twice`` was recorded before the rule)
+    # is finite (``twice`` was recorded before the rule).  The uniform's I^s
+    # is -log 0.8 at every s, so its sup is the s -> 0 limit -log 0.8;
+    # beta(2,3)'s limit there, 0.0276, is below its interior sup
     p, q = (fam, 0.0), (fam, 0.2)
     threshold = -math.log1p(-fam_mod._mass_within(fam, 0.2))
     for r in (0.0, threshold / 2):
         h = hoeffding_rate(p, q, r)
         assert h.value == math.inf and h.at_boundary and not h.clamped, (r, h)
     h = hoeffding_rate(p, q, 2 * threshold)
-    assert h.value == pytest.approx(twice, rel=1e-12) and not h.at_boundary
+    assert h.value == pytest.approx(twice, rel=1e-12) and h.at_boundary == at_zero
+    assert (h.s_star == 0.0) == at_zero
+
+
+def test_hoeffding_takes_the_limit_at_s_zero():
+    # q = f(. - 0.2) has mass m_q above p's support: I^s -> -log1p(-m_q) as
+    # s -> 0, and so does (-s r + I^s) / (1 - s) whatever r, so the exponent
+    # is at least that limit, at the boundary s = 0, for r = inf too
+    fam = make_family("beta", (2, 2))
+    p, q = (fam, 0.0), (fam, 0.2)
+    limit = -math.log1p(-renyi._pair_nodes(fam, 0.0, 0.2).m_q)
+    assert limit == pytest.approx(0.109815, abs=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (0.5, 2.0, 5.0, 50.0, math.inf):
+            h = hoeffding_rate(p, q, r)
+            assert (h.value, h.s_star, h.at_boundary, h.clamped) == (limit, 0.0, True, False), r
+    # the objective near s = 0 is below the limit and tends to it
+    s = 1e-6
+    near = (-s * 0.5 + renyi.renyi_divergence(fam, 0.0, 0.2, s)) / (1.0 - s)
+    assert 0.10977 <= near <= limit
 
 
 def test_hoeffding_rejects_nan_constraint():
@@ -584,6 +607,18 @@ def test_testing_rates_need_one_family():
                  lambda: ht_simulate(p, q, n_grid=(4,), trials=10)):
         with pytest.raises(ValueError, match="one family"):
             call()
+
+
+@pytest.mark.parametrize("rate", [
+    chernoff_test_rate, lambda p, q: hoeffding_rate(p, q, 0.5),
+    lambda p, q: ht_simulate(p, q, n_grid=(4,), trials=10),
+], ids=["chernoff", "hoeffding", "ht_simulate"])
+def test_testing_rates_reject_nan_shift(rate):
+    # a nan shift is no shift of the family
+    beta = make_family("beta", (2, 2))
+    for tp, tq in ((0.0, math.nan), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="nan"):
+            rate((beta, tp), (beta, tq))
 
 
 def test_ht_simulate_uniform():

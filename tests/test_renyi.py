@@ -57,6 +57,15 @@ def test_disjoint_supports():
     assert renyi_divergence(u, 0.0, 1.5, 0.5) == math.inf
 
 
+def test_renyi_divergence_rejects_nan_shift():
+    # a nan shift is no shift; an infinite one leaves the supports disjoint
+    for fam in (make_family("beta", (2, 2)), make_family("gaussian")):
+        for tp, tq in ((0.0, math.nan), (math.nan, 0.0), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="nan"):
+                renyi_divergence(fam, tp, tq, 0.5)
+        assert renyi_divergence(fam, 0.0, math.inf, 0.5) == math.inf
+
+
 def test_order_domain():
     u = make_family("uniform")
     with pytest.raises(ValueError):
@@ -242,21 +251,16 @@ def test_closed_form_isg_matches_local_integral_oracle():
     assert worst <= 1e-13
 
 
-def test_betafn_vec_matches_scalar_beta():
-    x = np.linspace(0.05, 3.0, 24).reshape(4, 6)
-    y = np.linspace(2.5, 0.01, 24).reshape(4, 6)
-    got = renyi._betafn_vec(x, y)
-    assert got.dtype == float and got.shape == x.shape
-    assert np.array_equal(got, [[beta_fn(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(x, y)])
-    assert renyi._betafn_vec(np.float64(1.25), 0.5) == beta_fn(1.25, 0.5)
-    # a float y: Gamma(y) computed once, and special._beta itself where its
-    # Gamma ratio does not hold (x + y >= 171, nan, an argument <= 1e-300)
+def test_beta_at_matches_scalar_beta():
+    assert renyi._beta_at(0.5)(np.float64(1.25)) == beta_fn(1.25, 0.5)
+    # Gamma(y) computed once, and special._beta itself where its Gamma
+    # ratio does not hold (x + y >= 171, nan, an argument <= 1e-300)
     x = np.array([[1e-300, 2e-300, 0.3, 1.0], [2.5, 169.5, 170.9, 300.0]])
     for y in (0.5, 1.7, 1.0, 1e-300, 1e-299, 0.7, 170.5, 171.0, math.nan):
-        got = renyi._betafn_vec(x, y)
+        got = renyi._beta_at(y)(x)
         want = [[_beta(a, y) for a in row] for row in x.tolist()]
         assert got.shape == x.shape and np.array_equal(got, want, equal_nan=True), y
-    got = renyi._betafn_vec(np.array([0.4, math.nan, 1.3]), 0.6)
+    got = renyi._beta_at(0.6)(np.array([0.4, math.nan, 1.3]))
     assert np.array_equal(got, [_beta(0.4, 0.6), math.nan, _beta(1.3, 0.6)], equal_nan=True)
 
 
@@ -488,23 +492,36 @@ def test_log_normaliser_ulps_barely_move_the_ladder_bounds(monkeypatch):
         assert abs(b / a - 1.0) < 1e-13
 
 
-def test_profile_memo_saves_sweeps(monkeypatch):
-    # the bound scans reuse the rung values the profile tabulated
-    prof = profile_from_family(make_family("beta", (1.5, 1.5)))
+@pytest.mark.parametrize("kind, params", [
+    ("beta", (1.5, 1.5)), ("uniform", ()), ("gamma", (2.0,)), ("gaussian", ()),
+], ids=["beta-1.5-1.5", "uniform", "gamma-2", "gaussian"])
+def test_bound_pair_sweeps_each_order_once(kind, params, monkeypatch):
+    # the build sweeps every rung on the grid once, the profile's table; the
+    # bounds read their scans from it (at kappa = 1, the uniform, alpha2 and
+    # the flags read I^(1/2) there), so every later sweep is one new refine
+    # order, and no (rung, order) is swept twice
     sweep = renyi._renyi_from_nodes
-    count = [0]
+    swept = []
 
     def counted(pair, s):
-        count[0] += np.atleast_1d(s).size
+        swept.append((id(pair), np.atleast_1d(s).tolist()))
         return sweep(pair, s)
 
     monkeypatch.setattr(renyi, "_renyi_from_nodes", counted)
+    prof = profile_from_family(make_family(kind, params))
+    built = len(swept)
+    assert built == len(prof.eps_ladder)
+    assert all(s == prof.s_grid.tolist() for _, s in swept)
     bp = bound_pair(prof)
-    # one confirming order per bound, one sweep of each of the 7 rungs
-    assert count[0] <= 14  # 1,435 without the memo, 392 with golden refines
-    # the values of the beta(1.5, 1.5) bounds table (tests/data/bench_tables.json)
-    assert bp.alpha1_bar == 6.292306516219595
-    assert bp.alpha2_bar == 6.292306516219595
+    assert all(len(s) == 1 for _, s in swept[built:])
+    keys = [(rung, order) for rung, s in swept for order in s]
+    assert len(set(keys)) == len(keys)
+    if kind == "beta":
+        # one confirming order per bound, one sweep of each of the 7 rungs
+        assert len(keys) - built * prof.s_grid.size <= 14
+        # the values of the beta(1.5, 1.5) bounds table (tests/data/bench_tables.json)
+        assert bp.alpha1_bar == 6.292306516219595
+        assert bp.alpha2_bar == 6.292306516219595
 
 
 # nodes per centered pair with each outer end graded for its own edge
@@ -555,10 +572,11 @@ def test_edge_depths_match_full_depth(kind, params, monkeypatch):
     g_tag = classify_regime(fam).g_tag
     ladder = renyi.default_ladder(g_tag, fam)
     s_grid = renyi._default_s_grid()
-    pairs, _ = renyi._rungs(fam, ladder, g_tag)
+    rungs = lambda: [renyi._pair_nodes(fam, -eps / 2.0, eps / 2.0) for eps in ladder]
+    pairs = rungs()
     monkeypatch.setattr(renyi, "panel_nodes",
                         lambda lo, hi, bps, levels: panel_nodes(lo, hi, bps, (400, 400)))
-    oracles, _ = renyi._rungs(fam, ladder, g_tag)
+    oracles = rungs()
     for pair, oracle in zip(pairs, oracles):
         assert oracle[0].size >= 19248 > pair[0].size
         got = renyi._renyi_from_nodes(pair, s_grid)
