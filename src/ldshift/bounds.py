@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .renyi import (ScalingProfile, _check_regime, _elementwise, _scan_points,
-                    profile_from_closed_form)
-from .special import beta_fn, solve_t0
+from .renyi import ScalingProfile, _check_regime, _scan_points, profile_from_closed_form
+from .special import _elementwise, beta_fn, solve_t0
 
 __all__ = [
     "BoundPair",

@@ -10,11 +10,12 @@ The MLE's estimating function is the score sum; the LR estimator's is the
 row mean of one pass of the window kernel ``families._log_ratio`` (that of
 the Renyi pairs and the likelihood test), in its bisection and sign test.
 The order-statistic estimators read a sample only through its extremes:
-``extreme_events`` decides their sides from the masses beyond the extremes.
-The gaussian MLE reads it only through its mean, which the Monte Carlo
-draws from its exact law (``rates.mc_tail_rate``).  The other estimators,
-the MLE on any other family and the LR estimator on every family (the
-gaussian one included), read all n values of a sample.
+``extreme_events`` makes the rule that decides their sides from the masses
+beyond them.  The gaussian MLE reads it only through its mean
+(``_is_row_mean``), which the Monte Carlo draws from its exact law
+(``rates.mc_tail_rate``).  The other estimators, the MLE on any other
+family and the LR estimator on every family (the gaussian one included),
+read all n values of a sample.
 """
 
 import math
@@ -126,6 +127,8 @@ def _estimates(spec, family, X):
         return x_min - a - spec.eps
     if kind == "convex_combo":
         return spec.lam * (x_min - a) + (1.0 - spec.lam) * (x_max - b)
+    if _is_row_mean(spec, family):
+        return X.mean(axis=1)
     if kind == "mle":
         return _mle_rows(family, X, *_root_fn(spec, family))
     if kind == "lr":
@@ -133,22 +136,28 @@ def _estimates(spec, family, X):
     raise ValueError(f"unknown estimator kind {kind!r}")  # pragma: no cover
 
 
+def _is_row_mean(spec, family):
+    """Whether the estimate is the row mean: the gaussian MLE, whose score
+    sum is linear in the shift with its root there."""
+    return spec.kind == "mle" and family.kind == "gaussian"
+
+
 def tail_events(spec, family, X, up, dn):
     """Row indicators (T > up, T < dn) of T = estimate_many(spec, family, X);
     a threshold of None is not tested and its indicator is all False.
 
-    The MLE (except the gaussian one, a row mean) and the LR estimate are
-    roots of a nondecreasing estimating function of the shift: the score
-    sum S and the log-ratio k.  Its value at a threshold below -band puts
-    the root right of the threshold, above +band left of it, with the zero
-    bands of the full solve (1e-9 n for S, 1e-12 n for k).  A threshold
-    outside the bracket of admissible shifts, and an LR row in the narrow
-    case, need no evaluation, so the estimating function is evaluated only
-    on the rows the threshold leaves undecided, in slices of _SLICE_VALUES
-    values, each read as a view of X where its rows are consecutive and
-    gathered otherwise.  Rows inside the band, or within a slack of a
-    finite bracket end, get the full solve, so every indicator is that of
-    the full estimate.  Other kinds compare the full estimate.
+    The MLE and the LR estimate are roots of a nondecreasing estimating
+    function of the shift: the score sum S (linear on the gaussian, with
+    its root at the row mean) and the log-ratio k.  Its value at a
+    threshold below -band puts the root right of the threshold, above +band
+    left of it, with the zero bands of the full solve (1e-9 n for S, 1e-12 n
+    for k).  A threshold outside the bracket of admissible shifts, and an LR
+    row in the narrow case, need no evaluation, so the estimating function
+    is evaluated only on the rows the threshold leaves undecided, in slices
+    of _SLICE_VALUES values, each read as a view of X where its rows are
+    consecutive and gathered otherwise.  Rows inside the band, or within a
+    slack of a finite bracket end, get the full solve, so every indicator is
+    that of the full estimate.  Other kinds compare the full estimate.
 
     A row's extremes fix its bracket ends at a finite edge only, so only
     those are taken, once per call: none on the gaussian, whose ends are
@@ -159,7 +168,7 @@ def tail_events(spec, family, X, up, dn):
     """
     X = _matrix(X)
     check_family(spec, family)
-    if spec.kind not in ("mle", "lr") or (spec.kind == "mle" and family.kind == "gaussian"):
+    if spec.kind not in ("mle", "lr"):
         return _compare(_estimates(spec, family, X), up, dn)
     fn, inset, band = _root_fn(spec, family)
     m, n = X.shape
@@ -229,10 +238,12 @@ def _strip_width(spec, family, eps):
     return eps + min(inset, eps)
 
 
-def extreme_events(spec, family, f_min, s_max, c_up, c_dn):
-    """Row indicators (T > theta + c_up, T < theta + c_dn) of an
-    order-statistic estimate T, for rows given by f_min, the mass of f below
-    their minimum, and s_max, the mass above their maximum.
+def extreme_events(spec, family, c_up, c_dn):
+    """The rule (f_min, s_max) -> (T > theta + c_up, T < theta + c_dn), as
+    row indicators, of an order-statistic estimate T on rows given by f_min,
+    the mass of f below their minimum, and s_max, the mass above their
+    maximum.  The family check, the threshold masses and the convex
+    combination's bin bounds are taken once, when the rule is made.
 
     The min kinds compare f_min with the mass below a + c (a + eps + c for
     shifted_min), max_shift compares s_max with the mass above b + c: F is
@@ -242,27 +253,13 @@ def extreme_events(spec, family, f_min, s_max, c_up, c_dn):
     where s_max < G_up(f_min), the mass above b - (lam dl - c_up) / (1 - lam)
     at the dl whose mass below a + dl is f_min; it falls below c_dn exactly
     where f_min < G_dn(s_max), the mass below a + (c_dn + (1 - lam) dr) / lam.
-    Both boundaries are nondecreasing.  Each is evaluated once per call at
-    the points of the family's mass table, where the mass is exact, and
-    bounded on _BINS uniform bins of its argument; a row compares its mass
-    with its bin's bounds, and only a row between them (or in a bin past
-    the table's last mass) takes one exact quantile, dl or dr, and one mass.
+    Both boundaries are nondecreasing.  Each is evaluated once at the points
+    of the family's mass table, where the mass is exact, and bounded on
+    _BINS uniform bins of its argument; a row compares its mass with its
+    bin's bounds, and only a row between them (or in a bin past the table's
+    last mass) takes one exact quantile, dl or dr, and one mass, read from
+    the nearer end (``families._near_mass``).
     """
-    return _extreme_rule(spec, family, c_up, c_dn)(f_min, s_max)
-
-
-# uniform mass bins on which the convex combination's boundaries are
-# bounded, and their relative widening: far above the rounding of a table
-# mass and of the quantile solve
-_BINS = 4096
-_BIN_ROOM = 1e-8
-
-
-def _extreme_rule(spec, family, c_up, c_dn):
-    """``extreme_events`` at fixed thresholds, as a function of
-    (f_min, s_max): the family check, the threshold masses and the convex
-    combination's bin bounds are taken once per call, however many blocks
-    of rows it then decides."""
     check_family(spec, family)
     a, b = family.support
     kind = spec.kind
@@ -277,11 +274,18 @@ def _extreme_rule(spec, family, c_up, c_dn):
         return lambda f_min, s_max: (f_min > m_up, f_min < m_dn)
     lam = spec.lam
     # the boundaries as functions of the distance dl (dr) from the edge
-    g_up = lambda dl: _near_mass(family, (lam * dl - c_up) / (1.0 - lam), upper=True)
-    g_dn = lambda dr: _near_mass(family, (c_dn + (1.0 - lam) * dr) / lam, upper=False)
+    g_up = lambda dl: fam_mod._near_mass(family, (lam * dl - c_up) / (1.0 - lam), upper=True)
+    g_dn = lambda dr: fam_mod._near_mass(family, (c_dn + (1.0 - lam) * dr) / lam)
     up = _below_boundary(family, g_up, upper=False)
     dn = _below_boundary(family, g_dn, upper=True)
     return lambda f_min, s_max: (up(f_min, s_max), dn(s_max, f_min))
+
+
+# uniform mass bins on which the convex combination's boundaries are
+# bounded, and their relative widening: far above the rounding of a table
+# mass and of the quantile solve
+_BINS = 4096
+_BIN_ROOM = 1e-8
 
 
 def _below_boundary(family, g, upper):
@@ -318,19 +322,6 @@ def _below_boundary(family, g, upper):
         return out
 
     return rule
-
-
-def _near_mass(family, t, upper):
-    """Mass of f within distances t of its lower (upper) edge, both edges
-    finite, read from the nearer end as ``families.cdf`` does: past half
-    the mass it is 1 minus the mass within the rest of the support of the
-    other edge, which keeps it exact to ulps."""
-    mass = fam_mod._mass_within(family, t, upper)
-    far = mass > 0.5
-    if far.any():
-        a, b = family.support
-        mass[far] = 1.0 - fam_mod._mass_within(family, (b - a) - t[far], not upper)
-    return mass
 
 
 def _need_finite(edge, kind, side):
@@ -417,9 +408,6 @@ def _bisect(fn, X, lo, hi, left_of, steps):
 
 def _mle_rows(family, X, score, inset, band):
     m, n = X.shape
-    if family.kind == "gaussian":
-        # score sum is linear in theta with root at the mean
-        return X.mean(axis=1)
     lo, hi = _interval(score, family, X, inset, 0.0, lambda v: v < 0)
     eta = 1e-12 * (hi - lo)
     zero_tol = band * n
@@ -450,9 +438,7 @@ def _k_rows(family, X, z, eps):
     z it is read at; z is one value per row or a scalar."""
     U = X - np.reshape(z, (-1, 1))
     U -= eps
-    dl, dr = fam_mod._dists(family, U)
-    r = fam_mod._log_ratio(family, U, dl, dr - 2.0 * eps, 2.0 * eps)
-    return np.einsum("ij->i", r) / X.shape[1]
+    return fam_mod._log_ratio_rows(family, U, 2.0 * eps) / X.shape[1]
 
 
 def _lr_narrow(family, x_min, x_max, eps):

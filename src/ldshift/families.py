@@ -10,16 +10,18 @@ near b, which determines the scaling regime of the divergence asymptotics.
 A built-in kind is one entry of ``_KINDS``: its parameter check with edge
 metadata, log f, score, sampler and shift-exact log-ratio
 log f(u + shift) - log f(u) in a pair's window frame (``_log_ratio``),
-each written once.  The ``custom`` kind is the one branch beside that
-table in each dispatcher.
+each written once; ``_log_ratio_rows`` sums the kernel over the rows of a
+matrix, for the LR estimator and the likelihood test.  The ``custom`` kind
+is the one branch beside that table in each dispatcher.
 
 Every mass of f (``cdf``, the tail masses of the order-statistic Monte
 Carlo, the edge strips of the order-statistic rates, a custom family's
 normalisation) is read from one table per family and end, ``_mass_table``,
 built once on the cells of the family's quadrature nodes; ``_mass_within``
-reads it forward, ``_strip_mass`` sums it over edge strips (for the Monte
-Carlo and the Renyi sweep alike) and ``_quantile`` inverts it.  No kind has
-a CDF of its own.
+reads it forward, ``_near_mass`` from the nearer end (``cdf``, the convex
+combination's boundaries), ``_strip_mass`` sums it over edge strips (for
+the Monte Carlo and the Renyi sweep alike) and ``_quantile`` inverts it.
+No kind has a CDF of its own.
 """
 
 import bisect
@@ -446,6 +448,16 @@ def _log_ratio(fam, u, dl, dr, shift):
         return _KINDS[fam.kind].log_ratio(*fam.params, u, dl, dr, shift)
 
 
+def _log_ratio_rows(fam, U, shift, upper=False):
+    """Row sums of the window kernel ``_log_ratio`` on a matrix U whose edge
+    distances (``_dists``) are taken once: U holds the lower points, whose
+    partners lie the shift nearer the upper edge, or with ``upper`` the
+    upper points, whose partners lie the shift nearer the lower edge."""
+    dl, dr = _dists(fam, U)
+    points = (U - shift, dl - shift, dr) if upper else (U, dl, dr - shift)
+    return np.einsum("ij->i", _log_ratio(fam, *points, shift))
+
+
 def _custom_passes(fam, u, dl, dr, shift):
     """(log f(u + shift), log f(u)) of a custom family in the window frame
     of ``_log_ratio``, one ``_logpdf3`` pass each."""
@@ -517,17 +529,13 @@ def score(family, theta, x):
 def cdf(family, u):
     """Standardized CDF F(u) of the unshifted density, one rule for every
     kind: the mass within u - lo of the lower end of the trimmed support
-    [lo, hi] where that is at most 1/2, else 1 minus the mass within hi - u
-    of the upper end, both read from the family's mass table
-    (``_mass_within``), so F and 1 - F keep their relative precision in both
-    tails.  F is 0 below lo and 1 above hi (an infinite tail is trimmed
-    where f falls below 1e-16 of its peak).
+    [lo, hi], read from the nearer end (``_near_mass``), so F and 1 - F keep
+    their relative precision in both tails.  F is 0 below lo and 1 above hi
+    (an infinite tail is trimmed where f falls below 1e-16 of its peak).
     """
     u = np.asarray(u, dtype=float)
-    lo, hi = _trimmed_support(family)
-    below = _mass_within(family, u - lo)
-    out = np.where(below <= 0.5, below, 1.0 - _mass_within(family, hi - u, upper=True))
-    return float(out) if out.ndim == 0 else out
+    out = _near_mass(family, u - _trimmed_support(family)[0])
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sample(family, theta, n, seed):
@@ -632,7 +640,7 @@ def _mass_within(fam, t, upper=False):
     support nearer that end, and only there: past it, near a singular far
     edge, the distance to that edge is only known to ulps of t, which leaves
     the upper-end mass of beta(0.3, 0.3) 6.5e-10 relative off at
-    t = 1 - 1.16e-12.  ``cdf`` switches ends at 1/2 for that reason.
+    t = 1 - 1.16e-12.  ``_near_mass`` switches ends at 1/2 for that reason.
 
     A Python float t takes a lean path with the same arithmetic, which
     evaluates only the branch it returns."""
@@ -648,6 +656,21 @@ def _mass_within(fam, t, upper=False):
     mass = tab.mass[i - 1] + _gauss_mass(fam, upper, tab.t[i - 1], t)
     if math.isfinite(tab.kappa):
         mass = np.where(i <= tab.inner, tab.amp / tab.kappa * t ** tab.kappa, mass)
+    return mass
+
+
+def _near_mass(fam, t, upper=False):
+    """Mass of f within distances t of the lower (upper) end of its trimmed
+    support, read from the nearer end: past half the mass, and only there,
+    1 minus the mass within the rest of the trimmed support of the other
+    end, which keeps it exact to ulps (``_mass_within``)."""
+    mass = _mass_within(fam, t, upper)
+    far = mass > 0.5
+    if np.any(far):
+        lo, hi = _trimmed_support(fam)
+        if np.ndim(mass) == 0:
+            return 1.0 - _mass_within(fam, (hi - lo) - t, not upper)
+        mass[far] = 1.0 - _mass_within(fam, (hi - lo) - t[far], not upper)
     return mass
 
 

@@ -11,21 +11,22 @@ only through its extremes, so each of their rows draws two uniforms
 joint law in probability space (David & Nagaraja, *Order Statistics*,
 2003): the mass above the maximum is S_max = 1 - U1^(1/n), and given it the
 mass below the minimum is F_min = (1 - S_max)(1 - U2^(1/(n-1))), or
-1 - S_max when n = 1; ``extreme_events`` decides their tail events.  A
-min or max kind compares one mass with the threshold's; the convex
-combination compares one mass with a boundary in the other, bounded once
-per call on uniform bins from the family's mass table, and only a row
-between its bin's bounds solves one exact quantile.  The gaussian MLE is
-the row mean, so each of its rows draws one standard normal Z and takes
-the mean exactly from its law, sigma Z / sqrt(n) about 0.  The other
-estimators draw all n values of a row from the family and take their
-tail events {T > eps} and {T < -eps} from ``tail_events``,
-which for the MLE and LR estimators reads the side from the sign of the
-monotone estimating function at the threshold and solves in full only the
-rows inside its zero band or at a bracket end, so the counts are those of
-the full estimates.  (The gaussian LR estimate is the mean too, but keeps
-its n-value rows: they exercise the LR root solver.)  Every row kind
-simulates at theta = 0: the law of T - theta does not depend on theta.
+1 - S_max when n = 1; the rule ``extreme_events`` makes once per call
+decides their tail events.  A min or max kind compares one mass with the
+threshold's; the convex combination compares one mass with a boundary in
+the other, bounded on uniform bins from the family's mass table, and only
+a row between its bin's bounds solves one exact quantile.  The gaussian
+MLE is the row mean (``estimators._is_row_mean``), so each of its rows
+draws one standard normal Z and takes the mean exactly from its law,
+sigma Z / sqrt(n) about 0.  The other estimators draw all n values of a
+row from the family and take their tail events {T > eps} and {T < -eps}
+from ``tail_events``, which for the MLE and LR estimators reads the side
+from the sign of the monotone estimating function at the threshold and
+solves in full only the rows inside its zero band or at a bracket end, so
+the counts are those of the full estimates.  (The gaussian LR estimate is
+the mean too, but keeps its n-value rows: they exercise the LR root
+solver.)  Every row kind simulates at theta = 0: the law of T - theta
+does not depend on theta.
 
 Working set.  A Monte Carlo block holds at most _CHUNK_VALUES = 2**18
 float64 values, 2 MiB: a block of n-value rows (``_strip_free``) at most
@@ -85,7 +86,8 @@ import numpy as np
 from . import families as fam_mod
 from .bounds import _argmax, _optimize
 from .estimators import (_SLICE_VALUES, EPS_KINDS, ORDER_STAT_KINDS, EstimatorSpec,
-                         _extreme_rule, _strip_width, check_family, tail_events)
+                         _is_row_mean, _strip_width, check_family, extreme_events,
+                         tail_events)
 from .renyi import (_EXP_MAX, _edge_strips, _overlap_nodes, _pair_nodes, _renyi_from_nodes,
                     default_ladder, g_value)
 
@@ -339,9 +341,9 @@ def mc_tail_rate(family, spec, theta, eps, n_grid=None, trials=100_000,
     _check_rungs(family, (eps,))
     check_family(spec, family)
     extremes = spec.kind in ORDER_STAT_KINDS
-    means = spec.kind == "mle" and family.kind == "gaussian"
+    means = _is_row_mean(spec, family)
     if extremes:
-        decide = _extreme_rule(spec, family, eps, -eps)
+        decide = extreme_events(spec, family, eps, -eps)
     elif not means:
         w = _strip_width(spec, family, eps)
         # a rung's streams: (key, strip widths (lower, upper), strip mass,
@@ -515,7 +517,9 @@ def hoeffding_rate(p_point, q_point, r):
     without bound: the exponent is +inf, at the boundary s = 1.  Where q
     has mass m_q outside p's support, I^s tends to -log1p(-m_q) as s -> 0,
     and so does the objective, whatever r: that limit, at the boundary
-    s = 0, stands where the scan finds no more (and is all at r = inf)."""
+    s = 0, stands where the scan finds no more.  At r = inf the objective
+    is -inf at every s > 0, so the exponent is that limit, 0 where
+    m_q = 0."""
     family, tp, tq = _one_family(p_point, q_point)
     if not r >= 0:
         raise ValueError(f"r must be >= 0, got {r}")
@@ -527,7 +531,7 @@ def hoeffding_rate(p_point, q_point, r):
         return HoeffdingRate(value=math.inf, s_star=1.0, at_boundary=True, clamped=False)
     at_zero = HoeffdingRate(value=-math.log1p(-pair.m_q), s_star=0.0, at_boundary=True,
                             clamped=False)
-    if pair.m_q > 0.0 and r == math.inf:
+    if r == math.inf:
         return at_zero
 
     def objective(s):
@@ -555,7 +559,11 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
     hypothesis' support (mass m > 0, ``renyi._edge_strips``), the stream
     first draws how many rows have none, Binomial(trials, (1 - m)^n), and
     then only those rows, conditioned off the strip (module docstring).
-    Rows are scored in slices of ``estimators._SLICE_VALUES`` values."""
+    Rows are scored in slices of ``estimators._SLICE_VALUES`` values by
+    ``families._log_ratio_rows`` as in ``renyi._pair_nodes``: a value is
+    the kernel's upper point where its hypothesis is the density shifted
+    lower, and the sum, negated where p is shifted higher, is log p - log q
+    (off the strips a value's edge distance less the shift is > 0)."""
     family, tp, tq = _one_family(p_point, q_point)
     n_grid = _check_n_grid((8, 16, 24, 32, 40, 48) if n_grid is None else n_grid)
     trials = _check_trials(trials)
@@ -567,7 +575,9 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
             step = max(1, _SLICE_VALUES // n)
             for X in _strip_free(family, rng, trials, n, *strips[h]):
                 for r in range(0, X.shape[0], step):
-                    llr = _llr_rows(family, X[r:r + step], tp, tq, h == 1)
+                    k = fam_mod._log_ratio_rows(family, X[r:r + step], abs(tq - tp),
+                                                upper=(tq > tp) != (h == 1))
+                    llr = k if tq > tp else -k
                     # errors: q preferred under p, p accepted under q
                     sums[i] += np.count_nonzero(llr < 0 if h == 0 else llr >= 0)
                 del X
@@ -576,22 +586,6 @@ def ht_simulate(p_point, q_point, n_grid=None, trials=100_000, seed=0):
     slope, err = _fit_rate(n_grid, sums, trials)
     return HtSimResult(slope=slope, stderr=err, n_grid=n_grid,
                        error_sums=sums, trials=trials, seed=int(seed))
-
-
-def _llr_rows(family, U, tp, tq, under_q):
-    """Row sums of log p - log q at the values U + t of one hypothesis
-    f(. - t), t = tq under q, else tp, by the window kernel on U itself: as
-    in ``renyi._pair_nodes``, its lower point is the coordinate of the
-    density shifted higher, U or U - s, s = |tq - tp|, and its sign + where
-    q is.  Off the strips of ``renyi._edge_strips`` the edge distance less
-    s is > 0."""
-    s = abs(tq - tp)
-    dl, dr = fam_mod._dists(family, U)
-    if (tq > tp) == under_q:
-        k = np.einsum("ij->i", fam_mod._log_ratio(family, U, dl, dr - s, s))
-    else:
-        k = np.einsum("ij->i", fam_mod._log_ratio(family, U - s, dl - s, dr, s))
-    return k if tq > tp else -k
 
 
 def lr_rate_identity(family, eps, n_grid=None, trials=20_000, seed=0):

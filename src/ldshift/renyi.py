@@ -75,7 +75,7 @@ import numpy as np
 from . import families as fam_mod
 from .families import fisher_information
 from .quadrature import panel_nodes
-from .special import _GAMMA_MAX, _GAMMA_MIN, _beta
+from .special import _GAMMA_MAX, _GAMMA_MIN, _beta, _elementwise
 
 __all__ = [
     "DivergenceError",
@@ -469,19 +469,6 @@ def _beta_at(y):
         return _beta(x, y)
 
     return _elementwise(one)
-
-
-def _elementwise(one):
-    """A function of a float that maps an array elementwise too, in one
-    loop of Python floats, so an array's values are the floats' bit for
-    bit."""
-    def at(x):
-        if isinstance(x, float):
-            return one(x)
-        x = np.asarray(x, dtype=float)
-        return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-    return at
 
 
 def _snap(kappa):

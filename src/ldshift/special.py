@@ -15,7 +15,8 @@ scipy:
 - ``digamma`` raises x by the recurrence psi(x) = psi(x+1) - 1/x to x >= 16
   and sums the asymptotic series ln x - 1/(2x) - sum B_2k/(2k x^2k) to
   x^-10.  On (1e-3, 50] it is within 2.2e-15·max(1, |psi|) of scipy's
-  psi.  Array residuals apply the same scalar loop elementwise.
+  psi.  Array residuals apply the same scalar loop elementwise
+  (``_elementwise``, which ``renyi`` and ``bounds`` use too).
 """
 
 import functools
@@ -112,19 +113,28 @@ def digamma(x):
     return _psi(x)
 
 
-# elementwise on Python floats: an array costs what its elements do, and a
-# scalar skips numpy's per-call cost (solve_t0 evaluates ~40 of them)
-_t0_residual = np.frompyfunc(
-    lambda t: 2.0 * t + t * (1.0 - t) * (_psi(1.0 + t) - _PSI_1) - 1.0, 1, 1)
+def _elementwise(one):
+    """A function of a float that maps an array elementwise too, in one
+    loop of Python floats: an array's values are the floats' bit for bit,
+    and a float skips numpy's per-call cost."""
+    def at(x):
+        if isinstance(x, float):
+            return one(x)
+        x = np.asarray(x, dtype=float)
+        return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+    at.__doc__ = one.__doc__
+    return at
 
 
+@_elementwise
 def t0_residual(t):
     """Residual h(t) = 2t + t(1-t)(psi(1+t) - psi(1)) - 1.
 
     h is strictly increasing on (0, 1/2) with h(0) = -1, so it has a unique
-    root t0 there.  Accepts scalars or arrays.
+    root t0 there.  A float gives a float, an array an array.
     """
-    return np.asarray(_t0_residual(np.asarray(t, dtype=float)), dtype=float)
+    return 2.0 * t + t * (1.0 - t) * (_psi(1.0 + t) - _PSI_1) - 1.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,12 +146,12 @@ def solve_t0():
     the bracket contracts.  The root is a constant, so it is memoized.
     """
     lo, hi = 1e-6, 0.5 - 1e-6
-    flo, fhi = float(t0_residual(lo)), float(t0_residual(hi))
+    flo, fhi = t0_residual(lo), t0_residual(hi)
     if not (flo < 0.0 < fhi):
         raise RuntimeError("t0 bracket lost: residual endpoints have wrong signs")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = float(t0_residual(mid))
+        fm = t0_residual(mid)
         if not (flo <= fm <= fhi):
             raise RuntimeError("t0 residual not monotone across bracket")
         if fm < 0.0:

@@ -1,7 +1,8 @@
 """Record the golden files in tests/data that four tests compare against:
 
 - ``mc_counts.json``: Monte Carlo tail counts of the MLE, LR and
-  order-statistic estimators (``test_mc_counts_are_pinned``)
+  order-statistic estimators (``test_mc_counts_are_pinned``) and error
+  sums of the likelihood test (``test_ht_error_sums_are_pinned``)
 - ``rates_beta_1.5_1.5.csv``: a small ``ldshift rates`` table
   (``test_rates_golden``)
 - ``verify_quick.txt``: the ``ldshift verify --level quick`` report
@@ -26,7 +27,7 @@ from pathlib import Path
 from ldshift.cli import main as cli_main
 from ldshift.estimators import EstimatorSpec
 from ldshift.families import make_family
-from ldshift.rates import mc_tail_rate
+from ldshift.rates import ht_simulate, mc_tail_rate
 
 DATA = Path(__file__).resolve().parent / "data"
 # the CLI configs of the benchmark, read only
@@ -58,6 +59,20 @@ MC_CASES = [
      [8, 16, 32, 64], 4000, 51),
 ]
 
+# (id, family, (tp, tq), n grid, trials, seed) of the likelihood test, with
+# q above p and below it: one hypothesis' values are the window kernel's
+# lower points and the other's its upper points, and the two orientations
+# swap them.  beta(1.5, 1.5) draws strip-free rows, gamma(3) has one finite
+# edge, the triangular kernel straddles the mode and the gaussian has none
+HT_CASES = [
+    ("ht-beta-1.5-1.5-q-below", ["beta", [1.5, 1.5]], [0.2, 0.0], [8, 16, 24], 1000, 61),
+    ("ht-gamma-3-q-above", ["gamma", [3]], [0.0, 0.3], [4, 8, 16], 2000, 62),
+    ("ht-gamma-3-q-below", ["gamma", [3]], [0.3, 0.0], [4, 8, 16], 2000, 63),
+    ("ht-triangular-0.3-q-above", ["triangular", [0.3]], [0.0, 0.1], [4, 8, 16], 2000, 64),
+    ("ht-triangular-0.3-q-below", ["triangular", [0.3]], [0.1, 0.0], [4, 8, 16], 2000, 65),
+    ("ht-gaussian", ["gaussian", []], [0.0, 0.5], [4, 8, 16], 2000, 66),
+]
+
 # beta(1.5, 1.5) draws strip-free samples per side at the larger rung
 # (both estimators) and the smaller one (lr at n >= 16)
 RATES_CFG = {"version": 1, "seed": 0, "family": {"kind": "beta", "params": [1.5, 1.5]},
@@ -72,6 +87,15 @@ def mc_counts(case):
     est = mc_tail_rate(fam, spec, 0.0, case["eps"], n_grid=case["n_grid"],
                        trials=case["trials"], seed=case["seed"])
     return est.p_plus.tolist(), est.p_minus.tolist()
+
+
+def ht_error_sums(case):
+    """The error sums, as a list, of one recorded likelihood-test case."""
+    fam = make_family(*case["family"])
+    tp, tq = case["points"]
+    res = ht_simulate((fam, tp), (fam, tq), n_grid=case["n_grid"], trials=case["trials"],
+                      seed=case["seed"])
+    return res.error_sums.tolist()
 
 
 def _cli(argv):
@@ -115,6 +139,11 @@ def main():
         case = dict(id=cid, family=family, estimator=estimator, eps=eps, n_grid=n_grid,
                     trials=trials, seed=seed)
         case["p_plus"], case["p_minus"] = mc_counts(case)
+        cases.append(case)
+    for cid, family, points, n_grid, trials, seed in HT_CASES:
+        case = dict(id=cid, family=family, points=points, n_grid=n_grid, trials=trials,
+                    seed=seed)
+        case["error_sums"] = ht_error_sums(case)
         cases.append(case)
     (DATA / "mc_counts.json").write_text(json.dumps(cases, indent=1) + "\n")
     for name, record in (("rates_beta_1.5_1.5.csv", rates_table),

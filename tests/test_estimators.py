@@ -238,9 +238,11 @@ CUSTOM_BETA22 = make_family(
     ("mle", None, make_family("gamma", (3,))),
     ("mle", None, make_family("beta", (1.5, 1.5))),
     ("mle", None, make_family("weibull", (2,))),
+    ("mle", None, make_family("gaussian")),        # the row mean, by the sign test
 ], ids=["lr-gaussian", "lr-gamma-3", "lr-beta-2-2", "lr-beta-2-2-narrow", "lr-flat",
         "lr-weibull-1.5", "lr-triangular-0.3", "lr-beta-1.5-1.5", "lr-uniform",
-        "lr-custom-beta-2-2", "mle-gamma-3", "mle-beta-1.5-1.5", "mle-weibull-2"])
+        "lr-custom-beta-2-2", "mle-gamma-3", "mle-beta-1.5-1.5", "mle-weibull-2",
+        "mle-gaussian"])
 def test_tail_events_match_full_estimator(kind, eps, fam):
     spec = EstimatorSpec(kind, eps=eps)
     a, b = fam.support
@@ -285,7 +287,7 @@ def test_extreme_events_match_full_estimator(spec):
     f_min = sp.betainc(1.5, 1.5, X.min(axis=1))
     s_max = sp.betainc(1.5, 1.5, 1.0 - X.max(axis=1))
     for eps in (0.02, 0.05, 0.1):
-        above, below = extreme_events(spec, fam, f_min, s_max, eps, -eps)
+        above, below = extreme_events(spec, fam, eps, -eps)(f_min, s_max)
         assert np.array_equal(above, t > eps), eps
         assert np.array_equal(below, t < -eps), eps
 
@@ -352,7 +354,7 @@ def test_boundary_masses_hold_past_half_the_support(fam, law):
     # it keeps ulps
     t = np.concatenate([np.linspace(0.5, 1.0, 2001)[1:-1], 1.0 - np.logspace(-14, -2, 50)])
     for upper, want in ((False, law.cdf(t)), (True, law.sf(1.0 - t))):
-        got = estimators._near_mass(fam, t, upper)
+        got = fam_mod._near_mass(fam, t, upper)
         assert np.all(np.abs(got / want - 1.0) <= 1e-14), upper
 
 
@@ -367,7 +369,7 @@ def test_convex_events_match_full_estimator(fam, law, lam):
         t = estimate_many(spec, fam, X)
         f_min, s_max = law.cdf(X.min(axis=1)), law.sf(X.max(axis=1))
         for eps in (0.02, 0.1):
-            above, below = extreme_events(spec, fam, f_min, s_max, eps, -eps)
+            above, below = extreme_events(spec, fam, eps, -eps)(f_min, s_max)
             assert np.array_equal(above, t > eps), (n, eps)
             assert np.array_equal(below, t < -eps), (n, eps)
             events += np.count_nonzero(above) + np.count_nonzero(below)
@@ -414,7 +416,7 @@ def test_convex_events_on_placed_rows(fam, law, lam, monkeypatch):
     monkeypatch.setattr(fam_mod, "_quantile",
                         lambda family, p, *args, **kw: solved.append(np.size(p))
                         or quantile(family, p, *args, **kw))
-    above, below = extreme_events(spec, fam, f_min, s_max, eps, -eps)
+    above, below = extreme_events(spec, fam, eps, -eps)(f_min, s_max)
     assert np.array_equal(above, t > eps)
     assert np.array_equal(below, t < -eps)
     # the rows next to G straddle their bins and take the exact quantile

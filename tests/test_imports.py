@@ -3,8 +3,9 @@ and `verify` commands and `cdf` never load scipy, and all of them run where
 scipy cannot be imported (scipy is a test dependency only); `import
 ldshift`, `bounds` and `renyi-curve` never load numpy.random; no module
 imports a name it never reads, no private helper goes unread, no module
-starts threads or processes, and regime strings are compared only where
-they are derived from kappa."""
+starts threads or processes, regime strings are compared only where they
+are derived from kappa, and each rule listed in ``_RULE_HOMES`` is written
+in its one home."""
 
 import ast
 import json
@@ -254,3 +255,77 @@ def test_src_scaling_tags_are_numbers():
     assert found == [], ("scaling tag compared with a string or tested with callable() "
                          "(ROADMAP items 8 and 10: a tag is the edge exponent whose g it "
                          "names, and the callable and named tags are gone): " + ", ".join(found))
+
+
+# rules written once (ROADMAP aim 2), each with the definitions that may
+# write it (a module name alone: the whole module): the window kernel
+# ``families._log_ratio`` is summed over rows by ``families._log_ratio_rows``
+# and swept by ``renyi._pair_nodes``, which saves a custom family's second
+# log-density pass; 1 minus a mass from the far end is the nearer-end mass
+# ``families._near_mass``; the gaussian MLE is the row mean where
+# ``estimators._is_row_mean`` says so; and ``special._elementwise`` is the
+# one elementwise float loop, so no module builds a ufunc of its own
+_RULE_HOMES = {
+    "np.frompyfunc": set(),
+    "_log_ratio call": {("families.py", None), ("renyi.py", "_pair_nodes")},
+    "1 - _mass_within": {("families.py", "_near_mass")},
+    "kind == 'gaussian'": {("estimators.py", "_is_row_mean")},
+}
+
+
+def _is_call_of(node, name):
+    return isinstance(node, ast.Call) and _is_named(node.func, name)
+
+
+def _rule_of(node):
+    """The ``_RULE_HOMES`` rule a node writes, else None."""
+    if _is_named(node, "frompyfunc"):
+        return "np.frompyfunc"
+    if _is_call_of(node, "_log_ratio"):
+        return "_log_ratio call"
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and _is_call_of(node.right, "_mass_within")):
+        return "1 - _mass_within"
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        if (any(_is_named(op, "kind") for op in operands)
+                and any(isinstance(op, ast.Constant) and op.value == "gaussian"
+                        for op in operands)):
+            return "kind == 'gaussian'"
+    return None
+
+
+def _rule_copies(sources):
+    """'rule module:line' of each rule of ``_RULE_HOMES`` written outside its
+    homes, in a {module file name: source text} mapping."""
+    found = []
+    for name, text in sorted(sources.items()):
+        for top in ast.parse(text).body:
+            for node in ast.walk(top):
+                rule = _rule_of(node)
+                where = {(name, None), (name, getattr(top, "name", None))}
+                if rule and not where & _RULE_HOMES[rule]:
+                    found.append(f"{rule} {name}:{node.lineno}")
+    return found
+
+
+def test_src_writes_each_rule_once():
+    # the rule sees each copy it names
+    copies = """
+import numpy as np
+loop = np.frompyfunc(float, 1, 1)
+def rows(fam, U, dl, dr, s):
+    return _log_ratio(fam, U, dl, dr, s).sum(axis=1)
+def far(fam, t):
+    return 1.0 - fam_mod._mass_within(fam, t, True)
+def mean(spec, family):
+    return family.kind == "gaussian"
+"""
+    assert [c.split(" other.py:")[0] for c in _rule_copies({"other.py": copies})] == list(
+        _RULE_HOMES)
+    sources = {path.name: path.read_text()
+               for path in sorted((ROOT / "src" / "ldshift").glob("*.py"))}
+    found = _rule_copies(sources)
+    assert found == [], ("a rule written outside its home (ROADMAP aim 2, one home per "
+                         "rule; see _RULE_HOMES): " + ", ".join(found))

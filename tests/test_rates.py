@@ -283,7 +283,9 @@ def test_n_value_streams_are_pinned():
     assert np.array_equal(ht.error_sums, [173.0, 42.0, 10.0])
 
 
-MC_COUNTS = json.loads((record_goldens.DATA / "mc_counts.json").read_text())
+GOLDEN_COUNTS = json.loads((record_goldens.DATA / "mc_counts.json").read_text())
+MC_COUNTS = [c for c in GOLDEN_COUNTS if "estimator" in c]
+HT_COUNTS = [c for c in GOLDEN_COUNTS if "points" in c]
 
 
 @pytest.mark.parametrize("case", MC_COUNTS, ids=[c["id"] for c in MC_COUNTS])
@@ -293,6 +295,15 @@ def test_mc_counts_are_pinned(case):
     # functions, the sign test or the extremes' rule that moves one row's
     # side shows here
     assert record_goldens.mc_counts(case) == (case["p_plus"], case["p_minus"])
+
+
+@pytest.mark.parametrize("case", HT_COUNTS, ids=[c["id"] for c in HT_COUNTS])
+def test_ht_error_sums_are_pinned(case):
+    # error sums of the likelihood test with q above p and below it,
+    # recorded by the call made here (record_goldens.ht_error_sums): the
+    # window kernel's lower point and sign differ between the two, and
+    # between the hypotheses
+    assert record_goldens.ht_error_sums(case) == case["error_sums"]
 
 
 def _splits(fam, spec, eps, n):
@@ -574,6 +585,18 @@ def test_hoeffding_takes_the_limit_at_s_zero():
     s = 1e-6
     near = (-s * 0.5 + renyi.renyi_divergence(fam, 0.0, 0.2, s)) / (1.0 - s)
     assert 0.10977 <= near <= limit
+
+
+def test_hoeffding_at_infinite_r_without_outside_mass():
+    # q inside p's support (m_q = 0): at r = inf the objective is -inf at
+    # every s > 0, so the exponent is the s -> 0 limit 0, at s = 0, with
+    # no floating-point warning
+    gamma3 = make_family("gamma", (3,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, q in (((GAUSS, 0.0), (GAUSS, 1.0)), ((gamma3, 0.0), (gamma3, 0.3))):
+            h = hoeffding_rate(p, q, math.inf)
+            assert (h.value, h.s_star, h.at_boundary, h.clamped) == (0.0, 0.0, True, False), p
 
 
 def test_hoeffding_rejects_nan_constraint():

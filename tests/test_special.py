@@ -104,6 +104,7 @@ def test_t0_value_and_speed():
 
 def test_t0_residual_endpoints():
     assert t0_residual(0.0) == -1.0
+    assert type(t0_residual(0.5)) is float      # a float in, a float out
     # residual at 1/2 equals (psi(3/2) - psi(1))/4
     want = (digamma(1.5) - digamma(1.0)) / 4.0
     assert abs(t0_residual(0.5) - want) < 1e-14
